@@ -83,8 +83,8 @@ def _verification(
 ) -> VerificationReport:
     rep = VerificationReport()
     rep.checks += check_trace_consistency(trace, cfg).checks
-    gt = ground_truth(cfg)
-    if gt.constant:
+    if cfg.schedule.is_constant():
+        gt = ground_truth(cfg)
         rep.checks += check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0).checks
         rep.checks += check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0).checks
     else:

@@ -22,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .plant_sim import PlantState, SignalSpec, signal_eval
 from .poly import PolyZ
@@ -31,7 +32,8 @@ __all__ = [
     "Regressor",
     "ControllerState",
     "init_from_x0",
-    "prestart_regressors",
+    "History",
+    "history",
     "x0_length",
     "ybar",
     "reference_outputs",
@@ -136,46 +138,66 @@ def init_from_x0(
         gain_sign=math.copysign(1.0, gain_sign),
         ystar_hist=deque([0.0] * ref.order, maxlen=max(ref.order, 1)),
     )
-    plant = PlantState(n=n, m=m, d=d, y_hist=y_part[:n], u_hist=u_part[: m + d - 1])
+    plant = PlantState(n=n, m=m, d=d, y_init=y_part[:n], u_init=u_part[: m + d - 1])
     return ctrl, plant
 
 
-def prestart_regressors(x0, n: int, m: int, d: int) -> dict[int, np.ndarray]:
-    """Regressor vectors phi(-1)..phi(-d+1) (keyed by offset from t0).
+@dataclass(frozen=True)
+class History:
+    """A run's output and input history as two padded arrays.
 
-    For d >= 2 the estimator's first updates consume regressors that predate
-    the run; they are fully determined by x0 plus the zero-history
-    convention. Returns an empty dict for d = 1.
+    y[k] and u[k] hold y(t0 - lead + k) and u(t0 - lead + k): zeros, then
+    the part of x0 older than t0, then the recorded columns from t0 on.
     """
-    x0 = [float(v) for v in np.asarray(x0, dtype=float).ravel()]
+
+    y: np.ndarray
+    u: np.ndarray
+    lead: int
+    n: int
+    m: int
+    d: int
+
+    def lags(self, x: np.ndarray, depth: int, first: int, count: int) -> np.ndarray:
+        """Rows (x(t), x(t-1), .., x(t-depth+1)) for t = t0+first .. t0+first+count-1."""
+        start = self.lead + first - depth + 1
+        return sliding_window_view(x, depth)[start : start + count, ::-1]
+
+    def at_rest(self, col) -> np.ndarray:
+        """A recorded column on the same time axis, zero before t0."""
+        return np.concatenate((np.zeros(self.lead), col))
+
+    def phi(self, first: int, count: int) -> np.ndarray:
+        """Contiguous regressor rows phi(t) for t = t0+first .. t0+first+count-1."""
+        ys = self.lags(self.y, self.n, first, count)
+        return np.hstack((ys, self.lags(self.u, self.m + self.d, first, count)))
+
+
+def history(x0, y, u, n: int, m: int, d: int) -> History:
+    """Lay out x0 (see init_from_x0) and the recorded y/u columns as one History.
+
+    The lead of x0_length + 1 samples covers the oldest value any regressor,
+    weighted sum or plant recursion of the run reads.
+    """
+    x0 = np.asarray(x0, dtype=float)
     if len(x0) != x0_length(n, m, d):
         raise ValueError("x0 has the wrong length for these dimensions")
-    y_part = x0[: n + d - 1]
-    u_part = x0[n + d - 1 :]
-
-    def y_at(off: int) -> float:  # off <= 0 relative to t0
-        idx = -off
-        return y_part[idx] if idx < len(y_part) else 0.0
-
-    def u_at(off: int) -> float:  # off <= -1 relative to t0
-        idx = -off - 1
-        return u_part[idx] if 0 <= idx < len(u_part) else 0.0
-
-    out = {}
-    for k in range(1, d):
-        vec = [y_at(-k - i) for i in range(n)] + [u_at(-k - j) for j in range(m + d)]
-        out[-k] = np.array(vec)
-    return out
+    ny = n + d - 1
+    lead = len(x0) + 1
+    y_old = x0[1:ny][::-1]  # y(t0-n-d+2) .. y(t0-1); x0[0] is the recorded y(t0)
+    u_old = x0[ny:][::-1]  # u(t0-m-2d+2) .. u(t0-1)
+    y_ext = np.concatenate((np.zeros(lead - len(y_old)), y_old, y))
+    u_ext = np.concatenate((np.zeros(lead - len(u_old)), u_old, u))
+    return History(y_ext, u_ext, lead, n, m, d)
 
 
-def ybar(y_history, L: PolyZ) -> float:
+def ybar(y_newest_first, L: PolyZ) -> float:
     """Weighted output ybar(t) = y(t) + sum_j l_j y(t-j), newest-first history."""
     coeffs = L.coeffs
-    if len(y_history) < len(coeffs):
+    if len(y_newest_first) < len(coeffs):
         raise ValueError(
-            f"history of depth {len(y_history)} cannot evaluate deg-{L.degree} L"
+            f"history of depth {len(y_newest_first)} cannot evaluate deg-{L.degree} L"
         )
-    return sum(c * y_history[j] for j, c in enumerate(coeffs))
+    return sum(c * y_newest_first[j] for j, c in enumerate(coeffs))
 
 
 def _r_at(state: ControllerState, r: SignalSpec, t: int) -> float:

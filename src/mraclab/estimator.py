@@ -87,29 +87,22 @@ class EstimatorState:
 
 @dataclass
 class StepRecord:
-    """What one update did: error, gate, raw move, pre-projection estimate."""
+    """What one update did: the prediction error and the gate."""
 
     e_next: float
     rho: int
-    nu: np.ndarray
-    theta_check: np.ndarray
 
 
 def estimator_update(state: EstimatorState, phi_lag, ybar_next: float) -> StepRecord:
     """One projection-algorithm step; mutates state.theta_hat in place.
 
-    Gated off (rho = 0) the estimate is untouched and nu = 0. Gated on, the
-    raw move is nu = phi e / ||phi||^2 and the result is clamped back into
-    the box.
+    Gated off (rho = 0) the estimate is untouched. Gated on, it moves by
+    phi e / ||phi||^2 and the result is clamped back into the box.
     """
     phi = np.asarray(phi_lag, dtype=float)
     e_next = prediction_error(ybar_next, phi, state.theta_hat)
     rho = deadzone_flag(e_next, phi, state.box_norm_cached, state.delta)
     if rho:
-        nu = phi * (e_next / float(phi @ phi))
-        theta_check = state.theta_hat + nu
-        state.theta_hat = np.minimum(np.maximum(theta_check, state._lo), state._hi)
-    else:
-        nu = np.zeros_like(state.theta_hat)
-        theta_check = state.theta_hat.copy()
-    return StepRecord(e_next=e_next, rho=rho, nu=nu, theta_check=theta_check)
+        moved = state.theta_hat + phi * (e_next / float(phi @ phi))
+        state.theta_hat = np.minimum(np.maximum(moved, state._lo), state._hi)
+    return StepRecord(e_next=e_next, rho=rho)

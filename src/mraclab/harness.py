@@ -15,8 +15,10 @@ projection estimator and the adaptive loop are supposed to have:
   energy finite in the disturbance-free case (tracking_energy).
 
 Trace columns are exact re-loadable decimals, so a saved run can be audited
-later without re-simulation (and tampering is detectable, because every
-column is cross-checked against the recursions that produced it).
+later without re-simulation. Regressors are not stored: the checks derive
+them from x0 and the y/u columns through controller.history and work on
+whole columns at once. check_trace_consistency re-derives every column from
+the recursion or config signal that produced it, so edits show as residuals.
 """
 
 from __future__ import annotations
@@ -31,14 +33,15 @@ import numpy as np
 
 from .controller import (
     ControlError,
+    History,
     control_input,
+    history,
     init_from_x0,
-    prestart_regressors,
     reference_outputs,
     x0_length,
     ybar,
 )
-from .estimator import EstimatorState, deadzone_flag, estimator_update
+from .estimator import EstimatorState, estimator_update
 from .plant_sim import (
     CoefficientSchedule,
     CoefSpec,
@@ -46,6 +49,7 @@ from .plant_sim import (
     constant_signal,
     plant_step,
     signal_eval,
+    signal_rows,
     sinusoid,
     square_wave,
     table_signal,
@@ -54,7 +58,7 @@ from .plant_sim import (
     windowed_sinusoid,
     zero_signal,
 )
-from .poly import PolyZ, max_root_modulus, predictor_split
+from .poly import PolyZ, max_root_modulus, max_root_moduli, predictor_split
 from .system import (
     AdmissibilityError,
     ParamBox,
@@ -517,7 +521,11 @@ CONVENTIONS = {
 
 @dataclass
 class Trace:
-    """Row-per-time-step record of one closed-loop run (t = t0 .. t0+steps)."""
+    """Row-per-time-step record of one closed-loop run (t = t0 .. t0+steps).
+
+    Regressors are not stored: history() derives them on demand from x0 and
+    the y/u columns, so an edit to either shows up in every check.
+    """
 
     t: np.ndarray
     y: np.ndarray
@@ -529,11 +537,9 @@ class Trace:
     rho: np.ndarray
     norm_phi: np.ndarray
     theta_hat: np.ndarray  # (rows, p)
-    nu: np.ndarray  # (rows, p)
-    phi: np.ndarray  # (rows, p)
     r: np.ndarray
     w: np.ndarray
-    pre_phi: dict[int, np.ndarray]  # phi(t) for t in [t0-d+1, t0)
+    x0: np.ndarray  # the initial-condition vector the run started from
     meta: dict = field(default_factory=dict)
 
     @property
@@ -548,22 +554,20 @@ class Trace:
     def t_end(self) -> int:
         return int(self.t[-1])
 
-    def index(self, t: int) -> int:
-        k = t - self.t0
-        if not 0 <= k < self.rows:
-            raise IndexError(f"time {t} outside trace range [{self.t0}, {self.t_end}]")
-        return k
+    def history(self) -> History:
+        dims = self.meta["dims"]
+        return history(self.x0, self.y, self.u, dims["n"], dims["m"], dims["d"])
 
-    def phi_at(self, t: int) -> np.ndarray:
-        if t < self.t0:
-            return self.pre_phi[t - self.t0]
-        return self.phi[self.index(t)]
 
-    def norm_phi_at(self, t: int) -> float:
-        if t < self.t0:
-            v = self.pre_phi[t - self.t0]
-            return math.sqrt(float(v @ v))
-        return float(self.norm_phi[self.index(t)])
+def _meta(cfg: ExperimentConfig) -> dict:
+    return {
+        "dims": {"n": cfg.n, "m": cfg.m, "d": cfg.d, "n_ref": cfg.ref.order, "p": cfg.dim_theta},
+        "x0_norm": float(np.linalg.norm(np.array(cfg.x0))),
+        "config": cfg.to_config_dict(),
+        "config_hash": cfg.config_hash(),
+        "conventions": dict(CONVENTIONS),
+        "label": cfg.label,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +591,6 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
 
     ctrl, plant = init_from_x0(cfg.x0, n, m, d, cfg.ref, t0=t0, gain_sign=gain_sign)
     est = EstimatorState(theta_hat=np.array(cfg.theta0), box=cfg.box, delta=cfg.delta)
-    pre_phi = prestart_regressors(cfg.x0, n, m, d)
 
     rows = T + 1
     col = {
@@ -596,8 +599,6 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     }
     rho = np.zeros(rows, dtype=int)
     theta_hat = np.zeros((rows, p))
-    nu = np.zeros((rows, p))
-    phi = np.zeros((rows, p))
 
     e_pending = 0.0
     for k in range(rows):
@@ -618,7 +619,6 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         col["r"][k] = signal_eval(cfg.r, t)
         col["w"][k] = signal_eval(cfg.w, t)
         theta_hat[k] = est.theta_hat
-        phi[k] = phi_t
 
         if k < T:
             # phi(t-d+1) must be read while the y/u buffers are still aligned
@@ -637,26 +637,11 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
             rec = estimator_update(est, phi_lag, ybar_next)
             e_pending = rec.e_next
             rho[k] = rec.rho
-            nu[k] = rec.nu
 
     for name, arr in col.items():
         if not np.all(np.isfinite(arr)):
             raise NumericAbort(f"non-finite values in column {name}")
 
-    x0_arr = np.array(cfg.x0)
-    meta = {
-        "dims": {"n": n, "m": m, "d": d, "n_ref": cfg.ref.order, "p": p},
-        "t0": t0,
-        "steps": T,
-        "delta": cfg.delta,
-        "x0_norm": float(np.linalg.norm(x0_arr)),
-        "gain_sign": gain_sign,
-        "config": cfg.to_config_dict(),
-        "config_hash": cfg.config_hash(),
-        "conventions": dict(CONVENTIONS),
-        "nu_available": True,
-        "label": cfg.label,
-    }
     return Trace(
         t=np.arange(t0, t0 + rows),
         y=col["y"],
@@ -668,12 +653,10 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         rho=rho,
         norm_phi=col["norm_phi"],
         theta_hat=theta_hat,
-        nu=nu,
-        phi=phi,
         r=col["r"],
         w=col["w"],
-        pre_phi=pre_phi,
-        meta=meta,
+        x0=np.array(cfg.x0),
+        meta=_meta(cfg),
     )
 
 
@@ -691,14 +674,6 @@ class GroundTruth:
     F: PolyZ | None
     wbar: np.ndarray | None  # aligned with wbar_t0, constant plants only
     wbar_t0: int
-
-    def wbar_at(self, t: int) -> float:
-        if self.wbar is None:
-            raise ValueError("filtered noise is only defined for constant plants")
-        k = t - self.wbar_t0
-        if not 0 <= k < len(self.wbar):
-            raise IndexError(f"wbar not materialized at t = {t}")
-        return float(self.wbar[k])
 
 
 def ground_truth(cfg: ExperimentConfig) -> GroundTruth:
@@ -779,6 +754,23 @@ class VerificationReport:
         }
 
 
+def _max_abs(x) -> float:
+    return float(np.max(np.abs(x), initial=0.0))
+
+
+def _weighted(lags: np.ndarray, coeffs, acc=0.0):
+    """acc + sum_j coeffs[..., j] * lags[:, j] in the loop's order; coeffs may vary by row."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    for j in range(lags.shape[1]):
+        acc = acc + coeffs[..., j] * lags[:, j]
+    return acc
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a[k] @ b[k] (or a[k] @ b), each the same BLAS dot the closed loop takes."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
 def check_prop1(
     trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = None
 ) -> VerificationReport:
@@ -795,16 +787,14 @@ def check_prop1(
     t0 = trace.t0
     T = trace.rows - 1
 
-    worst = math.inf
-    for k in range(T):
-        move = float(np.linalg.norm(trace.theta_hat[k + 1] - trace.theta_hat[k]))
-        if trace.rho[k]:
-            norm = trace.norm_phi_at(t0 + k - d + 1)
-            bound = abs(trace.e[k + 1]) / norm if norm > 0 else 0.0
-        else:
-            bound = 0.0
-        worst = min(worst, bound - move)
-    rep.add("estimate_move_bounded", worst, f"{T} steps")
+    # Row k pairs the update from t = t0 + k with its regressor phi(t-d+1).
+    phi = trace.history().phi(1 - d, T)
+    sq = _rowdot(phi, phi)
+    gated = (trace.rho[:T] != 0) & (sq > 0.0)
+    bound = np.divide(np.abs(trace.e[1:]), np.sqrt(sq), out=np.zeros(T), where=gated)
+    step = np.diff(trace.theta_hat, axis=0)
+    move = np.sqrt(_rowdot(step, step))
+    rep.add("estimate_move_bounded", float(np.min(bound - move, initial=math.inf)), f"{T} steps")
 
     if theta_star is None:
         return rep
@@ -812,30 +802,17 @@ def check_prop1(
     theta_star = np.asarray(theta_star, dtype=float)
     if wbar is None or wbar_t0 is None:
         raise ValueError("contraction checks need the filtered noise sequence")
-    wbar = np.asarray(wbar, dtype=float)
-
-    def wbar_at(t: int) -> float:
-        return float(wbar[t - wbar_t0])
+    wb = np.asarray(wbar, dtype=float)[t0 - d + 1 - wbar_t0 + np.arange(d - 1, T)]
 
     err_sq = np.sum((trace.theta_hat - theta_star) ** 2, axis=1)
-    worst = math.inf
-    budget = 0.0
-    for k in range(d - 1, T):
-        if trace.rho[k]:
-            t_lag = t0 + k - d + 1
-            norm = trace.norm_phi_at(t_lag)
-            allowed = (
-                (-0.5 * trace.e[k + 1] ** 2 + 2.0 * wbar_at(t_lag) ** 2) / norm**2
-                if norm > 0
-                else 0.0
-            )
-        else:
-            allowed = 0.0
-        budget += allowed
-        worst = min(worst, allowed - (err_sq[k + 1] - err_sq[k]))
+    e = trace.e[d:]
+    allowed = np.divide(
+        -0.5 * e * e + 2.0 * wb * wb, sq[d - 1 :], out=np.zeros(T - d + 1), where=gated[d - 1 :]
+    )
+    worst = float(np.min(allowed - np.diff(err_sq)[d - 1 :], initial=math.inf))
     rep.add("parameter_error_contraction_step", worst, f"from t = {t0 + d - 1}")
-    total_margin = err_sq[d - 1] + budget - err_sq[T]
-    rep.add("parameter_error_contraction_total", total_margin)
+    budget = float(np.cumsum(allowed)[-1]) if len(allowed) else 0.0  # summed in time order
+    rep.add("parameter_error_contraction_total", err_sq[d - 1] + budget - err_sq[T])
 
     if np.all(trace.w == 0.0):
         err = np.sqrt(err_sq)
@@ -860,23 +837,18 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int) -> Verificati
     """
     rep = VerificationReport()
     theta_star = np.asarray(theta_star, dtype=float)
-    wbar = np.asarray(wbar, dtype=float)
     d = trace.meta["dims"]["d"]
     t0 = trace.t0
     T = trace.rows - 1
+    count = max(T + 1 - d, 0)
 
-    res1 = res2 = res3 = 0.0
-    for k in range(d, T + 1):
-        phi_lag = trace.phi[k - d]
-        wb = float(wbar[t0 + k - d - wbar_t0])
-        r1 = trace.eps_bar[k] - trace.e[k] - float(
-            phi_lag @ (trace.theta_hat[k - 1] - trace.theta_hat[k - d])
-        )
-        r2 = trace.e[k] + float(phi_lag @ (trace.theta_hat[k - 1] - theta_star)) - wb
-        r3 = trace.eps_bar[k] + float(phi_lag @ (trace.theta_hat[k - d] - theta_star)) - wb
-        res1 = max(res1, abs(r1))
-        res2 = max(res2, abs(r2))
-        res3 = max(res3, abs(r3))
+    phi = trace.history().phi(0, count)  # phi(t-d) for t = t0+d .. t0+T
+    wb = np.asarray(wbar, dtype=float)[t0 - wbar_t0 + np.arange(count)]
+    prev, lagged = trace.theta_hat[d - 1 : T], trace.theta_hat[:count]
+    eps_bar, e = trace.eps_bar[d:], trace.e[d:]
+    res1 = _max_abs(eps_bar - e - _rowdot(phi, prev - lagged))
+    res2 = _max_abs(e + _rowdot(phi, prev - theta_star) - wb)
+    res3 = _max_abs(eps_bar + _rowdot(phi, lagged - theta_star) - wb)
     span = f"t = {t0 + d} .. {t0 + T}"
     rep.add("identity_tracking_vs_prediction", IDENTITY_TOL - res1, span, tol=0.0)
     rep.add("identity_prediction_error", IDENTITY_TOL - res2, span, tol=0.0)
@@ -887,104 +859,70 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int) -> Verificati
 def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> VerificationReport:
     """Cross-check every stored column against the recursions that made it.
 
-    Used when auditing a reloaded trace file: the plant recursion, the
-    control-law closure, the error columns, the regressor norms, and the
-    deadzone gates must all be reproducible from the stored data plus the
-    configuration. Any edit to a stored value shows up as a residual.
+    Used when auditing a reloaded trace file: each column is re-derived from
+    the configuration plus the y/u columns (the README lists which check
+    owns which column), so any edit to a stored value shows up as a residual.
     """
     rep = VerificationReport()
     n, m, d = cfg.n, cfg.m, cfg.d
-    t0 = trace.t0
     T = trace.rows - 1
-    h = cfg.ref.H.coeffs
-    l_coeffs = cfg.ref.L.coeffs
-
-    def r_at(t: int) -> float:
-        return signal_eval(cfg.r, t) if t >= t0 else 0.0
-
-    def y_hist(t: int, depth: int) -> list[float]:
-        out = []
-        for j in range(depth):
-            s = t - j
-            if s >= t0:
-                out.append(float(trace.y[s - t0]))
-            else:
-                idx = t0 - s
-                out.append(float(cfg.x0[idx]) if idx < n + d - 1 else 0.0)
-        return out
-
-    def u_at(s: int) -> float:
-        if s >= t0:
-            return float(trace.u[s - t0])
-        idx = (n + d - 1) + (t0 - 1 - s)
-        return float(cfg.x0[idx]) if idx < len(cfg.x0) else 0.0
+    times = cfg.t0 + np.arange(T + 1)
+    h, l_coeffs = cfg.ref.H.coeffs, cfg.ref.L.coeffs
+    hist = history(cfg.x0, trace.y, trace.u, n, m, d)
+    r_cfg, w_cfg = signal_rows(cfg.r, times), signal_rows(cfg.w, times)
+    r_ext = hist.at_rest(r_cfg)
 
     # Plant recursion: y(t+1) from schedule, history, and w(t+1).
-    worst = 0.0
-    for k in range(T):
-        t = t0 + k
-        a, b = cfg.schedule.coeffs_at(t)
-        acc = signal_eval(cfg.w, t + 1)
-        yh = y_hist(t, n)
-        for i, ai in enumerate(a):
-            acc -= ai * yh[i]
-        for i, bi in enumerate(b):
-            acc += bi * u_at(t + 1 - d - i)
-        worst = max(worst, abs(acc - float(trace.y[k + 1])))
-    rep.add("consistency_plant_recursion", CHECK_TOL - worst, tol=0.0)
+    a, b = cfg.schedule.coeff_rows(times[:-1])
+    lags = np.hstack((hist.lags(hist.y, n, 0, T), hist.lags(hist.u, m + 1, 1 - d, T)))
+    y_next = _weighted(lags, np.hstack((-a, b)), w_cfg[1:])
+    rep.add("consistency_plant_recursion", CHECK_TOL - _max_abs(y_next - trace.y[1:]), tol=0.0)
 
     # Control-law closure: phi(t)^T theta_hat(t) = ybar*(t+d).
-    worst = 0.0
-    for k in range(T + 1):
-        t = t0 + k
-        target = sum(h[i] * r_at(t - i) for i in range(len(h)))
-        worst = max(worst, abs(float(trace.phi[k] @ trace.theta_hat[k]) - target))
-    rep.add("consistency_control_closure", CHECK_TOL - worst, tol=0.0)
+    phi = hist.phi(1 - d, T + d)  # phi(t) for t = t0-d+1 .. t0+T
+    now = phi[d - 1 :]
+    target = _weighted(hist.lags(r_ext, len(h), 0, T + 1), h)
+    closure = _max_abs(_rowdot(now, trace.theta_hat) - target)
+    rep.add("consistency_control_closure", CHECK_TOL - closure, tol=0.0)
 
     # Error columns from y, y*, and the weighted sums.
-    worst_eps = worst_bar = 0.0
-    for k in range(T + 1):
-        t = t0 + k
-        worst_eps = max(worst_eps, abs(trace.eps[k] - (trace.y[k] - trace.y_star[k])))
-        yb = sum(c * v for c, v in zip(l_coeffs, y_hist(t, len(l_coeffs))))
-        target = sum(h[i] * r_at(t - d - i) for i in range(len(h)))
-        worst_bar = max(worst_bar, abs(trace.eps_bar[k] - (yb - target)))
-    rep.add("consistency_tracking_error", CHECK_TOL - worst_eps, tol=0.0)
-    rep.add("consistency_weighted_error", CHECK_TOL - worst_bar, tol=0.0)
+    ybar_t = _weighted(hist.lags(hist.y, len(l_coeffs), 0, T + 1), l_coeffs)
+    ybar_star = _weighted(hist.lags(r_ext, len(h), -d, T + 1), h)
+    worst = _max_abs(trace.eps - (trace.y - trace.y_star))
+    rep.add("consistency_tracking_error", CHECK_TOL - worst, tol=0.0)
+    worst = _max_abs(trace.eps_bar - (ybar_t - ybar_star))
+    rep.add("consistency_weighted_error", CHECK_TOL - worst, tol=0.0)
 
-    # Prediction-error column: e(t) = ybar(t) - phi(t-d)^T theta_hat(t-1).
-    worst = abs(float(trace.e[0]))  # first row is 0 by convention
-    for k in range(1, T + 1):
-        t = t0 + k
-        yb = sum(c * v for c, v in zip(l_coeffs, y_hist(t, len(l_coeffs))))
-        pred = float(trace.phi_at(t - d) @ trace.theta_hat[k - 1])
-        worst = max(worst, abs(trace.e[k] - (yb - pred)))
+    # Prediction-error column: e(t) = ybar(t) - phi(t-d)^T theta_hat(t-1); e(t0) = 0.
+    lagged = phi[:T]
+    pred = ybar_t[1:] - _rowdot(lagged, trace.theta_hat[:T])
+    worst = max(abs(float(trace.e[0])), _max_abs(trace.e[1:] - pred))
     rep.add("consistency_prediction_error", CHECK_TOL - worst, tol=0.0)
 
     # Regressor norms and deadzone gates.
-    worst = 0.0
-    for k in range(T + 1):
-        worst = max(worst, abs(trace.norm_phi[k] - float(np.linalg.norm(trace.phi[k]))))
+    worst = _max_abs(trace.norm_phi - np.sqrt(_rowdot(now, now)))
     rep.add("consistency_regressor_norm", CHECK_TOL - worst, tol=0.0)
-
-    s_norm = box_norm(cfg.box)
-    bad = 0
-    for k in range(T):
-        expect = deadzone_flag(
-            trace.e[k + 1], trace.phi_at(t0 + k - d + 1), s_norm, cfg.delta
-        )
-        bad += int(expect != int(trace.rho[k]))
-    bad += int(trace.rho[T] != 0)  # final row gates nothing
+    lag_norm = np.sqrt(_rowdot(lagged, lagged))
+    gate = lag_norm > 0.0
+    if not math.isinf(cfg.delta):
+        gate &= np.abs(trace.e[1:]) < (2.0 * box_norm(cfg.box) + cfg.delta) * lag_norm
+    bad = np.count_nonzero(gate.astype(int) != trace.rho[:T]) + int(trace.rho[T] != 0)
     rep.add("consistency_deadzone_gate", -float(bad), f"{T} gates", tol=0.0)
 
     # Estimates stay inside the box.
-    lo = np.asarray(cfg.box.lo)
-    hi = np.asarray(cfg.box.hi)
-    overs = max(
-        float(np.max(lo - trace.theta_hat, initial=0.0)),
-        float(np.max(trace.theta_hat - hi, initial=0.0)),
-    )
-    rep.add("consistency_estimates_in_box", 1e-12 - overs, tol=0.0)
+    th, lo, hi = trace.theta_hat, np.asarray(cfg.box.lo), np.asarray(cfg.box.hi)
+    overs = np.max(np.maximum(lo - th, th - hi), initial=0.0)
+    rep.add("consistency_estimates_in_box", 1e-12 - float(overs), tol=0.0)
+
+    # Time index, exogenous inputs, and the reference recursion
+    # y*(t) = ybar*(t) - sum_{j>=1} l_j y*(t-j), at rest before t0.
+    bad = np.count_nonzero(trace.t != times) + abs(trace.rows - (cfg.steps + 1))
+    rep.add("consistency_time_index", -float(bad), f"t = {cfg.t0} .. {cfg.t0 + cfg.steps}", tol=0.0)
+    worst = max(_max_abs(trace.r - r_cfg), _max_abs(trace.w - w_cfg))
+    rep.add("consistency_exogenous_signals", CHECK_TOL - worst, tol=0.0)
+    y_star_lags = hist.lags(hist.at_rest(trace.y_star), len(l_coeffs), 0, T + 1)
+    worst = _max_abs(trace.y_star - (ybar_star - _weighted(y_star_lags[:, 1:], l_coeffs[1:])))
+    rep.add("consistency_reference_recursion", CHECK_TOL - worst, tol=0.0)
     return rep
 
 
@@ -1000,20 +938,10 @@ def predictor_residuals(trace: Trace, cfg: ExperimentConfig) -> np.ndarray:
         raise ValueError("predictor residuals need a constant plant")
     d, t0, T = cfg.d, trace.t0, trace.rows - 1
     l_coeffs = cfg.ref.L.coeffs
-    n_pad = cfg.n + d - 1
-
-    def y_at(s: int) -> float:
-        if s >= t0:
-            return float(trace.y[s - t0])
-        idx = t0 - s
-        return float(cfg.x0[idx]) if idx < n_pad else 0.0
-
-    out = np.zeros(T + 1 - d)
-    for k in range(d, T + 1):
-        t = t0 + k
-        yb = sum(c * y_at(t - j) for j, c in enumerate(l_coeffs))
-        out[k - d] = yb - float(trace.phi[k - d] @ gt.theta_star) - gt.wbar_at(t - d)
-    return out
+    hist = history(cfg.x0, trace.y, trace.u, cfg.n, cfg.m, d)
+    ybar_t = _weighted(hist.lags(hist.y, len(l_coeffs), d, T + 1 - d), l_coeffs)
+    wb = gt.wbar[t0 - gt.wbar_t0 + np.arange(T + 1 - d)]
+    return ybar_t - _rowdot(hist.phi(0, T + 1 - d), gt.theta_star) - wb
 
 
 def fit_decay_bound(trace: Trace, lam: float, floor: float | None = None) -> float:
@@ -1057,17 +985,10 @@ def tracking_energy(trace: Trace) -> tuple[float, np.ndarray]:
     return total, partial
 
 
-def config_spectral_floor(cfg: ExperimentConfig, stride: int = 1) -> float:
+def config_spectral_floor(cfg: ExperimentConfig) -> float:
     """Spectral floor of one run: root moduli of L and of B(t) on the horizon."""
-    floor = max_root_modulus(cfg.ref.L)
-    if cfg.schedule.is_constant():
-        times = [cfg.t0]
-    else:
-        times = range(cfg.t0, cfg.t0 + cfg.steps, max(stride, 1))
-    for t in times:
-        b = cfg.schedule.coeffs_at(t)[1]
-        floor = max(floor, max_root_modulus(PolyZ(b)))
-    return floor
+    _, b = cfg.schedule.coeff_rows(np.arange(cfg.t0, cfg.t0 + cfg.steps))
+    return max(max_root_modulus(cfg.ref.L), float(np.max(max_root_moduli(b))))
 
 
 # ---------------------------------------------------------------------------
@@ -1088,100 +1009,37 @@ def _csv_header(p: int) -> list[str]:
 def write_trace_csv(trace: Trace, path) -> None:
     """Exact decimal dump, one row per time step, reloadable bit-for-bit."""
     p = trace.theta_hat.shape[1]
-    lines = [",".join(_csv_header(p))]
-    for k in range(trace.rows):
-        cells = [str(int(trace.t[k]))]
-        cells += [
-            CSV_FMT % v
-            for v in (
-                trace.y[k],
-                trace.y_star[k],
-                trace.u[k],
-                trace.eps[k],
-                trace.eps_bar[k],
-                trace.e[k],
-            )
-        ]
-        cells.append(str(int(trace.rho[k])))
-        cells.append(CSV_FMT % trace.norm_phi[k])
-        cells += [CSV_FMT % v for v in trace.theta_hat[k]]
-        cells.append(CSV_FMT % trace.r[k])
-        cells.append(CSV_FMT % trace.w[k])
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    cols = (trace.t, trace.y, trace.y_star, trace.u, trace.eps, trace.eps_bar, trace.e,
+            trace.rho, trace.norm_phi, trace.theta_hat, trace.r, trace.w)
+    fmt = ["%d"] + [CSV_FMT] * 6 + ["%d"] + [CSV_FMT] * (p + 3)
+    np.savetxt(path, np.column_stack(cols), fmt=fmt, delimiter=",",
+               header=",".join(_csv_header(p)), comments="")
 
 
 def trace_from_csv(path, cfg: ExperimentConfig) -> Trace:
-    """Reload a stored trace, rebuilding regressor vectors from the columns.
+    """Reload a stored trace written by write_trace_csv.
 
-    The regressor entries are pure history reads, so they are reconstructed
-    from the y/u columns plus the configuration's initial data rather than
-    stored; everything else comes from the file as written.
+    Regressors are not in the file; Trace.history() derives them from the
+    y/u columns plus the configuration's x0. A wrong header, a row of the
+    wrong length, or a cell that is not a finite number raises ConfigError.
     """
-    text = Path(path).read_text().strip().splitlines()
-    header = text[0].split(",")
-    n, m, d = cfg.n, cfg.m, cfg.d
-    p = cfg.dim_theta
-    if header != _csv_header(p):
-        raise ConfigError("trace", "unexpected trace header for this configuration")
-    data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
-    rows = data.shape[0]
-    t = data[:, 0].astype(int)
-    t0 = int(t[0])
-
-    y_col = data[:, 1]
-    u_col = data[:, 3]
-
-    def y_at(s: int) -> float:
-        if s >= t0:
-            return float(y_col[s - t0])
-        idx = t0 - s
-        return float(cfg.x0[idx]) if idx < n + d - 1 else 0.0
-
-    def u_at(s: int) -> float:
-        if s >= t0:
-            return float(u_col[s - t0])
-        idx = (n + d - 1) + (t0 - 1 - s)
-        return float(cfg.x0[idx]) if idx < len(cfg.x0) else 0.0
-
-    def build_phi(s: int) -> np.ndarray:
-        return np.array(
-            [y_at(s - i) for i in range(n)] + [u_at(s - j) for j in range(m + d)]
-        )
-
-    phi = np.vstack([build_phi(t0 + k) for k in range(rows)])
-    pre_phi = {off: build_phi(t0 + off) for off in range(-d + 1, 0)}
-
-    meta = {
-        "dims": {"n": n, "m": m, "d": d, "n_ref": cfg.ref.order, "p": p},
-        "t0": t0,
-        "steps": rows - 1,
-        "delta": cfg.delta,
-        "x0_norm": float(np.linalg.norm(np.array(cfg.x0))),
-        "gain_sign": math.copysign(1.0, cfg.box.lo[n]),
-        "config": cfg.to_config_dict(),
-        "config_hash": cfg.config_hash(),
-        "conventions": dict(CONVENTIONS),
-        "nu_available": False,
-        "label": cfg.label,
-    }
+    header = _csv_header(cfg.dim_theta)
+    with open(path, errors="replace") as fh:  # stray bytes fail as bad cells, not decode errors
+        if fh.readline().rstrip("\n").split(",") != header:
+            raise ConfigError("trace", "unexpected trace header for this configuration")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:  # unparsable cells and ragged rows
+            raise ConfigError("trace", f"malformed trace file: {exc}") from None
+    if data.shape[0] == 0 or data.shape[1] != len(header) or not np.all(np.isfinite(data)):
+        raise ConfigError("trace", f"expected rows of {len(header)} finite numbers")
+    col = dict(zip(header, data.T))
+    col.update(t=col["t"].astype(int), rho=col["rho"].astype(int))
     return Trace(
-        t=t,
-        y=y_col,
-        y_star=data[:, 2],
-        u=u_col,
-        eps=data[:, 4],
-        eps_bar=data[:, 5],
-        e=data[:, 6],
-        rho=data[:, 7].astype(int),
-        norm_phi=data[:, 8],
-        theta_hat=data[:, 9 : 9 + p],
-        nu=np.zeros((rows, p)),
-        phi=phi,
-        r=data[:, 9 + p],
-        w=data[:, 10 + p],
-        pre_phi=pre_phi,
-        meta=meta,
+        **{name: col[name] for name in header if not name.startswith("theta_hat_")},
+        theta_hat=data[:, 9:-2],
+        x0=np.array(cfg.x0),
+        meta=_meta(cfg),
     )
 
 

@@ -24,6 +24,7 @@ from .system import AdmissibilityError, PlantParams
 __all__ = [
     "SignalSpec",
     "signal_eval",
+    "signal_rows",
     "zero_signal",
     "constant_signal",
     "square_wave",
@@ -152,6 +153,11 @@ def signal_eval(spec: SignalSpec, t: int) -> float:
     raise ValueError(f"unknown signal kind {kind!r}")
 
 
+def signal_rows(spec: SignalSpec, times) -> np.ndarray:
+    """signal_eval at each of an array of times, the same samples a run takes."""
+    return np.array([signal_eval(spec, int(t)) for t in times], dtype=float)
+
+
 COEF_KINDS = ("constant", "sinusoid", "piecewise", "table")
 
 
@@ -260,6 +266,13 @@ class CoefficientSchedule:
             tuple(coef_eval(s, t) for s in self.b),
         )
 
+    def coeff_rows(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """coeffs_at for each time as (len, n) and (len, m+1) arrays; one row if constant."""
+        times = times[:1] if self.is_constant() else times
+        ab = np.array([sum(self.coeffs_at(int(t)), ()) for t in times], dtype=float)
+        ab = ab.reshape(len(times), self.n + self.m + 1)
+        return ab[:, : self.n], ab[:, self.n :]
+
     def params_at(self, t: int) -> PlantParams:
         """Validated plant coefficients at time t."""
         a, b = self.coeffs_at(t)
@@ -290,12 +303,12 @@ class PlantState:
     current time has been pushed.
     """
 
-    def __init__(self, n: int, m: int, d: int, y_hist=(), u_hist=()):
+    def __init__(self, n: int, m: int, d: int, y_init=(), u_init=()):
         self.n, self.m, self.d = n, m, d
-        y_hist = [float(v) for v in y_hist][:n]
-        u_hist = [float(v) for v in u_hist][: m + d - 1]
-        self.y = y_hist + [0.0] * (n - len(y_hist))
-        self.u = u_hist + [0.0] * (m + d - 1 - len(u_hist))
+        y_init = [float(v) for v in y_init][:n]
+        u_init = [float(v) for v in u_init][: m + d - 1]
+        self.y = y_init + [0.0] * (n - len(y_init))
+        self.u = u_init + [0.0] * (m + d - 1 - len(u_init))
 
     def push_y(self, value: float) -> None:
         if self.n:

@@ -19,6 +19,7 @@ __all__ = [
     "predictor_split",
     "schur_stable",
     "max_root_modulus",
+    "max_root_moduli",
 ]
 
 # Roots within this distance of the unit circle count as unstable: the
@@ -125,12 +126,25 @@ def schur_stable(p: PolyZ) -> bool:
     return True
 
 
+def max_root_moduli(coeffs) -> np.ndarray:
+    """Largest root modulus of z^k p(1/z) for each row of coefficients.
+
+    Row r holds p_0 .. p_k in ascending powers of z^-1. The roots are the
+    eigenvalues of the companion matrix of p / p_0, the matrix np.roots
+    builds, found for all rows in one batched eigvals call.
+    """
+    c = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    if np.any(c[:, 0] == 0.0):
+        raise ValueError("degenerate polynomial: leading (z^0) coefficient is zero")
+    rows, k = c.shape[0], c.shape[1] - 1
+    if k == 0:
+        return np.zeros(rows)
+    comp = np.zeros((rows, k, k))
+    comp[:, 0, :] = -c[:, 1:] / c[:, :1]
+    comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+    return np.max(np.abs(np.linalg.eigvals(comp)), axis=1)
+
+
 def max_root_modulus(p: PolyZ) -> float:
     """Largest root modulus of z^deg p(1/z); 0.0 for constants."""
-    if p.coeffs[0] == 0.0:
-        raise ValueError("degenerate polynomial: leading (z^0) coefficient is zero")
-    t = p.trimmed()
-    if t.degree == 0:
-        return 0.0
-    roots = np.roots(t.coeffs)
-    return float(np.max(np.abs(roots)))
+    return float(max_root_moduli(p.trimmed().coeffs)[0])

@@ -137,6 +137,27 @@ class TestVerify:
         assert main(["verify", "--trace", str(trace)]) == 1
         assert "VERIFY FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cells: cells[:-3],  # truncated row
+            lambda cells: cells[:4] + ["abc"] + cells[5:],
+            lambda cells: cells[:2] + ["nan"] + cells[3:],
+        ],
+        ids=["truncated_row", "abc", "nan"],
+    )
+    def test_malformed_trace_is_a_file_error(self, tmp_path, capsys, edit):
+        out = tmp_path / "show"
+        main(["reproduce", "--out", str(out)])
+        trace = out / "trace.csv"
+        lines = trace.read_text().splitlines()
+        lines[300] = ",".join(edit(lines[300].split(",")))
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace:") and "Traceback" not in err
+
     def test_lambda_below_floor(self, config_path, capsys):
         rc = main(["verify", "--config", str(config_path), "--lambda", "0.2"])
         assert rc == 2

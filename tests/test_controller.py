@@ -9,8 +9,8 @@ from mraclab.controller import (
     ControlError,
     Regressor,
     control_input,
+    history,
     init_from_x0,
-    prestart_regressors,
     reference_outputs,
     x0_length,
     ybar,
@@ -47,12 +47,14 @@ class TestX0Layout:
 
     def test_prestart_regressors(self):
         # d = 2, n = 1, m = 0: phi(t0-1) = (y(t0-1), u(t0-1), u(t0-2)).
-        ref = ReferenceModel(L=PolyZ((1.0,)), H=PolyZ((1.0,)), d=2)
         x0 = [1.0, 2.0, 3.0, 4.0]  # y(0), y(-1), u(-1), u(-2)
-        pre = prestart_regressors(x0, n=1, m=0, d=2)
-        assert set(pre.keys()) == {-1}
-        np.testing.assert_allclose(pre[-1], [2.0, 3.0, 4.0], rtol=0, atol=0)
-        assert prestart_regressors([0.0], n=1, m=0, d=1) == {}
+        hist = history(x0, [1.0, 5.0], [6.0, 7.0], n=1, m=0, d=2)
+        np.testing.assert_array_equal(hist.phi(-1, 1), [[2.0, 3.0, 4.0]])
+        # history older than x0 is zero; from t0 on the recorded columns follow
+        np.testing.assert_array_equal(hist.phi(-2, 1), [[0.0, 4.0, 0.0]])
+        np.testing.assert_array_equal(hist.phi(0, 2), [[1.0, 6.0, 3.0], [5.0, 7.0, 6.0]])
+        with pytest.raises(ValueError, match="wrong length"):
+            history([0.0], [0.0], [0.0], n=1, m=0, d=2)
 
 
 class TestRegressor:

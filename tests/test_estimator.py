@@ -97,24 +97,19 @@ class TestEstimatorUpdate:
         rec = estimator_update(st, np.array([1.0, 0.0]), ybar_next=0.5)
         assert rec.e_next == pytest.approx(0.5, abs=1e-15)
         assert rec.rho == 1
-        np.testing.assert_allclose(rec.nu, [0.5, 0.0], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(rec.theta_check, [0.5, 0.0], rtol=0, atol=1e-15)
         np.testing.assert_allclose(st.theta_hat, [0.5, 0.0], rtol=0, atol=1e-15)
 
     def test_projection_clamps_overshoot(self):
         st = EstimatorState(theta_hat=np.array([0.9, 0.0]), box=UNIT_BOX)
         rec = estimator_update(st, np.array([1.0, 0.0]), ybar_next=2.0)
         assert rec.e_next == pytest.approx(1.1, abs=1e-15)
-        np.testing.assert_allclose(rec.theta_check, [2.0, 0.0], rtol=0, atol=1e-15)
         np.testing.assert_allclose(st.theta_hat, [1.0, 0.0], rtol=0, atol=0)
 
     def test_deadzone_freezes_estimate(self):
         st = EstimatorState(theta_hat=np.zeros(2), box=UNIT_BOX, delta=0.5)
         rec = estimator_update(st, np.array([0.1, 0.0]), ybar_next=1.0)
         assert rec.rho == 0
-        np.testing.assert_allclose(rec.nu, [0.0, 0.0], rtol=0, atol=0)
         np.testing.assert_allclose(st.theta_hat, [0.0, 0.0], rtol=0, atol=0)
-        np.testing.assert_allclose(rec.theta_check, [0.0, 0.0], rtol=0, atol=0)
 
     def test_zero_regressor_is_noop(self):
         st = EstimatorState(theta_hat=np.array([0.3, -0.2]), box=UNIT_BOX)

@@ -28,6 +28,7 @@ from mraclab.harness import (
     write_outputs,
     write_trace_csv,
 )
+from mraclab.harness import _csv_header
 from mraclab.plant_sim import (
     CoefficientSchedule,
     CoefSpec,
@@ -239,25 +240,24 @@ class TestRunClosedLoop:
         assert tr.rho[-1] == 0
         assert np.array_equal(tr.theta_hat[0], np.array(cfg.theta0))
         assert tr.y[0] == cfg.x0[0]
-        # phi rows carry the recorded signals
-        assert tr.phi[5][0] == tr.y[5]
-        assert tr.phi[5][cfg.n] == tr.u[5]
+        # derived phi rows carry the recorded signals
+        phi = tr.history().phi(0, tr.rows)
+        assert phi[5][0] == tr.y[5]
+        assert phi[5][cfg.n] == tr.u[5]
 
     def test_deterministic(self):
         cfg = make_config(steps=200)
         t1, t2 = run_closed_loop(cfg), run_closed_loop(cfg)
-        for name in ("y", "u", "e", "theta_hat", "nu", "phi", "norm_phi", "rho"):
+        for name in ("y", "u", "e", "theta_hat", "norm_phi", "rho"):
             assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
 
     def test_pre_phi_for_two_step_delay(self):
         cfg = make_config(steps=50)
         tr = run_closed_loop(cfg)
-        assert sorted(tr.pre_phi) == [-1]
         # phi(-1) = [y(-1), y(-2), u(-1), u(-2), u(-3)], all read from x0
         y_part = [cfg.x0[1], cfg.x0[2]]
         u_part = [cfg.x0[3], cfg.x0[4], cfg.x0[5]]
-        assert np.allclose(tr.phi_at(-1), np.array(y_part + u_part))
-        assert tr.norm_phi_at(-1) == pytest.approx(np.linalg.norm(y_part + u_part))
+        assert np.array_equal(tr.history().phi(-1, 1)[0], np.array(y_part + u_part))
 
     def test_exact_estimate_tracks_after_transient(self):
         # theta_hat(0) = theta*, no disturbance, plant at rest: the weighted
@@ -338,15 +338,13 @@ class TestGroundTruth:
             want = sum(
                 f[i] * signal_eval(cfg.w, t + cfg.d - i) for i in range(len(f))
             )
-            assert gt.wbar_at(t) == pytest.approx(want, abs=1e-12)
+            assert gt.wbar[t - gt.wbar_t0] == pytest.approx(want, abs=1e-12)
 
     def test_time_varying_has_rows_only(self):
         gt = ground_truth(demo_config(steps=50))
         assert not gt.constant
         assert gt.theta_star is None and gt.wbar is None
         assert not np.allclose(gt.theta_star_rows[0], gt.theta_star_rows[25])
-        with pytest.raises(ValueError):
-            gt.wbar_at(3)
 
 
 @pytest.fixture(scope="module")
@@ -400,23 +398,65 @@ class TestChecks:
         assert check_trace_consistency(tr, cfg).passed
 
     def test_consistency_catches_each_column(self, noisy_run):
+        # One edited cell of any trace.csv column fails the check that owns it.
         cfg, tr, gt = noisy_run
-        for col, check_name in [
-            ("y", "consistency_plant_recursion"),
-            ("u", "consistency_plant_recursion"),
-            ("eps", "consistency_tracking_error"),
-            ("eps_bar", "consistency_weighted_error"),
-            ("e", "consistency_prediction_error"),
-            ("norm_phi", "consistency_regressor_norm"),
-        ]:
-            hacked = np.array(getattr(tr, col))
-            hacked[150] += 1e-3
-            bad = Trace(**{**tr.__dict__, col: hacked})
+        assert cfg.d == 2
+        owners = {
+            "t": "consistency_time_index",
+            "y": "consistency_plant_recursion",
+            "y_star": "consistency_reference_recursion",
+            "u": "consistency_plant_recursion",
+            "eps": "consistency_tracking_error",
+            "eps_bar": "consistency_weighted_error",
+            "e": "consistency_prediction_error",
+            "rho": "consistency_deadzone_gate",
+            "norm_phi": "consistency_regressor_norm",
+            "r": "consistency_exogenous_signals",
+            "w": "consistency_exogenous_signals",
+        }
+        owners.update(
+            {f"theta_hat_{i}": "consistency_control_closure" for i in range(cfg.dim_theta)}
+        )
+        assert sorted(owners) == sorted(_csv_header(cfg.dim_theta))
+        for col, check_name in owners.items():
+            if col.startswith("theta_hat_"):
+                name, hacked = "theta_hat", np.array(tr.theta_hat)
+                hacked[150, int(col.rsplit("_", 1)[1])] += 1e-3
+            else:
+                name, hacked = col, np.array(getattr(tr, col))
+                hacked[150] = 1 - hacked[150] if col == "rho" else hacked[150] + 1e-3
+                if col == "t":
+                    hacked[150] += 1
+            bad = Trace(**{**tr.__dict__, name: hacked})
             rep = check_trace_consistency(bad, cfg)
             assert not rep.passed, col
             assert any(
                 c.name == check_name and not c.passed for c in rep.checks
             ), col
+        # A consistent edit of y_star and eps still breaks the reference recursion.
+        y_star, eps = np.array(tr.y_star), np.array(tr.eps)
+        y_star[150] += 1e-3
+        eps[150] -= 1e-3
+        rep = check_trace_consistency(Trace(**{**tr.__dict__, "y_star": y_star, "eps": eps}), cfg)
+        failed = {c.name for c in rep.checks if not c.passed}
+        assert failed == {"consistency_reference_recursion"}
+
+    @pytest.mark.parametrize(
+        "a, b, d, L",
+        [((), (1.5,), 1, (1.0,)), ((), (1.5, 0.3), 3, (1.0,)), ((-0.5,), (2.0, 0.2), 3, (1.0, -0.3))],
+        ids=["static_d1", "static_d3", "first_order_d3"],
+    )
+    def test_audit_static_plant_and_long_delay(self, tmp_path, a, b, d, L):
+        cfg = make_config(a=a, b=b, d=d, L=L, steps=200, delta=3.0)
+        tr = run_closed_loop(cfg)
+        write_trace_csv(tr, tmp_path / "trace.csv")
+        back = trace_from_csv(tmp_path / "trace.csv", cfg)
+        gt = ground_truth(cfg)
+        for trace in (tr, back):
+            assert check_trace_consistency(trace, cfg).passed
+            assert check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0).passed
+            assert check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0).passed
+        assert np.max(np.abs(predictor_residuals(back, cfg))) < 1e-9
 
     def test_consistency_catches_flipped_gate(self, noisy_run):
         cfg, tr, gt = noisy_run
@@ -426,6 +466,65 @@ class TestChecks:
         rep = check_trace_consistency(bad, cfg)
         gate = [c for c in rep.checks if c.name == "consistency_deadzone_gate"][0]
         assert not gate.passed
+
+
+def loop_margins(tr, cfg, gt):
+    """Row-loop reference for the vectorized check_prop1/check_identities margins."""
+    n, m, d, t0, T = cfg.n, cfg.m, cfg.d, tr.t0, tr.rows - 1
+    x0, ny = cfg.x0, n + d - 1
+
+    def y_at(s):
+        return tr.y[s - t0] if s >= t0 else (x0[t0 - s] if t0 - s < ny else 0.0)
+
+    def u_at(s):
+        k = ny + t0 - 1 - s
+        return tr.u[s - t0] if s >= t0 else (x0[k] if k < len(x0) else 0.0)
+
+    def phi(t):
+        return np.array([y_at(t - i) for i in range(n)] + [u_at(t - j) for j in range(m + d)])
+
+    def wbar(t):
+        return gt.wbar[t - gt.wbar_t0]
+
+    th, e, eb = tr.theta_hat, tr.e, tr.eps_bar
+    err_sq = np.sum((th - gt.theta_star) ** 2, axis=1)
+    move = step = math.inf
+    budget = res1 = res2 = res3 = 0.0
+    for k in range(T):
+        v = phi(t0 + k - d + 1)
+        norm = float(np.linalg.norm(v))
+        gated = tr.rho[k] and norm > 0
+        bound = abs(e[k + 1]) / norm if gated else 0.0
+        move = min(move, bound - float(np.linalg.norm(th[k + 1] - th[k])))
+        if k >= d - 1:
+            wb = wbar(t0 + k - d + 1)
+            allowed = (-0.5 * e[k + 1] ** 2 + 2.0 * wb**2) / norm**2 if gated else 0.0
+            budget += allowed
+            step = min(step, allowed - (err_sq[k + 1] - err_sq[k]))
+    for k in range(d, T + 1):
+        v, wb = phi(t0 + k - d), wbar(t0 + k - d)
+        res1 = max(res1, abs(eb[k] - e[k] - v @ (th[k - 1] - th[k - d])))
+        res2 = max(res2, abs(e[k] + v @ (th[k - 1] - gt.theta_star) - wb))
+        res3 = max(res3, abs(eb[k] + v @ (th[k - d] - gt.theta_star) - wb))
+    return {
+        "estimate_move_bounded": move,
+        "parameter_error_contraction_step": step,
+        "parameter_error_contraction_total": err_sq[d - 1] + budget - err_sq[T],
+        "identity_tracking_vs_prediction": 1e-8 - res1,
+        "identity_prediction_error": 1e-8 - res2,
+        "identity_tracking_error": 1e-8 - res3,
+    }
+
+
+@pytest.mark.parametrize("d, t0", [(1, 0), (2, -3), (3, 5)])
+def test_vectorized_checks_match_row_loops(d, t0):
+    cfg = make_config(d=d, t0=t0, steps=300, delta=1.0, w=white_noise(0.2, seed=4))
+    tr, gt = run_closed_loop(cfg), ground_truth(cfg)
+    rep = check_prop1(tr, gt.theta_star, gt.wbar, gt.wbar_t0).checks
+    rep += check_identities(tr, gt.theta_star, gt.wbar, gt.wbar_t0).checks
+    got = {c.name: c.margin for c in rep}
+    for name, want in loop_margins(tr, cfg, gt).items():
+        assert got[name] == pytest.approx(want, rel=1e-12, abs=1e-12), name
 
 
 class TestPredictorResiduals:
@@ -457,11 +556,9 @@ def forged_trace(norm_phi, r, w, x0_norm, d=1):
         rho=np.zeros(rows, dtype=int),
         norm_phi=np.asarray(norm_phi, dtype=float),
         theta_hat=np.zeros((rows, 1)),
-        nu=np.zeros((rows, 1)),
-        phi=np.zeros((rows, 1)),
         r=np.asarray(r, dtype=float),
         w=np.asarray(w, dtype=float),
-        pre_phi={},
+        x0=np.zeros(0),
         meta={"dims": {"d": d}, "x0_norm": float(x0_norm)},
     )
 
@@ -529,10 +626,10 @@ class TestTraceFiles:
         write_trace_csv(tr, path)
         tr2 = trace_from_csv(path, cfg)
         for name in ("t", "y", "y_star", "u", "eps", "eps_bar", "e", "rho",
-                     "norm_phi", "theta_hat", "phi", "r", "w"):
+                     "norm_phi", "theta_hat", "r", "w"):
             assert np.array_equal(getattr(tr, name), getattr(tr2, name)), name
-        for key, vec in tr.pre_phi.items():
-            assert np.array_equal(vec, tr2.pre_phi[key])
+        span = (1 - cfg.d, tr.rows + cfg.d - 1)
+        assert np.array_equal(tr.history().phi(*span), tr2.history().phi(*span))
         assert check_trace_consistency(tr2, cfg).passed
 
     def test_header_guard(self, tmp_path):

@@ -166,7 +166,7 @@ class TestSchedule:
 class TestPlantStep:
     def test_single_step(self):
         sched = CoefficientSchedule.constant(PlantParams(a=(0.5,), b=(2.0,), d=1))
-        state = PlantState(n=1, m=0, d=1, y_hist=[1.0])
+        state = PlantState(n=1, m=0, d=1, y_init=[1.0])
         assert plant_step(state, sched, 0, u_t=0.3, w_next=0.0) == pytest.approx(0.1, abs=1e-15)
 
     def test_pure_noise_from_rest(self):
