@@ -32,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from .controller import (
-    ControlError,
     History,
     control_input,
     history,
