@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,8 +33,12 @@ from mraclab.harness import _csv_header
 from mraclab.plant_sim import (
     CoefficientSchedule,
     CoefSpec,
+    constant_signal,
+    sinusoid,
     square_wave,
+    table_signal,
     white_noise,
+    windowed_sinusoid,
     zero_signal,
 )
 from mraclab.poly import PolyZ, max_root_modulus
@@ -227,6 +232,106 @@ class TestConfigRoundTrip:
         doc["signals"]["r"] = {"kind": "sawtooth"}
         with pytest.raises(ConfigError, match="signals.r"):
             config_from_dict(doc)
+
+# Every kind of the document form, one example each, with the fields a
+# document must carry for that kind (the others have defaults).
+SIGNAL_EXAMPLES = {
+    "zero": (zero_signal(), ()),
+    "constant": (constant_signal(0.25), ("level",)),
+    "square_wave": (square_wave(40, 0.8, 3.0), ("period",)),
+    "sinusoid": (sinusoid(0.5, 0.07, 0.3), ("amplitude", "rate")),
+    "windowed_sinusoid": (
+        windowed_sinusoid(50, 120, 0.2, 0.9),
+        ("t_start", "t_end", "amplitude", "rate"),
+    ),
+    "table": (table_signal((0.1, -0.2, 0.3), t_start=5), ("values",)),
+    "white_noise": (white_noise(0.05, seed=7), ("amplitude",)),
+}
+
+COEF_EXAMPLES = {
+    "constant": (CoefSpec.const(-0.5), ("value",)),
+    "sinusoid": (
+        CoefSpec(kind="sinusoid", offset=-0.3, amplitude=0.2, rate=0.02, phase=0.1, trig="sin"),
+        ("amplitude", "rate"),
+    ),
+    "piecewise": (
+        CoefSpec(kind="piecewise", times=(0, 30), values=(-0.4, -0.2)),
+        ("times", "values"),
+    ),
+    "table": (CoefSpec(kind="table", values=(-0.1, -0.2, -0.3), t_start=2), ("values",)),
+}
+
+
+def coef_config(a1: CoefSpec) -> ExperimentConfig:
+    """n = 1, m = 0, d = 1 plant whose a1 follows the given spec; b0 drifts, so the
+    document always carries the schedule."""
+    schedule = CoefficientSchedule(
+        a=(a1,), b=(CoefSpec(kind="sinusoid", offset=2.0, amplitude=0.1, rate=0.01),), d=1
+    )
+    box = ParamBox(lo=(-2.0, 0.5), hi=(2.0, 3.0))
+    return ExperimentConfig(
+        schedule=schedule,
+        ref=ReferenceModel(L=PolyZ((1.0,)), H=PolyZ((1.0,)), d=1),
+        box=box,
+        delta=math.inf,
+        t0=0,
+        steps=50,
+        x0=(0.3,),
+        theta0=tuple(box.midpoint()),
+        r=square_wave(20, 1.0),
+        w=zero_signal(),
+    )
+
+
+class TestSpecKinds:
+    """Each signal and coefficient kind through the document form."""
+
+    @staticmethod
+    def assert_round_trip(cfg):
+        back = config_from_dict(cfg.to_config_dict())
+        assert back == cfg
+        assert back.config_hash() == cfg.config_hash()
+
+    @pytest.mark.parametrize("kind", SIGNAL_EXAMPLES)
+    def test_signal_kind(self, kind):
+        spec, required = SIGNAL_EXAMPLES[kind]
+        cfg = make_config(r=spec, w=spec, steps=40)
+        self.assert_round_trip(cfg)
+        for name in required:
+            doc = cfg.to_config_dict()
+            del doc["signals"]["w"][name]
+            msg = f"signals.w: missing field {name!r} for kind {kind!r}"
+            with pytest.raises(ConfigError, match=re.escape(msg)):
+                config_from_dict(doc)
+
+    @pytest.mark.parametrize("kind", COEF_EXAMPLES)
+    def test_coefficient_kind(self, kind):
+        spec, required = COEF_EXAMPLES[kind]
+        cfg = coef_config(spec)
+        self.assert_round_trip(cfg)
+        for name in required:
+            doc = cfg.to_config_dict()
+            del doc["plant"]["schedule"]["a"][0][name]
+            msg = f"plant.schedule.a[0]: missing field {name!r} for kind {kind!r}"
+            with pytest.raises(ConfigError, match=re.escape(msg)):
+                config_from_dict(doc)
+
+    def test_unknown_kinds_rejected(self):
+        doc = make_config().to_config_dict()
+        doc["signals"]["w"] = {"kind": "sawtooth"}
+        msg = "signals.w: unknown signal kind 'sawtooth'"
+        with pytest.raises(ConfigError, match=re.escape(msg)):
+            config_from_dict(doc)
+        doc = coef_config(CoefSpec.const(-0.5)).to_config_dict()
+        doc["plant"]["schedule"]["a"][0] = {"kind": "sawtooth"}
+        msg = "plant.schedule.a[0]: unknown coefficient kind 'sawtooth'"
+        with pytest.raises(ConfigError, match=re.escape(msg)):
+            config_from_dict(doc)
+
+    def test_bare_number_is_a_constant_coefficient(self):
+        doc = coef_config(CoefSpec.const(-0.5)).to_config_dict()
+        doc["plant"]["schedule"]["a"][0] = -0.5
+        assert config_from_dict(doc).schedule.a == (CoefSpec.const(-0.5),)
 
 
 class TestRunClosedLoop:
