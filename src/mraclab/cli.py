@@ -127,7 +127,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not csv_path.is_file():
             raise ConfigError("trace", f"no such file: {args.trace}")
         if args.config:
-            doc = _load_json(args.config)
+            cfg = config_from_dict(_load_json(args.config))
         else:
             sidecar = csv_path.parent / "summary.json"
             if not sidecar.is_file():
@@ -135,10 +135,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     "config",
                     f"no --config given and no summary.json beside {csv_path}",
                 )
-            doc = _load_json(str(sidecar)).get("config")
-            if doc is None:
+            summary = _load_json(str(sidecar))
+            if summary.get("config") is None:
                 raise ConfigError("config", f"{sidecar} carries no config document")
-        cfg = config_from_dict(doc)
+            cfg = config_from_dict(summary["config"])
+            recorded = summary.get("config_hash")
+            if recorded != cfg.config_hash():
+                raise ConfigError(
+                    "config_hash",
+                    f"{sidecar} records {recorded!r}, but its config hashes to "
+                    f"{cfg.config_hash()!r}",
+                )
         trace = trace_from_csv(csv_path, cfg)
     else:
         if not args.config:

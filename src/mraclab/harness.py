@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,15 +46,11 @@ from .plant_sim import (
     CoefficientSchedule,
     CoefSpec,
     SignalSpec,
-    constant_signal,
     plant_step,
     signal_eval,
     signal_rows,
-    sinusoid,
     square_wave,
-    table_signal,
     wbar_sequence,
-    white_noise,
     windowed_sinusoid,
     zero_signal,
 )
@@ -134,10 +131,6 @@ class ExperimentConfig:
     s_ab_margin: float = 0.0
     label: str = ""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-        object.__setattr__(self, "theta0", tuple(float(v) for v in self.theta0))
-
     @property
     def n(self) -> int:
         return self.schedule.n
@@ -154,7 +147,14 @@ class ExperimentConfig:
     def dim_theta(self) -> int:
         return self.n + self.m + self.d
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Convert x0/theta0 to float tuples and check the whole configuration.
+
+        Raises ConfigError with the offending field path, so a constructed
+        config always meets the assumptions run_closed_loop relies on.
+        """
+        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+        object.__setattr__(self, "theta0", tuple(float(v) for v in self.theta0))
         n, m, d = self.n, self.m, self.d
         if self.ref.d != d:
             raise ConfigError("reference", f"reference delay {self.ref.d} != plant delay {d}")
@@ -206,8 +206,8 @@ class ExperimentConfig:
         plant: dict = {"a": list(a0), "b": list(b0), "d": self.d}
         if not self.schedule.is_constant():
             plant["schedule"] = {
-                "a": [_coef_to_doc(c) for c in self.schedule.a],
-                "b": [_coef_to_doc(c) for c in self.schedule.b],
+                "a": [c.to_doc() for c in self.schedule.a],
+                "b": [c.to_doc() for c in self.schedule.b],
             }
         estimator: dict = {
             "delta": "inf" if math.isinf(self.delta) else self.delta,
@@ -228,7 +228,7 @@ class ExperimentConfig:
                 "theta0": list(self.theta0),
                 "seed": self.seed,
             },
-            "signals": {"r": _signal_to_doc(self.r), "w": _signal_to_doc(self.w)},
+            "signals": {"r": self.r.to_doc(), "w": self.w.to_doc()},
         }
         if self.label:
             doc["label"] = self.label
@@ -239,117 +239,15 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _signal_to_doc(spec: SignalSpec) -> dict:
-    doc = {"kind": spec.kind}
-    if spec.kind == "constant":
-        doc["level"] = spec.level
-    elif spec.kind == "square_wave":
-        doc.update(period=spec.period, amplitude=spec.amplitude, phase=spec.phase)
-    elif spec.kind == "sinusoid":
-        doc.update(amplitude=spec.amplitude, rate=spec.rate, phase=spec.phase)
-    elif spec.kind == "windowed_sinusoid":
-        doc.update(
-            t_start=spec.t_start, t_end=spec.t_end, amplitude=spec.amplitude, rate=spec.rate
-        )
-    elif spec.kind == "table":
-        doc.update(values=list(spec.values), t_start=spec.t_start)
-    elif spec.kind == "white_noise":
-        doc.update(amplitude=spec.amplitude, seed=spec.seed)
-    return doc
-
-
-def _coef_to_doc(spec: CoefSpec) -> dict:
-    doc = {"kind": spec.kind}
-    if spec.kind == "constant":
-        doc["value"] = spec.value
-    elif spec.kind == "sinusoid":
-        doc.update(
-            offset=spec.offset,
-            amplitude=spec.amplitude,
-            rate=spec.rate,
-            phase=spec.phase,
-            trig=spec.trig,
-        )
-    elif spec.kind == "piecewise":
-        doc.update(times=list(spec.times), values=list(spec.values))
-    elif spec.kind == "table":
-        doc.update(values=list(spec.values), t_start=spec.t_start)
-    return doc
-
-
 # -- parsing ----------------------------------------------------------------
 
 
-def _parse_signal(doc, fieldpath: str) -> SignalSpec:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError(fieldpath, "expected an object with a 'kind' field")
-    kind = doc["kind"]
+def _spec(cls, doc, fieldpath: str):
+    """A SignalSpec or CoefSpec from its document form, errors under fieldpath."""
     try:
-        if kind == "zero":
-            return zero_signal()
-        if kind == "constant":
-            return constant_signal(float(doc["level"]))
-        if kind == "square_wave":
-            return square_wave(
-                int(doc["period"]),
-                float(doc.get("amplitude", 1.0)),
-                float(doc.get("phase", 0.0)),
-            )
-        if kind == "sinusoid":
-            return sinusoid(
-                float(doc["amplitude"]), float(doc["rate"]), float(doc.get("phase", 0.0))
-            )
-        if kind == "windowed_sinusoid":
-            return windowed_sinusoid(
-                int(doc["t_start"]),
-                int(doc["t_end"]),
-                float(doc["amplitude"]),
-                float(doc["rate"]),
-            )
-        if kind == "table":
-            return table_signal(
-                [float(v) for v in doc["values"]], int(doc.get("t_start", 0))
-            )
-        if kind == "white_noise":
-            return white_noise(float(doc["amplitude"]), int(doc.get("seed", 0)))
-    except KeyError as exc:
-        raise ConfigError(fieldpath, f"missing field {exc.args[0]!r} for kind {kind!r}")
+        return cls.from_doc(doc)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(fieldpath, str(exc))
-    raise ConfigError(fieldpath, f"unknown signal kind {kind!r}")
-
-
-def _parse_coef(doc, fieldpath: str) -> CoefSpec:
-    if isinstance(doc, (int, float)):
-        return CoefSpec.const(float(doc))
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError(fieldpath, "expected a number or an object with a 'kind' field")
-    kind = doc["kind"]
-    try:
-        if kind == "constant":
-            return CoefSpec.const(float(doc["value"]))
-        if kind == "sinusoid":
-            return CoefSpec(
-                kind="sinusoid",
-                offset=float(doc.get("offset", 0.0)),
-                amplitude=float(doc["amplitude"]),
-                rate=float(doc["rate"]),
-                phase=float(doc.get("phase", 0.0)),
-                trig=doc.get("trig", "cos"),
-            )
-        if kind == "piecewise":
-            return CoefSpec(
-                kind="piecewise", times=tuple(doc["times"]), values=tuple(doc["values"])
-            )
-        if kind == "table":
-            return CoefSpec(
-                kind="table", values=tuple(doc["values"]), t_start=int(doc.get("t_start", 0))
-            )
-    except KeyError as exc:
-        raise ConfigError(fieldpath, f"missing field {exc.args[0]!r} for kind {kind!r}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(fieldpath, str(exc))
-    raise ConfigError(fieldpath, f"unknown coefficient kind {kind!r}")
+        raise ConfigError(fieldpath, str(exc)) from None
 
 
 def _floats(doc, fieldpath: str) -> tuple[float, ...]:
@@ -357,6 +255,16 @@ def _floats(doc, fieldpath: str) -> tuple[float, ...]:
         return tuple(float(v) for v in doc)
     except (TypeError, ValueError):
         raise ConfigError(fieldpath, "expected an array of numbers")
+
+
+def _box(doc, fieldpath: str) -> ParamBox:
+    try:
+        lo, hi = _floats(doc["lo"], f"{fieldpath}.lo"), _floats(doc["hi"], f"{fieldpath}.hi")
+        return ParamBox(lo=lo, hi=hi)
+    except KeyError as exc:
+        raise ConfigError(fieldpath, f"missing field {exc.args[0]!r}")
+    except ValueError as exc:
+        raise ConfigError(fieldpath, str(exc))
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -380,10 +288,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if "schedule" in plant:
         sched = plant["schedule"]
         a_specs = tuple(
-            _parse_coef(c, f"plant.schedule.a[{i}]") for i, c in enumerate(sched.get("a", []))
+            _spec(CoefSpec, c, f"plant.schedule.a[{i}]") for i, c in enumerate(sched.get("a", []))
         )
         b_specs = tuple(
-            _parse_coef(c, f"plant.schedule.b[{i}]") for i, c in enumerate(sched.get("b", []))
+            _spec(CoefSpec, c, f"plant.schedule.b[{i}]") for i, c in enumerate(sched.get("b", []))
         )
         if not b_specs:
             raise ConfigError("plant.schedule.b", "needs at least one coefficient")
@@ -443,23 +351,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     samples = int(est.get("samples", 256))
     margin = float(est.get("margin", 0.0))
     if "s_ab_box" in est:
-        sb = est["s_ab_box"]
-        try:
-            s_ab = ParamBox(lo=_floats(sb["lo"], "estimator.s_ab_box.lo"),
-                            hi=_floats(sb["hi"], "estimator.s_ab_box.hi"))
-        except KeyError as exc:
-            raise ConfigError("estimator.s_ab_box", f"missing field {exc.args[0]!r}")
-        except ValueError as exc:
-            raise ConfigError("estimator.s_ab_box", str(exc))
+        s_ab = _box(est["s_ab_box"], "estimator.s_ab_box")
     if "box" in est:
-        bb = est["box"]
-        try:
-            box = ParamBox(lo=_floats(bb["lo"], "estimator.box.lo"),
-                           hi=_floats(bb["hi"], "estimator.box.hi"))
-        except KeyError as exc:
-            raise ConfigError("estimator.box", f"missing field {exc.args[0]!r}")
-        except ValueError as exc:
-            raise ConfigError("estimator.box", str(exc))
+        box = _box(est["box"], "estimator.box")
     elif s_ab is not None:
         try:
             box = build_param_box(
@@ -479,10 +373,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         theta0 = _floats(raw_theta0, "sim.theta0")
 
     signals = doc.get("signals", {})
-    r = _parse_signal(signals["r"], "signals.r") if "r" in signals else zero_signal()
-    w = _parse_signal(signals["w"], "signals.w") if "w" in signals else zero_signal()
+    r = _spec(SignalSpec, signals["r"], "signals.r") if "r" in signals else zero_signal()
+    w = _spec(SignalSpec, signals["w"], "signals.w") if "w" in signals else zero_signal()
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         schedule=schedule,
         ref=ref,
         box=box,
@@ -499,8 +393,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         s_ab_margin=margin,
         label=str(doc.get("label", "")),
     )
-    cfg.validate()
-    return cfg
 
 
 CONVENTIONS = {
@@ -582,7 +474,6 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     d-step-lagged regressor. The estimate used to compute u(t) is always
     theta_hat(t), i.e. the one produced after the previous step's update.
     """
-    cfg.validate()
     n, m, d = cfg.n, cfg.m, cfg.d
     p = cfg.dim_theta
     t0, T = cfg.t0, cfg.steps
@@ -765,6 +656,20 @@ def _weighted(lags: np.ndarray, coeffs, acc=0.0):
     return acc
 
 
+def _size(lags: np.ndarray, coeffs) -> np.ndarray:
+    """Row sums of |coeffs[..., j] * lags[:, j]|: the magnitude _weighted adds up."""
+    return _weighted(np.abs(lags), np.abs(np.asarray(coeffs, dtype=float)))
+
+
+def _relative(res: np.ndarray, *terms: np.ndarray) -> float:
+    """Largest |res| / (1 + sum |terms|) over rows.
+
+    The terms are what the residual's row compares, so a check against
+    CHECK_TOL gives the same verdict when every signal is rescaled.
+    """
+    return _max_abs(res / (1.0 + sum(np.abs(t) for t in terms)))
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise a[k] @ b[k] (or a[k] @ b), each the same BLAS dot the closed loop takes."""
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
@@ -861,6 +766,8 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     Used when auditing a reloaded trace file: each column is re-derived from
     the configuration plus the y/u columns (the README lists which check
     owns which column), so any edit to a stored value shows up as a residual.
+    Residual margins are CHECK_TOL - max |res| / (1 + sum |terms|), row by
+    row, so they do not depend on the units of r, w and x0.
     """
     rep = VerificationReport()
     n, m, d = cfg.n, cfg.m, cfg.d
@@ -874,32 +781,40 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     # Plant recursion: y(t+1) from schedule, history, and w(t+1).
     a, b = cfg.schedule.coeff_rows(times[:-1])
     lags = np.hstack((hist.lags(hist.y, n, 0, T), hist.lags(hist.u, m + 1, 1 - d, T)))
-    y_next = _weighted(lags, np.hstack((-a, b)), w_cfg[1:])
-    rep.add("consistency_plant_recursion", CHECK_TOL - _max_abs(y_next - trace.y[1:]), tol=0.0)
+    coeffs = np.hstack((-a, b))
+    y_next = _weighted(lags, coeffs, w_cfg[1:])
+    worst = _relative(y_next - trace.y[1:], _size(lags, coeffs), w_cfg[1:], trace.y[1:])
+    rep.add("consistency_plant_recursion", CHECK_TOL - worst, tol=0.0)
 
     # Control-law closure: phi(t)^T theta_hat(t) = ybar*(t+d).
     phi = hist.phi(1 - d, T + d)  # phi(t) for t = t0-d+1 .. t0+T
     now = phi[d - 1 :]
-    target = _weighted(hist.lags(r_ext, len(h), 0, T + 1), h)
-    closure = _max_abs(_rowdot(now, trace.theta_hat) - target)
-    rep.add("consistency_control_closure", CHECK_TOL - closure, tol=0.0)
+    r_lags = hist.lags(r_ext, len(h), 0, T + 1)
+    closure = _rowdot(now, trace.theta_hat) - _weighted(r_lags, h)
+    worst = _relative(closure, _rowdot(np.abs(now), np.abs(trace.theta_hat)), _size(r_lags, h))
+    rep.add("consistency_control_closure", CHECK_TOL - worst, tol=0.0)
 
     # Error columns from y, y*, and the weighted sums.
-    ybar_t = _weighted(hist.lags(hist.y, len(l_coeffs), 0, T + 1), l_coeffs)
-    ybar_star = _weighted(hist.lags(r_ext, len(h), -d, T + 1), h)
-    worst = _max_abs(trace.eps - (trace.y - trace.y_star))
+    y_lags = hist.lags(hist.y, len(l_coeffs), 0, T + 1)
+    r_lags = hist.lags(r_ext, len(h), -d, T + 1)
+    ybar_t, ybar_size = _weighted(y_lags, l_coeffs), _size(y_lags, l_coeffs)
+    ybar_star, ybar_star_size = _weighted(r_lags, h), _size(r_lags, h)
+    worst = _relative(trace.eps - (trace.y - trace.y_star), trace.eps, trace.y, trace.y_star)
     rep.add("consistency_tracking_error", CHECK_TOL - worst, tol=0.0)
-    worst = _max_abs(trace.eps_bar - (ybar_t - ybar_star))
+    res = trace.eps_bar - (ybar_t - ybar_star)
+    worst = _relative(res, trace.eps_bar, ybar_size, ybar_star_size)
     rep.add("consistency_weighted_error", CHECK_TOL - worst, tol=0.0)
 
     # Prediction-error column: e(t) = ybar(t) - phi(t-d)^T theta_hat(t-1); e(t0) = 0.
-    lagged = phi[:T]
-    pred = ybar_t[1:] - _rowdot(lagged, trace.theta_hat[:T])
-    worst = max(abs(float(trace.e[0])), _max_abs(trace.e[1:] - pred))
+    lagged, prev = phi[:T], trace.theta_hat[:T]
+    pred = ybar_t[1:] - _rowdot(lagged, prev)
+    pred_size = ybar_size[1:] + _rowdot(np.abs(lagged), np.abs(prev))
+    worst = max(abs(float(trace.e[0])), _relative(trace.e[1:] - pred, trace.e[1:], pred_size))
     rep.add("consistency_prediction_error", CHECK_TOL - worst, tol=0.0)
 
     # Regressor norms and deadzone gates.
-    worst = _max_abs(trace.norm_phi - np.sqrt(_rowdot(now, now)))
+    norm = np.sqrt(_rowdot(now, now))
+    worst = _relative(trace.norm_phi - norm, trace.norm_phi, norm)
     rep.add("consistency_regressor_norm", CHECK_TOL - worst, tol=0.0)
     lag_norm = np.sqrt(_rowdot(lagged, lagged))
     gate = lag_norm > 0.0
@@ -917,10 +832,13 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     # y*(t) = ybar*(t) - sum_{j>=1} l_j y*(t-j), at rest before t0.
     bad = np.count_nonzero(trace.t != times) + abs(trace.rows - (cfg.steps + 1))
     rep.add("consistency_time_index", -float(bad), f"t = {cfg.t0} .. {cfg.t0 + cfg.steps}", tol=0.0)
-    worst = max(_max_abs(trace.r - r_cfg), _max_abs(trace.w - w_cfg))
+    worst = max(
+        _relative(trace.r - r_cfg, trace.r, r_cfg), _relative(trace.w - w_cfg, trace.w, w_cfg)
+    )
     rep.add("consistency_exogenous_signals", CHECK_TOL - worst, tol=0.0)
-    y_star_lags = hist.lags(hist.at_rest(trace.y_star), len(l_coeffs), 0, T + 1)
-    worst = _max_abs(trace.y_star - (ybar_star - _weighted(y_star_lags[:, 1:], l_coeffs[1:])))
+    past = hist.lags(hist.at_rest(trace.y_star), len(l_coeffs), 0, T + 1)[:, 1:]
+    res = trace.y_star - (ybar_star - _weighted(past, l_coeffs[1:]))
+    worst = _relative(res, trace.y_star, ybar_star_size, _size(past, l_coeffs[1:]))
     rep.add("consistency_reference_recursion", CHECK_TOL - worst, tol=0.0)
     return rep
 
@@ -1027,7 +945,9 @@ def trace_from_csv(path, cfg: ExperimentConfig) -> Trace:
         if fh.readline().rstrip("\n").split(",") != header:
             raise ConfigError("trace", "unexpected trace header for this configuration")
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # no rows is reported below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:  # unparsable cells and ragged rows
             raise ConfigError("trace", f"malformed trace file: {exc}") from None
     if data.shape[0] == 0 or data.shape[1] != len(header) or not np.all(np.isfinite(data)):
@@ -1160,12 +1080,12 @@ def demo_config(steps: int = 1000) -> ExperimentConfig:
     """
     schedule = CoefficientSchedule(
         a=(
-            CoefSpec(kind="sinusoid", amplitude=2.0, rate=1.0 / 100.0),
-            CoefSpec(kind="sinusoid", amplitude=-2.0, rate=1.0 / 300.0, trig="sin"),
+            CoefSpec.sinusoid(2.0, 1.0 / 100.0),
+            CoefSpec.sinusoid(-2.0, 1.0 / 300.0, trig="sin"),
         ),
         b=(
-            CoefSpec(kind="sinusoid", offset=13.0 / 4.0, amplitude=-7.0 / 4.0, rate=1.0 / 125.0),
-            CoefSpec(kind="sinusoid", amplitude=-1.0, rate=1.0 / 50.0),
+            CoefSpec.sinusoid(-7.0 / 4.0, 1.0 / 125.0, offset=13.0 / 4.0),
+            CoefSpec.sinusoid(-1.0, 1.0 / 50.0),
         ),
         d=1,
     )

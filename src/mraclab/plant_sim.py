@@ -19,9 +19,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .poly import schur_stable_rows
 from .system import AdmissibilityError, PlantParams
 
 __all__ = [
+    "SIGNAL_KINDS",
+    "COEF_KINDS",
     "SignalSpec",
     "signal_eval",
     "signal_rows",
@@ -40,22 +43,74 @@ __all__ = [
     "wbar_sequence",
 ]
 
-SIGNAL_KINDS = (
-    "zero",
-    "constant",
-    "square_wave",
-    "sinusoid",
-    "windowed_sinusoid",
-    "table",
-    "white_noise",
-)
+REQUIRED = object()  # default of a field that every document of its kind must carry
+
+# kind -> its fields in document order, each (name, converter, default or REQUIRED).
+# The spec's __post_init__ turns the elements of a tuple field into numbers.
+SIGNAL_KINDS = {
+    "zero": (),
+    "constant": (("level", float, REQUIRED),),
+    "square_wave": (("period", int, REQUIRED), ("amplitude", float, 1.0), ("phase", float, 0.0)),
+    "sinusoid": (("amplitude", float, REQUIRED), ("rate", float, REQUIRED), ("phase", float, 0.0)),
+    "windowed_sinusoid": (("t_start", int, REQUIRED), ("t_end", int, REQUIRED),
+                          ("amplitude", float, REQUIRED), ("rate", float, REQUIRED)),
+    "table": (("values", tuple, REQUIRED), ("t_start", int, 0)),
+    "white_noise": (("amplitude", float, REQUIRED), ("seed", int, 0)),
+}
+COEF_KINDS = {
+    "constant": (("value", float, REQUIRED),),
+    "sinusoid": (("offset", float, 0.0), ("amplitude", float, REQUIRED), ("rate", float, REQUIRED),
+                 ("phase", float, 0.0), ("trig", str, "cos")),
+    "piecewise": (("times", tuple, REQUIRED), ("values", tuple, REQUIRED)),
+    "table": (("values", tuple, REQUIRED), ("t_start", int, 0)),
+}
+
+
+class KindSpec:
+    """Document form of SignalSpec and CoefSpec, read from the subclass's KINDS table.
+
+    A ValueError or TypeError from from_doc describes a malformed document.
+    """
+
+    KINDS: dict
+    NOUN: str  # "signal" or "coefficient", for error messages
+    SHAPE = "an object with a 'kind' field"
+
+    @classmethod
+    def fields_of(cls, kind) -> tuple:
+        try:
+            return cls.KINDS[kind]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown {cls.NOUN} kind {kind!r}") from None
+
+    def to_doc(self) -> dict:
+        doc = {"kind": self.kind}
+        for name, _, _ in self.fields_of(self.kind):
+            value = getattr(self, name)
+            doc[name] = list(value) if isinstance(value, tuple) else value
+        return doc
+
+    @classmethod
+    def from_doc(cls, doc):
+        if not isinstance(doc, dict) or "kind" not in doc:
+            raise ValueError(f"expected {cls.SHAPE}")
+        kind, values = doc["kind"], {}
+        for name, convert, default in cls.fields_of(kind):
+            if name not in doc and default is REQUIRED:
+                raise ValueError(f"missing field {name!r} for kind {kind!r}")
+            values[name] = convert(doc[name]) if name in doc else default
+        return cls(kind=kind, **values)
+
 
 _NOISE_BLOCK = 512
 
 
 @dataclass(frozen=True)
-class SignalSpec:
+class SignalSpec(KindSpec):
     """Declarative description of a scalar signal on integer time."""
+
+    KINDS = SIGNAL_KINDS
+    NOUN = "signal"
 
     kind: str
     amplitude: float = 0.0
@@ -69,8 +124,7 @@ class SignalSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in SIGNAL_KINDS:
-            raise ValueError(f"unknown signal kind {self.kind!r}")
+        self.fields_of(self.kind)
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if self.kind == "square_wave" and self.period < 1:
             raise ValueError("square_wave needs period >= 1")
@@ -158,18 +212,21 @@ def signal_rows(spec: SignalSpec, times) -> np.ndarray:
     return np.array([signal_eval(spec, int(t)) for t in times], dtype=float)
 
 
-COEF_KINDS = ("constant", "sinusoid", "piecewise", "table")
-
-
 @dataclass(frozen=True)
-class CoefSpec:
+class CoefSpec(KindSpec):
     """One time-varying plant coefficient.
 
     constant:  value
     sinusoid:  offset + amplitude * trig(rate * t + phase), trig in {cos, sin}
     piecewise: values[k] on [times[k], times[k+1]), values[0] before times[0]
     table:     values[t - t_start], clamped to the table ends
+
+    In a document a bare number stands for a constant coefficient.
     """
+
+    KINDS = COEF_KINDS
+    NOUN = "coefficient"
+    SHAPE = "a number or an object with a 'kind' field"
 
     kind: str
     value: float = 0.0
@@ -183,8 +240,7 @@ class CoefSpec:
     t_start: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in COEF_KINDS:
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
+        self.fields_of(self.kind)
         object.__setattr__(self, "times", tuple(int(v) for v in self.times))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if self.kind == "sinusoid" and self.trig not in ("cos", "sin"):
@@ -200,6 +256,14 @@ class CoefSpec:
     @staticmethod
     def const(value: float) -> "CoefSpec":
         return CoefSpec(kind="constant", value=value)
+
+    @staticmethod
+    def sinusoid(amplitude: float, rate: float, offset: float = 0.0, trig: str = "cos"):
+        return CoefSpec(kind="sinusoid", offset=offset, amplitude=amplitude, rate=rate, trig=trig)
+
+    @classmethod
+    def from_doc(cls, doc) -> "CoefSpec":
+        return cls.const(float(doc)) if isinstance(doc, (int, float)) else super().from_doc(doc)
 
 
 def coef_eval(spec: CoefSpec, t: int) -> float:
@@ -268,9 +332,9 @@ class CoefficientSchedule:
 
     def coeff_rows(self, times) -> tuple[np.ndarray, np.ndarray]:
         """coeffs_at for each time as (len, n) and (len, m+1) arrays; one row if constant."""
-        times = times[:1] if self.is_constant() else times
-        ab = np.array([sum(self.coeffs_at(int(t)), ()) for t in times], dtype=float)
-        ab = ab.reshape(len(times), self.n + self.m + 1)
+        times = [int(t) for t in (times[:1] if self.is_constant() else times)]
+        ab = np.array([[coef_eval(s, t) for t in times] for s in self.a + self.b], dtype=float)
+        ab = ab.reshape(self.n + self.m + 1, len(times)).T
         return ab[:, : self.n], ab[:, self.n :]
 
     def params_at(self, t: int) -> PlantParams:
@@ -282,18 +346,23 @@ class CoefficientSchedule:
         """Check admissibility (and a fixed b0 sign) at every emission time.
 
         Emission times for a run over [t0, t0 + steps] are t0..t0 + steps - 1.
+        All rows are checked at once; the first failing row raises the error
+        that params_at (or the sign test) gives for it.
         """
-        sign = 0.0
-        for t in range(t0, t0 + max(steps, 1)):
-            try:
-                params = self.params_at(t)
-            except AdmissibilityError as exc:
-                raise AdmissibilityError(f"schedule inadmissible at t = {t}: {exc}") from exc
-            s = math.copysign(1.0, params.b[0])
-            if sign == 0.0:
-                sign = s
-            elif s != sign:
-                raise AdmissibilityError(f"b0 changes sign on the horizon (t = {t})")
+        a, b = self.coeff_rows(np.arange(t0, t0 + max(steps, 1)))
+        ok = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1) & (b[:, 0] != 0.0)
+        ok[ok] = schur_stable_rows(b[ok])
+        flipped = np.copysign(1.0, b[:, 0]) != math.copysign(1.0, b[0, 0])
+        bad = np.flatnonzero(~ok | flipped)
+        if not len(bad):
+            return
+        t = t0 + int(bad[0])
+        if ok[bad[0]]:
+            raise AdmissibilityError(f"b0 changes sign on the horizon (t = {t})")
+        try:
+            self.params_at(t)
+        except AdmissibilityError as exc:
+            raise AdmissibilityError(f"schedule inadmissible at t = {t}: {exc}") from exc
 
 
 class PlantState:

@@ -18,6 +18,7 @@ __all__ = [
     "poly_mul",
     "predictor_split",
     "schur_stable",
+    "schur_stable_rows",
     "max_root_modulus",
     "max_root_moduli",
 ]
@@ -103,27 +104,43 @@ def predictor_split(L: PolyZ, A: PolyZ, d: int) -> tuple[PolyZ, PolyZ]:
     return PolyZ(tuple(f)), PolyZ(tuple(alpha))
 
 
+def schur_stable_rows(coeffs) -> np.ndarray:
+    """schur_stable for each row of coefficients p_0 .. p_k (ascending powers of z^-1).
+
+    Runs the Schur-Cohn reduction on the forward-power coefficients of all
+    rows at once. Every operation is elementwise in the row, and the
+    normalizing scale is taken with Python's max() semantics (a NaN is kept
+    only when it comes first), so each row gets the verdict a scalar loop
+    over that row alone would give.
+    """
+    c = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    if np.any(c[:, 0] == 0.0):
+        raise ValueError("degenerate polynomial: leading (z^0) coefficient is zero")
+    # Ascending powers of z; the leading coefficient c[:, -1] equals p_0.
+    c = c[:, ::-1]
+    stable = np.ones(len(c), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while c.shape[1] > 1:
+            stable &= ~(np.abs(c[:, 0]) >= (1.0 - BOUNDARY_TOL) * np.abs(c[:, -1]))
+            q0, qn = c[:, :1], c[:, -1:]
+            m = c.shape[1] - 1
+            c = qn * c[:, 1:] - q0 * c[:, m - 1 :: -1]
+            mag = np.abs(c)
+            scale = mag[:, 0]
+            for j in range(1, m):
+                scale = np.where(mag[:, j] > scale, mag[:, j], scale)
+            scale = scale[:, None]
+            c = np.divide(c, scale, out=c, where=scale > 0.0)
+    return stable
+
+
 def schur_stable(p: PolyZ) -> bool:
     """True iff every root of z^deg p(1/z) lies strictly inside the unit circle.
 
-    Runs the Schur-Cohn reduction on the forward-power coefficients. Roots
-    within BOUNDARY_TOL of the unit circle are classified unstable, so a
-    True answer always certifies a strict stability margin.
+    Roots within BOUNDARY_TOL of the unit circle are classified unstable, so
+    a True answer always certifies a strict stability margin.
     """
-    if p.coeffs[0] == 0.0:
-        raise ValueError("degenerate polynomial: leading (z^0) coefficient is zero")
-    # Ascending powers of z; the leading coefficient c[-1] equals p.coeffs[0].
-    c = [float(v) for v in reversed(p.coeffs)]
-    while len(c) > 1:
-        if abs(c[0]) >= (1.0 - BOUNDARY_TOL) * abs(c[-1]):
-            return False
-        q0, qn = c[0], c[-1]
-        m = len(c) - 1
-        c = [qn * c[i + 1] - q0 * c[m - 1 - i] for i in range(m)]
-        scale = max(abs(v) for v in c)
-        if scale > 0.0:
-            c = [v / scale for v in c]
-    return True
+    return bool(schur_stable_rows(p.coeffs)[0])
 
 
 def max_root_moduli(coeffs) -> np.ndarray:

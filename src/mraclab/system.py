@@ -14,9 +14,8 @@ phi(t) = (y(t)..y(t-n+1), u(t)..u(t-m-d+1)).
 
 This module holds the parameter containers, the plant-to-predictor map,
 and the hyperrectangle machinery the projected estimator needs: building
-a predictor-space box from a plant-space box, its norm (largest Euclidean
-norm over the box), and the spectral floor that lower-bounds every decay
-rate at which closed-loop signals can be bounded.
+a predictor-space box from a plant-space box and its norm (largest
+Euclidean norm over the box).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import PolyZ, max_root_modulus, poly_mul, predictor_split, schur_stable
+from .poly import PolyZ, poly_mul, predictor_split, schur_stable
 
 __all__ = [
     "AdmissibilityError",
@@ -38,7 +37,6 @@ __all__ = [
     "to_predictor_params",
     "build_param_box",
     "box_norm",
-    "spectral_floor",
 ]
 
 
@@ -259,31 +257,3 @@ def build_param_box(
 def box_norm(box: ParamBox) -> float:
     """Largest Euclidean norm over the box, attained at a corner."""
     return math.sqrt(sum(max(l * l, h * h) for l, h in zip(box.lo, box.hi)))
-
-
-def spectral_floor(s_ab: ParamBox, ref: ReferenceModel, n_a: int, grid: int = 7) -> float:
-    """Largest root modulus of L and of B over a grid sweep of the b-box.
-
-    Closed-loop signals cannot be bounded by c lambda^t envelopes for any
-    lambda at or below this value, so decay-rate fits must stay above it.
-    Raises if any swept B violates the minimum-phase assumption.
-    """
-    if not 0 <= n_a <= s_ab.dim - 1:
-        raise AdmissibilityError(
-            f"n_a = {n_a} incompatible with a box of dimension {s_ab.dim}"
-        )
-    if grid < 2:
-        raise AdmissibilityError("grid must have at least 2 points per axis")
-    floor = max_root_modulus(ref.L)
-    axes = [
-        np.linspace(self_lo, self_hi, grid)
-        for self_lo, self_hi in zip(s_ab.lo[n_a:], s_ab.hi[n_a:])
-    ]
-    for b in itertools.product(*axes):
-        if b[0] == 0.0:
-            raise AdmissibilityError(f"B at b = {b} is degenerate (b0 = 0)")
-        bp = PolyZ(b)
-        if not schur_stable(bp):
-            raise AdmissibilityError(f"B at b = {b} is not minimum phase")
-        floor = max(floor, max_root_modulus(bp))
-    return floor

@@ -158,6 +158,27 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: trace:") and "Traceback" not in err
 
+    def test_sidecar_hash_is_recomputed(self, tmp_path, capsys):
+        out = tmp_path / "show"
+        main(["reproduce", "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        summary["config_hash"] = "0000000000000000"
+        (out / "summary.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(out / "trace.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: config_hash:")
+
+    def test_header_only_trace_is_a_file_error(self, tmp_path, capsys, recwarn):
+        out = tmp_path / "show"
+        main(["reproduce", "--out", str(out)])
+        trace = out / "trace.csv"
+        trace.write_text(trace.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace:") and len(err.splitlines()) == 1
+        assert not recwarn.list  # outside pytest a warning would print on stderr
+
     def test_lambda_below_floor(self, config_path, capsys):
         rc = main(["verify", "--config", str(config_path), "--lambda", "0.2"])
         assert rc == 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,79 +85,76 @@ def make_config(
 
 class TestConfigValidation:
     def test_demo_config_is_valid(self):
-        demo_config().validate()
+        demo_config()
 
     def test_reference_order_exceeds_plant(self):
         params = PlantParams(a=(-0.5,), b=(1.0,), d=1)
         ref = ReferenceModel(L=PolyZ((1.0, 0.0, -0.25)), H=PolyZ((0.5,)), d=1)
-        cfg = ExperimentConfig(
-            schedule=CoefficientSchedule.constant(params),
-            ref=ref,
-            box=ParamBox(lo=(-1.0, 0.5), hi=(1.0, 2.0)),
-            delta=math.inf,
-            t0=0,
-            steps=100,
-            x0=(0.0,),
-            theta0=(0.0, 1.0),
-            r=zero_signal(),
-            w=zero_signal(),
-        )
         with pytest.raises(ConfigError, match="reference.L"):
-            cfg.validate()
+            ExperimentConfig(
+                schedule=CoefficientSchedule.constant(params),
+                ref=ref,
+                box=ParamBox(lo=(-1.0, 0.5), hi=(1.0, 2.0)),
+                delta=math.inf,
+                t0=0,
+                steps=100,
+                x0=(0.0,),
+                theta0=(0.0, 1.0),
+                r=zero_signal(),
+                w=zero_signal(),
+            )
 
     def test_box_dimension_mismatch(self):
         cfg = make_config()
-        bad = ExperimentConfig(
-            schedule=cfg.schedule,
-            ref=cfg.ref,
-            box=ParamBox(lo=(-1.0, 1.0), hi=(1.0, 2.0)),
-            delta=cfg.delta,
-            t0=0,
-            steps=cfg.steps,
-            x0=cfg.x0,
-            theta0=(0.0, 1.5),
-            r=cfg.r,
-            w=cfg.w,
-        )
         with pytest.raises(ConfigError, match="estimator.box"):
-            bad.validate()
+            ExperimentConfig(
+                schedule=cfg.schedule,
+                ref=cfg.ref,
+                box=ParamBox(lo=(-1.0, 1.0), hi=(1.0, 2.0)),
+                delta=cfg.delta,
+                t0=0,
+                steps=cfg.steps,
+                x0=cfg.x0,
+                theta0=(0.0, 1.5),
+                r=cfg.r,
+                w=cfg.w,
+            )
 
     def test_gain_interval_must_avoid_zero(self):
         cfg = make_config()
         lo = list(cfg.box.lo)
         lo[cfg.n] = -1.0  # straddles zero with any positive hi
-        bad = ExperimentConfig(
-            schedule=cfg.schedule,
-            ref=cfg.ref,
-            box=ParamBox(lo=tuple(lo), hi=cfg.box.hi),
-            delta=cfg.delta,
-            t0=0,
-            steps=cfg.steps,
-            x0=cfg.x0,
-            theta0=cfg.theta0,
-            r=cfg.r,
-            w=cfg.w,
-        )
         with pytest.raises(ConfigError, match="beta0"):
-            bad.validate()
+            ExperimentConfig(
+                schedule=cfg.schedule,
+                ref=cfg.ref,
+                box=ParamBox(lo=tuple(lo), hi=cfg.box.hi),
+                delta=cfg.delta,
+                t0=0,
+                steps=cfg.steps,
+                x0=cfg.x0,
+                theta0=cfg.theta0,
+                r=cfg.r,
+                w=cfg.w,
+            )
 
     def test_theta0_outside_box(self):
         cfg = make_config()
         theta0 = np.array(cfg.box.hi) + 1.0
         with pytest.raises(ConfigError, match="sim.theta0"):
-            make_config(theta0=theta0).validate()
+            make_config(theta0=theta0)
 
     def test_x0_wrong_length(self):
         with pytest.raises(ConfigError, match="sim.x0"):
-            make_config(x0=(1.0, 2.0)).validate()
+            make_config(x0=(1.0, 2.0))
 
     def test_delta_zero_rejected(self):
         with pytest.raises(ConfigError, match="estimator.delta"):
-            make_config(delta=0.0).validate()
+            make_config(delta=0.0)
 
     def test_horizon_too_short(self):
         with pytest.raises(ConfigError, match="sim.steps"):
-            make_config(steps=3).validate()
+            make_config(steps=3)
 
     def test_schedule_losing_admissibility(self):
         # b0 crosses zero mid-horizon
@@ -166,20 +164,19 @@ class TestConfigValidation:
             d=1,
         )
         ref = ReferenceModel(L=PolyZ((1.0,)), H=PolyZ((1.0,)), d=1)
-        cfg = ExperimentConfig(
-            schedule=schedule,
-            ref=ref,
-            box=ParamBox(lo=(-2.0, 0.1), hi=(2.0, 2.0)),
-            delta=math.inf,
-            t0=0,
-            steps=500,
-            x0=(0.0,),
-            theta0=(0.0, 1.0),
-            r=square_wave(40),
-            w=zero_signal(),
-        )
         with pytest.raises(ConfigError, match="plant.schedule"):
-            cfg.validate()
+            ExperimentConfig(
+                schedule=schedule,
+                ref=ref,
+                box=ParamBox(lo=(-2.0, 0.1), hi=(2.0, 2.0)),
+                delta=math.inf,
+                t0=0,
+                steps=500,
+                x0=(0.0,),
+                theta0=(0.0, 1.0),
+                r=square_wave(40),
+                w=zero_signal(),
+            )
 
 
 class TestConfigRoundTrip:
@@ -209,7 +206,7 @@ class TestConfigRoundTrip:
         assert cfg.theta0 == tuple(cfg.box.midpoint())
 
     def test_s_ab_box_builds_estimator_box(self):
-        doc = make_config(a=(-0.5,), b=(1.0,), d=1, L=(1.0,), H=(1.0,)).to_config_dict()
+        doc = make_config(a=(-0.5,), b=(1.0,), d=1, L=(1.0,), H=(1.0,), pad=0.5).to_config_dict()
         del doc["estimator"]["box"]
         doc["estimator"]["s_ab_box"] = {"lo": [-0.8, 0.5], "hi": [0.8, 2.0]}
         doc["sim"]["theta0"] = "midpoint"
@@ -546,6 +543,24 @@ class TestChecks:
         failed = {c.name for c in rep.checks if not c.passed}
         assert failed == {"consistency_reference_recursion"}
 
+    def test_verdicts_do_not_depend_on_units(self):
+        # The system is linear: r, w and x0 in units a million times smaller
+        # scale every signal alike, and every check must keep its verdict.
+        def verdicts(cfg):
+            tr = run_closed_loop(cfg)
+            checks = check_trace_consistency(tr, cfg).checks + check_prop1(tr).checks
+            return [(c.name, c.passed) for c in checks]
+
+        base = demo_config(3000)
+        scaled = replace(
+            base,
+            x0=tuple(v * 1e6 for v in base.x0),
+            r=replace(base.r, amplitude=base.r.amplitude * 1e6),
+            w=replace(base.w, amplitude=base.w.amplitude * 1e6),
+        )
+        assert verdicts(base) == verdicts(scaled)
+        assert all(passed for _, passed in verdicts(base))
+
     @pytest.mark.parametrize(
         "a, b, d, L",
         [((), (1.5,), 1, (1.0,)), ((), (1.5, 0.3), 3, (1.0,)), ((-0.5,), (2.0, 0.2), 3, (1.0, -0.3))],
@@ -719,7 +734,7 @@ class TestSpectralFloor:
         )
 
     def test_plant_zero_dominates(self):
-        cfg = make_config(a=(-0.5,), b=(1.0, 0.9), d=1, L=(1.0, -0.4), H=(0.6,))
+        cfg = make_config(a=(-0.5,), b=(1.0, 0.9), d=1, L=(1.0, -0.4), H=(0.6,), pad=0.5)
         assert config_spectral_floor(cfg) == pytest.approx(0.9, abs=1e-12)
 
 
@@ -743,7 +758,7 @@ class TestTraceFiles:
         path = tmp_path / "trace.csv"
         write_trace_csv(tr, path)
         other = make_config(a=(-0.5,), b=(1.0,), d=1, L=(1.0,), H=(1.0,), steps=50,
-                            x0=(0.0,))
+                            x0=(0.0,), pad=0.5)
         with pytest.raises(ConfigError, match="header"):
             trace_from_csv(path, other)
 

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from mraclab.poly import PolyZ, max_root_modulus, poly_mul, predictor_split, schur_stable
+from mraclab.poly import (
+    BOUNDARY_TOL,
+    PolyZ,
+    max_root_modulus,
+    poly_mul,
+    predictor_split,
+    schur_stable,
+    schur_stable_rows,
+)
 
 
 def conv_oracle(p, q):
@@ -184,6 +192,71 @@ class TestSchurStable:
                 continue  # stay off the decision boundary shared by both routes
             assert schur_stable(p) == (mu < 1.0 - 1e-9)
             checked += 1
+
+
+def schur_stable_loop(coeffs) -> bool:
+    """Reference: the Schur-Cohn reduction on one polynomial, as a scalar loop."""
+    c = [float(v) for v in reversed(coeffs)]
+    while len(c) > 1:
+        if abs(c[0]) >= (1.0 - BOUNDARY_TOL) * abs(c[-1]):
+            return False
+        q0, qn = c[0], c[-1]
+        m = len(c) - 1
+        c = [qn * c[i + 1] - q0 * c[m - 1 - i] for i in range(m)]
+        scale = max(abs(v) for v in c)
+        if scale > 0.0:
+            c = [v / scale for v in c]
+    return True
+
+
+class TestSchurStableRows:
+    def test_agrees_with_scalar_loop(self):
+        # Random coefficients, and polynomials built from roots near the unit
+        # circle, where rounding decides the verdict.
+        rng = np.random.default_rng(23)
+        rows = []
+        for deg in range(1, 5):
+            for scale in (0.3, 1.0, 4.0):
+                c = rng.normal(size=(2000, deg + 1)) * scale
+                c[:, 0] += np.where(c[:, 0] >= 0.0, 1e-3, -1e-3)
+                rows += list(c)
+            for spread in (1e-6, 1e-9, 1e-12):
+                for _ in range(800):
+                    radii = 1.0 - BOUNDARY_TOL + rng.normal(scale=spread, size=deg)
+                    signs = rng.choice((-1.0, 1.0), size=deg)
+                    rows.append(np.poly(radii * signs) * rng.uniform(0.5, 2.0))
+        assert len(rows) >= 20_000
+        for deg in range(1, 5):
+            block = np.array([r for r in rows if len(r) == deg + 1])
+            got = schur_stable_rows(block)
+            want = [schur_stable_loop(r) for r in block]
+            assert got.tolist() == want
+            assert 0 < np.count_nonzero(got) < len(block)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (1.0, -(1.0 - 1e-12)),
+            (1.0, -(1.0 - 1e-6)),
+            (1.0, -1.0),
+            (1.0, 0.0, -1.0),
+            (1.0, 0.0, 0.0, 0.999999999),
+            (2.0,),
+            (1e200, 5e199),  # the first reduction overflows to inf - inf
+            (1e200, 1e300, 3.0),
+            (1e-300, 1e-310),  # subnormal
+            (1.0, math.inf),
+            (1.0, math.nan),
+            (1.0, 0.5, math.nan),
+        ],
+    )
+    def test_boundary_cases_agree(self, coeffs):
+        assert schur_stable_rows(coeffs).tolist() == [schur_stable_loop(coeffs)]
+        assert schur_stable_rows([coeffs, coeffs]).tolist() == [schur_stable_loop(coeffs)] * 2
+
+    def test_degenerate_row_rejected(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            schur_stable_rows([(1.0, 0.5), (0.0, 1.0)])
 
 
 class TestMaxRootModulus:

@@ -14,7 +14,6 @@ from mraclab.system import (
     ReferenceModel,
     box_norm,
     build_param_box,
-    spectral_floor,
     to_predictor_params,
 )
 
@@ -244,31 +243,3 @@ class TestBoxNorm:
     def test_monotone_under_inflation(self):
         box = ParamBox(lo=(-1.0, 0.5), hi=(2.0, 1.5))
         assert box_norm(box.inflate(0.1)) > box_norm(box)
-
-
-class TestSpectralFloor:
-    def test_demo_floor_is_reference_root(self):
-        # Swept B roots stay below 1/1.5; the L root sqrt(1/2) dominates.
-        floor = spectral_floor(DEMO_S_AB, REF_2, n_a=2)
-        assert abs(floor - math.sqrt(0.5)) < 1e-6
-
-    def test_static_b_gives_reference_root(self):
-        s = ParamBox(lo=(-1.0, 0.5), hi=(1.0, 2.0))
-        ref = ReferenceModel(L=PolyZ((1.0, -0.3)), H=PolyZ((1.0,)), d=1)
-        assert abs(spectral_floor(s, ref, n_a=1) - 0.3) < 1e-9
-
-    def test_everything_static_is_zero(self):
-        s = ParamBox(lo=(0.5,), hi=(2.0,))
-        ref = ReferenceModel(L=PolyZ((1.0,)), H=PolyZ((1.0,)), d=1)
-        assert spectral_floor(s, ref, n_a=0) == 0.0
-
-    def test_b_box_dominates_when_slow(self):
-        s = ParamBox(lo=(-1.0, 1.0, 0.8), hi=(1.0, 1.0, 0.9))
-        ref = ReferenceModel(L=PolyZ((1.0,)), H=PolyZ((1.0,)), d=1)
-        assert abs(spectral_floor(s, ref, n_a=1) - 0.9) < 1e-9
-
-    def test_flags_minimum_phase_violation(self):
-        s = ParamBox(lo=(-0.5, 0.5, -2.0), hi=(0.5, 1.0, 2.0))
-        ref = ReferenceModel(L=PolyZ((1.0,)), H=PolyZ((1.0,)), d=1)
-        with pytest.raises(AdmissibilityError):
-            spectral_floor(s, ref, n_a=1)
