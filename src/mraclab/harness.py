@@ -664,7 +664,7 @@ def _size(lags: np.ndarray, coeffs) -> np.ndarray:
 def _relative(res: np.ndarray, *terms: np.ndarray) -> float:
     """Largest |res| / (1 + sum |terms|) over rows.
 
-    The terms are what the residual's row compares, so a check against
+    The terms are the parts of the re-derived value, so a check against
     CHECK_TOL gives the same verdict when every signal is rescaled.
     """
     return _max_abs(res / (1.0 + sum(np.abs(t) for t in terms)))
@@ -766,8 +766,8 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     Used when auditing a reloaded trace file: each column is re-derived from
     the configuration plus the y/u columns (the README lists which check
     owns which column), so any edit to a stored value shows up as a residual.
-    Residual margins are CHECK_TOL - max |res| / (1 + sum |terms|), row by
-    row, so they do not depend on the units of r, w and x0.
+    Residual margins are CHECK_TOL - max |res| / (1 + sum |terms|), the terms
+    being the parts of the re-derived value, so they do not depend on units.
     """
     rep = VerificationReport()
     n, m, d = cfg.n, cfg.m, cfg.d
@@ -783,7 +783,7 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     lags = np.hstack((hist.lags(hist.y, n, 0, T), hist.lags(hist.u, m + 1, 1 - d, T)))
     coeffs = np.hstack((-a, b))
     y_next = _weighted(lags, coeffs, w_cfg[1:])
-    worst = _relative(y_next - trace.y[1:], _size(lags, coeffs), w_cfg[1:], trace.y[1:])
+    worst = _relative(y_next - trace.y[1:], _size(lags, coeffs), w_cfg[1:])
     rep.add("consistency_plant_recursion", CHECK_TOL - worst, tol=0.0)
 
     # Control-law closure: phi(t)^T theta_hat(t) = ybar*(t+d).
@@ -799,22 +799,21 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     r_lags = hist.lags(r_ext, len(h), -d, T + 1)
     ybar_t, ybar_size = _weighted(y_lags, l_coeffs), _size(y_lags, l_coeffs)
     ybar_star, ybar_star_size = _weighted(r_lags, h), _size(r_lags, h)
-    worst = _relative(trace.eps - (trace.y - trace.y_star), trace.eps, trace.y, trace.y_star)
+    worst = _relative(trace.eps - (trace.y - trace.y_star), trace.y, trace.y_star)
     rep.add("consistency_tracking_error", CHECK_TOL - worst, tol=0.0)
-    res = trace.eps_bar - (ybar_t - ybar_star)
-    worst = _relative(res, trace.eps_bar, ybar_size, ybar_star_size)
+    worst = _relative(trace.eps_bar - (ybar_t - ybar_star), ybar_size, ybar_star_size)
     rep.add("consistency_weighted_error", CHECK_TOL - worst, tol=0.0)
 
     # Prediction-error column: e(t) = ybar(t) - phi(t-d)^T theta_hat(t-1); e(t0) = 0.
     lagged, prev = phi[:T], trace.theta_hat[:T]
     pred = ybar_t[1:] - _rowdot(lagged, prev)
     pred_size = ybar_size[1:] + _rowdot(np.abs(lagged), np.abs(prev))
-    worst = max(abs(float(trace.e[0])), _relative(trace.e[1:] - pred, trace.e[1:], pred_size))
+    worst = max(abs(float(trace.e[0])), _relative(trace.e[1:] - pred, pred_size))
     rep.add("consistency_prediction_error", CHECK_TOL - worst, tol=0.0)
 
     # Regressor norms and deadzone gates.
     norm = np.sqrt(_rowdot(now, now))
-    worst = _relative(trace.norm_phi - norm, trace.norm_phi, norm)
+    worst = _relative(trace.norm_phi - norm, norm)
     rep.add("consistency_regressor_norm", CHECK_TOL - worst, tol=0.0)
     lag_norm = np.sqrt(_rowdot(lagged, lagged))
     gate = lag_norm > 0.0
@@ -832,13 +831,11 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     # y*(t) = ybar*(t) - sum_{j>=1} l_j y*(t-j), at rest before t0.
     bad = np.count_nonzero(trace.t != times) + abs(trace.rows - (cfg.steps + 1))
     rep.add("consistency_time_index", -float(bad), f"t = {cfg.t0} .. {cfg.t0 + cfg.steps}", tol=0.0)
-    worst = max(
-        _relative(trace.r - r_cfg, trace.r, r_cfg), _relative(trace.w - w_cfg, trace.w, w_cfg)
-    )
+    worst = max(_relative(trace.r - r_cfg, r_cfg), _relative(trace.w - w_cfg, w_cfg))
     rep.add("consistency_exogenous_signals", CHECK_TOL - worst, tol=0.0)
     past = hist.lags(hist.at_rest(trace.y_star), len(l_coeffs), 0, T + 1)[:, 1:]
     res = trace.y_star - (ybar_star - _weighted(past, l_coeffs[1:]))
-    worst = _relative(res, trace.y_star, ybar_star_size, _size(past, l_coeffs[1:]))
+    worst = _relative(res, ybar_star_size, _size(past, l_coeffs[1:]))
     rep.add("consistency_reference_recursion", CHECK_TOL - worst, tol=0.0)
     return rep
 
