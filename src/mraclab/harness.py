@@ -658,7 +658,7 @@ def _weighted(lags: np.ndarray, coeffs, acc=0.0):
 
 def _size(lags: np.ndarray, coeffs) -> np.ndarray:
     """Row sums of |coeffs[..., j] * lags[:, j]|: the magnitude _weighted adds up."""
-    return _weighted(np.abs(lags), np.abs(np.asarray(coeffs, dtype=float)))
+    return _weighted(np.abs(lags), np.abs(coeffs))
 
 
 def _relative(res: np.ndarray, *terms: np.ndarray) -> float:
