@@ -1,4 +1,4 @@
-"""Golden pins: the showcase artifacts and config hashes must not drift.
+"""Golden pins: the showcase artifacts, three more traces and the config hashes must not drift.
 
 Any change to arithmetic order in the closed loop, the summary, or the
 config serialization moves one of these digests. Updating a pin is a
@@ -12,7 +12,7 @@ import hashlib
 import pytest
 
 from mraclab.cli import main
-from mraclab.harness import config_from_dict, demo_config
+from mraclab.harness import config_from_dict, demo_config, run_closed_loop, write_trace_csv
 
 SHOWCASE_SHA256 = {
     "trace.csv": "61246dcf3cc61a0520c7b06e37081a54108306856d6834b246a13ea67d57c682",
@@ -46,6 +46,18 @@ D1_CONFIG = {
     },
 }
 
+# A static plant (n = 0) with a three-step delay and a negative leading gain.
+STATIC_D3_CONFIG = {
+    "plant": {"a": [], "b": [-1.5, 0.4], "d": 3},
+    "reference": {"L": [1.0], "H": [0.9]},
+    "estimator": {"box": {"lo": [-2.0, -1.0, -1.0, -1.0], "hi": [-1.0, 1.0, 1.0, 1.0]}, "delta": 0.2},
+    "sim": {"t0": 5, "steps": 300, "x0": [0.4, -0.3, 0.2, 0.1, -0.5, 0.25, 0.6], "theta0": "midpoint"},
+    "signals": {
+        "r": {"kind": "square_wave", "period": 40, "amplitude": 2.0},
+        "w": {"kind": "white_noise", "amplitude": 0.02, "seed": 9},
+    },
+}
+
 
 def test_showcase_artifacts_pinned(tmp_path):
     assert main(["reproduce", "--out", str(tmp_path)]) == 0
@@ -64,3 +76,17 @@ def test_showcase_artifacts_pinned(tmp_path):
 )
 def test_config_hash_pinned(make, digest):
     assert make().config_hash() == digest
+
+
+@pytest.mark.parametrize(
+    "doc, digest",
+    [
+        (README_CONFIG, "977a4aebd6ea06a54bca176a0d1e83a6543590a554d339b8f66100f5f865f577"),
+        (D1_CONFIG, "ffafe67b7a130d8d0816d292cff285ba632dbecd5d8e864f85c6c1021c982aac"),
+        (STATIC_D3_CONFIG, "2dc8da808b89b1c18ed7906c375b60af6f6ab05d69e4545cd5ad0a4191ef9317"),
+    ],
+    ids=["readme", "d1", "static_d3"],
+)
+def test_trace_pinned(tmp_path, doc, digest):
+    write_trace_csv(run_closed_loop(config_from_dict(doc)), tmp_path / "trace.csv")
+    assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == digest
