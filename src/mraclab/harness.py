@@ -36,7 +36,6 @@ from .controller import (
     History,
     control_input,
     history,
-    init_from_x0,
     reference_outputs,
     x0_length,
     ybar,
@@ -47,7 +46,6 @@ from .plant_sim import (
     CoefSpec,
     SignalSpec,
     plant_step,
-    signal_eval,
     signal_rows,
     square_wave,
     wbar_sequence,
@@ -468,86 +466,75 @@ def _meta(cfg: ExperimentConfig) -> dict:
 def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     """Execute the adaptive loop over t = t0 .. t0 + steps and record a Trace.
 
-    Step order at each time t: advance the reference model, solve the
-    control law for u(t) (which freezes phi(t)), then emit y(t+1) with the
-    disturbance sample w(t+1), and finally run one estimator update on the
-    d-step-lagged regressor. The estimate used to compute u(t) is always
-    theta_hat(t), i.e. the one produced after the previous step's update.
+    The loop starts from the layout that controller.history builds from x0
+    and appends each u(t) and y(t+1) to its two lists; every per-step read
+    indexes them from the end. Step order at each time t: solve the control
+    law for u(t) (which freezes phi(t)), emit y(t+1) with the disturbance
+    sample w(t+1), then run one estimator update on the d-step-lagged
+    regressor. The estimate used to compute u(t) is always theta_hat(t),
+    i.e. the one produced after the previous step's update. The open-loop
+    columns (r, w, the reference outputs and the coefficient rows) are
+    computed once, before the loop.
     """
     n, m, d = cfg.n, cfg.m, cfg.d
-    p = cfg.dim_theta
-    t0, T = cfg.t0, cfg.steps
+    p, T, L = cfg.dim_theta, cfg.steps, cfg.ref.L
+    times = np.arange(cfg.t0, cfg.t0 + T + 1)
+    r, w = signal_rows(cfg.r, times), signal_rows(cfg.w, times)
+    y_star, ybar_star, target = reference_outputs(cfg.ref, r)
+    a_rows, b_rows = cfg.schedule.coeff_rows(times[:-1])
+    coeffs = list(zip(a_rows.tolist(), b_rows.tolist()))
+    if len(coeffs) == 1:  # a constant plant has one row
+        coeffs *= T
     gain_sign = math.copysign(1.0, cfg.box.lo[n])
-
-    ctrl, plant = init_from_x0(cfg.x0, n, m, d, cfg.ref, t0=t0, gain_sign=gain_sign)
     est = EstimatorState(theta_hat=np.array(cfg.theta0), box=cfg.box, delta=cfg.delta)
 
-    rows = T + 1
-    col = {
-        name: np.zeros(rows)
-        for name in ("y", "y_star", "u", "eps", "eps_bar", "e", "norm_phi", "r", "w")
-    }
-    rho = np.zeros(rows, dtype=int)
-    theta_hat = np.zeros((rows, p))
-
-    e_pending = 0.0
-    for k in range(rows):
-        t = t0 + k
-        y_star_t, _ = reference_outputs(ctrl, t, cfg.r)
-        u_t = control_input(ctrl, est.theta_hat, t)
-        phi_t = ctrl.reg.phi(0)
-        y_t = ctrl.reg.y[0]
-        ybar_t = ybar(ctrl.reg.y, cfg.ref.L)
-
-        col["y"][k] = y_t
-        col["y_star"][k] = y_star_t
-        col["u"][k] = u_t
-        col["eps"][k] = y_t - y_star_t
-        col["eps_bar"][k] = ybar_t - ctrl.ybar_star_now
-        col["e"][k] = e_pending
-        col["norm_phi"][k] = math.sqrt(float(phi_t @ phi_t))
-        col["r"][k] = signal_eval(cfg.r, t)
-        col["w"][k] = signal_eval(cfg.w, t)
+    y_t0 = cfg.x0[0] if n + d > 1 else 0.0  # with n + d = 1, x0 holds no output
+    start = history(cfg.x0, [y_t0], [], n, m, d)
+    y, u = start.y.tolist(), start.u.tolist()  # y ends with y(t), u with u(t-1)
+    target, w_next = target.tolist(), w[1:].tolist()
+    ybars, e, rho = [ybar(y, L)], [0.0], np.zeros(T + 1, dtype=int)
+    theta_hat = np.zeros((T + 1, p))
+    for k in range(T + 1):
         theta_hat[k] = est.theta_hat
+        u.append(control_input(est.theta_hat, target[k], y, u, n, p, gain_sign))
+        if k == T:
+            break
+        phi_lag = np.array(y[-d : -d - n : -1] + u[-d : -m - 2 * d : -1])  # phi(t-d+1)
+        y_next = plant_step(*coeffs[k], d, y, u, w_next[k])
+        if not math.isfinite(y_next) or abs(y_next) > OVERFLOW_LIMIT:
+            raise NumericAbort(
+                f"output diverged at t = {cfg.t0 + k + 1} (y = {y_next!r}); "
+                "check the admissible box and plant schedule"
+            )
+        y.append(y_next)
+        ybars.append(ybar(y, L))
+        rec = estimator_update(est, phi_lag, ybars[-1])
+        e.append(rec.e_next)
+        rho[k] = rec.rho
 
-        if k < T:
-            # phi(t-d+1) must be read while the y/u buffers are still aligned
-            # at time t; pushing y(t+1) shifts the y side one step ahead.
-            phi_lag = ctrl.reg.phi(d - 1)
-            w_next = signal_eval(cfg.w, t + 1)
-            y_next = plant_step(plant, cfg.schedule, t, u_t, w_next)
-            if not math.isfinite(y_next) or abs(y_next) > OVERFLOW_LIMIT:
-                raise NumericAbort(
-                    f"output diverged at t = {t + 1} (y = {y_next!r}); "
-                    "check the admissible box and plant schedule"
-                )
-            plant.push_y(y_next)
-            ctrl.reg.push_y(y_next)
-            ybar_next = ybar(ctrl.reg.y, cfg.ref.L)
-            rec = estimator_update(est, phi_lag, ybar_next)
-            e_pending = rec.e_next
-            rho[k] = rec.rho
-
-    for name, arr in col.items():
-        if not np.all(np.isfinite(arr)):
-            raise NumericAbort(f"non-finite values in column {name}")
-
-    return Trace(
-        t=np.arange(t0, t0 + rows),
-        y=col["y"],
-        y_star=col["y_star"],
-        u=col["u"],
-        eps=col["eps"],
-        eps_bar=col["eps_bar"],
-        e=col["e"],
+    y, u = np.array(y[start.lead :]), np.array(u[start.lead :])
+    trace = Trace(
+        t=times,
+        y=y,
+        y_star=y_star,
+        u=u,
+        eps=y - y_star,
+        eps_bar=np.array(ybars) - ybar_star,
+        e=np.array(e),
         rho=rho,
-        norm_phi=col["norm_phi"],
+        norm_phi=np.zeros(T + 1),
         theta_hat=theta_hat,
-        r=col["r"],
-        w=col["w"],
+        r=r,
+        w=w,
         x0=np.array(cfg.x0),
         meta=_meta(cfg),
     )
+    phi = trace.history().phi(0, T + 1)
+    trace.norm_phi = np.sqrt(_rowdot(phi, phi))
+    for name in ("y", "y_star", "u", "eps", "eps_bar", "e", "norm_phi", "r", "w"):
+        if not np.all(np.isfinite(getattr(trace, name))):
+            raise NumericAbort(f"non-finite values in column {name}")
+    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ __all__ = [
     "CoefSpec",
     "coef_eval",
     "CoefficientSchedule",
-    "PlantState",
     "plant_step",
     "wbar_sequence",
 ]
@@ -365,48 +364,17 @@ class CoefficientSchedule:
             raise AdmissibilityError(f"schedule inadmissible at t = {t}: {exc}") from exc
 
 
-class PlantState:
-    """Ring buffers for the plant recursion, newest first.
+def plant_step(a, b, d: int, y, u, w_next: float) -> float:
+    """One plant recursion: y(t+1) from the coefficients a, b sampled at time t.
 
-    y holds y(t)..y(t-n+1); u holds u(t)..u(t-m-d+1) once the input at the
-    current time has been pushed.
+    y ends with y(t) and u with u(t), both oldest first:
+    y(t+1) = w(t+1) - sum_i a_i y(t-i) + sum_i b_i u(t-d+1-i).
     """
-
-    def __init__(self, n: int, m: int, d: int, y_init=(), u_init=()):
-        self.n, self.m, self.d = n, m, d
-        y_init = [float(v) for v in y_init][:n]
-        u_init = [float(v) for v in u_init][: m + d - 1]
-        self.y = y_init + [0.0] * (n - len(y_init))
-        self.u = u_init + [0.0] * (m + d - 1 - len(u_init))
-
-    def push_y(self, value: float) -> None:
-        if self.n:
-            self.y.insert(0, float(value))
-            self.y.pop()
-
-    def push_u(self, value: float) -> None:
-        self.u.insert(0, float(value))
-        if len(self.u) > self.m + self.d:
-            self.u.pop()
-
-
-def plant_step(
-    state: PlantState, schedule: CoefficientSchedule, t: int, u_t: float, w_next: float
-) -> float:
-    """Advance the plant one step: push u(t), return y(t+1).
-
-    Coefficients are sampled at emission time t; the caller is responsible
-    for pushing the returned output via state.push_y (the controller side
-    shares the same sample).
-    """
-    a, b = schedule.coeffs_at(t)
-    state.push_u(u_t)
     y_next = float(w_next)
     for i, ai in enumerate(a):
-        y_next -= ai * state.y[i]
-    off = schedule.d - 1
+        y_next -= ai * y[-1 - i]
     for i, bi in enumerate(b):
-        y_next += bi * state.u[off + i]
+        y_next += bi * u[-d - i]
     return y_next
 
 

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from mraclab.controller import history, x0_length
 from mraclab.poly import PolyZ
 from mraclab.system import AdmissibilityError, PlantParams, ReferenceModel, to_predictor_params
 from mraclab.plant_sim import (
     CoefSpec,
     CoefficientSchedule,
-    PlantState,
     coef_eval,
     constant_signal,
     plant_step,
@@ -163,26 +163,28 @@ class TestSchedule:
             sched.validate_horizon(0, 100)
 
 
+def at_rest(n, m, d):
+    """The loop's starting y/u lists for a plant at rest: y ends with y(t0), u with u(t0-1)."""
+    start = history(np.zeros(x0_length(n, m, d)), [0.0], [], n, m, d)
+    return start.y.tolist(), start.u.tolist()
+
+
 class TestPlantStep:
     def test_single_step(self):
-        sched = CoefficientSchedule.constant(PlantParams(a=(0.5,), b=(2.0,), d=1))
-        state = PlantState(n=1, m=0, d=1, y_init=[1.0])
-        assert plant_step(state, sched, 0, u_t=0.3, w_next=0.0) == pytest.approx(0.1, abs=1e-15)
+        assert plant_step((0.5,), (2.0,), 1, [1.0], [0.3], w_next=0.0) == pytest.approx(0.1, abs=1e-15)
 
     def test_pure_noise_from_rest(self):
-        sched = CoefficientSchedule.constant(PlantParams(a=(0.4,), b=(1.0, 0.2), d=1))
-        state = PlantState(n=1, m=1, d=1)
-        assert plant_step(state, sched, 0, u_t=0.0, w_next=1.0) == 1.0
+        y, u = at_rest(1, 1, 1)
+        assert plant_step((0.4,), (1.0, 0.2), 1, y, u + [0.0], w_next=1.0) == 1.0
 
     def test_two_step_delay_alignment(self):
         # y(t+1) = u(t-1) with d = 2: the first input surfaces two steps later.
-        sched = CoefficientSchedule.constant(PlantParams(a=(), b=(1.0,), d=2))
-        state = PlantState(n=0, m=0, d=2)
-        y1 = plant_step(state, sched, 0, u_t=5.0, w_next=0.0)
-        state.push_y(y1)
-        y2 = plant_step(state, sched, 1, u_t=7.0, w_next=0.0)
-        assert y1 == 0.0
-        assert y2 == 5.0
+        y, u = at_rest(0, 0, 2)
+        u.append(5.0)
+        y.append(plant_step((), (1.0,), 2, y, u, w_next=0.0))
+        u.append(7.0)
+        y.append(plant_step((), (1.0,), 2, y, u, w_next=0.0))
+        assert y[-2:] == [0.0, 5.0]
 
     def test_matches_direct_recursion(self):
         rng = np.random.default_rng(41)
@@ -203,12 +205,11 @@ class TestPlantStep:
                     if t + 1 - d - i >= 0:
                         acc += bi * u[t + 1 - d - i]
                 y_ref[t + 1] = acc
-            state = PlantState(n=2, m=1, d=d)
-            y = [0.0] * (T + 1)
+            y_list, u_list = at_rest(2, 1, d)
             for t in range(T):
-                y[t + 1] = plant_step(state, sched, t, u_t=u[t], w_next=w[t + 1])
-                state.push_y(y[t + 1])
-            np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12)
+                u_list.append(u[t])
+                y_list.append(plant_step(*sched.coeffs_at(t), d, y_list, u_list, w[t + 1]))
+            np.testing.assert_allclose(y_list[-(T + 1) :], y_ref, rtol=0, atol=1e-12)
 
 
 class TestWbar:
@@ -251,12 +252,12 @@ class TestPredictorForm:
         u_sig = white_noise(1.0, seed=11)
         w_sig = table_signal(list(np.random.default_rng(13).uniform(-0.3, 0.3, T)), t_start=1)
         sched = CoefficientSchedule.constant(plant)
-        state = PlantState(n=n, m=m, d=d)
-        y = [0.0] * (T + 1)
+        y_list, u_list = at_rest(n, m, d)
         u = [signal_eval(u_sig, t) for t in range(T + 1)]
         for t in range(T):
-            y[t + 1] = plant_step(state, sched, t, u_t=u[t], w_next=signal_eval(w_sig, t + 1))
-            state.push_y(y[t + 1])
+            u_list.append(u[t])
+            y_list.append(plant_step(*sched.coeffs_at(t), d, y_list, u_list, signal_eval(w_sig, t + 1)))
+        y = y_list[-(T + 1) :]
         wbar = wbar_sequence(predictor_F(ref, plant), w_sig, t0=0, T=T)
         l_coeffs = ref.L.coeffs
         worst = 0.0
