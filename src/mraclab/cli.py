@@ -48,13 +48,18 @@ def _load_json(path: str) -> dict:
     if not p.is_file():
         raise ConfigError("config", f"no such file: {path}")
     try:
-        return json.loads(p.read_text())
+        doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError("config", f"{path} must hold a JSON object")
+    return doc
 
 
 def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
     sim = doc.setdefault("sim", {})
+    if not isinstance(sim, dict):
+        return doc  # config_from_dict reports the malformed section
     if getattr(args, "steps", None) is not None:
         sim["steps"] = args.steps
     if getattr(args, "seed", None) is not None:

@@ -244,23 +244,58 @@ def _spec(cls, doc, fieldpath: str):
     """A SignalSpec or CoefSpec from its document form, errors under fieldpath."""
     try:
         return cls.from_doc(doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(fieldpath, str(exc)) from None
+
+
+def _specs(cls, doc, fieldpath: str) -> tuple:
+    if not isinstance(doc, list):
+        raise ConfigError(fieldpath, "expected an array")
+    return tuple(_spec(cls, c, f"{fieldpath}[{i}]") for i, c in enumerate(doc))
+
+
+def _section(doc: dict, key: str, fieldpath: str, default=None) -> dict:
+    """doc[key], which must be an object; a missing section is an error unless it has a default."""
+    if key not in doc:
+        if default is None:
+            raise ConfigError(fieldpath, "missing section")
+        return default
+    if not isinstance(doc[key], dict):
+        raise ConfigError(fieldpath, "expected an object")
+    return doc[key]
+
+
+def _number(convert, doc: dict, key: str, fieldpath: str, default=None):
+    """convert(doc[key]) (or the default when it is absent), errors under fieldpath."""
+    if key not in doc and default is None:
+        raise ConfigError(fieldpath, "missing field")
+    try:
+        return convert(doc.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(fieldpath, f"expected a number: {exc}") from None
 
 
 def _floats(doc, fieldpath: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in doc)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(fieldpath, "expected an array of numbers")
 
 
+def _pair(doc, keys: tuple[str, str], fieldpath: str) -> tuple:
+    """The two arrays of numbers doc[keys[0]], doc[keys[1]]; doc must be an object."""
+    if not isinstance(doc, dict):
+        raise ConfigError(fieldpath, f"expected an object with {keys[0]!r} and {keys[1]!r}")
+    for key in keys:
+        if key not in doc:
+            raise ConfigError(fieldpath, f"missing field {key!r}")
+    return tuple(_floats(doc[key], f"{fieldpath}.{key}") for key in keys)
+
+
 def _box(doc, fieldpath: str) -> ParamBox:
+    lo, hi = _pair(doc, ("lo", "hi"), fieldpath)
     try:
-        lo, hi = _floats(doc["lo"], f"{fieldpath}.lo"), _floats(doc["hi"], f"{fieldpath}.hi")
         return ParamBox(lo=lo, hi=hi)
-    except KeyError as exc:
-        raise ConfigError(fieldpath, f"missing field {exc.args[0]!r}")
     except ValueError as exc:
         raise ConfigError(fieldpath, str(exc))
 
@@ -274,23 +309,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigError("config", "top level must be an object")
-    for key in ("plant", "reference", "estimator", "sim"):
-        if key not in doc:
-            raise ConfigError(key, "missing section")
-    plant = doc["plant"]
-    try:
-        d = int(plant["d"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError("plant.d", "missing or non-integer delay")
+    plant = _section(doc, "plant", "plant")
+    ref_doc = _section(doc, "reference", "reference")
+    est = _section(doc, "estimator", "estimator")
+    sim = _section(doc, "sim", "sim")
+    signals = _section(doc, "signals", "signals", default={})
+    d = _number(int, plant, "d", "plant.d")
 
     if "schedule" in plant:
-        sched = plant["schedule"]
-        a_specs = tuple(
-            _spec(CoefSpec, c, f"plant.schedule.a[{i}]") for i, c in enumerate(sched.get("a", []))
-        )
-        b_specs = tuple(
-            _spec(CoefSpec, c, f"plant.schedule.b[{i}]") for i, c in enumerate(sched.get("b", []))
-        )
+        sched = _section(plant, "schedule", "plant.schedule")
+        a_specs = _specs(CoefSpec, sched.get("a", []), "plant.schedule.a")
+        b_specs = _specs(CoefSpec, sched.get("b", []), "plant.schedule.b")
         if not b_specs:
             raise ConfigError("plant.schedule.b", "needs at least one coefficient")
         try:
@@ -310,30 +339,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             raise ConfigError("plant", str(exc))
         schedule = CoefficientSchedule.constant(params)
 
-    ref_doc = doc["reference"]
+    L, H = _pair(ref_doc, ("L", "H"), "reference")
     try:
-        ref = ReferenceModel(
-            L=PolyZ(_floats(ref_doc["L"], "reference.L")),
-            H=PolyZ(_floats(ref_doc["H"], "reference.H")),
-            d=d,
-        )
-    except KeyError as exc:
-        raise ConfigError("reference", f"missing field {exc.args[0]!r}")
+        ref = ReferenceModel(L=PolyZ(L), H=PolyZ(H), d=d)
     except ValueError as exc:
         raise ConfigError("reference", str(exc))
 
-    sim = doc["sim"]
-    try:
-        t0 = int(sim.get("t0", 0))
-        steps = int(sim["steps"])
-        seed = int(sim.get("seed", 0))
-    except KeyError as exc:
-        raise ConfigError("sim", f"missing field {exc.args[0]!r}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("sim", str(exc))
+    t0 = _number(int, sim, "t0", "sim.t0", default=0)
+    steps = _number(int, sim, "steps", "sim.steps")
+    seed = _number(int, sim, "seed", "sim.seed", default=0)
     x0 = _floats(sim.get("x0", [0.0] * x0_length(schedule.n, schedule.m, d)), "sim.x0")
 
-    est = doc["estimator"]
     raw_delta = est.get("delta", "inf")
     if isinstance(raw_delta, str):
         if raw_delta != "inf":
@@ -342,12 +358,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     else:
         try:
             delta = float(raw_delta)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError("estimator.delta", "expected a number or 'inf'")
 
     s_ab = None
-    samples = int(est.get("samples", 256))
-    margin = float(est.get("margin", 0.0))
+    samples = _number(int, est, "samples", "estimator.samples", default=256)
+    margin = _number(float, est, "margin", "estimator.margin", default=0.0)
     if "s_ab_box" in est:
         s_ab = _box(est["s_ab_box"], "estimator.s_ab_box")
     if "box" in est:
@@ -370,7 +386,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     else:
         theta0 = _floats(raw_theta0, "sim.theta0")
 
-    signals = doc.get("signals", {})
     r = _spec(SignalSpec, signals["r"], "signals.r") if "r" in signals else zero_signal()
     w = _spec(SignalSpec, signals["w"], "signals.w") if "w" in signals else zero_signal()
 

@@ -97,7 +97,10 @@ class KindSpec:
         for name, convert, default in cls.fields_of(kind):
             if name not in doc and default is REQUIRED:
                 raise ValueError(f"missing field {name!r} for kind {kind!r}")
-            values[name] = convert(doc[name]) if name in doc else default
+            try:
+                values[name] = convert(doc[name]) if name in doc else default
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"field {name!r}: {exc}") from None
         return cls(kind=kind, **values)
 
 

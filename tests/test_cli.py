@@ -124,6 +124,14 @@ class TestVerify:
         assert rc == 2
         assert "summary.json" in capsys.readouterr().err
 
+    def test_sidecar_that_is_not_an_object(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", "--config", str(config_path), "--out", str(out)])
+        (out / "summary.json").write_text("[1, 2]")
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(out / "trace.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: config:")
+
     def test_tampered_trace_fails(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", "--config", str(config_path), "--out", str(out)])

@@ -230,6 +230,34 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="signals.r"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "where, value, fieldpath",
+        [
+            ("sim.steps", math.inf, "sim.steps"),
+            ("sim.t0", math.inf, "sim.t0"),
+            ("plant.d", math.inf, "plant.d"),
+            ("signals.r.period", math.inf, "signals.r: field 'period'"),
+            ("sim", [], "sim"),
+            ("estimator", [], "estimator"),
+            ("plant.schedule", [], "plant.schedule"),
+            ("reference", [], "reference"),
+            ("estimator.box", 3.0, "estimator.box"),
+            ("estimator.samples", "many", "estimator.samples"),
+            ("estimator.margin", "wide", "estimator.margin"),
+        ],
+    )
+    def test_malformed_document_is_a_config_error(self, where, value, fieldpath):
+        # math.inf is what json reads for 1e400; int() cannot convert it.
+        doc = demo_config().to_config_dict()
+        *parents, key = where.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        with pytest.raises(ConfigError, match="^" + re.escape(fieldpath) + ":"):
+            config_from_dict(doc)
+
+
 # Every kind of the document form, one example each, with the fields a
 # document must carry for that kind (the others have defaults).
 SIGNAL_EXAMPLES = {
