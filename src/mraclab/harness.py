@@ -739,7 +739,10 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int) -> Verificati
       eps_bar(t) = -phi(t-d)^T [theta_hat(t-d) - theta*] + wbar(t-d)
 
     The first is pure bookkeeping (no plant knowledge); the other two hold
-    because theta* satisfies the d-step predictor.
+    because theta* satisfies the d-step predictor. As in
+    check_trace_consistency, each residual is scaled by 1 + sum |terms|,
+    the terms being the parts of the right-hand side, so the margins do
+    not depend on units.
     """
     rep = VerificationReport()
     theta_star = np.asarray(theta_star, dtype=float)
@@ -752,9 +755,12 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int) -> Verificati
     wb = np.asarray(wbar, dtype=float)[t0 - wbar_t0 + np.arange(count)]
     prev, lagged = trace.theta_hat[d - 1 : T], trace.theta_hat[:count]
     eps_bar, e = trace.eps_bar[d:], trace.e[d:]
-    res1 = _max_abs(eps_bar - e - _rowdot(phi, prev - lagged))
-    res2 = _max_abs(e + _rowdot(phi, prev - theta_star) - wb)
-    res3 = _max_abs(eps_bar + _rowdot(phi, lagged - theta_star) - wb)
+    size = np.abs(phi)
+    prev_size, lagged_size = _rowdot(size, np.abs(prev)), _rowdot(size, np.abs(lagged))
+    star_size = _rowdot(size, np.abs(theta_star))
+    res1 = _relative(eps_bar - e - _rowdot(phi, prev - lagged), e, prev_size, lagged_size)
+    res2 = _relative(e + _rowdot(phi, prev - theta_star) - wb, prev_size, star_size, wb)
+    res3 = _relative(eps_bar + _rowdot(phi, lagged - theta_star) - wb, lagged_size, star_size, wb)
     span = f"t = {t0 + d} .. {t0 + T}"
     rep.add("identity_tracking_vs_prediction", IDENTITY_TOL - res1, span, tol=0.0)
     rep.add("identity_prediction_error", IDENTITY_TOL - res2, span, tol=0.0)

@@ -44,6 +44,7 @@ from mraclab.plant_sim import (
 )
 from mraclab.poly import PolyZ, max_root_modulus
 from mraclab.system import ParamBox, PlantParams, ReferenceModel, to_predictor_params
+from test_golden import README_CONFIG
 
 
 def make_config(
@@ -572,22 +573,28 @@ class TestChecks:
         assert failed == {"consistency_reference_recursion"}
 
     def test_verdicts_do_not_depend_on_units(self):
-        # The system is linear: r, w and x0 in units a million times smaller
-        # scale every signal alike, and every check must keep its verdict.
+        # The system is linear: r, w and x0 in other units scale every signal
+        # alike, and every check must keep its verdict. The time-varying
+        # showcase runs without ground truth, the README's constant plant with it.
         def verdicts(cfg):
             tr = run_closed_loop(cfg)
-            checks = check_trace_consistency(tr, cfg).checks + check_prop1(tr).checks
+            checks = check_trace_consistency(tr, cfg).checks
+            if not cfg.schedule.is_constant():
+                return [(c.name, c.passed) for c in checks + check_prop1(tr).checks]
+            gt = ground_truth(cfg)
+            checks += check_prop1(tr, gt.theta_star, gt.wbar, gt.wbar_t0).checks
+            checks += check_identities(tr, gt.theta_star, gt.wbar, gt.wbar_t0).checks
             return [(c.name, c.passed) for c in checks]
 
-        base = demo_config(3000)
-        scaled = replace(
-            base,
-            x0=tuple(v * 1e6 for v in base.x0),
-            r=replace(base.r, amplitude=base.r.amplitude * 1e6),
-            w=replace(base.w, amplitude=base.w.amplitude * 1e6),
-        )
-        assert verdicts(base) == verdicts(scaled)
-        assert all(passed for _, passed in verdicts(base))
+        for base, scale in ((demo_config(3000), 1e6), (config_from_dict(README_CONFIG), 1e8)):
+            scaled = replace(
+                base,
+                x0=tuple(v * scale for v in base.x0),
+                r=replace(base.r, amplitude=base.r.amplitude * scale),
+                w=replace(base.w, amplitude=base.w.amplitude * scale),
+            )
+            assert verdicts(base) == verdicts(scaled)
+            assert all(passed for _, passed in verdicts(base))
 
     @pytest.mark.parametrize(
         "a, b, d, L",
@@ -651,9 +658,10 @@ def loop_margins(tr, cfg, gt):
             step = min(step, allowed - (err_sq[k + 1] - err_sq[k]))
     for k in range(d, T + 1):
         v, wb = phi(t0 + k - d), wbar(t0 + k - d)
-        res1 = max(res1, abs(eb[k] - e[k] - v @ (th[k - 1] - th[k - d])))
-        res2 = max(res2, abs(e[k] + v @ (th[k - 1] - gt.theta_star) - wb))
-        res3 = max(res3, abs(eb[k] + v @ (th[k - d] - gt.theta_star) - wb))
+        prev, lagged, star = (abs(v) @ abs(x) for x in (th[k - 1], th[k - d], gt.theta_star))
+        res1 = max(res1, abs(eb[k] - e[k] - v @ (th[k - 1] - th[k - d])) / (1 + abs(e[k]) + prev + lagged))
+        res2 = max(res2, abs(e[k] + v @ (th[k - 1] - gt.theta_star) - wb) / (1 + prev + star + abs(wb)))
+        res3 = max(res3, abs(eb[k] + v @ (th[k - d] - gt.theta_star) - wb) / (1 + lagged + star + abs(wb)))
     return {
         "estimate_move_bounded": move,
         "parameter_error_contraction_step": step,
