@@ -1,0 +1,82 @@
+"""Property test: every admissible constant plant passes the audit and round-trips."""
+
+from __future__ import annotations
+
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from mraclab.harness import (
+    ExperimentConfig,
+    check_identities,
+    check_prop1,
+    check_trace_consistency,
+    ground_truth,
+    run_closed_loop,
+    trace_from_csv,
+    write_trace_csv,
+)
+from mraclab.plant_sim import CoefficientSchedule, square_wave, white_noise
+from mraclab.poly import PolyZ
+from mraclab.system import ParamBox, PlantParams, ReferenceModel, to_predictor_params
+
+SHAPES = [(n, m, d) for n in range(3) for m in range(2) for d in range(1, 4)]
+COLUMNS = ("t", "y", "y_star", "u", "eps", "eps_bar", "e", "rho", "norm_phi", "theta_hat", "r", "w")
+
+
+def unit(lo: float = -1.0, hi: float = 1.0):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def constant_plants(draw) -> ExperimentConfig:
+    """n <= 2, m <= 1, d <= 3; a box around theta* that pins the sign of beta0."""
+    n, m, d = draw(st.sampled_from(SHAPES))
+    a = tuple(draw(unit()) for _ in range(n))
+    b0 = draw(st.sampled_from((-1.0, 1.0))) * draw(unit(1.0, 3.0))
+    b = (b0,) + tuple(b0 * draw(unit(-0.5, 0.5)) for _ in range(m))  # minimum phase
+    L = draw(st.sampled_from([(1.0,), (1.0, -0.4), (1.0, 0.0, -0.5)][: n + 1]))
+    params = PlantParams(a=a, b=b, d=d)
+    ref = ReferenceModel(L=PolyZ(L), H=PolyZ((0.6,)), d=d)
+    theta = to_predictor_params(params, ref).theta_star()
+    lo = [v - draw(unit(0.1, 1.0)) for v in theta]
+    hi = [v + draw(unit(0.1, 1.0)) for v in theta]
+    if b0 > 0:
+        lo[n] = max(lo[n], 0.05)
+    else:
+        hi[n] = min(hi[n], -0.05)
+    theta0 = tuple(l + draw(unit(0.0, 1.0)) * (h - l) for l, h in zip(lo, hi))
+    return ExperimentConfig(
+        schedule=CoefficientSchedule.constant(params),
+        ref=ref,
+        box=ParamBox(lo=tuple(lo), hi=tuple(hi)),
+        delta=draw(st.sampled_from((math.inf, 0.1, 1.0))),
+        t0=draw(st.integers(-5, 5)),
+        steps=120,
+        x0=tuple(draw(unit()) for _ in range((n + d - 1) + (m + 2 * d - 2))),
+        theta0=theta0,
+        r=square_wave(draw(st.integers(10, 60)), 1.0),
+        w=white_noise(draw(unit(0.0, 0.2)), seed=draw(st.integers(0, 99))),
+    )
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(constant_plants())
+def test_admissible_constant_plants_pass_and_round_trip(cfg):
+    trace, gt = run_closed_loop(cfg), ground_truth(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace_csv(trace, path)
+        back = trace_from_csv(path, cfg)
+    for name in COLUMNS:
+        got, want = getattr(back, name), getattr(trace, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    reports = (
+        check_trace_consistency(trace, cfg),
+        check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0),
+        check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0),
+    )
+    failed = [c.line() for rep in reports for c in rep.checks if not c.passed]
+    assert not failed
