@@ -107,7 +107,7 @@ def ybar(y, L: PolyZ) -> float:
     coeffs = L.coeffs
     if len(y) < len(coeffs):
         raise ValueError(f"history of depth {len(y)} cannot evaluate deg-{L.degree} L")
-    acc = 0.0
+    acc = 0.0  # term by term from +0.0: the trace pins depend on this order
     for j, c in enumerate(coeffs):
         acc += c * y[-1 - j]
     return acc
@@ -130,7 +130,7 @@ def reference_outputs(ref: ReferenceModel, r) -> tuple[np.ndarray, np.ndarray, n
         now = now + c * r_ext[lead - d - i : lead - d - i + rows]
         ahead = ahead + c * r_ext[lead - i : lead - i + rows]
     y_star = [0.0] * ref.order
-    for s in np.asarray(now).tolist():
+    for s in now.tolist():
         acc = 0.0
         for j in range(1, len(l)):
             acc += l[j] * y_star[-j]

@@ -528,6 +528,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         rho[k] = rec.rho
 
     y, u = np.array(y[start.lead :]), np.array(u[start.lead :])
+    phi = history(cfg.x0, y, u, n, m, d).phi(0, T + 1)
     trace = Trace(
         t=times,
         y=y,
@@ -537,15 +538,13 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         eps_bar=np.array(ybars) - ybar_star,
         e=np.array(e),
         rho=rho,
-        norm_phi=np.zeros(T + 1),
+        norm_phi=np.sqrt(_rowdot(phi, phi)),
         theta_hat=theta_hat,
         r=r,
         w=w,
         x0=np.array(cfg.x0),
         meta=_meta(cfg),
     )
-    phi = trace.history().phi(0, T + 1)
-    trace.norm_phi = np.sqrt(_rowdot(phi, phi))
     for name in ("y", "y_star", "u", "eps", "eps_bar", "e", "norm_phi", "r", "w"):
         if not np.all(np.isfinite(getattr(trace, name))):
             raise NumericAbort(f"non-finite values in column {name}")

@@ -1,4 +1,8 @@
-"""Plant stepping, coefficient schedules, and exogenous signal generators.
+"""The plant recursion, coefficient schedules, and exogenous signal generators.
+
+plant_step is a pure function of the coefficients at emission time and the
+run's past outputs and inputs, read from the end of the oldest-first lists
+that the closed loop grows from controller.history's layout.
 
 Conventions used throughout the package:
 
