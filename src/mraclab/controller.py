@@ -31,6 +31,7 @@ from .system import ReferenceModel
 __all__ = [
     "History",
     "history",
+    "loop_start",
     "x0_length",
     "ybar",
     "reference_outputs",
@@ -100,6 +101,14 @@ def history(x0, y, u, n: int, m: int, d: int) -> History:
     y_ext = np.concatenate((np.zeros(lead - len(y_old)), y_old, y))
     u_ext = np.concatenate((np.zeros(lead - len(u_old)), u_old, u))
     return History(y_ext, u_ext, lead, n, m, d)
+
+
+def loop_start(x0, n: int, m: int, d: int) -> History:
+    """The history a closed loop starts from: outputs up to y(t0), inputs up to u(t0-1).
+
+    y(t0) heads x0, except when n + d = 1: x0 then holds no output and y(t0) = 0.
+    """
+    return history(x0, list(x0[:1]) if n + d > 1 else [0.0], [], n, m, d)
 
 
 def ybar(y, L: PolyZ) -> float:

@@ -36,6 +36,7 @@ from .controller import (
     History,
     control_input,
     history,
+    loop_start,
     reference_outputs,
     x0_length,
     ybar,
@@ -482,7 +483,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     """Execute the adaptive loop over t = t0 .. t0 + steps and record a Trace.
 
     The loop starts from the layout that controller.history builds from x0
-    and appends each u(t) and y(t+1) to its two lists; every per-step read
+    (loop_start) and appends each u(t) and y(t+1) to its two lists; every per-step read
     indexes them from the end. Step order at each time t: solve the control
     law for u(t) (which freezes phi(t)), emit y(t+1) with the disturbance
     sample w(t+1), then run one estimator update on the d-step-lagged
@@ -503,8 +504,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     gain_sign = math.copysign(1.0, cfg.box.lo[n])
     est = EstimatorState(theta_hat=np.array(cfg.theta0), box=cfg.box, delta=cfg.delta)
 
-    y_t0 = cfg.x0[0] if n + d > 1 else 0.0  # with n + d = 1, x0 holds no output
-    start = history(cfg.x0, [y_t0], [], n, m, d)
+    start = loop_start(cfg.x0, n, m, d)
     y, u = start.y.tolist(), start.u.tolist()  # y ends with y(t), u with u(t-1)
     target, w_next = target.tolist(), w[1:].tolist()
     ybars, e, rho = [ybar(y, L)], [0.0], np.zeros(T + 1, dtype=int)

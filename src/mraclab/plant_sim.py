@@ -72,7 +72,8 @@ COEF_KINDS = {
 class KindSpec:
     """Document form of SignalSpec and CoefSpec, read from the subclass's KINDS table.
 
-    A ValueError or TypeError from from_doc describes a malformed document.
+    A ValueError, TypeError or OverflowError from from_doc describes a malformed
+    document; a field that does not convert is named in the message.
     """
 
     KINDS: dict

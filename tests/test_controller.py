@@ -7,6 +7,7 @@ from mraclab.controller import (
     ControlError,
     control_input,
     history,
+    loop_start,
     reference_outputs,
     x0_length,
     ybar,
@@ -28,15 +29,18 @@ class TestX0Layout:
     def test_demo_buffers(self):
         # The closed loop starts from these lists: zeros, the part of x0
         # older than t0, then y(t0) (outputs) and u(t0-1) (inputs).
-        start = history([-1.0, -1.0, 0.0], [-1.0], [], n=2, m=1, d=1)
+        start = loop_start([-1.0, -1.0, 0.0], n=2, m=1, d=1)
         assert start.lead == 4
         assert start.y.tolist() == [0.0, 0.0, 0.0, -1.0, -1.0]
         assert start.u.tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_rest_state(self):
-        start = history(np.zeros(3), [0.0], [], n=2, m=1, d=1)
+        start = loop_start(np.zeros(3), n=2, m=1, d=1)
         assert all(v == 0.0 for v in start.y)
         assert all(v == 0.0 for v in start.u)
+        # With n + d = 1 the vector is empty and y(t0) is zero.
+        start = loop_start([], n=0, m=0, d=1)
+        assert start.y.tolist() == [0.0, 0.0] and start.u.tolist() == [0.0]
 
     def test_wrong_length_raises(self):
         with pytest.raises(ValueError, match=r"x0 has 2 entries; dims \(n=2, m=1, d=1\) need 3"):
@@ -116,7 +120,7 @@ class TestControlInput:
         assert u == pytest.approx(0.25, abs=1e-15)
 
     def test_demo_first_input_is_zero(self):
-        start = history([-1.0, -1.0, 0.0], [-1.0], [], n=2, m=1, d=1)
+        start = loop_start([-1.0, -1.0, 0.0], n=2, m=1, d=1)
         _, _, ahead = reference_outputs(REF_2, signal_rows(square_wave(period=200), [0]))
         theta = np.array([0.0, -0.5, 3.25, 0.0])
         u = control_input(theta, ahead[0], start.y.tolist(), start.u.tolist(), n=2, p=4)
@@ -130,7 +134,7 @@ class TestControlInput:
             n, m = 2, 1
             ref = ReferenceModel(L=PolyZ((1.0, 0.0, -0.5)), H=PolyZ((0.5,)), d=d)
             x0 = rng.uniform(-2, 2, x0_length(n, m, d))
-            start = history(x0, [x0[0]], [], n, m, d)
+            start = loop_start(x0, n, m, d)
             y, u = start.y.tolist(), start.u.tolist()
             _, _, ahead = reference_outputs(ref, signal_rows(white_noise(1.0, seed=71), range(40)))
             theta = np.array([0.4, -0.2, 2.5, 0.3, 0.1])[: n + m + d]

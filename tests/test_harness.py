@@ -84,6 +84,23 @@ def make_config(
     )
 
 
+# (where in the showcase document, malformed value, field path of the error);
+# math.inf is what json reads for 1e400, and int() cannot convert it.
+MALFORMED = [
+    ("sim.steps", math.inf, "sim.steps"),
+    ("sim.t0", math.inf, "sim.t0"),
+    ("plant.d", math.inf, "plant.d"),
+    ("signals.r.period", math.inf, "signals.r: field 'period'"),
+    ("sim", [], "sim"),
+    ("estimator", [], "estimator"),
+    ("plant.schedule", [], "plant.schedule"),
+    ("reference", [], "reference"),
+    ("estimator.box", 3.0, "estimator.box"),
+    ("estimator.samples", "many", "estimator.samples"),
+    ("estimator.margin", "wide", "estimator.margin"),
+]
+
+
 class TestConfigValidation:
     def test_demo_config_is_valid(self):
         demo_config()
@@ -231,24 +248,8 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="signals.r"):
             config_from_dict(doc)
 
-    @pytest.mark.parametrize(
-        "where, value, fieldpath",
-        [
-            ("sim.steps", math.inf, "sim.steps"),
-            ("sim.t0", math.inf, "sim.t0"),
-            ("plant.d", math.inf, "plant.d"),
-            ("signals.r.period", math.inf, "signals.r: field 'period'"),
-            ("sim", [], "sim"),
-            ("estimator", [], "estimator"),
-            ("plant.schedule", [], "plant.schedule"),
-            ("reference", [], "reference"),
-            ("estimator.box", 3.0, "estimator.box"),
-            ("estimator.samples", "many", "estimator.samples"),
-            ("estimator.margin", "wide", "estimator.margin"),
-        ],
-    )
+    @pytest.mark.parametrize("where, value, fieldpath", MALFORMED, ids=[c[0] for c in MALFORMED])
     def test_malformed_document_is_a_config_error(self, where, value, fieldpath):
-        # math.inf is what json reads for 1e400; int() cannot convert it.
         doc = demo_config().to_config_dict()
         *parents, key = where.split(".")
         node = doc

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mraclab.controller import history, x0_length
+from mraclab.controller import loop_start, x0_length
 from mraclab.poly import PolyZ
 from mraclab.system import AdmissibilityError, PlantParams, ReferenceModel, to_predictor_params
 from mraclab.plant_sim import (
@@ -165,7 +165,7 @@ class TestSchedule:
 
 def at_rest(n, m, d):
     """The loop's starting y/u lists for a plant at rest: y ends with y(t0), u with u(t0-1)."""
-    start = history(np.zeros(x0_length(n, m, d)), [0.0], [], n, m, d)
+    start = loop_start(np.zeros(x0_length(n, m, d)), n, m, d)
     return start.y.tolist(), start.u.tolist()
 
 
