@@ -150,14 +150,12 @@ def reference_outputs(ref: ReferenceModel, r) -> tuple[np.ndarray, np.ndarray, n
 def control_input(theta_hat, target: float, y, u, n: int, p: int, gain_sign: float = 1.0) -> float:
     """Certainty-equivalence input u(t) solving phi(t)^T theta_hat = target = ybar*(t+d).
 
-    y ends with y(t) and u with u(t-1), both oldest first; n is the plant
-    order and p = n+m+d the parameter dimension.
+    theta_hat is a sequence of p = n+m+d floats; y ends with y(t) and u
+    with u(t-1), both oldest first; n is the plant order.
     """
-    theta = np.asarray(theta_hat, dtype=float)
-    if theta.shape != (p,):
-        raise ControlError(f"theta has shape {theta.shape}, expected ({p},)")
-    theta = theta.tolist()
-    b0_hat = theta[n]
+    if len(theta_hat) != p:
+        raise ControlError(f"theta has {len(theta_hat)} entries, expected {p}")
+    b0_hat = theta_hat[n]
     if b0_hat == 0.0 or math.copysign(1.0, b0_hat) != gain_sign:
         raise ControlError(
             f"estimated leading gain {b0_hat} left its admissible sign; "
@@ -165,7 +163,7 @@ def control_input(theta_hat, target: float, y, u, n: int, p: int, gain_sign: flo
         )
     acc = target
     for i in range(n):
-        acc -= theta[i] * y[-1 - i]
+        acc -= theta_hat[i] * y[-1 - i]
     for i in range(1, p - n):
-        acc -= theta[n + i] * u[-i]
+        acc -= theta_hat[n + i] * u[-i]
     return acc / b0_hat

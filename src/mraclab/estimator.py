@@ -10,6 +10,9 @@ additive regularizing constant; the deadzone itself is what keeps the
 division safe - and is then clamped back into the box coordinate-wise.
 Projection onto a convex set never increases the distance to any point of
 the set, which is what makes the parameter-error arguments go through.
+The step runs on plain floats, each dot product summed left to right from
++0.0 with no BLAS dot: the audits' column sums take that order, so they
+recompute e, ||phi|| and the gate bit for bit.
 """
 
 from __future__ import annotations
@@ -36,13 +39,18 @@ def project_box(x, box: ParamBox) -> np.ndarray:
     return box.clamp(x)
 
 
+def _dot(a, b) -> float:
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
+
+
 def prediction_error(ybar_next: float, phi_lag, theta_hat) -> float:
     """e(t+1) = ybar(t+1) - phi(t-d+1)^T theta_hat(t)."""
-    phi = np.asarray(phi_lag, dtype=float)
-    theta = np.asarray(theta_hat, dtype=float)
-    if phi.shape != theta.shape:
-        raise ValueError(f"regressor shape {phi.shape} != parameter shape {theta.shape}")
-    return float(ybar_next) - float(phi @ theta)
+    if len(phi_lag) != len(theta_hat):
+        raise ValueError(f"regressor length {len(phi_lag)} != parameter length {len(theta_hat)}")
+    return float(ybar_next) - _dot(phi_lag, theta_hat)
 
 
 def deadzone_flag(e_next: float, phi_lag, box_norm_value: float, delta: float) -> int:
@@ -52,40 +60,30 @@ def deadzone_flag(e_next: float, phi_lag, box_norm_value: float, delta: float) -
     deadzone entirely: the update runs whenever ||phi|| > 0 (the infinite
     threshold never loses to a finite error).
     """
-    phi = np.asarray(phi_lag, dtype=float)
-    norm = math.sqrt(float(phi @ phi))
-    if norm == 0.0:
-        return 0
-    if math.isinf(delta):
-        return 1
-    return 1 if abs(e_next) < (2.0 * box_norm_value + delta) * norm else 0
+    norm = math.sqrt(_dot(phi_lag, phi_lag))
+    threshold = (2.0 * box_norm_value + delta) * norm
+    return int(norm != 0.0 and (math.isinf(delta) or abs(e_next) < threshold))
 
 
 @dataclass
 class EstimatorState:
-    """Current estimate plus the fixed box and deadzone width."""
+    """Current estimate (a list of floats) plus the fixed box and deadzone width."""
 
-    theta_hat: np.ndarray
+    theta_hat: list[float]
     box: ParamBox
     delta: float = math.inf
     box_norm_cached: float = field(init=False)
 
     def __post_init__(self) -> None:
-        self.theta_hat = np.array(self.theta_hat, dtype=float)
-        if self.theta_hat.shape != (self.box.dim,):
-            raise ValueError(
-                f"theta has dimension {self.theta_hat.shape}, box has {self.box.dim}"
-            )
+        self.theta_hat = [float(v) for v in self.theta_hat]
         if not self.delta > 0.0:
             raise ValueError("delta must be positive (math.inf disables the deadzone)")
-        if not self.box.contains(self.theta_hat, tol=1e-12):
+        if not self.box.contains(self.theta_hat, tol=1e-12):  # also checks the dimension
             raise ValueError("initial estimate must lie inside the box")
         self.box_norm_cached = box_norm(self.box)
-        self._lo = np.asarray(self.box.lo)
-        self._hi = np.asarray(self.box.hi)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """What one update did: the prediction error and the gate."""
 
@@ -94,15 +92,18 @@ class StepRecord:
 
 
 def estimator_update(state: EstimatorState, phi_lag, ybar_next: float) -> StepRecord:
-    """One projection-algorithm step; mutates state.theta_hat in place.
+    """One projection-algorithm step; mutates the list state.theta_hat in place.
 
     Gated off (rho = 0) the estimate is untouched. Gated on, it moves by
-    phi e / ||phi||^2 and the result is clamped back into the box.
+    phi e / ||phi||^2 and each coordinate is clamped back into the box.
     """
-    phi = np.asarray(phi_lag, dtype=float)
-    e_next = prediction_error(ybar_next, phi, state.theta_hat)
-    rho = deadzone_flag(e_next, phi, state.box_norm_cached, state.delta)
+    theta = state.theta_hat
+    e_next = prediction_error(ybar_next, phi_lag, theta)
+    rho = deadzone_flag(e_next, phi_lag, state.box_norm_cached, state.delta)
     if rho:
-        moved = state.theta_hat + phi * (e_next / float(phi @ phi))
-        state.theta_hat = np.minimum(np.maximum(moved, state._lo), state._hi)
-    return StepRecord(e_next=e_next, rho=rho)
+        g = e_next / _dot(phi_lag, phi_lag)
+        lo, hi = state.box.lo, state.box.hi
+        for i, f in enumerate(phi_lag):
+            v = theta[i] + f * g
+            theta[i] = lo[i] if v < lo[i] else hi[i] if v > hi[i] else v  # min(max(v, lo), hi)
+    return StepRecord(e_next, rho)

@@ -19,6 +19,9 @@ later without re-simulation. Regressors are not stored: the checks derive
 them from x0 and the y/u columns through controller.history and work on
 whole columns at once. check_trace_consistency re-derives every column from
 the recursion or config signal that produced it, so edits show as residuals.
+Loop and audits add every sum term by term in one order, dot products left
+to right from +0.0 with no BLAS dot, so a recomputed e, norm_phi or gate
+matches the loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -193,9 +196,13 @@ class ExperimentConfig:
                 f"horizon must cover at least n' + 2d = {self.ref.order + 2 * d} steps",
             )
         try:
+            if self.steps >= np.iinfo(np.intp).max // 8:  # past numpy's largest float64 column
+                raise MemoryError
             self.schedule.validate_horizon(self.t0, self.steps)
         except AdmissibilityError as exc:
             raise ConfigError("plant.schedule", str(exc)) from exc
+        except MemoryError:
+            raise ConfigError("sim.steps", f"{self.steps} steps cannot be allocated") from None
 
     # -- serialization ------------------------------------------------------
 
@@ -502,7 +509,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     if len(coeffs) == 1:  # a constant plant has one row
         coeffs *= T
     gain_sign = math.copysign(1.0, cfg.box.lo[n])
-    est = EstimatorState(theta_hat=np.array(cfg.theta0), box=cfg.box, delta=cfg.delta)
+    est = EstimatorState(theta_hat=cfg.theta0, box=cfg.box, delta=cfg.delta)
 
     start = loop_start(cfg.x0, n, m, d)
     y, u = start.y.tolist(), start.u.tolist()  # y ends with y(t), u with u(t-1)
@@ -514,7 +521,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         u.append(control_input(est.theta_hat, target[k], y, u, n, p, gain_sign))
         if k == T:
             break
-        phi_lag = np.array(y[-d : -d - n : -1] + u[-d : -m - 2 * d : -1])  # phi(t-d+1)
+        phi_lag = y[-d : -d - n : -1] + u[-d : -m - 2 * d : -1]  # phi(t-d+1)
         y_next = plant_step(*coeffs[k], d, y, u, w_next[k])
         if not math.isfinite(y_next) or abs(y_next) > OVERFLOW_LIMIT:
             raise NumericAbort(
@@ -538,7 +545,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         eps_bar=np.array(ybars) - ybar_star,
         e=np.array(e),
         rho=rho,
-        norm_phi=np.sqrt(_rowdot(phi, phi)),
+        norm_phi=np.sqrt(_weighted(phi, phi)),
         theta_hat=theta_hat,
         r=r,
         w=w,
@@ -650,7 +657,9 @@ def _max_abs(x) -> float:
 
 
 def _weighted(lags: np.ndarray, coeffs, acc=0.0):
-    """acc + sum_j coeffs[..., j] * lags[:, j] in the loop's order; coeffs may vary by row."""
+    """acc + sum_j coeffs[..., j] * lags[:, j], column by column; coeffs may vary by row.
+
+    This is the loop's order: with acc = 0.0 a row dot gets the loop's bits."""
     coeffs = np.asarray(coeffs, dtype=float)
     for j in range(lags.shape[1]):
         acc = acc + coeffs[..., j] * lags[:, j]
@@ -671,11 +680,6 @@ def _relative(res: np.ndarray, *terms: np.ndarray) -> float:
     return _max_abs(res / (1.0 + sum(np.abs(t) for t in terms)))
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a[k] @ b[k] (or a[k] @ b), each the same BLAS dot the closed loop takes."""
-    return (a[:, None, :] @ b[..., None])[:, 0, 0]
-
-
 def check_prop1(
     trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = None
 ) -> VerificationReport:
@@ -694,11 +698,11 @@ def check_prop1(
 
     # Row k pairs the update from t = t0 + k with its regressor phi(t-d+1).
     phi = trace.history().phi(1 - d, T)
-    sq = _rowdot(phi, phi)
+    sq = _weighted(phi, phi)
     gated = (trace.rho[:T] != 0) & (sq > 0.0)
     bound = np.divide(np.abs(trace.e[1:]), np.sqrt(sq), out=np.zeros(T), where=gated)
     step = np.diff(trace.theta_hat, axis=0)
-    move = np.sqrt(_rowdot(step, step))
+    move = np.sqrt(_weighted(step, step))
     rep.add("estimate_move_bounded", float(np.min(bound - move, initial=math.inf)), f"{T} steps")
 
     if theta_star is None:
@@ -754,12 +758,11 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int) -> Verificati
     wb = np.asarray(wbar, dtype=float)[t0 - wbar_t0 + np.arange(count)]
     prev, lagged = trace.theta_hat[d - 1 : T], trace.theta_hat[:count]
     eps_bar, e = trace.eps_bar[d:], trace.e[d:]
-    size = np.abs(phi)
-    prev_size, lagged_size = _rowdot(size, np.abs(prev)), _rowdot(size, np.abs(lagged))
-    star_size = _rowdot(size, np.abs(theta_star))
-    res1 = _relative(eps_bar - e - _rowdot(phi, prev - lagged), e, prev_size, lagged_size)
-    res2 = _relative(e + _rowdot(phi, prev - theta_star) - wb, prev_size, star_size, wb)
-    res3 = _relative(eps_bar + _rowdot(phi, lagged - theta_star) - wb, lagged_size, star_size, wb)
+    prev_size, lagged_size = _size(phi, prev), _size(phi, lagged)
+    star_size = _size(phi, theta_star)
+    res1 = _relative(eps_bar - e - _weighted(phi, prev - lagged), e, prev_size, lagged_size)
+    res2 = _relative(e + _weighted(phi, prev - theta_star) - wb, prev_size, star_size, wb)
+    res3 = _relative(eps_bar + _weighted(phi, lagged - theta_star) - wb, lagged_size, star_size, wb)
     span = f"t = {t0 + d} .. {t0 + T}"
     rep.add("identity_tracking_vs_prediction", IDENTITY_TOL - res1, span, tol=0.0)
     rep.add("identity_prediction_error", IDENTITY_TOL - res2, span, tol=0.0)
@@ -797,8 +800,8 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     phi = hist.phi(1 - d, T + d)  # phi(t) for t = t0-d+1 .. t0+T
     now = phi[d - 1 :]
     r_lags = hist.lags(r_ext, len(h), 0, T + 1)
-    closure = _rowdot(now, trace.theta_hat) - _weighted(r_lags, h)
-    worst = _relative(closure, _rowdot(np.abs(now), np.abs(trace.theta_hat)), _size(r_lags, h))
+    closure = _weighted(now, trace.theta_hat) - _weighted(r_lags, h)
+    worst = _relative(closure, _size(now, trace.theta_hat), _size(r_lags, h))
     rep.add("consistency_control_closure", CHECK_TOL - worst, tol=0.0)
 
     # Error columns from y, y*, and the weighted sums.
@@ -813,16 +816,16 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
 
     # Prediction-error column: e(t) = ybar(t) - phi(t-d)^T theta_hat(t-1); e(t0) = 0.
     lagged, prev = phi[:T], trace.theta_hat[:T]
-    pred = ybar_t[1:] - _rowdot(lagged, prev)
-    pred_size = ybar_size[1:] + _rowdot(np.abs(lagged), np.abs(prev))
+    pred = ybar_t[1:] - _weighted(lagged, prev)
+    pred_size = ybar_size[1:] + _size(lagged, prev)
     worst = max(abs(float(trace.e[0])), _relative(trace.e[1:] - pred, pred_size))
     rep.add("consistency_prediction_error", CHECK_TOL - worst, tol=0.0)
 
     # Regressor norms and deadzone gates.
-    norm = np.sqrt(_rowdot(now, now))
+    norm = np.sqrt(_weighted(now, now))
     worst = _relative(trace.norm_phi - norm, norm)
     rep.add("consistency_regressor_norm", CHECK_TOL - worst, tol=0.0)
-    lag_norm = np.sqrt(_rowdot(lagged, lagged))
+    lag_norm = np.sqrt(_weighted(lagged, lagged))
     gate = lag_norm > 0.0
     if not math.isinf(cfg.delta):
         gate &= np.abs(trace.e[1:]) < (2.0 * box_norm(cfg.box) + cfg.delta) * lag_norm
@@ -862,7 +865,7 @@ def predictor_residuals(trace: Trace, cfg: ExperimentConfig) -> np.ndarray:
     hist = history(cfg.x0, trace.y, trace.u, cfg.n, cfg.m, d)
     ybar_t = _weighted(hist.lags(hist.y, len(l_coeffs), d, T + 1 - d), l_coeffs)
     wb = gt.wbar[t0 - gt.wbar_t0 + np.arange(T + 1 - d)]
-    return ybar_t - _rowdot(hist.phi(0, T + 1 - d), gt.theta_star) - wb
+    return ybar_t - _weighted(hist.phi(0, T + 1 - d), gt.theta_star) - wb
 
 
 def fit_decay_bound(trace: Trace, lam: float, floor: float | None = None) -> float:
@@ -1055,11 +1058,7 @@ def write_outputs(trace: Trace, out_dir, report: VerificationReport | None = Non
     """Write trace.csv, summary.json, and plot.gp into out_dir; return the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "trace": out / "trace.csv",
-        "summary": out / "summary.json",
-        "plot": out / "plot.gp",
-    }
+    paths = {"trace": out / "trace.csv", "summary": out / "summary.json", "plot": out / "plot.gp"}
     write_trace_csv(trace, paths["trace"])
     paths["summary"].write_text(
         json.dumps(build_summary(trace, report), indent=2, allow_nan=False) + "\n"

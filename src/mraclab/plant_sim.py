@@ -354,9 +354,10 @@ class CoefficientSchedule:
 
         Emission times for a run over [t0, t0 + steps] are t0..t0 + steps - 1.
         All rows are checked at once; the first failing row raises the error
-        that params_at (or the sign test) gives for it.
+        that params_at (or the sign test) gives for it. A constant plant is
+        checked at t0 alone, without building the horizon.
         """
-        a, b = self.coeff_rows(np.arange(t0, t0 + max(steps, 1)))
+        a, b = self.coeff_rows([t0] if self.is_constant() else np.arange(t0, t0 + max(steps, 1)))
         ok = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1) & (b[:, 0] != 0.0)
         ok[ok] = schur_stable_rows(b[ok])
         flipped = np.copysign(1.0, b[:, 0]) != math.copysign(1.0, b[0, 0])
@@ -396,8 +397,8 @@ def wbar_sequence(F, w: SignalSpec, t0: int, T: int) -> np.ndarray:
     """
     f = tuple(float(c) for c in getattr(F, "coeffs", F))
     d = len(f)
-    out = np.empty(T + 1)
-    for k in range(T + 1):
-        t = t0 + k
-        out[k] = sum(f[i] * signal_eval(w, t + d - i) for i in range(d))
+    w_rows = signal_rows(w, np.arange(t0, t0 + T + d + 1))  # w(t0) .. w(t0 + T + d)
+    out = np.zeros(T + 1)  # term by term from +0.0, as a per-row sum adds them
+    for i, c in enumerate(f):
+        out = out + c * w_rows[d - i : d - i + T + 1]
     return out

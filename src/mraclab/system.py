@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import PolyZ, poly_mul, predictor_split, schur_stable
+from .poly import PolyZ, poly_mul, predictor_split, schur_stable, schur_stable_rows
 
 __all__ = [
     "AdmissibilityError",
@@ -201,17 +201,13 @@ def to_predictor_params(theta: PlantParams, ref: ReferenceModel) -> PredictorPar
         raise AdmissibilityError(
             f"reference order {ref.order} exceeds plant order {theta.n}"
         )
-    F, alpha = predictor_split(ref.L, theta.a_poly(), theta.d)
-    beta = poly_mul(F, theta.b_poly())
-    return PredictorParams(alpha=alpha.coeffs[: theta.n], beta=beta.coeffs)
+    return PredictorParams(*_split(theta.a, theta.b, ref))
 
 
-def _beta0_gate(lo: float, hi: float) -> None:
-    if lo <= 0.0 <= hi:
-        raise AdmissibilityError(
-            "beta0 interval of the predictor box contains 0; the control law "
-            "divides by beta0, so its sign must be fixed over the box"
-        )
+def _split(a, b, ref: ReferenceModel) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(alpha, beta) of the plant coefficients (a, b), with no admissibility checks."""
+    F, alpha = predictor_split(ref.L, PolyZ((1.0,) + tuple(a)), ref.d)
+    return alpha.coeffs[: len(a)], poly_mul(F, PolyZ(b)).coeffs
 
 
 def build_param_box(
@@ -231,26 +227,31 @@ def build_param_box(
     (a, b), so the corner sweep alone is exact and samples only confirm it.
     For d >= 2 the result is a sampled outer estimate; use margin > 0 for
     slack. Every evaluated plant must be admissible, and the resulting
-    beta0 interval must exclude zero.
+    beta0 interval must exclude zero (all b rows are Schur-tested at once).
     """
     if not 0 <= n_a <= s_ab.dim - 1:
         raise AdmissibilityError(
             f"n_a = {n_a} incompatible with a box of dimension {s_ab.dim}"
         )
-    d = ref.d
-
-    def image(point) -> np.ndarray:
-        plant = PlantParams(a=point[:n_a], b=point[n_a:], d=d)
-        return to_predictor_params(plant, ref).theta_star()
-
-    points = [image(c) for c in s_ab.corners()]
+    points = list(s_ab.corners())
     if samples > 0:
         rng = np.random.default_rng(seed)
-        points.extend(image(tuple(s_ab.sample(rng))) for _ in range(samples))
-    stacked = np.vstack(points)
+        points.extend(tuple(s_ab.sample(rng)) for _ in range(samples))
+    b = np.array([pt[n_a:] for pt in points])
+    ok = b[:, 0] != 0.0
+    ok[ok] = schur_stable_rows(b[ok])
+    if not ok.all() or ref.order > n_a:
+        # The point a one-at-a-time sweep would stop at, and its error.
+        pt = points[0 if ref.order > n_a else int(np.argmin(ok))]
+        to_predictor_params(PlantParams(a=pt[:n_a], b=pt[n_a:], d=ref.d), ref)
+    stacked = np.array([sum(_split(pt[:n_a], pt[n_a:], ref), ()) for pt in points])
     lo = stacked.min(axis=0) - margin
     hi = stacked.max(axis=0) + margin
-    _beta0_gate(lo[n_a], hi[n_a])
+    if lo[n_a] <= 0.0 <= hi[n_a]:
+        raise AdmissibilityError(
+            "beta0 interval of the predictor box contains 0; the control law "
+            "divides by beta0, so its sign must be fixed over the box"
+        )
     return ParamBox(tuple(lo), tuple(hi))
 
 

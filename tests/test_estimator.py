@@ -45,10 +45,15 @@ class TestPredictionError:
         assert e == pytest.approx(0.5, abs=1e-15)
 
     def test_exact_model_zero_error(self):
+        # The target is phi^T theta summed left to right from +0.0, the order
+        # the estimator uses (a BLAS dot may round differently).
         rng = np.random.default_rng(47)
-        theta = rng.uniform(-2, 2, 4)
-        phi = rng.uniform(-3, 3, 4)
-        assert prediction_error(float(phi @ theta), phi, theta) == 0.0
+        theta = rng.uniform(-2, 2, 4).tolist()
+        phi = rng.uniform(-3, 3, 4).tolist()
+        target = 0.0
+        for f, c in zip(phi, theta):
+            target += f * c
+        assert prediction_error(target, phi, theta) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -132,7 +137,7 @@ class TestEstimatorUpdate:
         st = EstimatorState(theta_hat=np.zeros(2), box=UNIT_BOX, delta=2.0)
         for _ in range(1000):
             phi = rng.uniform(-2, 2, 2)
-            prev = st.theta_hat.copy()
+            prev = np.array(st.theta_hat)
             rec = estimator_update(st, phi, ybar_next=float(rng.uniform(-5, 5)))
             norm = np.linalg.norm(phi)
             bound = rec.rho * abs(rec.e_next) / norm if norm > 0 else 0.0

@@ -15,8 +15,8 @@ from mraclab.cli import main
 from mraclab.harness import config_from_dict, demo_config, run_closed_loop, write_trace_csv
 
 SHOWCASE_SHA256 = {
-    "trace.csv": "61246dcf3cc61a0520c7b06e37081a54108306856d6834b246a13ea67d57c682",
-    "summary.json": "6c929cec615ee593d0d5451c99e3e4b542203dc8ac8c29efdb4c4c3ebd48422e",
+    "trace.csv": "d3186d34fb19995a22413fc7d243dc20a990eb97553078c13d5aa37cc27dbd3d",
+    "summary.json": "381ae892da70cdd6adaa8be957c26fb929f133ae8c6760358b730a25632c7b5d",
 }
 
 # The config from the README's "Config format" section.
@@ -81,9 +81,9 @@ def test_config_hash_pinned(make, digest):
 @pytest.mark.parametrize(
     "doc, digest",
     [
-        (README_CONFIG, "977a4aebd6ea06a54bca176a0d1e83a6543590a554d339b8f66100f5f865f577"),
-        (D1_CONFIG, "ffafe67b7a130d8d0816d292cff285ba632dbecd5d8e864f85c6c1021c982aac"),
-        (STATIC_D3_CONFIG, "2dc8da808b89b1c18ed7906c375b60af6f6ab05d69e4545cd5ad0a4191ef9317"),
+        (README_CONFIG, "7c4ae3a08f57bbfee2a1aed8d28a79a0fe23e3fc551b05e193ad296c033d75eb"),
+        (D1_CONFIG, "a5bdd9615367d31a94bc21e6fc99e34ba63a9d03b0ac2988af00dc314ccad86a"),
+        (STATIC_D3_CONFIG, "bca448a6a2fac8491d3c0d16780d79086d2c4745cbf854ea3d054f2cf86995fa"),
     ],
     ids=["readme", "d1", "static_d3"],
 )

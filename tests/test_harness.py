@@ -30,7 +30,7 @@ from mraclab.harness import (
     write_outputs,
     write_trace_csv,
 )
-from mraclab.harness import _csv_header
+from mraclab.harness import CHECK_TOL, _csv_header
 from mraclab.plant_sim import (
     CoefficientSchedule,
     CoefSpec,
@@ -44,7 +44,7 @@ from mraclab.plant_sim import (
 )
 from mraclab.poly import PolyZ, max_root_modulus
 from mraclab.system import ParamBox, PlantParams, ReferenceModel, to_predictor_params
-from test_golden import README_CONFIG
+from test_golden import D1_CONFIG, README_CONFIG, STATIC_D3_CONFIG
 
 
 def make_config(
@@ -248,7 +248,13 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="signals.r"):
             config_from_dict(doc)
 
-    @pytest.mark.parametrize("where, value, fieldpath", MALFORMED, ids=[c[0] for c in MALFORMED])
+    @pytest.mark.parametrize(
+        "where, value, fieldpath",
+        [pytest.param(*c, id=c[0]) for c in MALFORMED]
+        # Horizons no array holds: past numpy's size limit, and more bytes
+        # than an address space has (the allocation fails at once).
+        + [pytest.param("sim.steps", v, "sim.steps", id=f"sim.steps={v:g}") for v in (1e20, 1e15)],
+    )
     def test_malformed_document_is_a_config_error(self, where, value, fieldpath):
         doc = demo_config().to_config_dict()
         *parents, key = where.split(".")
@@ -682,6 +688,22 @@ def test_vectorized_checks_match_row_loops(d, t0):
     got = {c.name: c.margin for c in rep}
     for name, want in loop_margins(tr, cfg, gt).items():
         assert got[name] == pytest.approx(want, rel=1e-12, abs=1e-12), name
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: config_from_dict(README_CONFIG), lambda: config_from_dict(D1_CONFIG),
+     lambda: config_from_dict(STATIC_D3_CONFIG), demo_config],
+    ids=["readme", "d1", "static_d3", "showcase"],
+)
+def test_audit_recomputes_loop_columns_exactly(make):
+    # The loop's dot products and the audit's column sums run in one order,
+    # so e and norm_phi are recomputed with a zero residual.
+    cfg = make()
+    margins = {c.name: c.margin for c in check_trace_consistency(run_closed_loop(cfg), cfg).checks}
+    assert margins["consistency_prediction_error"] == CHECK_TOL
+    assert margins["consistency_regressor_norm"] == CHECK_TOL
+    assert margins["consistency_deadzone_gate"] == 0.0
 
 
 class TestPredictorResiduals:

@@ -146,6 +146,11 @@ class TestSchedule:
     def test_demo_horizon_is_admissible(self):
         demo_schedule().validate_horizon(0, 1000)
 
+    def test_constant_plant_horizon_is_not_built(self):
+        # 10^15 emission times would need 8 PB; a constant plant checks t0 only.
+        sched = CoefficientSchedule.constant(PlantParams(a=(-0.5,), b=(1.0, 0.3), d=1))
+        sched.validate_horizon(0, 10**15)
+
     def test_flags_minimum_phase_loss(self):
         sched = CoefficientSchedule(
             a=(),
@@ -230,6 +235,40 @@ class TestWbar:
         # wbar(t) = w(t+2) + 0.5 w(t+1)
         expected = [2.0, -1.0 + 1.0, 4.0 - 0.5, 2.0, 0.0, 0.0, 0.0]
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
+
+
+def wbar_by_rows(F, w, t0, T):
+    """wbar_sequence as a loop over rows, d samples of w per row (the reference)."""
+    f = tuple(float(c) for c in getattr(F, "coeffs", F))
+    d = len(f)
+    out = np.empty(T + 1)
+    for k in range(T + 1):
+        t = t0 + k
+        out[k] = sum(f[i] * signal_eval(w, t + d - i) for i in range(d))
+    return out
+
+
+class TestWbarMatchesRowLoop:
+    @pytest.mark.parametrize("name", ["README_CONFIG", "D1_CONFIG", "STATIC_D3_CONFIG"])
+    def test_golden_configs(self, name):
+        import test_golden
+        from mraclab.harness import config_from_dict
+        from mraclab.poly import predictor_split
+
+        cfg = config_from_dict(getattr(test_golden, name))
+        F, _ = predictor_split(cfg.ref.L, cfg.schedule.params_at(cfg.t0).a_poly(), cfg.d)
+        args = (F, cfg.w, cfg.t0 - cfg.d + 1, cfg.steps + cfg.d)
+        assert np.array_equal(wbar_sequence(*args), wbar_by_rows(*args))
+
+    def test_random_filters(self):
+        rng = np.random.default_rng(83)
+        for k in range(60):
+            d = int(rng.integers(1, 4))
+            f = (1.0,) + tuple(rng.uniform(-2.0, 2.0, d - 1) * 10.0 ** rng.integers(-3, 4, d - 1))
+            w = [white_noise(float(rng.uniform(0.01, 5.0)), seed=k), sinusoid(1e3, 0.37, 0.2),
+                 table_signal(rng.uniform(-1.0, 1.0, 9).tolist(), t_start=-4)][k % 3]
+            t0, T = int(rng.integers(-700, 700)), int(rng.integers(0, 600))
+            assert np.array_equal(wbar_sequence(f, w, t0, T), wbar_by_rows(f, w, t0, T))
 
 
 class TestPredictorForm:

@@ -1,4 +1,5 @@
-"""Property test: every admissible constant plant passes the audit and round-trips."""
+"""Property tests: every admissible constant plant passes the audit and round-trips,
+and the estimator's scalar sums match the audits' column sums bit for bit."""
 
 from __future__ import annotations
 
@@ -6,8 +7,10 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from mraclab.estimator import _dot, deadzone_flag, prediction_error
 from mraclab.harness import (
     ExperimentConfig,
     check_identities,
@@ -18,6 +21,7 @@ from mraclab.harness import (
     trace_from_csv,
     write_trace_csv,
 )
+from mraclab.harness import _weighted
 from mraclab.plant_sim import CoefficientSchedule, square_wave, white_noise
 from mraclab.poly import PolyZ
 from mraclab.system import ParamBox, PlantParams, ReferenceModel, to_predictor_params
@@ -80,3 +84,36 @@ def test_admissible_constant_plants_pass_and_round_trip(cfg):
     )
     failed = [c.line() for rep in reports for c in rep.checks if not c.passed]
     assert not failed
+
+
+@st.composite
+def regressor_rows(draw):
+    """Rows of (phi, theta, ybar) of mixed sign and scale (1e-8 .. 1e8), with
+    exact zeros and some phi rows all zero, plus the gate's constants."""
+    p, rows = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    size = (2 * p + 1) * rows
+    mantissa = draw(st.lists(unit(), min_size=size, max_size=size))
+    scale = draw(st.lists(st.integers(-8, 8), min_size=size, max_size=size))
+    cols = (np.array(mantissa) * 10.0 ** np.array(scale)).reshape(rows, 2 * p + 1)
+    cols[:, sorted(draw(st.sets(st.integers(0, 2 * p))))] = 0.0
+    phi, theta, ybar = cols[:, :p], cols[:, p:-1], cols[:, -1]
+    phi[sorted(draw(st.sets(st.integers(0, rows - 1))))] = 0.0
+    delta = draw(st.sampled_from((math.inf, 0.01, 0.5, 3.0)))
+    return phi, theta, ybar, draw(unit(0.0, 5.0)), delta
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(regressor_rows())
+def test_loop_sums_match_audit_columns(case):
+    phi, theta, ybar, s_norm, delta = case
+    e = ybar - _weighted(phi, theta)
+    norm = np.sqrt(_weighted(phi, phi))
+    gate = norm > 0.0
+    if not math.isinf(delta):
+        gate &= np.abs(e) < (2.0 * s_norm + delta) * norm
+    for k in range(len(phi)):
+        row, est = phi[k].tolist(), theta[k].tolist()
+        e_loop = prediction_error(float(ybar[k]), row, est)
+        assert np.float64(e_loop).tobytes() == e[k].tobytes()
+        assert np.float64(math.sqrt(_dot(row, row))).tobytes() == norm[k].tobytes()
+        assert deadzone_flag(e_loop, row, s_norm, delta) == int(gate[k])

@@ -219,6 +219,59 @@ class TestBuildParamBox:
             build_param_box(s, ReferenceModel(L=PolyZ((1.0, -0.4)), H=PolyZ((1.0,)), d=1), n_a=1)
 
 
+def box_by_points(s_ab, ref, n_a, samples=256, margin=0.0, seed=0):
+    """build_param_box with one Schur-tested PlantParams per point (the reference)."""
+
+    def image(point):
+        plant = PlantParams(a=point[:n_a], b=point[n_a:], d=ref.d)
+        return to_predictor_params(plant, ref).theta_star()
+
+    points = [image(c) for c in s_ab.corners()]
+    if samples > 0:
+        rng = np.random.default_rng(seed)
+        points.extend(image(tuple(s_ab.sample(rng))) for _ in range(samples))
+    stacked = np.vstack(points)
+    return ParamBox(tuple(stacked.min(axis=0) - margin), tuple(stacked.max(axis=0) + margin))
+
+
+def outcome(build, *args, **kwargs):
+    try:
+        box = build(*args, **kwargs)
+    except AdmissibilityError as exc:
+        return str(exc)
+    return np.array(box.lo).tobytes(), np.array(box.hi).tobytes()
+
+
+L_1 = PolyZ((1.0, -0.4))
+REF_1 = ReferenceModel(L_1, PolyZ((1.0,)), 1)
+
+
+class TestBuildParamBoxMatchesPointwise:
+    @pytest.mark.parametrize(
+        "s_ab, ref, n_a, kwargs",
+        [
+            (DEMO_S_AB, REF_2, 2, dict(samples=64)),
+            (ParamBox((-0.6, 1.0, -0.3), (0.2, 2.0, 0.3)), ReferenceModel(L_1, PolyZ((0.6,)), 2), 1,
+             dict(samples=256, margin=0.05, seed=4)),
+            (ParamBox((-0.5, 0.3, -2.0, -0.5, -0.3), (0.5, 0.6, -1.5, 0.5, 0.3)),
+             ReferenceModel(PolyZ((1.0, 0.0, -0.5)), PolyZ((1.0,)), 3), 2,
+             dict(samples=100, seed=7)),
+            # Failures: a non-minimum-phase corner, b0 = 0 after a non-minimum-phase
+            # corner, b0 = 0 first, and a reference of higher order than the plant.
+            (ParamBox((-0.5, 0.5, -2.0), (0.5, 1.0, 2.0)), REF_1, 1, {}),
+            (ParamBox((-0.5, -1.0, -2.0), (0.5, 0.0, 2.0)), REF_1, 1, {}),
+            (ParamBox((-0.5, 0.0, -0.1), (0.5, 1.0, 0.1)), REF_1, 1, {}),
+            (ParamBox((-0.5, 1.0), (0.5, 2.0)), REF_2, 1, dict(samples=8)),
+            (ParamBox((-0.5, 0.0), (0.5, 2.0)), REF_2, 1, dict(samples=8)),
+        ],
+        ids=["demo", "d2", "d3", "nonminphase", "zero_b0_later", "zero_b0_first", "order",
+             "order_b0"],
+    )
+    def test_same_box_or_error(self, s_ab, ref, n_a, kwargs):
+        expected = outcome(box_by_points, s_ab, ref, n_a, **kwargs)
+        assert outcome(build_param_box, s_ab, ref, n_a, **kwargs) == expected
+
+
 class TestBoxNorm:
     def test_unit_square(self):
         assert abs(box_norm(ParamBox(lo=(-1.0, -1.0), hi=(1.0, 1.0))) - math.sqrt(2)) < 1e-15
