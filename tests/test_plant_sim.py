@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mraclab.controller import loop_start, x0_length
-from mraclab.poly import PolyZ
+from mraclab.harness import config_from_dict
+from mraclab.poly import PolyZ, predictor_split
 from mraclab.system import AdmissibilityError, PlantParams, ReferenceModel, to_predictor_params
 from mraclab.plant_sim import (
     CoefSpec,
@@ -23,6 +24,7 @@ from mraclab.plant_sim import (
     windowed_sinusoid,
     zero_signal,
 )
+from test_golden import D1_CONFIG, README_CONFIG, STATIC_D3_CONFIG
 
 
 def demo_schedule() -> CoefficientSchedule:
@@ -249,13 +251,11 @@ def wbar_by_rows(F, w, t0, T):
 
 
 class TestWbarMatchesRowLoop:
-    @pytest.mark.parametrize("name", ["README_CONFIG", "D1_CONFIG", "STATIC_D3_CONFIG"])
-    def test_golden_configs(self, name):
-        import test_golden
-        from mraclab.harness import config_from_dict
-        from mraclab.poly import predictor_split
-
-        cfg = config_from_dict(getattr(test_golden, name))
+    @pytest.mark.parametrize(
+        "doc", [README_CONFIG, D1_CONFIG, STATIC_D3_CONFIG], ids=["readme", "d1", "static_d3"]
+    )
+    def test_golden_configs(self, doc):
+        cfg = config_from_dict(doc)
         F, _ = predictor_split(cfg.ref.L, cfg.schedule.params_at(cfg.t0).a_poly(), cfg.d)
         args = (F, cfg.w, cfg.t0 - cfg.d + 1, cfg.steps + cfg.d)
         assert np.array_equal(wbar_sequence(*args), wbar_by_rows(*args))
@@ -308,7 +308,5 @@ class TestPredictorForm:
 
 
 def predictor_F(ref, plant):
-    from mraclab.poly import predictor_split
-
     F, _ = predictor_split(ref.L, plant.a_poly(), plant.d)
     return F
