@@ -169,6 +169,28 @@ class TestSchedule:
         with pytest.raises(AdmissibilityError, match="sign"):
             sched.validate_horizon(0, 100)
 
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ((), (CoefSpec(kind="piecewise", times=(0, 7), values=(1.0, 0.0)),),
+             "schedule inadmissible at t = 7: b0 must be nonzero (otherwise the true delay "
+             "exceeds d)"),
+            ((CoefSpec(kind="table", values=(0.5, 0.5, 0.5, math.nan)),), (CoefSpec.const(1.0),),
+             "schedule inadmissible at t = 3: plant coefficients must be finite"),
+            ((), (CoefSpec.const(1.0), CoefSpec(kind="piecewise", times=(0, 12), values=(0.5, 1.5))),
+             "schedule inadmissible at t = 12: B(z^-1) must have all roots strictly inside the "
+             "unit circle"),
+            ((), (CoefSpec(kind="piecewise", times=(0, 50), values=(1.0, -1.0)),),
+             "b0 changes sign on the horizon (t = 50)"),
+        ],
+        ids=["zero_b0", "non_finite", "non_minimum_phase", "sign_flip"],
+    )
+    def test_first_bad_time_message(self, a, b, message):
+        sched = CoefficientSchedule(a=a, b=b, d=1)
+        with pytest.raises(AdmissibilityError) as info:
+            sched.validate_horizon(0, 100)
+        assert str(info.value) == message
+
 
 def at_rest(n, m, d):
     """The loop's starting y/u lists for a plant at rest: y ends with y(t0), u with u(t0-1)."""
