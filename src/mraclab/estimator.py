@@ -20,23 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .system import ParamBox, box_norm
 
 __all__ = [
-    "project_box",
     "prediction_error",
     "deadzone_flag",
     "EstimatorState",
     "StepRecord",
     "estimator_update",
 ]
-
-
-def project_box(x, box: ParamBox) -> np.ndarray:
-    """Euclidean projection onto the box: per-coordinate clamping."""
-    return box.clamp(x)
 
 
 def _dot(a, b) -> float:

@@ -15,10 +15,12 @@ projection estimator and the adaptive loop are supposed to have:
   energy finite in the disturbance-free case (tracking_energy).
 
 Trace columns are exact re-loadable decimals, so a saved run can be audited
-later without re-simulation. Regressors are not stored: the checks derive
-them from x0 and the y/u columns through controller.history and work on
-whole columns at once. check_trace_consistency re-derives every column from
-the recursion or config signal that produced it, so edits show as residuals.
+later without re-simulation. A Trace carries its ExperimentConfig, whose
+document and hash are built only when a summary is written. Regressors
+are not stored: the checks derive them from x0 and the y/u columns through
+controller.history and work on whole columns at once. Consistency checks
+re-derive every column from its recursion or config signal, so edits show
+as residuals.
 Loop and audits add every sum term by term in one order, dot products left
 to right from +0.0 with no BLAS dot, so a recomputed e, norm_phi or gate
 matches the loop's bit for bit.
@@ -202,14 +204,14 @@ class ExperimentConfig:
         except AdmissibilityError as exc:
             raise ConfigError("plant.schedule", str(exc)) from exc
         except MemoryError:
-            raise ConfigError("sim.steps", f"{self.steps} steps cannot be allocated") from None
+            raise _too_long(self.steps) from None
 
     # -- serialization ------------------------------------------------------
 
     def to_config_dict(self) -> dict:
         """Plain-JSON document form (the shape the CLI accepts)."""
-        a0, b0 = self.schedule.coeffs_at(self.t0)
-        plant: dict = {"a": list(a0), "b": list(b0), "d": self.d}
+        a0, b0 = self.schedule.coeff_rows([self.t0])
+        plant: dict = {"a": a0[0].tolist(), "b": b0[0].tolist(), "d": self.d}
         if not self.schedule.is_constant():
             plant["schedule"] = {
                 "a": [c.to_doc() for c in self.schedule.a],
@@ -243,6 +245,10 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.to_config_dict(), sort_keys=True, allow_nan=False)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _too_long(steps: int) -> ConfigError:
+    return ConfigError("sim.steps", f"{steps} steps cannot be allocated")
 
 
 # -- parsing ----------------------------------------------------------------
@@ -435,8 +441,9 @@ CONVENTIONS = {
 class Trace:
     """Row-per-time-step record of one closed-loop run (t = t0 .. t0+steps).
 
-    Regressors are not stored: history() derives them on demand from x0 and
-    the y/u columns, so an edit to either shows up in every check.
+    cfg is the run's configuration (for a reloaded file, the one it is
+    audited against). Regressors are not stored: history() derives them on
+    demand from cfg.x0 and the y/u columns, so an edit shows in every check.
     """
 
     t: np.ndarray
@@ -451,8 +458,7 @@ class Trace:
     theta_hat: np.ndarray  # (rows, p)
     r: np.ndarray
     w: np.ndarray
-    x0: np.ndarray  # the initial-condition vector the run started from
-    meta: dict = field(default_factory=dict)
+    cfg: ExperimentConfig
 
     @property
     def rows(self) -> int:
@@ -467,19 +473,7 @@ class Trace:
         return int(self.t[-1])
 
     def history(self) -> History:
-        dims = self.meta["dims"]
-        return history(self.x0, self.y, self.u, dims["n"], dims["m"], dims["d"])
-
-
-def _meta(cfg: ExperimentConfig) -> dict:
-    return {
-        "dims": {"n": cfg.n, "m": cfg.m, "d": cfg.d, "n_ref": cfg.ref.order, "p": cfg.dim_theta},
-        "x0_norm": float(np.linalg.norm(np.array(cfg.x0))),
-        "config": cfg.to_config_dict(),
-        "config_hash": cfg.config_hash(),
-        "conventions": dict(CONVENTIONS),
-        "label": cfg.label,
-    }
+        return history(self.cfg.x0, self.y, self.u, self.cfg.n, self.cfg.m, self.cfg.d)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +495,11 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     """
     n, m, d = cfg.n, cfg.m, cfg.d
     p, T, L = cfg.dim_theta, cfg.steps, cfg.ref.L
-    times = np.arange(cfg.t0, cfg.t0 + T + 1)
+    try:
+        times = np.arange(cfg.t0, cfg.t0 + T + 1)
+        theta_hat, rho = np.zeros((T + 1, p)), np.zeros(T + 1, dtype=int)
+    except MemoryError:  # a horizon numpy can address but no memory can hold
+        raise _too_long(T) from None
     r, w = signal_rows(cfg.r, times), signal_rows(cfg.w, times)
     y_star, ybar_star, target = reference_outputs(cfg.ref, r)
     a_rows, b_rows = cfg.schedule.coeff_rows(times[:-1])
@@ -514,8 +512,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     start = loop_start(cfg.x0, n, m, d)
     y, u = start.y.tolist(), start.u.tolist()  # y ends with y(t), u with u(t-1)
     target, w_next = target.tolist(), w[1:].tolist()
-    ybars, e, rho = [ybar(y, L)], [0.0], np.zeros(T + 1, dtype=int)
-    theta_hat = np.zeros((T + 1, p))
+    ybars, e = [ybar(y, L)], [0.0]
     for k in range(T + 1):
         theta_hat[k] = est.theta_hat
         u.append(control_input(est.theta_hat, target[k], y, u, n, p, gain_sign))
@@ -549,8 +546,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         theta_hat=theta_hat,
         r=r,
         w=w,
-        x0=np.array(cfg.x0),
-        meta=_meta(cfg),
+        cfg=cfg,
     )
     for name in ("y", "y_star", "u", "eps", "eps_bar", "e", "norm_phi", "r", "w"):
         if not np.all(np.isfinite(getattr(trace, name))):
@@ -564,45 +560,25 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
 
 @dataclass
 class GroundTruth:
-    """True predictor parameters and filtered noise for a recorded run."""
+    """True predictor parameters and filtered noise of a constant-plant run."""
 
-    constant: bool
-    theta_star: np.ndarray | None  # (p,) when the plant is constant
-    theta_star_rows: np.ndarray  # (rows, p)
-    F: PolyZ | None
-    wbar: np.ndarray | None  # aligned with wbar_t0, constant plants only
+    theta_star: np.ndarray  # (p,)
+    wbar: np.ndarray  # wbar(t) for t = wbar_t0 ..
     wbar_t0: int
 
 
 def ground_truth(cfg: ExperimentConfig) -> GroundTruth:
-    """True (alpha, beta) per row, plus the predictor noise for constant plants."""
-    rows = cfg.steps + 1
-    if cfg.schedule.is_constant():
-        params = cfg.schedule.params_at(cfg.t0)
-        pp = to_predictor_params(params, cfg.ref)
-        theta = pp.theta_star()
-        F, _ = predictor_split(cfg.ref.L, params.a_poly(), cfg.d)
-        wbar_t0 = cfg.t0 - cfg.d + 1
-        wbar = wbar_sequence(F, cfg.w, wbar_t0, cfg.steps + cfg.d)
-        return GroundTruth(
-            constant=True,
-            theta_star=theta,
-            theta_star_rows=np.tile(theta, (rows, 1)),
-            F=F,
-            wbar=wbar,
-            wbar_t0=wbar_t0,
-        )
-    stars = np.zeros((rows, cfg.dim_theta))
-    for k in range(rows):
-        pp = to_predictor_params(cfg.schedule.params_at(cfg.t0 + k), cfg.ref)
-        stars[k] = pp.theta_star()
+    """True (alpha, beta) and predictor noise wbar; ValueError for a time-varying plant."""
+    if not cfg.schedule.is_constant():
+        raise ValueError("ground truth needs a constant plant")
+    a, b = cfg.schedule.coeff_rows([cfg.t0])
+    params = PlantParams(a=a[0], b=b[0], d=cfg.d)
+    F, _ = predictor_split(cfg.ref.L, params.a_poly(), cfg.d)
+    wbar_t0 = cfg.t0 - cfg.d + 1
     return GroundTruth(
-        constant=False,
-        theta_star=None,
-        theta_star_rows=stars,
-        F=None,
-        wbar=None,
-        wbar_t0=cfg.t0,
+        theta_star=to_predictor_params(params, cfg.ref).theta_star(),
+        wbar=wbar_sequence(F, cfg.w, wbar_t0, cfg.steps + cfg.d),
+        wbar_t0=wbar_t0,
     )
 
 
@@ -692,7 +668,7 @@ def check_prop1(
     - for disturbance-free runs - monotonicity of the parameter error.
     """
     rep = VerificationReport()
-    d = trace.meta["dims"]["d"]
+    d = trace.cfg.d
     t0 = trace.t0
     T = trace.rows - 1
 
@@ -749,7 +725,7 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int) -> Verificati
     """
     rep = VerificationReport()
     theta_star = np.asarray(theta_star, dtype=float)
-    d = trace.meta["dims"]["d"]
+    d = trace.cfg.d
     t0 = trace.t0
     T = trace.rows - 1
     count = max(T + 1 - d, 0)
@@ -857,9 +833,9 @@ def predictor_residuals(trace: Trace, cfg: ExperimentConfig) -> np.ndarray:
     exact arithmetic for every t >= t0 + d, no matter how u was chosen; the
     returned array holds those residuals (closed-loop data included).
     """
-    gt = ground_truth(cfg)
-    if not gt.constant:
+    if not cfg.schedule.is_constant():
         raise ValueError("predictor residuals need a constant plant")
+    gt = ground_truth(cfg)
     d, t0, T = cfg.d, trace.t0, trace.rows - 1
     l_coeffs = cfg.ref.L.coeffs
     hist = history(cfg.x0, trace.y, trace.u, cfg.n, cfg.m, d)
@@ -882,7 +858,7 @@ def fit_decay_bound(trace: Trace, lam: float, floor: float | None = None) -> flo
         raise ValueError(
             f"decay rate {lam} does not exceed the spectral floor {floor:.6f}"
         )
-    env = float(trace.meta["x0_norm"])
+    env = float(np.linalg.norm(np.array(trace.cfg.x0)))
     c = 0.0
     for k in range(trace.rows):
         drive = abs(trace.r[k]) + abs(trace.w[k])
@@ -902,7 +878,7 @@ def tracking_energy(trace: Trace) -> tuple[float, np.ndarray]:
 
     partial[k] covers t = t0 + d .. t0 + d + k.
     """
-    d = trace.meta["dims"]["d"]
+    d = trace.cfg.d
     tail = trace.eps[d:] ** 2
     partial = np.cumsum(tail)
     total = float(partial[-1]) if len(partial) else 0.0
@@ -964,8 +940,7 @@ def trace_from_csv(path, cfg: ExperimentConfig) -> Trace:
     return Trace(
         **{name: col[name] for name in header if not name.startswith("theta_hat_")},
         theta_hat=data[:, 9:-2],
-        x0=np.array(cfg.x0),
-        meta=_meta(cfg),
+        cfg=cfg,
     )
 
 
@@ -1023,15 +998,15 @@ def _regime_rms(trace: Trace) -> dict:
 
 
 def build_summary(trace: Trace, report: VerificationReport | None = None) -> dict:
+    cfg = trace.cfg
     total, _ = tracking_energy(trace)
-    lo = np.asarray(trace.meta["config"]["estimator"]["box"]["lo"])
-    hi = np.asarray(trace.meta["config"]["estimator"]["box"]["hi"])
+    lo, hi = np.asarray(cfg.box.lo), np.asarray(cfg.box.hi)
     in_box = bool(
         np.all(trace.theta_hat >= lo - 1e-12) and np.all(trace.theta_hat <= hi + 1e-12)
     )
     summary = {
-        "config": trace.meta["config"],
-        "config_hash": trace.meta["config_hash"],
+        "config": cfg.to_config_dict(),
+        "config_hash": cfg.config_hash(),
         "rows": trace.rows,
         "t_range": [trace.t0, trace.t_end],
         "tracking": {
@@ -1045,10 +1020,10 @@ def build_summary(trace: Trace, report: VerificationReport | None = None) -> dic
             "within_box": in_box,
             "updates_gated_on": int(np.sum(trace.rho)),
         },
-        "conventions": trace.meta["conventions"],
+        "conventions": dict(CONVENTIONS),
     }
-    if trace.meta.get("label"):
-        summary["label"] = trace.meta["label"]
+    if cfg.label:
+        summary["label"] = cfg.label
     if report is not None:
         summary["checks"] = report.to_dict()
     return summary

@@ -23,8 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly import schur_stable_rows
-from .system import AdmissibilityError, PlantParams
+from .system import AdmissibilityError, PlantParams, first_inadmissible
 
 __all__ = [
     "SIGNAL_KINDS",
@@ -330,47 +329,28 @@ class CoefficientSchedule:
     def is_constant(self) -> bool:
         return all(s.kind == "constant" for s in self.a + self.b)
 
-    def coeffs_at(self, t: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Raw coefficient values at time t, without admissibility checks."""
-        return (
-            tuple(coef_eval(s, t) for s in self.a),
-            tuple(coef_eval(s, t) for s in self.b),
-        )
-
     def coeff_rows(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """coeffs_at for each time as (len, n) and (len, m+1) arrays; one row if constant."""
+        """Unchecked a, b values per time as (len, n) and (len, m+1) arrays; one row if constant."""
         times = [int(t) for t in (times[:1] if self.is_constant() else times)]
         ab = np.array([[coef_eval(s, t) for t in times] for s in self.a + self.b], dtype=float)
         ab = ab.reshape(self.n + self.m + 1, len(times)).T
         return ab[:, : self.n], ab[:, self.n :]
 
-    def params_at(self, t: int) -> PlantParams:
-        """Validated plant coefficients at time t."""
-        a, b = self.coeffs_at(t)
-        return PlantParams(a=a, b=b, d=self.d)
-
     def validate_horizon(self, t0: int, steps: int) -> None:
         """Check admissibility (and a fixed b0 sign) at every emission time.
 
         Emission times for a run over [t0, t0 + steps] are t0..t0 + steps - 1.
-        All rows are checked at once; the first failing row raises the error
-        that params_at (or the sign test) gives for it. A constant plant is
-        checked at t0 alone, without building the horizon.
+        All rows are checked at once by first_inadmissible; the first failing
+        row raises its reason, or the sign error if b0 flips first. A constant
+        plant is checked at t0 alone, without building the horizon.
         """
         a, b = self.coeff_rows([t0] if self.is_constant() else np.arange(t0, t0 + max(steps, 1)))
-        ok = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1) & (b[:, 0] != 0.0)
-        ok[ok] = schur_stable_rows(b[ok])
-        flipped = np.copysign(1.0, b[:, 0]) != math.copysign(1.0, b[0, 0])
-        bad = np.flatnonzero(~ok | flipped)
-        if not len(bad):
-            return
-        t = t0 + int(bad[0])
-        if ok[bad[0]]:
-            raise AdmissibilityError(f"b0 changes sign on the horizon (t = {t})")
-        try:
-            self.params_at(t)
-        except AdmissibilityError as exc:
-            raise AdmissibilityError(f"schedule inadmissible at t = {t}: {exc}") from exc
+        bad = first_inadmissible(a, b)
+        flips = np.flatnonzero(np.copysign(1.0, b[:, 0]) != math.copysign(1.0, b[0, 0]))
+        if len(flips) and flips[0] < (bad[0] if bad else len(b)):
+            raise AdmissibilityError(f"b0 changes sign on the horizon (t = {t0 + int(flips[0])})")
+        if bad:
+            raise AdmissibilityError(f"schedule inadmissible at t = {t0 + bad[0]}: {bad[1]}")
 
 
 def plant_step(a, b, d: int, y, u, w_next: float) -> float:

@@ -3,7 +3,7 @@
 Coefficients are stored densely in ascending powers of z^-1: coeffs[i]
 multiplies z^-i. This is the natural indexing for difference equations,
 where a polynomial acts on a signal as sum_i c_i x(t - i). Trailing zero
-coefficients are legal and only normalized away for display.
+coefficients are legal; trimmed() drops them where the degree matters.
 """
 
 from __future__ import annotations
@@ -51,20 +51,11 @@ class PolyZ:
         return self.coeffs[0] == 1.0
 
     def trimmed(self) -> "PolyZ":
-        """Copy with trailing zero coefficients dropped (display helper)."""
+        """Copy with trailing zero coefficients dropped."""
         last = len(self.coeffs) - 1
         while last > 0 and self.coeffs[last] == 0.0:
             last -= 1
         return PolyZ(self.coeffs[: last + 1])
-
-    def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.trimmed().coeffs):
-            if i == 0:
-                parts.append(f"{c:g}")
-            elif c != 0.0:
-                parts.append(f"{c:+g} z^-{i}")
-        return " ".join(parts)
 
 
 def poly_mul(p: PolyZ, q: PolyZ) -> PolyZ:

@@ -12,7 +12,8 @@ beta = F B, under which the weighted output ybar(t) = y(t) + sum l_j y(t-j)
 satisfies ybar(t+d) = phi(t)^T theta* + wbar(t) with the regressor
 phi(t) = (y(t)..y(t-n+1), u(t)..u(t-m-d+1)).
 
-This module holds the parameter containers, the plant-to-predictor map,
+This module holds the parameter containers, the one admissibility test of
+plant coefficient rows (first_inadmissible), the plant-to-predictor map,
 and the hyperrectangle machinery the projected estimator needs: building
 a predictor-space box from a plant-space box and its norm (largest
 Euclidean norm over the box).
@@ -30,6 +31,7 @@ from .poly import PolyZ, poly_mul, predictor_split, schur_stable, schur_stable_r
 
 __all__ = [
     "AdmissibilityError",
+    "first_inadmissible",
     "PlantParams",
     "ReferenceModel",
     "PredictorParams",
@@ -42,6 +44,28 @@ __all__ = [
 
 class AdmissibilityError(ValueError):
     """A parameter set violates the standing admissibility assumptions."""
+
+
+def first_inadmissible(a_rows, b_rows) -> tuple[int, str] | None:
+    """The first row of plant coefficients that is not admissible, and why.
+
+    Row k holds a_1..a_n in a_rows[k] and b_0..b_m in b_rows[k]. All rows
+    are tested at once, each in this order: b0 != 0, finite coefficients,
+    then B(z^-1) Schur stable. None when every row passes.
+    """
+    a, b = np.asarray(a_rows, dtype=float), np.asarray(b_rows, dtype=float)
+    nonzero = b[:, 0] != 0.0
+    finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
+    ok = nonzero & finite
+    ok[ok] = schur_stable_rows(b[ok])
+    if ok.all():
+        return None
+    k = int(np.argmin(ok))
+    if not nonzero[k]:
+        return k, "b0 must be nonzero (otherwise the true delay exceeds d)"
+    if not finite[k]:
+        return k, "plant coefficients must be finite"
+    return k, "B(z^-1) must have all roots strictly inside the unit circle"
 
 
 @dataclass(frozen=True)
@@ -59,14 +83,9 @@ class PlantParams:
             raise AdmissibilityError("input delay d must be at least 1")
         if not self.b:
             raise AdmissibilityError("b must contain at least b0")
-        if self.b[0] == 0.0:
-            raise AdmissibilityError("b0 must be nonzero (otherwise the true delay exceeds d)")
-        if not all(math.isfinite(v) for v in self.a + self.b):
-            raise AdmissibilityError("plant coefficients must be finite")
-        if not schur_stable(self.b_poly()):
-            raise AdmissibilityError(
-                "B(z^-1) must have all roots strictly inside the unit circle"
-            )
+        bad = first_inadmissible([self.a], [self.b])
+        if bad:
+            raise AdmissibilityError(bad[1])
 
     @property
     def n(self) -> int:
@@ -78,9 +97,6 @@ class PlantParams:
 
     def a_poly(self) -> PolyZ:
         return PolyZ((1.0,) + self.a)
-
-    def b_poly(self) -> PolyZ:
-        return PolyZ(self.b)
 
 
 @dataclass(frozen=True)
@@ -126,10 +142,6 @@ class PredictorParams:
         if not self.beta:
             raise AdmissibilityError("beta must contain at least beta0")
 
-    @property
-    def dim(self) -> int:
-        return len(self.alpha) + len(self.beta)
-
     def theta_star(self) -> np.ndarray:
         return np.array(self.alpha + self.beta)
 
@@ -165,12 +177,6 @@ class ParamBox:
         hi = np.asarray(self.hi)
         return bool(np.all(x >= lo - tol) and np.all(x <= hi + tol))
 
-    def clamp(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"point has dimension {x.shape}, box has {self.dim}")
-        return np.minimum(np.maximum(x, np.asarray(self.lo)), np.asarray(self.hi))
-
     def midpoint(self) -> np.ndarray:
         return (np.asarray(self.lo) + np.asarray(self.hi)) / 2.0
 
@@ -181,13 +187,6 @@ class ParamBox:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.hi)
 
-    def inflate(self, margin: float) -> "ParamBox":
-        if margin < 0.0:
-            raise AdmissibilityError("margin must be non-negative")
-        return ParamBox(
-            tuple(v - margin for v in self.lo), tuple(v + margin for v in self.hi)
-        )
-
 
 def to_predictor_params(theta: PlantParams, ref: ReferenceModel) -> PredictorParams:
     """Map plant coefficients (a, b) to predictor coefficients (alpha, beta).
@@ -197,11 +196,13 @@ def to_predictor_params(theta: PlantParams, ref: ReferenceModel) -> PredictorPar
     """
     if theta.d != ref.d:
         raise AdmissibilityError("plant and reference model disagree on the delay d")
-    if ref.order > theta.n:
-        raise AdmissibilityError(
-            f"reference order {ref.order} exceeds plant order {theta.n}"
-        )
+    _check_order(ref, theta.n)
     return PredictorParams(*_split(theta.a, theta.b, ref))
+
+
+def _check_order(ref: ReferenceModel, n: int) -> None:
+    if ref.order > n:
+        raise AdmissibilityError(f"reference order {ref.order} exceeds plant order {n}")
 
 
 def _split(a, b, ref: ReferenceModel) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -226,8 +227,8 @@ def build_param_box(
     by `margin`, give the box. For d = 1 each output coordinate is affine in
     (a, b), so the corner sweep alone is exact and samples only confirm it.
     For d >= 2 the result is a sampled outer estimate; use margin > 0 for
-    slack. Every evaluated plant must be admissible, and the resulting
-    beta0 interval must exclude zero (all b rows are Schur-tested at once).
+    slack. Every evaluated plant must be admissible (all points are tested
+    at once), and the resulting beta0 interval must exclude zero.
     """
     if not 0 <= n_a <= s_ab.dim - 1:
         raise AdmissibilityError(
@@ -237,13 +238,14 @@ def build_param_box(
     if samples > 0:
         rng = np.random.default_rng(seed)
         points.extend(tuple(s_ab.sample(rng)) for _ in range(samples))
-    b = np.array([pt[n_a:] for pt in points])
-    ok = b[:, 0] != 0.0
-    ok[ok] = schur_stable_rows(b[ok])
-    if not ok.all() or ref.order > n_a:
-        # The point a one-at-a-time sweep would stop at, and its error.
-        pt = points[0 if ref.order > n_a else int(np.argmin(ok))]
-        to_predictor_params(PlantParams(a=pt[:n_a], b=pt[n_a:], d=ref.d), ref)
+    ab = np.array(points)
+    bad = first_inadmissible(ab[:, :n_a], ab[:, n_a:])
+    # A one-at-a-time sweep stops at the first bad point, and its first point
+    # is checked for admissibility before the reference order.
+    if not bad or bad[0] > 0:
+        _check_order(ref, n_a)
+    if bad:
+        raise AdmissibilityError(bad[1])
     stacked = np.array([sum(_split(pt[:n_a], pt[n_a:], ref), ()) for pt in points])
     lo = stacked.min(axis=0) - margin
     hi = stacked.max(axis=0) + margin

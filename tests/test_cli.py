@@ -7,6 +7,7 @@ import json
 import pytest
 
 from mraclab.cli import main
+from test_golden import README_CONFIG
 
 
 @pytest.fixture()
@@ -94,6 +95,15 @@ class TestRun:
         rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "diverged" in capsys.readouterr().err
+
+    def test_unallocatable_horizon_is_a_config_error(self, tmp_path, capsys):
+        # numpy can address 10^15 rows of a constant plant, but no memory holds them.
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(README_CONFIG))
+        steps = str(10**15)
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--steps", steps])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: sim.steps: {steps} steps cannot be allocated\n"
 
 
 class TestVerify:

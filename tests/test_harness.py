@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mraclab.controller import x0_length
 from mraclab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -42,7 +43,7 @@ from mraclab.plant_sim import (
     windowed_sinusoid,
     zero_signal,
 )
-from mraclab.poly import PolyZ, max_root_modulus
+from mraclab.poly import PolyZ, max_root_modulus, predictor_split
 from mraclab.system import ParamBox, PlantParams, ReferenceModel, to_predictor_params
 from test_golden import D1_CONFIG, README_CONFIG, STATIC_D3_CONFIG
 
@@ -458,17 +459,14 @@ class TestGroundTruth:
     def test_constant_plant_values(self):
         cfg = make_config()
         gt = ground_truth(cfg)
-        assert gt.constant
-        theta = to_predictor_params(
-            cfg.schedule.params_at(0), cfg.ref
-        ).theta_star()
-        assert np.allclose(gt.theta_star, theta)
-        assert np.allclose(gt.theta_star_rows[123], theta)
+        params = PlantParams(a=(-0.6, 0.08), b=(2.0, 0.5), d=2)
+        theta = to_predictor_params(params, cfg.ref).theta_star()
+        assert np.array_equal(gt.theta_star, theta)
 
     def test_wbar_matches_direct_filter(self):
         cfg = make_config(w=white_noise(0.2, seed=9))
         gt = ground_truth(cfg)
-        f = gt.F.coeffs
+        f = predictor_split(cfg.ref.L, PolyZ((1.0, -0.6, 0.08)), cfg.d)[0].coeffs
         assert len(f) == cfg.d and f[0] == 1.0
         from mraclab.plant_sim import signal_eval
 
@@ -478,11 +476,9 @@ class TestGroundTruth:
             )
             assert gt.wbar[t - gt.wbar_t0] == pytest.approx(want, abs=1e-12)
 
-    def test_time_varying_has_rows_only(self):
-        gt = ground_truth(demo_config(steps=50))
-        assert not gt.constant
-        assert gt.theta_star is None and gt.wbar is None
-        assert not np.allclose(gt.theta_star_rows[0], gt.theta_star_rows[25])
+    def test_time_varying_is_refused(self):
+        with pytest.raises(ValueError, match="ground truth needs a constant plant"):
+            ground_truth(demo_config(steps=50))
 
 
 @pytest.fixture(scope="module")
@@ -722,8 +718,11 @@ class TestPredictorResiduals:
 
 
 def forged_trace(norm_phi, r, w, x0_norm, d=1):
+    """Columns as given, on a (2, 1, d) config whose x0 has norm x0_norm."""
     rows = len(norm_phi)
     zeros = np.zeros(rows)
+    x0 = [0.0] * x0_length(2, 1, d)
+    x0[0] = x0_norm
     return Trace(
         t=np.arange(rows),
         y=zeros,
@@ -737,8 +736,7 @@ def forged_trace(norm_phi, r, w, x0_norm, d=1):
         theta_hat=np.zeros((rows, 1)),
         r=np.asarray(r, dtype=float),
         w=np.asarray(w, dtype=float),
-        x0=np.zeros(0),
-        meta={"dims": {"d": d}, "x0_norm": float(x0_norm)},
+        cfg=make_config(d=d, x0=x0),
     )
 
 

@@ -135,15 +135,16 @@ class TestCoefSpecs:
 
 class TestSchedule:
     def test_demo_values_at_zero(self):
-        a, b = demo_schedule().coeffs_at(0)
-        np.testing.assert_allclose(a, [2.0, 0.0], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(b, [1.5, -1.0], rtol=0, atol=1e-15)
+        a, b = demo_schedule().coeff_rows([0])
+        np.testing.assert_allclose(a, [[2.0, 0.0]], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(b, [[1.5, -1.0]], rtol=0, atol=1e-15)
 
     def test_constant_round_trip(self):
         params = PlantParams(a=(0.3, -0.1), b=(2.0, 1.0), d=1)
         sched = CoefficientSchedule.constant(params)
         assert sched.is_constant()
-        assert sched.params_at(123) == params
+        a, b = sched.coeff_rows(np.arange(123, 200))
+        assert PlantParams(a=a[0], b=b[0], d=sched.d) == params and len(a) == 1
 
     def test_demo_horizon_is_admissible(self):
         demo_schedule().validate_horizon(0, 1000)
@@ -219,7 +220,6 @@ class TestPlantStep:
         rng = np.random.default_rng(41)
         for d in (1, 2):
             plant = PlantParams(a=(0.6, -0.3), b=(1.5, 0.4), d=d)
-            sched = CoefficientSchedule.constant(plant)
             T = 60
             u = rng.uniform(-1, 1, T)
             w = rng.uniform(-0.2, 0.2, T + 1)
@@ -237,7 +237,7 @@ class TestPlantStep:
             y_list, u_list = at_rest(2, 1, d)
             for t in range(T):
                 u_list.append(u[t])
-                y_list.append(plant_step(*sched.coeffs_at(t), d, y_list, u_list, w[t + 1]))
+                y_list.append(plant_step(plant.a, plant.b, d, y_list, u_list, w[t + 1]))
             np.testing.assert_allclose(y_list[-(T + 1) :], y_ref, rtol=0, atol=1e-12)
 
 
@@ -278,7 +278,8 @@ class TestWbarMatchesRowLoop:
     )
     def test_golden_configs(self, doc):
         cfg = config_from_dict(doc)
-        F, _ = predictor_split(cfg.ref.L, cfg.schedule.params_at(cfg.t0).a_poly(), cfg.d)
+        a, _ = cfg.schedule.coeff_rows([cfg.t0])
+        F, _ = predictor_split(cfg.ref.L, PolyZ((1.0, *a[0])), cfg.d)
         args = (F, cfg.w, cfg.t0 - cfg.d + 1, cfg.steps + cfg.d)
         assert np.array_equal(wbar_sequence(*args), wbar_by_rows(*args))
 
@@ -312,12 +313,11 @@ class TestPredictorForm:
         T = 120
         u_sig = white_noise(1.0, seed=11)
         w_sig = table_signal(list(np.random.default_rng(13).uniform(-0.3, 0.3, T)), t_start=1)
-        sched = CoefficientSchedule.constant(plant)
         y_list, u_list = at_rest(n, m, d)
         u = [signal_eval(u_sig, t) for t in range(T + 1)]
         for t in range(T):
             u_list.append(u[t])
-            y_list.append(plant_step(*sched.coeffs_at(t), d, y_list, u_list, signal_eval(w_sig, t + 1)))
+            y_list.append(plant_step(plant.a, plant.b, d, y_list, u_list, signal_eval(w_sig, t + 1)))
         y = y_list[-(T + 1) :]
         wbar = wbar_sequence(predictor_F(ref, plant), w_sig, t0=0, T=T)
         l_coeffs = ref.L.coeffs

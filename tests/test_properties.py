@@ -1,14 +1,17 @@
 """Property tests: every admissible constant plant passes the audit and round-trips,
-and the estimator's scalar sums match the audits' column sums bit for bit."""
+the estimator's scalar sums match the audits' column sums bit for bit, configs
+survive their document form, the admissibility test agrees with the root
+moduli, and the predictor split is exact."""
 
 from __future__ import annotations
 
+import json
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mraclab.estimator import _dot, deadzone_flag, prediction_error
 from mraclab.harness import (
@@ -16,6 +19,8 @@ from mraclab.harness import (
     check_identities,
     check_prop1,
     check_trace_consistency,
+    config_from_dict,
+    demo_config,
     ground_truth,
     run_closed_loop,
     trace_from_csv,
@@ -23,8 +28,14 @@ from mraclab.harness import (
 )
 from mraclab.harness import _weighted
 from mraclab.plant_sim import CoefficientSchedule, square_wave, white_noise
-from mraclab.poly import PolyZ
-from mraclab.system import ParamBox, PlantParams, ReferenceModel, to_predictor_params
+from mraclab.poly import PolyZ, max_root_moduli, poly_mul, predictor_split
+from mraclab.system import (
+    ParamBox,
+    PlantParams,
+    ReferenceModel,
+    first_inadmissible,
+    to_predictor_params,
+)
 
 SHAPES = [(n, m, d) for n in range(3) for m in range(2) for d in range(1, 4)]
 COLUMNS = ("t", "y", "y_star", "u", "eps", "eps_bar", "e", "rho", "norm_phi", "theta_hat", "r", "w")
@@ -117,3 +128,64 @@ def test_loop_sums_match_audit_columns(case):
         assert np.float64(e_loop).tobytes() == e[k].tobytes()
         assert np.float64(math.sqrt(_dot(row, row))).tobytes() == norm[k].tobytes()
         assert deadzone_flag(e_loop, row, s_norm, delta) == int(gate[k])
+
+
+def assert_round_trips(cfg: ExperimentConfig) -> None:
+    doc = cfg.to_config_dict()
+    back = config_from_dict(json.loads(json.dumps(doc, allow_nan=False)))
+    assert back == cfg
+    assert back.config_hash() == cfg.config_hash()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(constant_plants())
+def test_config_document_round_trips(cfg):
+    assert_round_trips(cfg)
+
+
+def test_demo_config_document_round_trips():
+    for steps in (50, 1000):
+        assert_round_trips(demo_config(steps))
+
+
+@st.composite
+def plant_rows(draw):
+    """Rows of finite plant coefficients (a, b) with b0 != 0, n <= 2, m <= 4."""
+    n, m, rows = draw(st.integers(0, 2)), draw(st.integers(0, 4)), draw(st.integers(1, 12))
+    a = np.array([[draw(unit(-3.0, 3.0)) for _ in range(n)] for _ in range(rows)]).reshape(rows, n)
+    b = np.empty((rows, m + 1))
+    for k in range(rows):
+        b0 = draw(st.sampled_from((-1.0, 1.0))) * draw(unit(0.1, 3.0))
+        b[k] = [b0] + [b0 * draw(unit(-1.5, 1.5)) for _ in range(m)]
+    return a, b
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(plant_rows())
+def test_admissibility_agrees_with_root_moduli(rows):
+    a, b = rows
+    moduli = max_root_moduli(b)
+    assume(np.all(np.abs(moduli - 1.0) >= 1e-6))
+    unstable = np.flatnonzero(moduli >= 1.0)
+    expected = None
+    if len(unstable):
+        expected = (int(unstable[0]), "B(z^-1) must have all roots strictly inside the unit circle")
+    assert first_inadmissible(a, b) == expected
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 4), st.data())
+def test_predictor_split_is_exact(n, d, data):
+    A = PolyZ((1.0,) + tuple(data.draw(unit()) for _ in range(n)))
+    deg_L = data.draw(st.integers(0, n + d - 1))
+    L = PolyZ((1.0,) + tuple(data.draw(unit()) for _ in range(deg_L)))
+    F, alpha = predictor_split(L, A, d)
+    assert len(F.coeffs) == d and len(alpha.coeffs) == max(n, 1)
+    size = n + d + 1
+    rhs = np.zeros(size)
+    fa = poly_mul(F, A).coeffs
+    rhs[: len(fa)] += fa
+    rhs[d : d + len(alpha.coeffs)] += alpha.coeffs
+    lhs = np.zeros(size)
+    lhs[: len(L.coeffs)] = L.coeffs
+    np.testing.assert_allclose(rhs, lhs, rtol=0, atol=1e-12)
