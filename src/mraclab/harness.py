@@ -920,8 +920,8 @@ def trace_from_csv(path, cfg: ExperimentConfig) -> Trace:
     """Reload a stored trace written by write_trace_csv.
 
     Regressors are not in the file; Trace.history() derives them from the
-    y/u columns plus the configuration's x0. A wrong header, a row of the
-    wrong length, or a cell that is not a finite number raises ConfigError.
+    y/u columns plus cfg.x0. A wrong header, a row count other than
+    cfg.steps + 1, a row of the wrong length or a non-finite cell raises ConfigError.
     """
     header = _csv_header(cfg.dim_theta)
     with open(path, errors="replace") as fh:  # stray bytes fail as bad cells, not decode errors
@@ -933,8 +933,8 @@ def trace_from_csv(path, cfg: ExperimentConfig) -> Trace:
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:  # unparsable cells and ragged rows
             raise ConfigError("trace", f"malformed trace file: {exc}") from None
-    if data.shape[0] == 0 or data.shape[1] != len(header) or not np.all(np.isfinite(data)):
-        raise ConfigError("trace", f"expected rows of {len(header)} finite numbers")
+    if data.shape != (cfg.steps + 1, len(header)) or not np.all(np.isfinite(data)):
+        raise ConfigError("trace", f"expected {cfg.steps + 1} rows of {len(header)} finite numbers")
     col = dict(zip(header, data.T))
     col.update(t=col["t"].astype(int), rho=col["rho"].astype(int))
     return Trace(

@@ -176,6 +176,24 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: trace:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("extra", [50, -50], ids=["appended", "dropped"])
+    @pytest.mark.parametrize("plant", ["readme", "showcase"])
+    def test_trace_must_span_the_horizon(self, tmp_path, capsys, plant, extra):
+        out = tmp_path / "out"
+        if plant == "readme":
+            (tmp_path / "cfg.json").write_text(json.dumps(README_CONFIG))
+            main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        else:
+            main(["reproduce", "--out", str(out)])
+        trace = out / "trace.csv"
+        lines = trace.read_text().splitlines()
+        lines = lines + lines[-1:] * extra if extra > 0 else lines[:extra]
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace:") and len(err.splitlines()) == 1
+
     def test_sidecar_hash_is_recomputed(self, tmp_path, capsys):
         out = tmp_path / "show"
         main(["reproduce", "--out", str(out)])
