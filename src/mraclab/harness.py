@@ -134,6 +134,7 @@ class ExperimentConfig:
     s_ab_samples: int = 256
     s_ab_margin: float = 0.0
     label: str = ""
+    plant_rows: tuple = field(init=False, repr=False, compare=False)  # validate_horizon's (a, b)
 
     @property
     def n(self) -> int:
@@ -200,18 +201,19 @@ class ExperimentConfig:
         try:
             if self.steps >= np.iinfo(np.intp).max // 8:  # past numpy's largest float64 column
                 raise MemoryError
-            self.schedule.validate_horizon(self.t0, self.steps)
+            rows = self.schedule.validate_horizon(self.t0, self.steps)
         except AdmissibilityError as exc:
             raise ConfigError("plant.schedule", str(exc)) from exc
         except MemoryError:
             raise _too_long(self.steps) from None
+        object.__setattr__(self, "plant_rows", rows)
 
     # -- serialization ------------------------------------------------------
 
     def to_config_dict(self) -> dict:
         """Plain-JSON document form (the shape the CLI accepts)."""
-        a0, b0 = self.schedule.coeff_rows([self.t0])
-        plant: dict = {"a": a0[0].tolist(), "b": b0[0].tolist(), "d": self.d}
+        a, b = self.plant_rows
+        plant: dict = {"a": a[0].tolist(), "b": b[0].tolist(), "d": self.d}
         if not self.schedule.is_constant():
             plant["schedule"] = {
                 "a": [c.to_doc() for c in self.schedule.a],
@@ -490,8 +492,8 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     sample w(t+1), then run one estimator update on the d-step-lagged
     regressor. The estimate used to compute u(t) is always theta_hat(t),
     i.e. the one produced after the previous step's update. The open-loop
-    columns (r, w, the reference outputs and the coefficient rows) are
-    computed once, before the loop.
+    columns (r, w and the reference outputs) are computed once, before the
+    loop; the coefficient rows are the ones the config validated.
     """
     n, m, d = cfg.n, cfg.m, cfg.d
     p, T, L = cfg.dim_theta, cfg.steps, cfg.ref.L
@@ -502,8 +504,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         raise _too_long(T) from None
     r, w = signal_rows(cfg.r, times), signal_rows(cfg.w, times)
     y_star, ybar_star, target = reference_outputs(cfg.ref, r)
-    a_rows, b_rows = cfg.schedule.coeff_rows(times[:-1])
-    coeffs = list(zip(a_rows.tolist(), b_rows.tolist()))
+    coeffs = list(zip(*(rows.tolist() for rows in cfg.plant_rows)))  # (a, b) per emission time
     if len(coeffs) == 1:  # a constant plant has one row
         coeffs *= T
     gain_sign = math.copysign(1.0, cfg.box.lo[n])
@@ -571,8 +572,7 @@ def ground_truth(cfg: ExperimentConfig) -> GroundTruth:
     """True (alpha, beta) and predictor noise wbar; ValueError for a time-varying plant."""
     if not cfg.schedule.is_constant():
         raise ValueError("ground truth needs a constant plant")
-    a, b = cfg.schedule.coeff_rows([cfg.t0])
-    params = PlantParams(a=a[0], b=b[0], d=cfg.d)
+    params = PlantParams(*(rows[0] for rows in cfg.plant_rows), d=cfg.d)
     F, _ = predictor_split(cfg.ref.L, params.a_poly(), cfg.d)
     wbar_t0 = cfg.t0 - cfg.d + 1
     return GroundTruth(
@@ -765,9 +765,8 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     r_ext = hist.at_rest(r_cfg)
 
     # Plant recursion: y(t+1) from schedule, history, and w(t+1).
-    a, b = cfg.schedule.coeff_rows(times[:-1])
     lags = np.hstack((hist.lags(hist.y, n, 0, T), hist.lags(hist.u, m + 1, 1 - d, T)))
-    coeffs = np.hstack((-a, b))
+    coeffs = np.hstack((-cfg.plant_rows[0], cfg.plant_rows[1]))
     y_next = _weighted(lags, coeffs, w_cfg[1:])
     worst = _relative(y_next - trace.y[1:], _size(lags, coeffs), w_cfg[1:])
     rep.add("consistency_plant_recursion", CHECK_TOL - worst, tol=0.0)
@@ -887,8 +886,7 @@ def tracking_energy(trace: Trace) -> tuple[float, np.ndarray]:
 
 def config_spectral_floor(cfg: ExperimentConfig) -> float:
     """Spectral floor of one run: root moduli of L and of B(t) on the horizon."""
-    _, b = cfg.schedule.coeff_rows(np.arange(cfg.t0, cfg.t0 + cfg.steps))
-    return max(max_root_modulus(cfg.ref.L), float(np.max(max_root_moduli(b))))
+    return max(max_root_modulus(cfg.ref.L), float(np.max(max_root_moduli(cfg.plant_rows[1]))))
 
 
 # ---------------------------------------------------------------------------

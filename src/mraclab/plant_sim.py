@@ -336,13 +336,13 @@ class CoefficientSchedule:
         ab = ab.reshape(self.n + self.m + 1, len(times)).T
         return ab[:, : self.n], ab[:, self.n :]
 
-    def validate_horizon(self, t0: int, steps: int) -> None:
-        """Check admissibility (and a fixed b0 sign) at every emission time.
+    def validate_horizon(self, t0: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """Check admissibility (and a fixed b0 sign) at every emission time; return the rows.
 
         Emission times for a run over [t0, t0 + steps] are t0..t0 + steps - 1.
         All rows are checked at once by first_inadmissible; the first failing
-        row raises its reason, or the sign error if b0 flips first. A constant
-        plant is checked at t0 alone, without building the horizon.
+        row raises its reason, or the sign error if b0 flips first. Returns the
+        checked rows read-only; a constant plant's one row (t0) needs no horizon.
         """
         a, b = self.coeff_rows([t0] if self.is_constant() else np.arange(t0, t0 + max(steps, 1)))
         bad = first_inadmissible(a, b)
@@ -351,6 +351,8 @@ class CoefficientSchedule:
             raise AdmissibilityError(f"b0 changes sign on the horizon (t = {t0 + int(flips[0])})")
         if bad:
             raise AdmissibilityError(f"schedule inadmissible at t = {t0 + bad[0]}: {bad[1]}")
+        a.flags.writeable = b.flags.writeable = False
+        return a, b
 
 
 def plant_step(a, b, d: int, y, u, w_next: float) -> float:

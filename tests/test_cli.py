@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from mraclab import plant_sim
 from mraclab.cli import main
+from mraclab.harness import demo_config
 from test_golden import README_CONFIG
 
 
@@ -244,3 +246,24 @@ class TestReproduce:
         capsys.readouterr()
         assert main(["verify", "--trace", str(out / "trace.csv")]) == 0
         assert "VERIFY PASS" in capsys.readouterr().out
+
+
+def test_schedule_is_evaluated_once_per_command(tmp_path, monkeypatch):
+    # A time-varying run evaluates each coefficient once per emission time,
+    # when the config is validated; the loop and every audit read those rows.
+    cfg = demo_config(3000)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_config_dict()))
+    calls, coef_eval = [0], plant_sim.coef_eval
+
+    def counted(spec, t):
+        calls[0] += 1
+        return coef_eval(spec, t)
+
+    monkeypatch.setattr(plant_sim, "coef_eval", counted)
+    want = (cfg.n + cfg.m + 1) * cfg.steps
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out), "--verify"]) == 0
+    assert calls[0] == want == 12_000
+    calls[0] = 0
+    assert main(["verify", "--trace", str(out / "trace.csv")]) == 0
+    assert calls[0] == want

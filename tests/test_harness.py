@@ -214,6 +214,22 @@ class TestConfigRoundTrip:
     def test_time_varying_schedule(self):
         self.roundtrip(demo_config())
 
+    def test_validated_rows_are_kept(self):
+        # Every consumer reads the rows validate_horizon checked; they are
+        # read-only and stay out of ==, hash and repr.
+        cfg = demo_config(300)
+        a, b = cfg.plant_rows
+        want_a, want_b = cfg.schedule.coeff_rows(np.arange(cfg.t0, cfg.t0 + cfg.steps))
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+        with pytest.raises(ValueError, match="read-only"):
+            b[0, 0] = 0.0
+        back = config_from_dict(cfg.to_config_dict())
+        assert back.plant_rows is not cfg.plant_rows
+        assert back == cfg and hash(back) == hash(cfg)
+        assert "plant_rows" not in repr(cfg)
+        assert len(replace(cfg, steps=200).plant_rows[0]) == 200
+        assert [len(rows) for rows in make_config().plant_rows] == [1, 1]
+
     def test_delta_serialized_as_inf_string(self):
         doc = make_config().to_config_dict()
         assert doc["estimator"]["delta"] == "inf"
