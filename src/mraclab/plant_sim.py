@@ -18,7 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -86,6 +86,13 @@ class KindSpec:
         except (KeyError, TypeError):
             raise ValueError(f"unknown {cls.NOUN} kind {kind!r}") from None
 
+    def _check_fields(self) -> None:
+        """Reject a value other than the class default in a field the kind does not read."""
+        used = {name for name, _, _ in self.fields_of(self.kind)} | {"kind"}
+        for f in fields(self):
+            if f.name not in used and getattr(self, f.name) != f.default:
+                raise ValueError(f"field {f.name!r} is not used by {self.NOUN} kind {self.kind!r}")
+
     def to_doc(self) -> dict:
         doc = {"kind": self.kind}
         for name, _, _ in self.fields_of(self.kind):
@@ -130,8 +137,8 @@ class SignalSpec(KindSpec):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.fields_of(self.kind)
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        self._check_fields()
         if self.kind == "square_wave" and self.period < 1:
             raise ValueError("square_wave needs period >= 1")
         if self.kind == "windowed_sinusoid" and self.t_end < self.t_start:
@@ -246,9 +253,9 @@ class CoefSpec(KindSpec):
     t_start: int = 0
 
     def __post_init__(self) -> None:
-        self.fields_of(self.kind)
         object.__setattr__(self, "times", tuple(int(v) for v in self.times))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        self._check_fields()
         if self.kind == "sinusoid" and self.trig not in ("cos", "sin"):
             raise ValueError("sinusoid coefficient needs trig in {'cos', 'sin'}")
         if self.kind == "piecewise":

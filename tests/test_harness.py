@@ -35,6 +35,7 @@ from mraclab.harness import CHECK_TOL, _csv_header
 from mraclab.plant_sim import (
     CoefficientSchedule,
     CoefSpec,
+    SignalSpec,
     constant_signal,
     sinusoid,
     square_wave,
@@ -377,6 +378,21 @@ class TestSpecKinds:
         msg = "plant.schedule.a[0]: unknown coefficient kind 'sawtooth'"
         with pytest.raises(ConfigError, match=re.escape(msg)):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: SignalSpec(kind="zero", amplitude=5.0), "amplitude"),
+            (lambda: CoefSpec(kind="constant", value=1.0, amplitude=2.0), "amplitude"),
+            (lambda: replace(demo_config(200), r=replace(demo_config(200).r, rate=3.0)), "rate"),
+        ],
+        ids=["zero_signal", "constant_coefficient", "replaced_square_wave"],
+    )
+    def test_field_outside_the_kind_is_rejected(self, make, name):
+        # to_doc writes only the kind's fields: such a value would drop out of
+        # the document and the config hash, and break the round trip.
+        with pytest.raises(ValueError, match=f"field '{name}' is not used by"):
+            make()
 
     def test_bare_number_is_a_constant_coefficient(self):
         doc = coef_config(CoefSpec.const(-0.5)).to_config_dict()
