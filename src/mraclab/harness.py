@@ -245,8 +245,12 @@ class ExperimentConfig:
         return doc
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_config_dict(), sort_keys=True, allow_nan=False)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return _document_hash(self.to_config_dict())
+
+
+def _document_hash(doc: dict) -> str:
+    blob = json.dumps(doc, sort_keys=True, allow_nan=False)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _too_long(steps: int) -> ConfigError:
@@ -1002,9 +1006,10 @@ def build_summary(trace: Trace, report: VerificationReport | None = None) -> dic
     in_box = bool(
         np.all(trace.theta_hat >= lo - 1e-12) and np.all(trace.theta_hat <= hi + 1e-12)
     )
+    doc = cfg.to_config_dict()
     summary = {
-        "config": cfg.to_config_dict(),
-        "config_hash": cfg.config_hash(),
+        "config": doc,
+        "config_hash": _document_hash(doc),
         "rows": trace.rows,
         "t_range": [trace.t0, trace.t_end],
         "tracking": {
@@ -1029,13 +1034,15 @@ def build_summary(trace: Trace, report: VerificationReport | None = None) -> dic
 
 def write_outputs(trace: Trace, out_dir, report: VerificationReport | None = None) -> dict:
     """Write trace.csv, summary.json, and plot.gp into out_dir; return the paths."""
+    return _write_artifacts(trace, out_dir, build_summary(trace, report))
+
+
+def _write_artifacts(trace: Trace, out_dir, summary: dict) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"trace": out / "trace.csv", "summary": out / "summary.json", "plot": out / "plot.gp"}
     write_trace_csv(trace, paths["trace"])
-    paths["summary"].write_text(
-        json.dumps(build_summary(trace, report), indent=2, allow_nan=False) + "\n"
-    )
+    paths["summary"].write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
     write_plot_script(trace, paths["plot"])
     return paths
 
@@ -1092,7 +1099,7 @@ def reproduce_example(out_dir=None) -> tuple[Trace, dict]:
     """
     cfg = demo_config()
     trace = run_closed_loop(cfg)
-    rep = check_prop1(trace)
+    summary = build_summary(trace, check_prop1(trace))
     if out_dir is not None:
-        write_outputs(trace, out_dir, rep)
-    return trace, build_summary(trace, rep)
+        _write_artifacts(trace, out_dir, summary)
+    return trace, summary

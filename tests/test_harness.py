@@ -897,6 +897,13 @@ class TestShowcase:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_config_document_built_once(self, tmp_path, monkeypatch):
+        # One summary per reproduce, and its hash is taken from its own document.
+        calls, to_doc = [], ExperimentConfig.to_config_dict
+        monkeypatch.setattr(ExperimentConfig, "to_config_dict", lambda c: calls.append(c) or to_doc(c))
+        reproduce_example(tmp_path)
+        assert len(calls) == 1
+
     def test_disturbance_window_visible_in_rms(self, tmp_path):
         _, summary = reproduce_example()
         rms = summary["tracking"]
