@@ -16,7 +16,9 @@ projection estimator and the adaptive loop are supposed to have:
 
 Trace columns are exact re-loadable decimals, so a saved run can be audited
 later without re-simulation. A Trace carries its ExperimentConfig, whose
-document and hash are built only when a summary is written. Regressors
+document and hash are built only when a summary is written. The config
+keeps the coefficient rows it validated; the loop and every audit read
+those rows rather than evaluating the schedule again. Regressors
 are not stored: the checks derive them from x0 and the y/u columns through
 controller.history and work on whole columns at once. Consistency checks
 re-derive every column from its recursion or config signal, so edits show

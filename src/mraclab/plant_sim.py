@@ -9,7 +9,8 @@ Conventions used throughout the package:
 * The disturbance sample w(t) enters the output emitted at the same index:
   y(t+1) is produced with w(t+1).
 * Time-varying coefficients are sampled at emission time: producing y(t+1)
-  from data up to time t uses a_i(t), b_i(t).
+  from data up to time t uses a_i(t), b_i(t). validate_horizon returns the
+  rows it checked, and the experiment config keeps them for every consumer.
 * Signals are pure functions of (spec, t) - evaluating one sample never
   depends on the horizon or on previous evaluations, so every run is
   reproducible sample-by-sample.
