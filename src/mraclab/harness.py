@@ -760,10 +760,13 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     owns which column), so any edit to a stored value shows up as a residual.
     Residual margins are CHECK_TOL - max |res| / (1 + sum |terms|), the terms
     being the parts of the re-derived value, so they do not depend on units.
+    A trace must span the config's horizon, whose coefficient rows it reads.
     """
     rep = VerificationReport()
     n, m, d = cfg.n, cfg.m, cfg.d
-    T = trace.rows - 1
+    T = cfg.steps
+    if trace.rows != T + 1:
+        raise ValueError(f"trace has {trace.rows} rows; the configuration's horizon has {T + 1}")
     times = cfg.t0 + np.arange(T + 1)
     h, l_coeffs = cfg.ref.H.coeffs, cfg.ref.L.coeffs
     hist = history(cfg.x0, trace.y, trace.u, n, m, d)
@@ -820,7 +823,7 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
 
     # Time index, exogenous inputs, and the reference recursion
     # y*(t) = ybar*(t) - sum_{j>=1} l_j y*(t-j), at rest before t0.
-    bad = np.count_nonzero(trace.t != times) + abs(trace.rows - (cfg.steps + 1))
+    bad = np.count_nonzero(trace.t != times)
     rep.add("consistency_time_index", -float(bad), f"t = {cfg.t0} .. {cfg.t0 + cfg.steps}", tol=0.0)
     worst = max(_relative(trace.r - r_cfg, r_cfg), _relative(trace.w - w_cfg, w_cfg))
     rep.add("consistency_exogenous_signals", CHECK_TOL - worst, tol=0.0)

@@ -607,6 +607,15 @@ class TestChecks:
         failed = {c.name for c in rep.checks if not c.passed}
         assert failed == {"consistency_reference_recursion"}
 
+    @pytest.mark.parametrize("make", [lambda: make_config(steps=60), lambda: demo_config(60)],
+                             ids=["constant", "time_varying"])
+    def test_consistency_needs_the_configs_horizon(self, make):
+        cfg = make()
+        tr = run_closed_loop(cfg)
+        short = Trace(**{k: v[:-1] if isinstance(v, np.ndarray) else v for k, v in tr.__dict__.items()})
+        with pytest.raises(ValueError, match="trace has 60 rows; the configuration's horizon has 61"):
+            check_trace_consistency(short, cfg)
+
     def test_verdicts_do_not_depend_on_units(self):
         # The system is linear: r, w and x0 in other units scale every signal
         # alike, and every check must keep its verdict. The time-varying
