@@ -225,7 +225,6 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="read-only"):
             b[0, 0] = 0.0
         back = config_from_dict(cfg.to_config_dict())
-        assert back.plant_rows is not cfg.plant_rows
         assert back == cfg and hash(back) == hash(cfg)
         assert "plant_rows" not in repr(cfg)
         assert len(replace(cfg, steps=200).plant_rows[0]) == 200
@@ -612,9 +611,10 @@ class TestChecks:
     def test_consistency_needs_the_configs_horizon(self, make):
         cfg = make()
         tr = run_closed_loop(cfg)
-        short = Trace(**{k: v[:-1] if isinstance(v, np.ndarray) else v for k, v in tr.__dict__.items()})
-        with pytest.raises(ValueError, match="trace has 60 rows; the configuration's horizon has 61"):
-            check_trace_consistency(short, cfg)
+        cols = {k: v[:-1] if isinstance(v, np.ndarray) else v for k, v in tr.__dict__.items()}
+        msg = "trace has 60 rows; the configuration's horizon has 61"
+        with pytest.raises(ValueError, match=msg):
+            check_trace_consistency(Trace(**cols), cfg)
 
     def test_verdicts_do_not_depend_on_units(self):
         # The system is linear: r, w and x0 in other units scale every signal
@@ -909,7 +909,8 @@ class TestShowcase:
     def test_config_document_built_once(self, tmp_path, monkeypatch):
         # One summary per reproduce, and its hash is taken from its own document.
         calls, to_doc = [], ExperimentConfig.to_config_dict
-        monkeypatch.setattr(ExperimentConfig, "to_config_dict", lambda c: calls.append(c) or to_doc(c))
+        counted = lambda cfg: calls.append(cfg) or to_doc(cfg)
+        monkeypatch.setattr(ExperimentConfig, "to_config_dict", counted)
         reproduce_example(tmp_path)
         assert len(calls) == 1
 
