@@ -276,14 +276,22 @@ def _specs(cls, doc, fieldpath: str) -> tuple:
     return tuple(_spec(cls, c, f"{fieldpath}[{i}]") for i, c in enumerate(doc))
 
 
-def _section(doc: dict, key: str, fieldpath: str, default=None) -> dict:
-    """doc[key], which must be an object; a missing section is an error unless it has a default."""
+def _known(doc: dict, keys: tuple[str, ...], fieldpath: str) -> None:
+    """Reject a key that the parser does not read: a misspelled field would fall back to its default."""
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"{fieldpath}.{key}" if fieldpath else str(key), "unknown field")
+
+
+def _section(doc: dict, key: str, fieldpath: str, keys: tuple[str, ...], default=None) -> dict:
+    """doc[key], an object with no keys but these; a missing section is an error unless it has a default."""
     if key not in doc:
         if default is None:
             raise ConfigError(fieldpath, "missing section")
         return default
     if not isinstance(doc[key], dict):
         raise ConfigError(fieldpath, "expected an object")
+    _known(doc[key], keys, fieldpath)
     return doc[key]
 
 
@@ -305,9 +313,10 @@ def _floats(doc, fieldpath: str) -> tuple[float, ...]:
 
 
 def _pair(doc, keys: tuple[str, str], fieldpath: str) -> tuple:
-    """The two arrays of numbers doc[keys[0]], doc[keys[1]]; doc must be an object."""
+    """The two arrays of numbers doc[keys[0]], doc[keys[1]]; doc must be an object with just these."""
     if not isinstance(doc, dict):
         raise ConfigError(fieldpath, f"expected an object with {keys[0]!r} and {keys[1]!r}")
+    _known(doc, keys, fieldpath)
     for key in keys:
         if key not in doc:
             raise ConfigError(fieldpath, f"missing field {key!r}")
@@ -331,15 +340,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigError("config", "top level must be an object")
-    plant = _section(doc, "plant", "plant")
-    ref_doc = _section(doc, "reference", "reference")
-    est = _section(doc, "estimator", "estimator")
-    sim = _section(doc, "sim", "sim")
-    signals = _section(doc, "signals", "signals", default={})
+    _known(doc, ("plant", "reference", "estimator", "sim", "signals", "label"), "")
+    # plant.a and plant.b beside a schedule are its first row, as to_config_dict writes them.
+    plant = _section(doc, "plant", "plant", ("a", "b", "d", "schedule"))
+    ref_doc = _section(doc, "reference", "reference", ("L", "H"))
+    est = _section(doc, "estimator", "estimator", ("delta", "box", "s_ab_box", "samples", "margin"))
+    sim = _section(doc, "sim", "sim", ("t0", "steps", "seed", "x0", "theta0"))
+    signals = _section(doc, "signals", "signals", ("r", "w"), default={})
     d = _number(int, plant, "d", "plant.d")
 
     if "schedule" in plant:
-        sched = _section(plant, "schedule", "plant.schedule")
+        sched = _section(plant, "schedule", "plant.schedule", ("a", "b"))
         a_specs = _specs(CoefSpec, sched.get("a", []), "plant.schedule.a")
         b_specs = _specs(CoefSpec, sched.get("b", []), "plant.schedule.b")
         if not b_specs:
@@ -868,16 +879,16 @@ def fit_decay_bound(trace: Trace, lam: float, floor: float | None = None) -> flo
         )
     env = float(np.linalg.norm(np.array(trace.cfg.x0)))
     c = 0.0
-    for k in range(trace.rows):
-        drive = abs(trace.r[k]) + abs(trace.w[k])
-        env = env + drive if k == 0 else lam * env + drive
+    drive = np.abs(trace.r) + np.abs(trace.w)
+    for k, (dk, norm_phi) in enumerate(zip(drive.tolist(), trace.norm_phi.tolist())):
+        env = env + dk if k == 0 else lam * env + dk
         if env <= 0.0:
-            if trace.norm_phi[k] > 0.0:
+            if norm_phi > 0.0:
                 raise ValueError(
                     f"degenerate fit at t = {trace.t0 + k}: zero envelope, nonzero signal"
                 )
             continue
-        c = max(c, float(trace.norm_phi[k]) / env)
+        c = max(c, norm_phi / env)
     return c
 
 

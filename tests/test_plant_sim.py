@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from mraclab import plant_sim
 from mraclab.controller import loop_start, x0_length
-from mraclab.harness import config_from_dict
+from mraclab.harness import check_trace_consistency, config_from_dict, ground_truth, run_closed_loop
 from mraclab.poly import PolyZ, predictor_split
 from mraclab.system import AdmissibilityError, PlantParams, ReferenceModel, to_predictor_params
 from mraclab.plant_sim import (
@@ -103,6 +104,19 @@ class TestSignals:
             windowed_sinusoid(10, 5, 1.0, 1.0)
         with pytest.raises(ValueError):
             table_signal([])
+
+    def test_white_noise_is_read_without_signal_eval(self, monkeypatch):
+        # The run, its audit and its ground truth read the README config's
+        # white-noise w as whole columns; its square-wave r is still sampled.
+        cfg = config_from_dict(README_CONFIG)
+        sampled, sample = [], plant_sim.signal_eval
+        monkeypatch.setattr(
+            plant_sim, "signal_eval", lambda spec, t: sampled.append(spec) or sample(spec, t)
+        )
+        check_trace_consistency(run_closed_loop(cfg), cfg)
+        ground_truth(cfg)
+        assert cfg.w.kind == "white_noise" and cfg.r in sampled
+        assert cfg.w not in sampled
 
 
 class TestCoefSpecs:

@@ -1,7 +1,7 @@
 """Property tests: every admissible constant plant passes the audit and round-trips,
 the estimator's scalar sums match the audits' column sums bit for bit, configs
 survive their document form, the admissibility test agrees with the root
-moduli, and the predictor split is exact."""
+moduli, the predictor split is exact, and a signal's column is its samples."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mraclab.estimator import _dot, deadzone_flag, prediction_error
@@ -27,7 +28,19 @@ from mraclab.harness import (
     write_trace_csv,
 )
 from mraclab.harness import _weighted
-from mraclab.plant_sim import CoefficientSchedule, square_wave, white_noise
+from mraclab.plant_sim import (
+    SIGNAL_KINDS,
+    CoefficientSchedule,
+    constant_signal,
+    signal_eval,
+    signal_rows,
+    sinusoid,
+    square_wave,
+    table_signal,
+    white_noise,
+    windowed_sinusoid,
+    zero_signal,
+)
 from mraclab.poly import PolyZ, max_root_moduli, poly_mul, predictor_split
 from mraclab.system import (
     ParamBox,
@@ -189,3 +202,59 @@ def test_predictor_split_is_exact(n, d, data):
     lhs = np.zeros(size)
     lhs[: len(L.coeffs)] = L.coeffs
     np.testing.assert_allclose(rhs, lhs, rtol=0, atol=1e-12)
+
+
+# Integers a SignalSpec accepts that int64 cannot hold, or whose neighbourhood overflows it.
+HUGE = (10**30, -(10**30), 2**63 - 3, -(2**63) - 1, 2**63 + 5)
+
+
+@st.composite
+def signal_specs(draw, kind: str):
+    """A spec of the kind; its start and seed may be HUGE."""
+    amp, rate = draw(unit(-5.0, 5.0)), draw(unit(-2.0, 2.0))
+    start = draw(st.integers(-700, 700) | st.sampled_from(HUGE))
+    if kind == "zero":
+        return zero_signal()
+    if kind == "constant":
+        return constant_signal(draw(st.just(amp) | st.integers(-5, 5)))
+    if kind == "square_wave":
+        return square_wave(draw(st.integers(1, 50)), amp, draw(unit(-20.0, 20.0)))
+    if kind == "sinusoid":
+        return sinusoid(amp, rate, draw(unit(-3.0, 3.0)))
+    if kind == "windowed_sinusoid":
+        return windowed_sinusoid(start, start + draw(st.integers(0, 300)), amp, rate)
+    if kind == "table":
+        return table_signal(draw(st.lists(unit(-5.0, 5.0), min_size=1, max_size=20)), t_start=start)
+    return white_noise(amp, seed=draw(st.integers(0, 99) | st.sampled_from((-1,) + HUGE)))
+
+
+@st.composite
+def time_axes(draw, around: int):
+    """Consecutive times as an array, a range or a list, or scattered times. Consecutive
+    times may start negative or past int64, be empty, and cross noise-block edges (at
+    multiples of 512) or the edges of a spec that starts at around."""
+    start = draw(
+        st.integers(around - 40, around)
+        | st.integers(-1100, 1100)
+        | st.sampled_from((-(2**63), 2**63 - 1300, 10**30))
+    )
+    stop = start + draw(st.integers(0, 700))
+    return draw(st.sampled_from([
+        np.arange(start, stop),
+        range(start, stop),
+        list(range(start, stop)),
+        draw(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=5)),
+        draw(st.lists(st.integers(-(2**64), 2**64), max_size=5)),
+    ]))
+
+
+@pytest.mark.parametrize("kind", SIGNAL_KINDS)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_signal_rows_are_signal_eval_bit_for_bit(kind, data):
+    spec = data.draw(signal_specs(kind))
+    times = data.draw(time_axes(spec.t_start))
+    column = signal_rows(spec, times)
+    samples = np.array([signal_eval(spec, int(t)) for t in times], dtype=float)
+    assert column.dtype == samples.dtype and column.shape == samples.shape
+    assert column.tobytes() == samples.tobytes()
