@@ -44,11 +44,8 @@ EXIT_NUMERIC = 3
 
 
 def _load_json(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError("config", f"no such file: {path}")
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(Path(path).read_text())  # a missing file is an OSError, reported by main
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}")
     if not isinstance(doc, dict):
@@ -220,7 +217,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericAbort as exc:

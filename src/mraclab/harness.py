@@ -97,6 +97,7 @@ __all__ = [
 ]
 
 OVERFLOW_LIMIT = 1e100
+MAX_TIME = 2**53  # |t| bound on a run's times: the trace's float t column holds each exactly
 CHECK_TOL = 1e-9
 IDENTITY_TOL = 1e-8
 
@@ -200,9 +201,11 @@ class ExperimentConfig:
                 "sim.steps",
                 f"horizon must cover at least n' + 2d = {self.ref.order + 2 * d} steps",
             )
+        if not -MAX_TIME <= self.t0 <= MAX_TIME:
+            raise ConfigError("sim.t0", f"must lie within +-2^53, got {self.t0}")
+        if self.t0 + self.steps > MAX_TIME:
+            raise ConfigError("sim.steps", f"t0 + steps = {self.t0 + self.steps} passes 2^53")
         try:
-            if self.steps >= np.iinfo(np.intp).max // 8:  # past numpy's largest float64 column
-                raise MemoryError
             rows = self.schedule.validate_horizon(self.t0, self.steps)
         except AdmissibilityError as exc:
             raise ConfigError("plant.schedule", str(exc)) from exc
@@ -515,11 +518,10 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     n, m, d = cfg.n, cfg.m, cfg.d
     p, T, L = cfg.dim_theta, cfg.steps, cfg.ref.L
     try:
-        times = np.arange(cfg.t0, cfg.t0 + T + 1)
         theta_hat, rho = np.zeros((T + 1, p)), np.zeros(T + 1, dtype=int)
-    except MemoryError:  # a horizon numpy can address but no memory can hold
+    except (MemoryError, ValueError):  # a horizon no memory holds, or past numpy's address space
         raise _too_long(T) from None
-    r, w = signal_rows(cfg.r, times), signal_rows(cfg.w, times)
+    r, w = signal_rows(cfg.r, cfg.t0, T + 1), signal_rows(cfg.w, cfg.t0, T + 1)
     y_star, ybar_star, target = reference_outputs(cfg.ref, r)
     coeffs = list(zip(*(rows.tolist() for rows in cfg.plant_rows)))  # (a, b) per emission time
     if len(coeffs) == 1:  # a constant plant has one row
@@ -552,7 +554,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     y, u = np.array(y[start.lead :]), np.array(u[start.lead :])
     phi = history(cfg.x0, y, u, n, m, d).phi(0, T + 1)
     trace = Trace(
-        t=times,
+        t=np.arange(cfg.t0, cfg.t0 + T + 1),
         y=y,
         y_star=y_star,
         u=u,
@@ -778,10 +780,9 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     T = cfg.steps
     if trace.rows != T + 1:
         raise ValueError(f"trace has {trace.rows} rows; the configuration's horizon has {T + 1}")
-    times = cfg.t0 + np.arange(T + 1)
     h, l_coeffs = cfg.ref.H.coeffs, cfg.ref.L.coeffs
     hist = history(cfg.x0, trace.y, trace.u, n, m, d)
-    r_cfg, w_cfg = signal_rows(cfg.r, times), signal_rows(cfg.w, times)
+    r_cfg, w_cfg = signal_rows(cfg.r, cfg.t0, T + 1), signal_rows(cfg.w, cfg.t0, T + 1)
     r_ext = hist.at_rest(r_cfg)
 
     # Plant recursion: y(t+1) from schedule, history, and w(t+1).
@@ -834,7 +835,7 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
 
     # Time index, exogenous inputs, and the reference recursion
     # y*(t) = ybar*(t) - sum_{j>=1} l_j y*(t-j), at rest before t0.
-    bad = np.count_nonzero(trace.t != times)
+    bad = np.count_nonzero(trace.t != cfg.t0 + np.arange(T + 1))
     rep.add("consistency_time_index", -float(bad), f"t = {cfg.t0} .. {cfg.t0 + cfg.steps}", tol=0.0)
     worst = max(_relative(trace.r - r_cfg, r_cfg), _relative(trace.w - w_cfg, w_cfg))
     rep.add("consistency_exogenous_signals", CHECK_TOL - worst, tol=0.0)

@@ -14,10 +14,11 @@ Conventions used throughout the package:
 * Signals are pure functions of (spec, t) - evaluating one sample never
   depends on the horizon or on previous evaluations, so every run is
   reproducible sample-by-sample. signal_eval is that definition. The run
-  and the audits take whole columns from signal_rows, which reads the
-  stored-sample kinds (zero, constant, table, white_noise) as array
-  expressions pinned bit for bit to signal_eval, and samples the others
-  through it.
+  and the audits sample a horizon t0 .. t0 + count - 1 at once:
+  signal_rows reads the stored-sample kinds (zero, constant, table,
+  white_noise) as array slices pinned bit for bit to signal_eval and
+  samples the others through it, and CoefficientSchedule.coeff_rows
+  fills the coefficient rows through coef_eval.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -104,6 +104,12 @@ class KindSpec:
             if f.name not in used and getattr(self, f.name) != f.default:
                 raise ValueError(f"field {f.name!r} is not used by {self.NOUN} kind {self.kind!r}")
 
+    def _check_finite(self) -> None:
+        """Reject a NaN or an infinity in a number or a tuple of numbers that the kind reads."""
+        for name, convert, _ in self.fields_of(self.kind):
+            if convert in (float, tuple) and not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"field {name!r}: must be finite")
+
     def to_doc(self) -> dict:
         doc = {"kind": self.kind}
         for name, _, _ in self.fields_of(self.kind):
@@ -154,6 +160,7 @@ class SignalSpec(KindSpec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         self._check_fields()
+        self._check_finite()
         if self.kind == "square_wave" and self.period < 1:
             raise ValueError("square_wave needs period >= 1")
         if self.kind == "windowed_sinusoid" and self.t_end < self.t_start:
@@ -198,12 +205,14 @@ def white_noise(amplitude: float, seed: int = 0) -> SignalSpec:
 
 
 @lru_cache(maxsize=8192)
-def _noise_block(seed: int, block: int) -> tuple[float, ...]:
+def _noise_block(seed: int, block: int) -> np.ndarray:
+    """The block's _NOISE_BLOCK uniform samples on [-1, 1], read-only as the cache shares them."""
     # Zig-zag encode the (possibly negative) block index and seed, since
     # seed sequences only accept non-negative integers.
     enc = tuple(2 * v if v >= 0 else -2 * v - 1 for v in (seed, block))
-    rng = np.random.default_rng((0x9E3779B9,) + enc)
-    return tuple(rng.uniform(-1.0, 1.0, _NOISE_BLOCK))
+    noise = np.random.default_rng((0x9E3779B9,) + enc).uniform(-1.0, 1.0, _NOISE_BLOCK)
+    noise.flags.writeable = False
+    return noise
 
 
 def signal_eval(spec: SignalSpec, t: int) -> float:
@@ -231,56 +240,39 @@ def signal_eval(spec: SignalSpec, t: int) -> float:
         return 0.0
     if kind == "white_noise":
         block, offset = divmod(t, _NOISE_BLOCK)
-        return spec.amplitude * _noise_block(spec.seed, block)[offset]
+        return spec.amplitude * float(_noise_block(spec.seed, block)[offset])
     raise ValueError(f"unknown signal kind {kind!r}")
 
 
-def signal_rows(spec: SignalSpec, times) -> np.ndarray:
-    """signal_eval at each of an array of times, the same samples a run takes.
+def signal_rows(spec: SignalSpec, t0: int, count: int) -> np.ndarray:
+    """signal_eval at t = t0 .. t0 + count - 1, the samples a run takes over its horizon.
 
     The stored-sample kinds (zero, constant, table, white_noise) are read as
-    whole columns; each sample is a stored number, or amplitude times a stored
+    array slices; each sample is a stored number, or amplitude times a stored
     noise value in one IEEE multiply, so the column equals signal_eval's bit
     for bit. square_wave, sinusoid and windowed_sinusoid stay sample by
     sample: the benchmark's tracer test counts signal_eval calls inside a
     run on a square wave, and np.cos is not guaranteed to round as math.cos
-    on every CPU.
+    on every CPU. Index arithmetic is on Python ints, so no start overflows.
     """
-    t = np.asarray(times)
-    column = None
-    # Times numpy holds as signed integers are exact; other times (floats, or
-    # Python ints past int64) go through int() one by one, as signal_eval's do.
-    if spec.kind in ("zero", "constant", "table", "white_noise") and t.dtype.kind == "i":
-        try:
-            column = _stored_rows(spec, t)
-        except OverflowError:  # the table's start lies outside the times' integer type
-            pass
-    if column is None:
-        column = np.array([signal_eval(spec, int(s)) for s in times], dtype=float)
-    return column
-
-
-def _stored_rows(spec: SignalSpec, t: np.ndarray) -> np.ndarray | None:
-    """A stored-sample kind's column; None for times spread over more noise blocks than samples."""
     if spec.kind == "zero":
-        return np.zeros(len(t))
+        return np.zeros(count)
     if spec.kind == "constant":
-        return np.full(len(t), spec.level, dtype=float)
+        return np.full(count, spec.level, dtype=float)
     if spec.kind == "table":
-        out = np.zeros(len(t))
-        inside = (t >= spec.t_start) & (t < spec.t_start + len(spec.values))
-        out[inside] = np.array(spec.values)[t[inside] - spec.t_start]
+        out = np.zeros(count)
+        lo, hi = max(t0, spec.t_start), min(t0 + count, spec.t_start + len(spec.values))
+        if lo < hi:
+            out[lo - t0 : hi - t0] = spec.values[lo - spec.t_start : hi - spec.t_start]
         return out
-    if not len(t):
-        return np.zeros(0)
-    first, last = int(t.min()) // _NOISE_BLOCK, int(t.max()) // _NOISE_BLOCK
-    if last - first >= len(t):
-        return None
-    blocks = (_noise_block(spec.seed, b) for b in range(first, last + 1))
-    noise = np.fromiter(chain.from_iterable(blocks), float, (last - first + 1) * _NOISE_BLOCK)
-    # Sample t is noise[t - first * _NOISE_BLOCK]: block t // _NOISE_BLOCK (floored, as
-    # signal_eval's divmod) at offset t % _NOISE_BLOCK, counted from the first block.
-    return spec.amplitude * noise[t - first * _NOISE_BLOCK]
+    if spec.kind == "white_noise":
+        # Sample t is block t // _NOISE_BLOCK (floored, as signal_eval's divmod) at
+        # offset t % _NOISE_BLOCK; the blocks from t0's on are laid end to end.
+        first, offset = divmod(t0, _NOISE_BLOCK)
+        last = (t0 + max(count, 1) - 1) // _NOISE_BLOCK
+        noise = np.concatenate([_noise_block(spec.seed, b) for b in range(first, last + 1)])
+        return spec.amplitude * noise[offset : offset + count]
+    return np.array([signal_eval(spec, t) for t in range(t0, t0 + count)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -314,8 +306,10 @@ class CoefSpec(KindSpec):
         object.__setattr__(self, "times", tuple(int(v) for v in self.times))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         self._check_fields()
-        if self.kind == "sinusoid" and self.trig not in ("cos", "sin"):
-            raise ValueError("sinusoid coefficient needs trig in {'cos', 'sin'}")
+        if self.kind == "sinusoid":
+            self._check_finite()  # other kinds' non-finite values fail validate_horizon at a time
+            if self.trig not in ("cos", "sin"):
+                raise ValueError("sinusoid coefficient needs trig in {'cos', 'sin'}")
         if self.kind == "piecewise":
             if len(self.times) != len(self.values) or not self.values:
                 raise ValueError("piecewise coefficient needs matching times/values")
@@ -394,11 +388,17 @@ class CoefficientSchedule:
     def is_constant(self) -> bool:
         return all(s.kind == "constant" for s in self.a + self.b)
 
-    def coeff_rows(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """Unchecked a, b values per time as (len, n) and (len, m+1) arrays; one row if constant."""
-        times = [int(t) for t in (times[:1] if self.is_constant() else times)]
-        ab = np.array([[coef_eval(s, t) for t in times] for s in self.a + self.b], dtype=float)
-        ab = ab.reshape(self.n + self.m + 1, len(times)).T
+    def coeff_rows(self, t0: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Unchecked a, b values at t = t0 .. t0 + count - 1 as (count, n) and (count, m+1)
+        arrays; a constant plant has at most one row."""
+        if self.is_constant():
+            count = min(count, 1)
+        try:  # a horizon no memory holds fails here, before any evaluation
+            ab = np.empty((count, self.n + self.m + 1))
+        except ValueError:  # numpy's refusal of more bytes than it can address
+            raise MemoryError from None
+        for j, spec in enumerate(self.a + self.b):
+            ab[:, j] = [coef_eval(spec, t) for t in range(t0, t0 + count)]
         return ab[:, : self.n], ab[:, self.n :]
 
     def validate_horizon(self, t0: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -409,7 +409,7 @@ class CoefficientSchedule:
         row raises its reason, or the sign error if b0 flips first. Returns the
         checked rows read-only; a constant plant's one row (t0) needs no horizon.
         """
-        a, b = self.coeff_rows([t0] if self.is_constant() else np.arange(t0, t0 + max(steps, 1)))
+        a, b = self.coeff_rows(t0, max(steps, 1))
         bad = first_inadmissible(a, b)
         flips = np.flatnonzero(np.copysign(1.0, b[:, 0]) != math.copysign(1.0, b[0, 0]))
         if len(flips) and flips[0] < (bad[0] if bad else len(b)):
@@ -444,7 +444,7 @@ def wbar_sequence(F, w: SignalSpec, t0: int, T: int) -> np.ndarray:
     """
     f = tuple(float(c) for c in getattr(F, "coeffs", F))
     d = len(f)
-    w_rows = signal_rows(w, np.arange(t0, t0 + T + d + 1))  # w(t0) .. w(t0 + T + d)
+    w_rows = signal_rows(w, t0, T + d + 1)  # w(t0) .. w(t0 + T + d)
     out = np.zeros(T + 1)  # term by term from +0.0, as a per-row sum adds them
     for i, c in enumerate(f):
         out = out + c * w_rows[d - i : d - i + T + 1]

@@ -116,6 +116,31 @@ class TestRun:
         assert rc == 2
         assert capsys.readouterr().err == f"error: sim.steps: {steps} steps cannot be allocated\n"
 
+    @pytest.mark.parametrize(
+        "t0, steps, fieldpath",
+        [(2**60, 400, "sim.t0"), (10**30, 400, "sim.t0"), (2**53 - 399, 400, "sim.steps")],
+        ids=["2^60", "10^30", "past_2^53"],
+    )
+    def test_time_past_the_bound_is_a_config_error(self, tmp_path, capsys, t0, steps, fieldpath):
+        # A trace's t column is float64, exact only up to 2^53.
+        doc = json.loads(json.dumps(README_CONFIG))
+        doc["sim"].update(t0=t0, steps=steps)
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {fieldpath}:")
+
+    @pytest.mark.parametrize("t0", [2**53 - 400, -(2**53)], ids=["last", "first"])
+    def test_trace_at_the_time_bound_is_audited(self, tmp_path, capsys, t0):
+        doc = json.loads(json.dumps(README_CONFIG))
+        doc["sim"].update(t0=t0, steps=400)
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--verify"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(tmp_path / "o" / "trace.csv")]) == 0
+        assert "VERIFY PASS" in capsys.readouterr().out
+
 
 class TestVerify:
     def test_from_config(self, config_path, capsys):
@@ -255,6 +280,16 @@ class TestReproduce:
         capsys.readouterr()
         assert main(["verify", "--trace", str(out / "trace.csv")]) == 0
         assert "VERIFY PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "reproduce"])
+def test_output_path_that_is_a_file_is_a_file_error(config_path, tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("")
+    config = [] if command == "reproduce" else ["--config", str(config_path)]
+    assert main([command, *config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_schedule_is_evaluated_once_per_command(tmp_path, monkeypatch):

@@ -91,14 +91,14 @@ class TestReferenceOutputs:
         assert ahead.tolist() == [0.5]
 
     def test_pure_delay_tracks_r(self):
-        r = signal_rows(table_signal([5.0, 6.0, 7.0], t_start=0), range(4))
+        r = signal_rows(table_signal([5.0, 6.0, 7.0], t_start=0), 0, 4)
         y_star, now, _ = reference_outputs(REF_PASS, r)
         # y*(t) = r(t-1), with r = 0 before the start time.
         assert y_star.tolist() == [0.0, 5.0, 6.0, 7.0]
         assert now.tolist() == y_star.tolist()
 
     def test_recursion_matches_direct_filter(self):
-        r = signal_rows(white_noise(1.0, seed=5), range(60))
+        r = signal_rows(white_noise(1.0, seed=5), 0, 60)
         got, _, _ = reference_outputs(REF_2, r)
         # Oracle: run the recursion directly on zero-extended histories.
         ref_vals = [0.0] * 60
@@ -121,7 +121,7 @@ class TestControlInput:
 
     def test_demo_first_input_is_zero(self):
         start = loop_start([-1.0, -1.0, 0.0], n=2, m=1, d=1)
-        _, _, ahead = reference_outputs(REF_2, signal_rows(square_wave(period=200), [0]))
+        _, _, ahead = reference_outputs(REF_2, signal_rows(square_wave(period=200), 0, 1))
         theta = np.array([0.0, -0.5, 3.25, 0.0])
         u = control_input(theta, ahead[0], start.y.tolist(), start.u.tolist(), n=2, p=4)
         assert u == 0.0
@@ -136,7 +136,7 @@ class TestControlInput:
             x0 = rng.uniform(-2, 2, x0_length(n, m, d))
             start = loop_start(x0, n, m, d)
             y, u = start.y.tolist(), start.u.tolist()
-            _, _, ahead = reference_outputs(ref, signal_rows(white_noise(1.0, seed=71), range(40)))
+            _, _, ahead = reference_outputs(ref, signal_rows(white_noise(1.0, seed=71), 0, 40))
             theta = np.array([0.4, -0.2, 2.5, 0.3, 0.1])[: n + m + d]
             for t in range(40):
                 u.append(control_input(theta, ahead[t], y, u, n, n + m + d))

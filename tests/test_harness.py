@@ -109,6 +109,12 @@ MALFORMED = [
     ("sim.step", 10, "sim.step"),
     ("signals.v", {"kind": "zero"}, "signals.v"),
     ("signals.w.amplitud", 3.0, "signals.w: field 'amplitud'"),
+    ("signals.r", {"kind": "constant", "level": math.nan}, "signals.r: field 'level'"),
+    ("signals.w", {"kind": "white_noise", "amplitude": math.inf}, "signals.w: field 'amplitude'"),
+    ("signals.w.rate", math.inf, "signals.w: field 'rate'"),
+    ("signals", {"r": {"kind": "table", "values": [0.5, math.nan]}}, "signals.r: field 'values'"),
+    ("plant.schedule.a", [{"kind": "sinusoid", "amplitude": 2.0, "rate": math.inf}, 0.0],
+     "plant.schedule.a[0]: field 'rate'"),
 ]
 
 
@@ -229,7 +235,7 @@ class TestConfigRoundTrip:
         # read-only and stay out of ==, hash and repr.
         cfg = demo_config(300)
         a, b = cfg.plant_rows
-        want_a, want_b = cfg.schedule.coeff_rows(np.arange(cfg.t0, cfg.t0 + cfg.steps))
+        want_a, want_b = cfg.schedule.coeff_rows(cfg.t0, cfg.steps)
         assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
         with pytest.raises(ValueError, match="read-only"):
             b[0, 0] = 0.0
@@ -409,6 +415,14 @@ class TestSpecKinds:
 
 
 class TestRunClosedLoop:
+    def test_horizon_past_the_address_space_is_a_config_error(self):
+        # theta_hat's 64 columns of 2^54 + 1 rows pass 2^63 bytes, which numpy
+        # refuses with a ValueError rather than a MemoryError.
+        cfg = make_config(a=(-0.5,), b=(1.0,), d=63, L=(1.0,), H=(1.0,), pad=0.5,
+                          t0=-(2**53), steps=2**54)
+        with pytest.raises(ConfigError, match="^sim.steps: "):
+            run_closed_loop(cfg)
+
     def test_shapes_and_conventions(self):
         cfg = make_config(steps=150)
         tr = run_closed_loop(cfg)

@@ -97,6 +97,13 @@ class TestSignals:
         b = [signal_eval(white_noise(1.0, seed=2), t) for t in range(50)]
         assert a != b
 
+    def test_white_noise_blocks_are_read_only_arrays(self):
+        # The cache shares each block between calls, so none may write to it.
+        assert type(signal_eval(white_noise(0.5, seed=4), 1000)) is float
+        block = plant_sim._noise_block(4, 1)
+        assert block.dtype == np.float64 and block.shape == (512,)
+        assert not block.flags.writeable
+
     def test_rejects_bad_specs(self):
         with pytest.raises(ValueError):
             square_wave(period=0)
@@ -149,7 +156,7 @@ class TestCoefSpecs:
 
 class TestSchedule:
     def test_demo_values_at_zero(self):
-        a, b = demo_schedule().coeff_rows([0])
+        a, b = demo_schedule().coeff_rows(0, 1)
         np.testing.assert_allclose(a, [[2.0, 0.0]], rtol=0, atol=1e-15)
         np.testing.assert_allclose(b, [[1.5, -1.0]], rtol=0, atol=1e-15)
 
@@ -157,7 +164,7 @@ class TestSchedule:
         params = PlantParams(a=(0.3, -0.1), b=(2.0, 1.0), d=1)
         sched = CoefficientSchedule.constant(params)
         assert sched.is_constant()
-        a, b = sched.coeff_rows(np.arange(123, 200))
+        a, b = sched.coeff_rows(123, 77)
         assert PlantParams(a=a[0], b=b[0], d=sched.d) == params and len(a) == 1
 
     def test_demo_horizon_is_admissible(self):
@@ -167,6 +174,13 @@ class TestSchedule:
         # 10^15 emission times would need 8 PB; a constant plant checks t0 only.
         sched = CoefficientSchedule.constant(PlantParams(a=(-0.5,), b=(1.0, 0.3), d=1))
         sched.validate_horizon(0, 10**15)
+
+    def test_horizon_past_the_address_space_is_a_memory_error(self):
+        # 64 columns of 2^54 rows are 2^63 bytes, which numpy refuses with a ValueError.
+        a = (CoefSpec.sinusoid(0.001, 0.01),) * 63
+        sched = CoefficientSchedule(a=a, b=(CoefSpec.const(1.0),), d=1)
+        with pytest.raises(MemoryError):
+            sched.validate_horizon(-(2**53), 2**54)
 
     def test_flags_minimum_phase_loss(self):
         sched = CoefficientSchedule(
@@ -292,7 +306,7 @@ class TestWbarMatchesRowLoop:
     )
     def test_golden_configs(self, doc):
         cfg = config_from_dict(doc)
-        a, _ = cfg.schedule.coeff_rows([cfg.t0])
+        a, _ = cfg.schedule.coeff_rows(cfg.t0, 1)
         F, _ = predictor_split(cfg.ref.L, PolyZ((1.0, *a[0])), cfg.d)
         args = (F, cfg.w, cfg.t0 - cfg.d + 1, cfg.steps + cfg.d)
         assert np.array_equal(wbar_sequence(*args), wbar_by_rows(*args))

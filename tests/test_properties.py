@@ -224,28 +224,25 @@ def signal_specs(draw, kind: str):
     if kind == "windowed_sinusoid":
         return windowed_sinusoid(start, start + draw(st.integers(0, 300)), amp, rate)
     if kind == "table":
-        return table_signal(draw(st.lists(unit(-5.0, 5.0), min_size=1, max_size=20)), t_start=start)
+        # +0.0 becomes -0.0: a stored +0.0 has the bits of the zero outside the table.
+        values = st.lists(unit(-5.0, 5.0).map(lambda v: v or -0.0), min_size=1, max_size=20)
+        return table_signal(draw(values), t_start=start)
     return white_noise(amp, seed=draw(st.integers(0, 99) | st.sampled_from((-1,) + HUGE)))
 
 
 @st.composite
-def time_axes(draw, around: int):
-    """Consecutive times as an array, a range or a list, or scattered times. Consecutive
-    times may start negative or past int64, be empty, and cross noise-block edges (at
-    multiples of 512) or the edges of a spec that starts at around."""
+def horizons(draw, edges):
+    """A horizon (t0, count): it may start negative or past int64, be empty, cross
+    noise-block edges (at multiples of 512), and start or stop on either side of
+    each of the spec's edges."""
+    def near(lo, hi):  # an integer from lo to hi past one of the edges
+        return st.sampled_from(edges).flatmap(lambda e: st.integers(e + lo, e + hi))
+
     start = draw(
-        st.integers(around - 40, around)
-        | st.integers(-1100, 1100)
-        | st.sampled_from((-(2**63), 2**63 - 1300, 10**30))
+        near(-40, 5) | st.integers(-1100, 1100) | st.sampled_from((-(2**63), 2**63 - 1300, 10**30))
     )
-    stop = start + draw(st.integers(0, 700))
-    return draw(st.sampled_from([
-        np.arange(start, stop),
-        range(start, stop),
-        list(range(start, stop)),
-        draw(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=5)),
-        draw(st.lists(st.integers(-(2**64), 2**64), max_size=5)),
-    ]))
+    stop = draw(near(-5, 5) | st.integers(start, start + 700))
+    return start, min(max(stop - start, 0), 725)
 
 
 @pytest.mark.parametrize("kind", SIGNAL_KINDS)
@@ -253,8 +250,9 @@ def time_axes(draw, around: int):
 @given(data=st.data())
 def test_signal_rows_are_signal_eval_bit_for_bit(kind, data):
     spec = data.draw(signal_specs(kind))
-    times = data.draw(time_axes(spec.t_start))
-    column = signal_rows(spec, times)
-    samples = np.array([signal_eval(spec, int(t)) for t in times], dtype=float)
+    edges = (spec.t_start, spec.t_start + len(spec.values), spec.t_end + 1)
+    t0, count = data.draw(horizons(edges))
+    column = signal_rows(spec, t0, count)
+    samples = np.array([signal_eval(spec, t) for t in range(t0, t0 + count)], dtype=float)
     assert column.dtype == samples.dtype and column.shape == samples.shape
     assert column.tobytes() == samples.tobytes()
