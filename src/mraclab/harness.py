@@ -34,7 +34,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -466,6 +466,7 @@ class Trace:
     cfg is the run's configuration (for a reloaded file, the one it is
     audited against). Regressors are not stored: history() derives them on
     demand from cfg.x0 and the y/u columns, so an edit shows in every check.
+    Every array is float64, t and rho too; TRACE_COLUMNS orders them as the file does.
     """
 
     t: np.ndarray
@@ -498,6 +499,10 @@ class Trace:
         return history(self.cfg.x0, self.y, self.u, self.cfg.n, self.cfg.m, self.cfg.d)
 
 
+# The one trace layout, read by the header, writer, reader, plot.gp and the loop's finite check.
+TRACE_COLUMNS = tuple(f.name for f in fields(Trace) if f.name != "cfg")
+
+
 # ---------------------------------------------------------------------------
 # Closed loop
 
@@ -518,7 +523,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     n, m, d = cfg.n, cfg.m, cfg.d
     p, T, L = cfg.dim_theta, cfg.steps, cfg.ref.L
     try:
-        theta_hat, rho = np.zeros((T + 1, p)), np.zeros(T + 1, dtype=int)
+        theta_hat, rho = np.zeros((T + 1, p)), np.zeros(T + 1)
     except (MemoryError, ValueError):  # a horizon no memory holds, or past numpy's address space
         raise _too_long(T) from None
     r, w = signal_rows(cfg.r, cfg.t0, T + 1), signal_rows(cfg.w, cfg.t0, T + 1)
@@ -554,7 +559,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     y, u = np.array(y[start.lead :]), np.array(u[start.lead :])
     phi = history(cfg.x0, y, u, n, m, d).phi(0, T + 1)
     trace = Trace(
-        t=np.arange(cfg.t0, cfg.t0 + T + 1),
+        t=np.arange(cfg.t0, cfg.t0 + T + 1, dtype=float),
         y=y,
         y_star=y_star,
         u=u,
@@ -568,7 +573,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         w=w,
         cfg=cfg,
     )
-    for name in ("y", "y_star", "u", "eps", "eps_bar", "e", "norm_phi", "r", "w"):
+    for name in TRACE_COLUMNS:
         if not np.all(np.isfinite(getattr(trace, name))):
             raise NumericAbort(f"non-finite values in column {name}")
     return trace
@@ -825,7 +830,7 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     gate = lag_norm > 0.0
     if not math.isinf(cfg.delta):
         gate &= np.abs(trace.e[1:]) < (2.0 * box_norm(cfg.box) + cfg.delta) * lag_norm
-    bad = np.count_nonzero(gate.astype(int) != trace.rho[:T]) + int(trace.rho[T] != 0)
+    bad = np.count_nonzero(gate != trace.rho[:T]) + int(trace.rho[T] != 0)
     rep.add("consistency_deadzone_gate", -float(bad), f"{T} gates", tol=0.0)
 
     # Estimates stay inside the box.
@@ -898,9 +903,7 @@ def tracking_energy(trace: Trace) -> tuple[float, np.ndarray]:
 
     partial[k] covers t = t0 + d .. t0 + d + k.
     """
-    d = trace.cfg.d
-    tail = trace.eps[d:] ** 2
-    partial = np.cumsum(tail)
+    partial = np.cumsum(trace.eps[trace.cfg.d :] ** 2)
     total = float(partial[-1]) if len(partial) else 0.0
     return total, partial
 
@@ -914,25 +917,23 @@ def config_spectral_floor(cfg: ExperimentConfig) -> float:
 # Trace files
 
 
-CSV_FMT = "%.17g"
+CSV_FMT = "%.17g"  # every cell; prints an integer up to 2^53 as %d does
+
+
+def _cells(name: str, p: int) -> list[str]:
+    """The header cells of one TRACE_COLUMNS entry: theta_hat spreads over its p coordinates."""
+    return [f"{name}_{i}" for i in range(p)] if name == "theta_hat" else [name]
 
 
 def _csv_header(p: int) -> list[str]:
-    return (
-        ["t", "y", "y_star", "u", "eps", "eps_bar", "e", "rho", "norm_phi"]
-        + [f"theta_hat_{i}" for i in range(p)]
-        + ["r", "w"]
-    )
+    return [cell for name in TRACE_COLUMNS for cell in _cells(name, p)]
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Exact decimal dump, one row per time step, reloadable bit-for-bit."""
-    p = trace.theta_hat.shape[1]
-    cols = (trace.t, trace.y, trace.y_star, trace.u, trace.eps, trace.eps_bar, trace.e,
-            trace.rho, trace.norm_phi, trace.theta_hat, trace.r, trace.w)
-    fmt = ["%d"] + [CSV_FMT] * 6 + ["%d"] + [CSV_FMT] * (p + 3)
-    np.savetxt(path, np.column_stack(cols), fmt=fmt, delimiter=",",
-               header=",".join(_csv_header(p)), comments="")
+    table = np.column_stack([getattr(trace, name) for name in TRACE_COLUMNS])
+    np.savetxt(path, table, fmt=CSV_FMT, delimiter=",",
+               header=",".join(_csv_header(trace.theta_hat.shape[1])), comments="")
 
 
 def trace_from_csv(path, cfg: ExperimentConfig) -> Trace:
@@ -954,13 +955,9 @@ def trace_from_csv(path, cfg: ExperimentConfig) -> Trace:
             raise ConfigError("trace", f"malformed trace file: {exc}") from None
     if data.shape != (cfg.steps + 1, len(header)) or not np.all(np.isfinite(data)):
         raise ConfigError("trace", f"expected {cfg.steps + 1} rows of {len(header)} finite numbers")
-    col = dict(zip(header, data.T))
-    col.update(t=col["t"].astype(int), rho=col["rho"].astype(int))
-    return Trace(
-        **{name: col[name] for name in header if not name.startswith("theta_hat_")},
-        theta_hat=data[:, 9:-2],
-        cfg=cfg,
-    )
+    stops = np.cumsum([len(_cells(name, cfg.dim_theta)) for name in TRACE_COLUMNS[:-1]])
+    parts = zip(TRACE_COLUMNS, np.split(data, stops, axis=1))  # float64 as written, no casts
+    return Trace(**{n: c if n == "theta_hat" else c[:, 0] for n, c in parts}, cfg=cfg)
 
 
 PLOT_SCRIPT = """\
@@ -972,10 +969,10 @@ set terminal pngcairo size 1000,760 font ',11'
 set output 'tracking.png'
 set multiplot layout 2,1 title 'Closed-loop tracking'
 set ylabel 'output'
-plot 'trace.csv' using 1:2 with lines lw 1.5 title 'y', \\
-     'trace.csv' using 1:3 with lines dashtype 2 lw 1.5 title 'y*'
+plot 'trace.csv' using {t}:{y} with lines lw 1.5 title 'y', \\
+     'trace.csv' using {t}:{y_star} with lines dashtype 2 lw 1.5 title 'y*'
 set ylabel 'input'
-plot 'trace.csv' using 1:4 with lines lw 1.2 title 'u'
+plot 'trace.csv' using {t}:{u} with lines lw 1.2 title 'u'
 unset multiplot
 
 set output 'estimates.png'
@@ -983,23 +980,24 @@ set multiplot layout 2,1 title 'Estimator behaviour'
 set ylabel 'theta_hat'
 plot {theta_plots}
 set ylabel 'tracking error'
-plot 'trace.csv' using 1:5 with lines lw 1.2 title 'eps'
+plot 'trace.csv' using {t}:{eps} with lines lw 1.2 title 'eps'
 unset multiplot
 """
 
 
 def write_plot_script(trace: Trace, path) -> None:
     p = trace.theta_hat.shape[1]
-    cols = ", \\\n     ".join(
-        f"'trace.csv' using 1:{10 + i} with lines title 'theta_hat_{i}'" for i in range(p)
+    col = {cell: i + 1 for i, cell in enumerate(_csv_header(p))}  # gnuplot counts from 1
+    thetas = ", \\\n     ".join(
+        f"'trace.csv' using {col['t']}:{col[cell]} with lines title '{cell}'"
+        for cell in _cells("theta_hat", p)
     )
-    Path(path).write_text(PLOT_SCRIPT.format(theta_plots=cols))
+    Path(path).write_text(PLOT_SCRIPT.format(theta_plots=thetas, **col))
 
 
 def _regime_rms(trace: Trace) -> dict:
     """RMS tracking error over thirds of the run (before/during/after windows)."""
-    t = trace.t
-    eps = trace.eps
+    t, eps = trace.t, trace.eps
 
     def rms(mask) -> float:
         vals = eps[mask]

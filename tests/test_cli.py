@@ -251,6 +251,27 @@ class TestVerify:
         assert err.startswith("error: trace:") and len(err.splitlines()) == 1
         assert not recwarn.list  # outside pytest a warning would print on stderr
 
+    @pytest.mark.parametrize(
+        "column, cell, owner",
+        [("t", "10.9", "consistency_time_index"), ("rho", "1.99", "consistency_deadzone_gate")],
+        ids=["t", "rho"],
+    )
+    def test_fractional_integer_cell_fails_its_check(self, tmp_path, capsys, column, cell, owner):
+        # t and rho hold integers and read as float64, so no cast hides a fraction.
+        out = tmp_path / "show"
+        main(["reproduce", "--out", str(out)])
+        trace = out / "trace.csv"
+        lines = trace.read_text().splitlines()
+        j, cells = lines[0].split(",").index(column), lines[11].split(",")  # the row of t = 10
+        assert cells[j] == cell.split(".")[0]
+        cells[j] = cell
+        lines[11] = ",".join(cells)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(trace)]) == 1
+        text = capsys.readouterr().out
+        assert f"FAIL {owner} " in text and "VERIFY FAIL" in text
+
     def test_lambda_below_floor(self, config_path, capsys):
         rc = main(["verify", "--config", str(config_path), "--lambda", "0.2"])
         assert rc == 2
