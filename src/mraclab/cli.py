@@ -45,8 +45,8 @@ EXIT_NUMERIC = 3
 
 def _load_json(path: str) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())  # a missing file is an OSError, reported by main
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))  # a missing file is an OSError
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config", f"{path} must hold a JSON object")

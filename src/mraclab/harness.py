@@ -205,6 +205,16 @@ class ExperimentConfig:
             raise ConfigError("sim.t0", f"must lie within +-2^53, got {self.t0}")
         if self.t0 + self.steps > MAX_TIME:
             raise ConfigError("sim.steps", f"t0 + steps = {self.t0 + self.steps} passes 2^53")
+        t_end = self.t0 + self.steps  # sampled times; ground truth's wbar reads w past t_end
+        sampled = [("signals.r", self.r, self.t0, t_end),
+                   ("signals.w", self.w, self.t0 - d + 1, t_end + d + 1)]
+        sampled += [(f"plant.schedule.{key}[{i}]", spec, self.t0, t_end - 1)
+                    for key in "ab" for i, spec in enumerate(getattr(self.schedule, key))]
+        for fieldpath, spec, first, last in sampled:
+            try:
+                spec.check_angle(first, last)
+            except ValueError as exc:
+                raise ConfigError(fieldpath, str(exc)) from None
         try:
             rows = self.schedule.validate_horizon(self.t0, self.steps)
         except AdmissibilityError as exc:
@@ -344,7 +354,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config", "top level must be an object")
     _known(doc, ("plant", "reference", "estimator", "sim", "signals", "label"), "")
-    # plant.a and plant.b beside a schedule are its first row, as to_config_dict writes them.
     plant = _section(doc, "plant", "plant", ("a", "b", "d", "schedule"))
     ref_doc = _section(doc, "reference", "reference", ("L", "H"))
     est = _section(doc, "estimator", "estimator", ("delta", "box", "s_ab_box", "samples", "margin"))
@@ -425,7 +434,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     r = _spec(SignalSpec, signals["r"], "signals.r") if "r" in signals else zero_signal()
     w = _spec(SignalSpec, signals["w"], "signals.w") if "w" in signals else zero_signal()
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         schedule=schedule,
         ref=ref,
         box=box,
@@ -442,6 +451,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         s_ab_margin=margin,
         label=str(doc.get("label", "")),
     )
+    # plant.a and plant.b beside a schedule are its row at t0, as to_config_dict writes them.
+    for key, rows in zip("ab", cfg.plant_rows if "schedule" in plant else ()):
+        row = rows[0].tolist()
+        if key in plant and list(_floats(plant[key], f"plant.{key}")) != row:
+            raise ConfigError(f"plant.{key}", f"must equal the schedule's row at t0, {row}")
+    return cfg
 
 
 CONVENTIONS = {

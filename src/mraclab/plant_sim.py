@@ -110,6 +110,19 @@ class KindSpec:
             if convert in (float, tuple) and not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"field {name!r}: must be finite")
 
+    def check_angle(self, first: int, last: int) -> None:
+        """Reject a rate whose angle rate * t + phase is not finite at a sampled t in first .. last.
+
+        math.cos of an infinite angle raises. The angle is monotone in t, so
+        the ends of the sampled times decide; a windowed_sinusoid samples its window.
+        """
+        if self.kind == "windowed_sinusoid":
+            first, last = max(first, self.t_start + 1), min(last, self.t_end)
+        if "rate" in self._used(self.kind) and first <= last:
+            for t in (first, last):
+                if not math.isfinite(self.rate * t + self.phase):
+                    raise ValueError(f"field 'rate': rate * t + phase is not finite at t = {t}")
+
     def to_doc(self) -> dict:
         doc = {"kind": self.kind}
         for name, _, _ in self.fields_of(self.kind):

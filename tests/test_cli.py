@@ -141,6 +141,27 @@ class TestRun:
         assert main(["verify", "--trace", str(tmp_path / "o" / "trace.csv")]) == 0
         assert "VERIFY PASS" in capsys.readouterr().out
 
+    def test_config_that_is_not_utf8_is_a_config_error(self, config_path, tmp_path, capsys):
+        config_path.write_bytes(b"\xff\xfe" + config_path.read_text().encode("utf-16-le"))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("where", ["signals.r", "plant.schedule.a[0]"])
+    def test_overflowing_sinusoid_angle_is_a_config_error(self, tmp_path, capsys, where):
+        # rate * t passes the largest double within the horizon: math.cos would raise.
+        if where == "signals.r":
+            doc = json.loads(json.dumps(README_CONFIG))
+            doc["signals"]["r"] = {"kind": "sinusoid", "amplitude": 1.0, "rate": 1e308}
+        else:
+            doc = demo_config().to_config_dict()
+            doc["plant"]["schedule"]["a"][0]["rate"] = 1e308
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: field 'rate':") and len(err.splitlines()) == 1
+
 
 class TestVerify:
     def test_from_config(self, config_path, capsys):
@@ -229,6 +250,28 @@ class TestVerify:
         assert main(["verify", "--trace", str(trace)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: trace:") and len(err.splitlines()) == 1
+
+    def test_sidecar_that_is_not_utf8_is_a_config_error(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", "--config", str(config_path), "--out", str(out)])
+        summary = out / "summary.json"
+        summary.write_bytes(b"\xff\xfe" + summary.read_text().encode("utf-16-le"))
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(out / "trace.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("key, row", [("a", [123.0, 456.0]), ("b", [0.0, 99.0])], ids=["a", "b"])
+    def test_sidecar_plant_row_must_match_the_schedule(self, tmp_path, capsys, key, row):
+        # The hash is taken from the schedule's rows, so an edited plant.a/b keeps it.
+        out = tmp_path / "show"
+        main(["reproduce", "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        summary["config"]["plant"][key] = row
+        (out / "summary.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(out / "trace.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: plant.{key}:")
 
     def test_sidecar_hash_is_recomputed(self, tmp_path, capsys):
         out = tmp_path / "show"

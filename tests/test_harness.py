@@ -281,6 +281,33 @@ class TestConfigRoundTrip:
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
+        "key, value", [("a", ["x"]), ("a", [123.0, 456.0]), ("b", [0.0, 99.0])],
+        ids=["a_not_numbers", "a_other_row", "b_other_row"],
+    )
+    def test_plant_row_beside_a_schedule_is_its_row_at_t0(self, key, value):
+        doc = demo_config().to_config_dict()
+        assert config_from_dict(doc) == demo_config()
+        doc["plant"][key] = value
+        with pytest.raises(ConfigError, match=f"^plant\\.{key}:"):
+            config_from_dict(doc)
+        del doc["plant"]["a"], doc["plant"]["b"]  # the schedule alone is enough
+        assert config_from_dict(doc) == demo_config()
+
+    def test_sinusoid_angle_is_finite_where_sampled(self):
+        # math.cos raises on an infinite angle; times the run never samples do not count.
+        doc = demo_config().to_config_dict()
+        doc["plant"]["schedule"]["a"][0]["rate"] = 1e308  # rate * 999 overflows
+        with pytest.raises(ConfigError, match=r"^plant\.schedule\.a\[0\]: field 'rate': .* t = 999$"):
+            config_from_dict(doc)
+        doc = demo_config().to_config_dict()
+        doc["signals"]["w"]["rate"] = 1e308  # the window starts at t = 201
+        with pytest.raises(ConfigError, match=r"^signals\.w: field 'rate': .* t = 201$"):
+            config_from_dict(doc)
+        doc["signals"]["w"].update(t_start=0, t_end=1)  # samples t = 1 alone
+        cfg = config_from_dict(doc)
+        assert np.all(np.isfinite(run_closed_loop(cfg).w))
+
+    @pytest.mark.parametrize(
         "where, value, fieldpath",
         [pytest.param(*c, id=c[0]) for c in MALFORMED]
         # Horizons no array holds: past numpy's size limit, and more bytes
