@@ -10,8 +10,9 @@ additive regularizing constant; the deadzone itself is what keeps the
 division safe - and is then clamped back into the box coordinate-wise.
 Projection onto a convex set never increases the distance to any point of
 the set, which is what makes the parameter-error arguments go through.
-The step runs on plain floats, each dot product summed left to right from
-+0.0 with no BLAS dot: the audits' column sums take that order, so they
+The step runs on plain floats in one pass over phi: phi^T theta_hat and
+||phi||^2 are summed left to right, each in its own accumulator from +0.0,
+with no BLAS dot. The audits' column sums take that order, so they
 recompute e, ||phi|| and the gate bit for bit.
 """
 
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 from .system import ParamBox, box_norm
 
 __all__ = [
-    "prediction_error",
     "deadzone_flag",
     "EstimatorState",
     "StepRecord",
@@ -31,28 +31,15 @@ __all__ = [
 ]
 
 
-def _dot(a, b) -> float:
-    acc = 0.0
-    for x, y in zip(a, b):
-        acc += x * y
-    return acc
+def deadzone_flag(e_next: float, sq: float, box_norm_value: float, delta: float) -> int:
+    """Relative-deadzone gate: 1 iff |e| < (2 ||S|| + delta) ||phi||, from sq = ||phi||^2.
 
-
-def prediction_error(ybar_next: float, phi_lag, theta_hat) -> float:
-    """e(t+1) = ybar(t+1) - phi(t-d+1)^T theta_hat(t)."""
-    if len(phi_lag) != len(theta_hat):
-        raise ValueError(f"regressor length {len(phi_lag)} != parameter length {len(theta_hat)}")
-    return float(ybar_next) - _dot(phi_lag, theta_hat)
-
-
-def deadzone_flag(e_next: float, phi_lag, box_norm_value: float, delta: float) -> int:
-    """Relative-deadzone gate: 1 iff |e| < (2 ||S|| + delta) ||phi||.
-
-    A zero regressor always gates the update off. delta = inf disables the
-    deadzone entirely: the update runs whenever ||phi|| > 0 (the infinite
-    threshold never loses to a finite error).
+    estimator_update sums sq in one pass over phi, in its own accumulator
+    from +0.0 beside phi^T theta_hat. A zero regressor always gates the
+    update off. delta = inf disables the deadzone entirely: the update runs
+    whenever ||phi|| > 0 (the infinite threshold never loses to a finite error).
     """
-    norm = math.sqrt(_dot(phi_lag, phi_lag))
+    norm = math.sqrt(sq)
     threshold = (2.0 * box_norm_value + delta) * norm
     return int(norm != 0.0 and (math.isinf(delta) or abs(e_next) < threshold))
 
@@ -86,16 +73,23 @@ class StepRecord:
 def estimator_update(state: EstimatorState, phi_lag, ybar_next: float) -> StepRecord:
     """One projection-algorithm step; mutates the list state.theta_hat in place.
 
-    Gated off (rho = 0) the estimate is untouched. Gated on, it moves by
-    phi e / ||phi||^2 and each coordinate is clamped back into the box.
+    One pass over phi_lag sums phi^T theta_hat and ||phi||^2, each in its
+    own accumulator from +0.0; ValueError if phi_lag and theta_hat differ in
+    length. Gated off (rho = 0) the estimate is untouched. Gated on, it moves
+    by phi e / ||phi||^2 and each coordinate is clamped back into the box.
     """
     theta = state.theta_hat
-    e_next = prediction_error(ybar_next, phi_lag, theta)
-    rho = deadzone_flag(e_next, phi_lag, state.box_norm_cached, state.delta)
+    if len(phi_lag) != len(theta):
+        raise ValueError(f"regressor length {len(phi_lag)} != parameter length {len(theta)}")
+    pred = sq = 0.0
+    for f, c in zip(phi_lag, theta):
+        pred += f * c
+        sq += f * f
+    e_next = float(ybar_next) - pred
+    rho = deadzone_flag(e_next, sq, state.box_norm_cached, state.delta)
     if rho:
-        g = e_next / _dot(phi_lag, phi_lag)
-        lo, hi = state.box.lo, state.box.hi
-        for i, f in enumerate(phi_lag):
+        g = e_next / sq
+        for i, (f, lo, hi) in enumerate(zip(phi_lag, state.box.lo, state.box.hi)):
             v = theta[i] + f * g
-            theta[i] = lo[i] if v < lo[i] else hi[i] if v > hi[i] else v  # min(max(v, lo), hi)
+            theta[i] = lo if v < lo else hi if v > hi else v  # min(max(v, lo), hi)
     return StepRecord(e_next, rho)

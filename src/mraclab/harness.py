@@ -34,6 +34,7 @@ import hashlib
 import json
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -533,7 +534,9 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     regressor. The estimate used to compute u(t) is always theta_hat(t),
     i.e. the one produced after the previous step's update. The open-loop
     columns (r, w and the reference outputs) are computed once, before the
-    loop; the coefficient rows are the ones the config validated.
+    loop; the coefficient rows are the ones the config validated. Each
+    update sums phi^T theta_hat and ||phi||^2 in one pass over phi, each
+    from +0.0; theta_hat and rho are written to their arrays once, after the loop.
     """
     n, m, d = cfg.n, cfg.m, cfg.d
     p, T, L = cfg.dim_theta, cfg.steps, cfg.ref.L
@@ -552,15 +555,16 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     start = loop_start(cfg.x0, n, m, d)
     y, u = start.y.tolist(), start.u.tolist()  # y ends with y(t), u with u(t-1)
     target, w_next = target.tolist(), w[1:].tolist()
-    ybars, e = [ybar(y, L)], [0.0]
+    ys, us = slice(-d, -d - n, -1), slice(-d, -m - 2 * d, -1)  # phi(t-d+1) = y[ys] + u[us]
+    ybars, e, thetas, gates = [ybar(y, L)], [0.0], array("d"), []  # thetas: T+1 rows of p
     for k in range(T + 1):
-        theta_hat[k] = est.theta_hat
+        thetas.fromlist(est.theta_hat)
         u.append(control_input(est.theta_hat, target[k], y, u, n, p, gain_sign))
         if k == T:
             break
-        phi_lag = y[-d : -d - n : -1] + u[-d : -m - 2 * d : -1]  # phi(t-d+1)
+        phi_lag = y[ys] + u[us]
         y_next = plant_step(*coeffs[k], d, y, u, w_next[k])
-        if not math.isfinite(y_next) or abs(y_next) > OVERFLOW_LIMIT:
+        if not -OVERFLOW_LIMIT <= y_next <= OVERFLOW_LIMIT:  # NaN compares false: aborts too
             raise NumericAbort(
                 f"output diverged at t = {cfg.t0 + k + 1} (y = {y_next!r}); "
                 "check the admissible box and plant schedule"
@@ -569,7 +573,9 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         ybars.append(ybar(y, L))
         rec = estimator_update(est, phi_lag, ybars[-1])
         e.append(rec.e_next)
-        rho[k] = rec.rho
+        gates.append(rec.rho)
+    theta_hat[:] = np.frombuffer(thetas).reshape(T + 1, p)
+    rho[:T] = gates
 
     y, u = np.array(y[start.lead :]), np.array(u[start.lead :])
     phi = history(cfg.x0, y, u, n, m, d).phi(0, T + 1)

@@ -5,15 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from mraclab.estimator import (
-    EstimatorState,
-    deadzone_flag,
-    estimator_update,
-    prediction_error,
-)
+from mraclab.estimator import EstimatorState, deadzone_flag, estimator_update
 from mraclab.system import ParamBox, box_norm
 
 UNIT_BOX = ParamBox(lo=(-1.0, -1.0), hi=(1.0, 1.0))
+
+
+def _dot(a, b) -> float:
+    """a^T b summed left to right from +0.0, the estimator's order."""
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
+
+
+def prediction(ybar_next, phi, theta) -> float:
+    """e(t+1) as estimator_update returns it, from an estimate inside a box around theta."""
+    box = ParamBox(lo=tuple(v - 1.0 for v in theta), hi=tuple(v + 1.0 for v in theta))
+    return estimator_update(EstimatorState(theta_hat=theta, box=box), phi, ybar_next).e_next
 
 
 def project_box(x, box):
@@ -51,7 +60,7 @@ class TestProjectBox:
 
 class TestPredictionError:
     def test_known_value(self):
-        e = prediction_error(1.0, np.array([1.0, 1.0]), np.array([0.25, 0.25]))
+        e = prediction(1.0, np.array([1.0, 1.0]), np.array([0.25, 0.25]))
         assert e == pytest.approx(0.5, abs=1e-15)
 
     def test_exact_model_zero_error(self):
@@ -63,29 +72,34 @@ class TestPredictionError:
         target = 0.0
         for f, c in zip(phi, theta):
             target += f * c
-        assert prediction_error(target, phi, theta) == 0.0
+        assert prediction(target, phi, theta) == 0.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            prediction_error(0.0, np.zeros(3), np.zeros(2))
+        st = EstimatorState(theta_hat=np.zeros(2), box=UNIT_BOX)
+        with pytest.raises(ValueError, match="regressor length 3 != parameter length 2"):
+            estimator_update(st, np.zeros(3), 0.0)
 
 
 class TestDeadzone:
     def test_zero_regressor_gates_off(self):
-        assert deadzone_flag(5.0, np.zeros(3), 1.0, math.inf) == 0
+        phi = np.zeros(3)
+        assert deadzone_flag(5.0, _dot(phi, phi), 1.0, math.inf) == 0
 
     def test_threshold_arithmetic(self):
         # |e| = 10 against (2 sqrt(2) + 0.1) * 1 ~= 2.93: too large, gate off.
         s_norm = box_norm(UNIT_BOX)
-        assert deadzone_flag(10.0, np.array([1.0, 0.0]), s_norm, 0.1) == 0
-        assert deadzone_flag(2.9, np.array([1.0, 0.0]), s_norm, 0.1) == 1
+        phi = np.array([1.0, 0.0])
+        assert deadzone_flag(10.0, _dot(phi, phi), s_norm, 0.1) == 0
+        assert deadzone_flag(2.9, _dot(phi, phi), s_norm, 0.1) == 1
 
     def test_infinite_delta_always_updates(self):
-        assert deadzone_flag(1e6, np.array([1e-9, 0.0]), 1.0, math.inf) == 1
+        phi = np.array([1e-9, 0.0])
+        assert deadzone_flag(1e6, _dot(phi, phi), 1.0, math.inf) == 1
 
     def test_strict_inequality_at_threshold(self):
         # Exactly on the boundary counts as outside the update region.
-        assert deadzone_flag(3.0, np.array([1.0]), 1.0, 1.0) == 0
+        phi = np.array([1.0])
+        assert deadzone_flag(3.0, _dot(phi, phi), 1.0, 1.0) == 0
 
 
 class TestEstimatorState:

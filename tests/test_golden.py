@@ -1,4 +1,4 @@
-"""Golden pins: the showcase artifacts, three more traces and the config hashes must not drift.
+"""Golden pins: the showcase artifacts, four more traces and the config hashes must not drift.
 
 Any change to arithmetic order in the closed loop, the summary, or the
 config serialization moves one of these digests. Updating a pin is a
@@ -46,6 +46,12 @@ D1_CONFIG = {
     },
 }
 
+# D1_CONFIG under a disturbance large enough to close the deadzone gate (on 5 of 200 steps).
+D1_GATED_CONFIG = {
+    **D1_CONFIG,
+    "signals": {**D1_CONFIG["signals"], "w": {"kind": "white_noise", "amplitude": 3.0, "seed": 3}},
+}
+
 # A static plant (n = 0) with a three-step delay and a negative leading gain.
 STATIC_D3_CONFIG = {
     "plant": {"a": [], "b": [-1.5, 0.4], "d": 3},
@@ -84,9 +90,13 @@ def test_config_hash_pinned(make, digest):
         (README_CONFIG, "7c4ae3a08f57bbfee2a1aed8d28a79a0fe23e3fc551b05e193ad296c033d75eb"),
         (D1_CONFIG, "a5bdd9615367d31a94bc21e6fc99e34ba63a9d03b0ac2988af00dc314ccad86a"),
         (STATIC_D3_CONFIG, "bca448a6a2fac8491d3c0d16780d79086d2c4745cbf854ea3d054f2cf86995fa"),
+        (D1_GATED_CONFIG, "26f514d24301067925224cd3834faa6d3806f6add3f2dfc3a2a893e298883bdc"),
     ],
-    ids=["readme", "d1", "static_d3"],
+    ids=["readme", "d1", "static_d3", "d1_gated"],
 )
 def test_trace_pinned(tmp_path, doc, digest):
-    write_trace_csv(run_closed_loop(config_from_dict(doc)), tmp_path / "trace.csv")
+    trace = run_closed_loop(config_from_dict(doc))
+    write_trace_csv(trace, tmp_path / "trace.csv")
     assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == digest
+    if doc is D1_GATED_CONFIG:  # the pin must keep covering a closed gate
+        assert not trace.rho[:-1].all()

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mraclab import estimator, harness
 from mraclab.controller import x0_length
 from mraclab.harness import (
     ConfigError,
@@ -534,6 +536,30 @@ class TestRunClosedLoop:
         )
         with pytest.raises(NumericAbort, match="diverged at t"):
             run_closed_loop(cfg)
+
+    @pytest.mark.parametrize("y_next", [math.nan, math.inf, -math.inf])
+    def test_non_finite_output_aborts(self, monkeypatch, y_next):
+        monkeypatch.setattr(harness, "plant_step", lambda *args: y_next)
+        with pytest.raises(NumericAbort, match=r"diverged at t = 1 \(y = "):
+            run_closed_loop(make_config(steps=50))
+
+    def test_per_step_call_contract(self, monkeypatch):
+        # The benchmark's tracer wraps these module attributes: each layer is
+        # called through its name once per step (control law and ybar once more
+        # at the final time), so inlining one would hide it from the trace.
+        calls = Counter()
+        for module, name in [(harness, "control_input"), (harness, "ybar"), (harness, "plant_step"),
+                             (harness, "estimator_update"), (estimator, "deadzone_flag")]:
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        cfg = make_config(steps=50)
+        run_closed_loop(cfg)
+        T = cfg.steps
+        assert calls == {"control_input": T + 1, "ybar": T + 1, "plant_step": T,
+                         "estimator_update": T, "deadzone_flag": T}
 
 
 class TestGroundTruth:

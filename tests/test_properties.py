@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mraclab.estimator import _dot, deadzone_flag, prediction_error
+from mraclab import estimator
+from mraclab.estimator import EstimatorState, estimator_update
 from mraclab.harness import (
     ExperimentConfig,
     check_identities,
@@ -46,6 +47,7 @@ from mraclab.system import (
     ParamBox,
     PlantParams,
     ReferenceModel,
+    box_norm,
     first_inadmissible,
     to_predictor_params,
 )
@@ -113,7 +115,7 @@ def test_admissible_constant_plants_pass_and_round_trip(cfg):
 @st.composite
 def regressor_rows(draw):
     """Rows of (phi, theta, ybar) of mixed sign and scale (1e-8 .. 1e8), with
-    exact zeros and some phi rows all zero, plus the gate's constants."""
+    exact zeros and some phi rows all zero, plus a box margin and the deadzone width."""
     p, rows = draw(st.integers(1, 6)), draw(st.integers(1, 8))
     size = (2 * p + 1) * rows
     mantissa = draw(st.lists(unit(), min_size=size, max_size=size))
@@ -129,18 +131,28 @@ def regressor_rows(draw):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(regressor_rows())
 def test_loop_sums_match_audit_columns(case):
-    phi, theta, ybar, s_norm, delta = case
+    """estimator_update's e, ||phi||^2 and gate equal the audit's column sums bit for bit."""
+    phi, theta, ybar, margin, delta = case
+    boxes = [ParamBox(lo=tuple(row - margin), hi=tuple(row + margin)) for row in theta]
     e = ybar - _weighted(phi, theta)
     norm = np.sqrt(_weighted(phi, phi))
     gate = norm > 0.0
     if not math.isinf(delta):
-        gate &= np.abs(e) < (2.0 * s_norm + delta) * norm
-    for k in range(len(phi)):
-        row, est = phi[k].tolist(), theta[k].tolist()
-        e_loop = prediction_error(float(ybar[k]), row, est)
-        assert np.float64(e_loop).tobytes() == e[k].tobytes()
-        assert np.float64(math.sqrt(_dot(row, row))).tobytes() == norm[k].tobytes()
-        assert deadzone_flag(e_loop, row, s_norm, delta) == int(gate[k])
+        gate &= np.abs(e) < (2.0 * np.array([box_norm(b) for b in boxes]) + delta) * norm
+    sq, flag = [], estimator.deadzone_flag
+
+    def recording_flag(e_next, sq_norm, *rest):
+        sq.append(sq_norm)
+        return flag(e_next, sq_norm, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "deadzone_flag", recording_flag)
+        for k in range(len(phi)):
+            state = EstimatorState(theta_hat=theta[k].tolist(), box=boxes[k], delta=delta)
+            rec = estimator_update(state, phi[k].tolist(), float(ybar[k]))
+            assert np.float64(rec.e_next).tobytes() == e[k].tobytes()
+            assert np.float64(math.sqrt(sq[k])).tobytes() == norm[k].tobytes()
+            assert rec.rho == int(gate[k])
 
 
 def assert_round_trips(cfg: ExperimentConfig) -> None:
