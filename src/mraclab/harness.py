@@ -61,15 +61,14 @@ from .plant_sim import (
     windowed_sinusoid,
     zero_signal,
 )
-from .poly import PolyZ, max_root_modulus, max_root_moduli, predictor_split
+from .poly import PolyZ, max_root_modulus, max_root_moduli
 from .system import (
     AdmissibilityError,
     ParamBox,
-    PlantParams,
     ReferenceModel,
     box_norm,
     build_param_box,
-    to_predictor_params,
+    predictor_map,
 )
 
 __all__ = [
@@ -184,6 +183,8 @@ class ExperimentConfig:
             )
         if not self.delta > 0.0:
             raise ConfigError("estimator.delta", "deadzone width must be positive (or inf)")
+        if not math.isfinite(self.s_ab_margin):
+            raise ConfigError("estimator.margin", "must be finite")
         if len(self.x0) != x0_length(n, m, d):
             raise ConfigError(
                 "sim.x0",
@@ -219,7 +220,8 @@ class ExperimentConfig:
         try:
             rows = self.schedule.validate_horizon(self.t0, self.steps)
         except AdmissibilityError as exc:
-            raise ConfigError("plant.schedule", str(exc)) from exc
+            fieldpath = "plant" if self.schedule.is_constant() else "plant.schedule"
+            raise ConfigError(fieldpath, str(exc)) from exc
         except MemoryError:
             raise _too_long(self.steps) from None
         object.__setattr__(self, "plant_rows", rows)
@@ -310,13 +312,16 @@ def _section(doc: dict, key: str, fieldpath: str, keys: tuple[str, ...], default
 
 
 def _number(convert, doc: dict, key: str, fieldpath: str, default=None):
-    """convert(doc[key]) (or the default when it is absent), errors under fieldpath."""
+    """convert(doc[key]) (or the default when it is absent), finite, errors under fieldpath."""
     if key not in doc and default is None:
         raise ConfigError(fieldpath, "missing field")
     try:
-        return convert(doc.get(key, default))
+        value = convert(doc.get(key, default))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(fieldpath, f"expected a number: {exc}") from None
+    if isinstance(value, float) and not math.isfinite(value):  # before build_param_box reads it
+        raise ConfigError(fieldpath, "must be finite")
+    return value
 
 
 def _floats(doc, fieldpath: str) -> tuple[float, ...]:
@@ -362,28 +367,21 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     signals = _section(doc, "signals", "signals", ("r", "w"), default={})
     d = _number(int, plant, "d", "plant.d")
 
+    # A constant plant is a schedule of constant specs: ExperimentConfig tests its row once.
+    fieldpath = "plant.schedule" if "schedule" in plant else "plant"
     if "schedule" in plant:
-        sched = _section(plant, "schedule", "plant.schedule", ("a", "b"))
-        a_specs = _specs(CoefSpec, sched.get("a", []), "plant.schedule.a")
-        b_specs = _specs(CoefSpec, sched.get("b", []), "plant.schedule.b")
-        if not b_specs:
-            raise ConfigError("plant.schedule.b", "needs at least one coefficient")
-        try:
-            schedule = CoefficientSchedule(a=a_specs, b=b_specs, d=d)
-        except ValueError as exc:
-            raise ConfigError("plant.schedule", str(exc))
+        sched = _section(plant, "schedule", fieldpath, ("a", "b"))
+        specs = [_specs(CoefSpec, sched.get(key, []), f"{fieldpath}.{key}") for key in "ab"]
+    elif "b" not in plant:
+        raise ConfigError("plant.b", "missing section")
     else:
-        if "b" not in plant:
-            raise ConfigError("plant.b", "missing section")
-        try:
-            params = PlantParams(
-                a=_floats(plant.get("a", ()), "plant.a"),
-                b=_floats(plant["b"], "plant.b"),
-                d=d,
-            )
-        except AdmissibilityError as exc:
-            raise ConfigError("plant", str(exc))
-        schedule = CoefficientSchedule.constant(params)
+        specs = [_floats(plant.get(key, ()), f"plant.{key}") for key in "ab"]
+    try:
+        if "schedule" not in plant:  # a non-finite number fails CoefSpec here
+            specs = [tuple(map(CoefSpec.const, row)) for row in specs]
+        schedule = CoefficientSchedule(*specs, d=d)
+    except ValueError as exc:
+        raise ConfigError(fieldpath, str(exc))
 
     L, H = _pair(ref_doc, ("L", "H"), "reference")
     try:
@@ -606,7 +604,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
 
 @dataclass
 class GroundTruth:
-    """True predictor parameters and filtered noise of a constant-plant run."""
+    """theta* and filtered noise wbar of a constant-plant run, both from its one plant row."""
 
     theta_star: np.ndarray  # (p,)
     wbar: np.ndarray  # wbar(t) for t = wbar_t0 ..
@@ -614,14 +612,14 @@ class GroundTruth:
 
 
 def ground_truth(cfg: ExperimentConfig) -> GroundTruth:
-    """True (alpha, beta) and predictor noise wbar; ValueError for a time-varying plant."""
+    """GroundTruth of cfg.plant_rows' one row, checked by the config; one long division gives
+    both F (for wbar) and theta* = (alpha, beta). ValueError for a time-varying plant."""
     if not cfg.schedule.is_constant():
         raise ValueError("ground truth needs a constant plant")
-    params = PlantParams(*(rows[0] for rows in cfg.plant_rows), d=cfg.d)
-    F, _ = predictor_split(cfg.ref.L, params.a_poly(), cfg.d)
+    F, theta_star = predictor_map(*(rows[0] for rows in cfg.plant_rows), cfg.ref)
     wbar_t0 = cfg.t0 - cfg.d + 1
     return GroundTruth(
-        theta_star=to_predictor_params(params, cfg.ref).theta_star(),
+        theta_star=np.array(theta_star),
         wbar=wbar_sequence(F, cfg.w, wbar_t0, cfg.steps + cfg.d),
         wbar_t0=wbar_t0,
     )
@@ -878,9 +876,8 @@ def predictor_residuals(trace: Trace, cfg: ExperimentConfig) -> np.ndarray:
     For a constant plant, ybar(t) - phi(t-d)^T theta* - wbar(t-d) is zero in
     exact arithmetic for every t >= t0 + d, no matter how u was chosen; the
     returned array holds those residuals (closed-loop data included).
+    ground_truth raises ValueError for a time-varying plant.
     """
-    if not cfg.schedule.is_constant():
-        raise ValueError("predictor residuals need a constant plant")
     gt = ground_truth(cfg)
     d, t0, T = cfg.d, trace.t0, trace.rows - 1
     l_coeffs = cfg.ref.L.coeffs

@@ -98,17 +98,16 @@ class KindSpec:
         return {name for name, _, _ in cls.fields_of(kind)} | {"kind"}
 
     def _check_fields(self) -> None:
-        """Reject a value other than the class default in a field the kind does not read."""
+        """Reject a value other than the class default in a field the kind does not read, and a
+        NaN or an infinity in any number field (integer fields are finite by type)."""
         used = self._used(self.kind)
         for f in fields(self):
-            if f.name not in used and getattr(self, f.name) != f.default:
+            value = getattr(self, f.name)
+            if f.name not in used and value != f.default:
                 raise ValueError(f"field {f.name!r} is not used by {self.NOUN} kind {self.kind!r}")
-
-    def _check_finite(self) -> None:
-        """Reject a NaN or an infinity in a number or a tuple of numbers that the kind reads."""
-        for name, convert, _ in self.fields_of(self.kind):
-            if convert in (float, tuple) and not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"field {name!r}: must be finite")
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"field {f.name!r}: must be finite")
 
     def check_angle(self, first: int, last: int) -> None:
         """Reject a rate whose angle rate * t + phase is not finite at a sampled t in first .. last.
@@ -173,7 +172,6 @@ class SignalSpec(KindSpec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         self._check_fields()
-        self._check_finite()
         if self.kind == "square_wave" and self.period < 1:
             raise ValueError("square_wave needs period >= 1")
         if self.kind == "windowed_sinusoid" and self.t_end < self.t_start:
@@ -319,10 +317,8 @@ class CoefSpec(KindSpec):
         object.__setattr__(self, "times", tuple(int(v) for v in self.times))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         self._check_fields()
-        if self.kind == "sinusoid":
-            self._check_finite()  # other kinds' non-finite values fail validate_horizon at a time
-            if self.trig not in ("cos", "sin"):
-                raise ValueError("sinusoid coefficient needs trig in {'cos', 'sin'}")
+        if self.kind == "sinusoid" and self.trig not in ("cos", "sin"):
+            raise ValueError("sinusoid coefficient needs trig in {'cos', 'sin'}")
         if self.kind == "piecewise":
             if len(self.times) != len(self.values) or not self.values:
                 raise ValueError("piecewise coefficient needs matching times/values")

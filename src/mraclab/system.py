@@ -13,10 +13,11 @@ satisfies ybar(t+d) = phi(t)^T theta* + wbar(t) with the regressor
 phi(t) = (y(t)..y(t-n+1), u(t)..u(t-m-d+1)).
 
 This module holds the parameter containers, the one admissibility test of
-plant coefficient rows (first_inadmissible), the plant-to-predictor map,
+plant coefficient rows (first_inadmissible), the plant-to-predictor map
+predictor_map (F and theta* from one long division, with no checks: a
+config maps the rows it has tested, PlantParams checks a hand-built plant),
 and the hyperrectangle machinery the projected estimator needs: building
-a predictor-space box from a plant-space box and its norm (largest
-Euclidean norm over the box).
+a predictor-space box from a plant-space box and its norm.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "PredictorParams",
     "ParamBox",
     "to_predictor_params",
+    "predictor_map",
     "build_param_box",
     "box_norm",
 ]
@@ -197,7 +199,8 @@ def to_predictor_params(theta: PlantParams, ref: ReferenceModel) -> PredictorPar
     if theta.d != ref.d:
         raise AdmissibilityError("plant and reference model disagree on the delay d")
     _check_order(ref, theta.n)
-    return PredictorParams(*_split(theta.a, theta.b, ref))
+    _, theta_star = predictor_map(theta.a, theta.b, ref)
+    return PredictorParams(theta_star[: theta.n], theta_star[theta.n :])
 
 
 def _check_order(ref: ReferenceModel, n: int) -> None:
@@ -205,10 +208,12 @@ def _check_order(ref: ReferenceModel, n: int) -> None:
         raise AdmissibilityError(f"reference order {ref.order} exceeds plant order {n}")
 
 
-def _split(a, b, ref: ReferenceModel) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(alpha, beta) of the plant coefficients (a, b), with no admissibility checks."""
+def predictor_map(a, b, ref: ReferenceModel) -> tuple[PolyZ, tuple[float, ...]]:
+    """The quotient F (d coefficients) and theta* = (alpha, beta) of plant coefficients (a, b).
+
+    One long division, no admissibility checks: the caller has tested (a, b)."""
     F, alpha = predictor_split(ref.L, PolyZ((1.0,) + tuple(a)), ref.d)
-    return alpha.coeffs[: len(a)], poly_mul(F, PolyZ(b)).coeffs
+    return F, alpha.coeffs[: len(a)] + poly_mul(F, PolyZ(b)).coeffs
 
 
 def build_param_box(
@@ -246,7 +251,7 @@ def build_param_box(
         _check_order(ref, n_a)
     if bad:
         raise AdmissibilityError(bad[1])
-    stacked = np.array([sum(_split(pt[:n_a], pt[n_a:], ref), ()) for pt in points])
+    stacked = np.array([predictor_map(pt[:n_a], pt[n_a:], ref)[1] for pt in points])
     lo = stacked.min(axis=0) - margin
     hi = stacked.max(axis=0) + margin
     if lo[n_a] <= 0.0 <= hi[n_a]:

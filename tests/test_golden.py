@@ -8,6 +8,8 @@ deliberate act, recorded with the old and new value in CHANGES.md.
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -100,3 +102,10 @@ def test_trace_pinned(tmp_path, doc, digest):
     assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == digest
     if doc is D1_GATED_CONFIG:  # the pin must keep covering a closed gate
         assert not trace.rho[:-1].all()
+
+
+def test_readme_config_block_is_pinned():
+    # The README's example config is the one whose hash and trace are pinned here.
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Config format", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == README_CONFIG

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mraclab import estimator, harness
+from mraclab import cli, controller, estimator, harness, plant_sim, poly, system
 from mraclab.controller import x0_length
 from mraclab.harness import (
     ConfigError,
@@ -267,6 +267,46 @@ class TestConfigRoundTrip:
         assert cfg.box.lo == (-0.8, 0.5)
         assert cfg.box.hi == (0.8, 2.0)
         self.roundtrip(cfg)
+
+    @pytest.mark.parametrize(
+        "key, row, message",
+        [("b", [2.0, 3.0], "plant: schedule inadmissible at t = 0: B(z^-1) must have all roots "
+                           "strictly inside the unit circle"),
+         ("b", [0.0, 0.5], "plant: schedule inadmissible at t = 0: b0 must be nonzero"),
+         ("a", [math.nan, 0.08], "plant: field 'value': must be finite"),
+         ("b", [math.inf, 0.5], "plant: field 'value': must be finite")],
+        ids=["non_minimum_phase", "zero_b0", "nan_a", "inf_b"],
+    )
+    def test_bad_constant_plant_is_a_plant_error(self, key, row, message):
+        # The constant plant's row is tested once, by the horizon check, and
+        # its numbers are constant coefficient specs, which must be finite.
+        doc = make_config().to_config_dict()
+        doc["plant"][key] = row
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"kind": "table", "values": [2.0] * 1000 + [math.nan]},
+         {"kind": "piecewise", "times": [0, 1000000], "values": [2.0, math.nan]}],
+        ids=["table", "piecewise"],
+    )
+    def test_non_finite_coefficient_past_the_horizon(self, spec):
+        # a1 = 2.0 on the whole horizon, the showcase's a1 at t0; the NaN is
+        # never sampled, yet it would reach summary.json, which JSON cannot hold.
+        doc = demo_config().to_config_dict()
+        doc["plant"]["schedule"]["a"][0] = spec
+        with pytest.raises(ConfigError, match=r"^plant\.schedule\.a\[0\]: field 'values': must be finite$"):
+            config_from_dict(doc)
+
+    def test_margin_must_be_finite(self):
+        # Beside a literal box the margin is unread, but the document would carry it.
+        doc = demo_config().to_config_dict()
+        doc["estimator"]["margin"] = math.nan
+        with pytest.raises(ConfigError, match="^estimator.margin: must be finite$"):
+            config_from_dict(doc)
+        with pytest.raises(ConfigError, match="^estimator.margin: must be finite$"):
+            replace(make_config(), s_ab_margin=math.inf)
 
     def test_field_path_in_errors(self):
         doc = make_config().to_config_dict()
@@ -560,6 +600,36 @@ class TestRunClosedLoop:
         T = cfg.steps
         assert calls == {"control_input": T + 1, "ybar": T + 1, "plant_step": T,
                          "estimator_update": T, "deadzone_flag": T}
+
+
+def test_plant_is_checked_and_split_once(monkeypatch):
+    # A config's validated rows are its only plant: the parse tests them once
+    # (validate_horizon), ground truth maps row 0 with one long division, and
+    # no step builds a PlantParams.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, fn in [("first_inadmissible", system.first_inadmissible),
+                     ("predictor_split", poly.predictor_split)]:
+        for module in (poly, system, plant_sim, controller, estimator, harness, cli):
+            for attr in [a for a, value in vars(module).items() if value is fn]:
+                monkeypatch.setattr(module, attr, counted(name, fn))
+    monkeypatch.setattr(system.PlantParams, "__post_init__",
+                        counted("PlantParams", system.PlantParams.__post_init__))
+    cfg = config_from_dict(README_CONFIG)
+    assert calls["first_inadmissible"] == 1
+    trace = run_closed_loop(cfg)
+    gt = ground_truth(cfg)
+    assert calls["predictor_split"] == 1
+    assert check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0).passed
+    assert check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0).passed
+    assert calls == {"first_inadmissible": 1, "predictor_split": 1}
 
 
 class TestGroundTruth:

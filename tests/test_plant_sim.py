@@ -204,7 +204,9 @@ class TestSchedule:
             ((), (CoefSpec(kind="piecewise", times=(0, 7), values=(1.0, 0.0)),),
              "schedule inadmissible at t = 7: b0 must be nonzero (otherwise the true delay "
              "exceeds d)"),
-            ((CoefSpec(kind="table", values=(0.5, 0.5, 0.5, math.nan)),), (CoefSpec.const(1.0),),
+            # Every field is finite; offset + amplitude * cos(2 pi) overflows at t = 3.
+            ((CoefSpec(kind="sinusoid", offset=1e308, amplitude=1e308, rate=math.pi / 3,
+                       phase=math.pi),), (CoefSpec.const(1.0),),
              "schedule inadmissible at t = 3: plant coefficients must be finite"),
             ((), (CoefSpec.const(1.0), CoefSpec(kind="piecewise", times=(0, 12), values=(0.5, 1.5))),
              "schedule inadmissible at t = 12: B(z^-1) must have all roots strictly inside the "
