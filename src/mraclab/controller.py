@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .poly import PolyZ
 from .system import ReferenceModel
@@ -55,6 +54,9 @@ class History:
 
     y[k] and u[k] hold y(t0 - lead + k) and u(t0 - lead + k): zeros, then
     the part of x0 older than t0, then the recorded columns from t0 on.
+    Times are counted from t0: the padded arrays cover t0 - lead .. t0 +
+    len(y) - lead - 1, and lags and phi refuse rows outside that span
+    rather than clip them.
     """
 
     y: np.ndarray
@@ -65,18 +67,42 @@ class History:
     d: int
 
     def lags(self, x: np.ndarray, depth: int, first: int, count: int) -> np.ndarray:
-        """Rows (x(t), x(t-1), .., x(t-depth+1)) for t = t0+first .. t0+first+count-1."""
-        start = self.lead + first - depth + 1
-        return sliding_window_view(x, depth)[start : start + count, ::-1]
+        """Rows (x(t), x(t-1), .., x(t-depth+1)) for t = t0+first .. t0+first+count-1.
+
+        x is a contiguous 1-D array on the padded time axis (y, u or an
+        at_rest column). The result is a read-only (count, depth) view of x,
+        row stride one sample forward and column stride one sample back, so
+        column j is the contiguous run x(t0+first-j ..). ValueError when a
+        row would read before x[0] or past x[-1].
+        """
+        newest = self.lead + first  # index of x(t0 + first)
+        if count < 0 or depth < 0 or newest - depth + 1 < 0 or newest + count > len(x):
+            raise ValueError(
+                f"{count} rows of {depth} lags from t0{first:+d} reach outside "
+                f"t0-{self.lead} .. t0+{len(x) - self.lead - 1}"
+            )
+        step = x.itemsize
+        view = np.ndarray((count, depth), x.dtype, x, newest * step, (step, -step))
+        view.flags.writeable = False
+        return view
 
     def at_rest(self, col) -> np.ndarray:
         """A recorded column on the same time axis, zero before t0."""
         return np.concatenate((np.zeros(self.lead), col))
 
     def phi(self, first: int, count: int) -> np.ndarray:
-        """Contiguous regressor rows phi(t) for t = t0+first .. t0+first+count-1."""
-        ys = self.lags(self.y, self.n, first, count)
-        return np.hstack((ys, self.lags(self.u, self.m + self.d, first, count)))
+        """Regressor rows phi(t) for t = t0+first .. t0+first+count-1, as one new (count, p) array.
+
+        Columns 0..n-1 are y(t)..y(t-n+1), the rest u(t)..u(t-m-d+1); the
+        bounds are those of lags.
+        """
+        n = self.n
+        ys = self.lags(self.y, n, first, count)
+        us = self.lags(self.u, self.m + self.d, first, count)
+        out = np.empty((count, n + self.m + self.d))
+        out[:, :n] = ys
+        out[:, n:] = us
+        return out
 
 
 def history(x0, y, u, n: int, m: int, d: int) -> History:

@@ -25,7 +25,12 @@ re-derive every column from its recursion or config signal, so edits show
 as residuals.
 Loop and audits add every sum term by term in one order, dot products left
 to right from +0.0 with no BLAS dot, so a recomputed e, norm_phi or gate
-matches the loop's bit for bit.
+matches the loop's bit for bit. Those three must follow the loop's order;
+the audits keep the same order in every other row sum too (_weighted, and
+_size over magnitudes), so reading rows from History's lag views, taking
+|phi| once per check or slicing wbar leaves every margin bit for bit as it
+was. The squared parameter error stays numpy's row sum, whose pairwise
+order differs from _weighted's once p >= 8.
 """
 
 from __future__ import annotations
@@ -325,10 +330,17 @@ def _number(convert, doc: dict, key: str, fieldpath: str, default=None):
 
 
 def _floats(doc, fieldpath: str) -> tuple[float, ...]:
+    """doc as floats; only a list or tuple of ints and floats (not bools) is an array of numbers.
+
+    float() alone would read a string, object or bool element by element."""
+    if not isinstance(doc, (list, tuple)) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc
+    ):
+        raise ConfigError(fieldpath, "expected an array of numbers")
     try:
         return tuple(float(v) for v in doc)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(fieldpath, "expected an array of numbers")
+    except OverflowError:  # an int past the float range
+        raise ConfigError(fieldpath, "expected an array of numbers") from None
 
 
 def _pair(doc, keys: tuple[str, str], fieldpath: str) -> tuple:
@@ -672,31 +684,58 @@ class VerificationReport:
 
 
 def _max_abs(x) -> float:
-    return float(np.max(np.abs(x), initial=0.0))
+    return float(np.abs(x).max(initial=0.0))
 
 
 def _weighted(lags: np.ndarray, coeffs, acc=0.0):
     """acc + sum_j coeffs[..., j] * lags[:, j], column by column; coeffs may vary by row.
 
-    This is the loop's order: with acc = 0.0 a row dot gets the loop's bits."""
+    This is the loop's order, term by term from acc: with acc = 0.0 a row
+    dot gets the loop's bits, so e, norm_phi and the gate's ||phi|| come
+    out as the loop made them, and every margin built on them keeps its
+    bits. Coefficients that do not vary by row enter as the Python floats
+    of one tolist(); per-row coefficients multiply lags in one pass, and
+    column j of those products is added in turn.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim == 2 and len(coeffs) > 1:
+        terms = coeffs * lags
+        for j in range(lags.shape[1]):
+            acc = acc + terms[:, j]
+        return acc
+    coeffs = coeffs.reshape(-1).tolist()
     for j in range(lags.shape[1]):
-        acc = acc + coeffs[..., j] * lags[:, j]
+        acc = acc + coeffs[j] * lags[:, j]
     return acc
 
 
-def _size(lags: np.ndarray, coeffs) -> np.ndarray:
-    """Row sums of |coeffs[..., j] * lags[:, j]|: the magnitude _weighted adds up."""
-    return _weighted(np.abs(lags), np.abs(coeffs))
+def _size(mags: np.ndarray, coeffs) -> np.ndarray:
+    """Row sums of |coeffs[..., j]| * mags[:, j], mags = |lags|: the magnitude _weighted adds up.
+
+    The caller takes |lags| once for all the sizes over the same rows."""
+    return _weighted(mags, np.abs(coeffs))
 
 
-def _relative(res: np.ndarray, *terms: np.ndarray) -> float:
-    """Largest |res| / (1 + sum |terms|) over rows.
+def _wbar_rows(wbar, wbar_t0: int, t0: int, count: int) -> np.ndarray:
+    """wbar(t) for t = t0 .. t0+count-1, a slice of wbar = wbar(wbar_t0), wbar(wbar_t0+1), .."""
+    wbar = np.asarray(wbar, dtype=float)
+    first = t0 - wbar_t0
+    if first < 0 or first + count > len(wbar):
+        raise ValueError(
+            f"wbar covers t = {wbar_t0} .. {wbar_t0 + len(wbar) - 1}, "
+            f"the check reads t = {t0} .. {t0 + count - 1}"
+        )
+    return wbar[first : first + count]
 
-    The terms are the parts of the re-derived value, so a check against
-    CHECK_TOL gives the same verdict when every signal is rescaled.
+
+def _relative(res: np.ndarray, *mags: np.ndarray) -> float:
+    """Largest |res| / (1 + sum mags) over rows, the mags added left to right.
+
+    The mags are the magnitudes of the parts of the re-derived value (sizes,
+    or |term| taken by the caller), so a check against CHECK_TOL gives the
+    same verdict when every signal is rescaled.
     """
-    return _max_abs(res / (1.0 + sum(np.abs(t) for t in terms)))
+    return _max_abs(res / (1.0 + sum(mags[1:], mags[0])))
 
 
 def check_prop1(
@@ -720,9 +759,10 @@ def check_prop1(
     sq = _weighted(phi, phi)
     gated = (trace.rho[:T] != 0) & (sq > 0.0)
     bound = np.divide(np.abs(trace.e[1:]), np.sqrt(sq), out=np.zeros(T), where=gated)
-    step = np.diff(trace.theta_hat, axis=0)
+    th = trace.theta_hat
+    step = th[1:] - th[:-1]
     move = np.sqrt(_weighted(step, step))
-    rep.add("estimate_move_bounded", float(np.min(bound - move, initial=math.inf)), f"{T} steps")
+    rep.add("estimate_move_bounded", float((bound - move).min(initial=math.inf)), f"{T} steps")
 
     if theta_star is None:
         return rep
@@ -730,21 +770,23 @@ def check_prop1(
     theta_star = np.asarray(theta_star, dtype=float)
     if wbar is None or wbar_t0 is None:
         raise ValueError("contraction checks need the filtered noise sequence")
-    wb = np.asarray(wbar, dtype=float)[t0 - d + 1 - wbar_t0 + np.arange(d - 1, T)]
+    wb = _wbar_rows(wbar, wbar_t0, t0, T - d + 1)  # wbar(t-d+1) for t = t0+d-1 .. t0+T-1
 
-    err_sq = np.sum((trace.theta_hat - theta_star) ** 2, axis=1)
+    # numpy's pairwise sum: for p < 8 the same order as _weighted, for p >= 8 not.
+    dev = th - theta_star
+    err_sq = (dev * dev).sum(axis=1)
     e = trace.e[d:]
     allowed = np.divide(
         -0.5 * e * e + 2.0 * wb * wb, sq[d - 1 :], out=np.zeros(T - d + 1), where=gated[d - 1 :]
     )
-    worst = float(np.min(allowed - np.diff(err_sq)[d - 1 :], initial=math.inf))
+    worst = float((allowed - (err_sq[d:] - err_sq[d - 1 : -1])).min(initial=math.inf))
     rep.add("parameter_error_contraction_step", worst, f"from t = {t0 + d - 1}")
-    budget = float(np.cumsum(allowed)[-1]) if len(allowed) else 0.0  # summed in time order
+    budget = float(allowed.cumsum()[-1]) if len(allowed) else 0.0  # summed in time order
     rep.add("parameter_error_contraction_total", err_sq[d - 1] + budget - err_sq[T])
 
-    if np.all(trace.w == 0.0):
-        err = np.sqrt(err_sq)
-        inc = float(np.max(np.diff(err[d - 1 :]))) if T >= d else 0.0
+    if not trace.w.any():
+        err = np.sqrt(err_sq[d - 1 :])
+        inc = float((err[1:] - err[:-1]).max()) if T >= d else 0.0
         rep.add("parameter_error_monotone", -inc, "w = 0 run")
     return rep
 
@@ -774,14 +816,15 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int) -> Verificati
     count = max(T + 1 - d, 0)
 
     phi = trace.history().phi(0, count)  # phi(t-d) for t = t0+d .. t0+T
-    wb = np.asarray(wbar, dtype=float)[t0 - wbar_t0 + np.arange(count)]
+    wb = _wbar_rows(wbar, wbar_t0, t0, count)
     prev, lagged = trace.theta_hat[d - 1 : T], trace.theta_hat[:count]
     eps_bar, e = trace.eps_bar[d:], trace.e[d:]
-    prev_size, lagged_size = _size(phi, prev), _size(phi, lagged)
-    star_size = _size(phi, theta_star)
-    res1 = _relative(eps_bar - e - _weighted(phi, prev - lagged), e, prev_size, lagged_size)
-    res2 = _relative(e + _weighted(phi, prev - theta_star) - wb, prev_size, star_size, wb)
-    res3 = _relative(eps_bar + _weighted(phi, lagged - theta_star) - wb, lagged_size, star_size, wb)
+    mags, wb_mag = np.abs(phi), np.abs(wb)
+    prev_size, lagged_size = _size(mags, prev), _size(mags, lagged)
+    star_size = _size(mags, theta_star)
+    res1 = _relative(eps_bar - e - _weighted(phi, prev - lagged), np.abs(e), prev_size, lagged_size)
+    res2 = _relative(e + _weighted(phi, prev - theta_star) - wb, prev_size, star_size, wb_mag)
+    res3 = _relative(eps_bar + _weighted(phi, lagged - theta_star) - wb, lagged_size, star_size, wb_mag)
     span = f"t = {t0 + d} .. {t0 + T}"
     rep.add("identity_tracking_vs_prediction", IDENTITY_TOL - res1, span, tol=0.0)
     rep.add("identity_prediction_error", IDENTITY_TOL - res2, span, tol=0.0)
@@ -807,29 +850,34 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     h, l_coeffs = cfg.ref.H.coeffs, cfg.ref.L.coeffs
     hist = history(cfg.x0, trace.y, trace.u, n, m, d)
     r_cfg, w_cfg = signal_rows(cfg.r, cfg.t0, T + 1), signal_rows(cfg.w, cfg.t0, T + 1)
+    # Lags of |x| are |lags of x|: each magnitude column is taken once, sizes read its views.
     r_ext = hist.at_rest(r_cfg)
+    r_mags = np.abs(r_ext)
 
     # Plant recursion: y(t+1) from schedule, history, and w(t+1).
-    lags = np.hstack((hist.lags(hist.y, n, 0, T), hist.lags(hist.u, m + 1, 1 - d, T)))
+    lags = np.empty((T, n + m + 1))
+    lags[:, :n] = hist.lags(hist.y, n, 0, T)
+    lags[:, n:] = hist.lags(hist.u, m + 1, 1 - d, T)
     coeffs = np.hstack((-cfg.plant_rows[0], cfg.plant_rows[1]))
     y_next = _weighted(lags, coeffs, w_cfg[1:])
-    worst = _relative(y_next - trace.y[1:], _size(lags, coeffs), w_cfg[1:])
+    worst = _relative(y_next - trace.y[1:], _size(np.abs(lags), coeffs), np.abs(w_cfg[1:]))
     rep.add("consistency_plant_recursion", CHECK_TOL - worst, tol=0.0)
 
     # Control-law closure: phi(t)^T theta_hat(t) = ybar*(t+d).
     phi = hist.phi(1 - d, T + d)  # phi(t) for t = t0-d+1 .. t0+T
-    now = phi[d - 1 :]
-    r_lags = hist.lags(r_ext, len(h), 0, T + 1)
-    closure = _weighted(now, trace.theta_hat) - _weighted(r_lags, h)
-    worst = _relative(closure, _size(now, trace.theta_hat), _size(r_lags, h))
+    phi_mags = np.abs(phi)
+    now, now_mags = phi[d - 1 :], phi_mags[d - 1 :]
+    closure = _weighted(now, trace.theta_hat) - _weighted(hist.lags(r_ext, len(h), 0, T + 1), h)
+    r_size = _size(hist.lags(r_mags, len(h), 0, T + 1), h)
+    worst = _relative(closure, _size(now_mags, trace.theta_hat), r_size)
     rep.add("consistency_control_closure", CHECK_TOL - worst, tol=0.0)
 
     # Error columns from y, y*, and the weighted sums.
-    y_lags = hist.lags(hist.y, len(l_coeffs), 0, T + 1)
-    r_lags = hist.lags(r_ext, len(h), -d, T + 1)
-    ybar_t, ybar_size = _weighted(y_lags, l_coeffs), _size(y_lags, l_coeffs)
-    ybar_star, ybar_star_size = _weighted(r_lags, h), _size(r_lags, h)
-    worst = _relative(trace.eps - (trace.y - trace.y_star), trace.y, trace.y_star)
+    ybar_t = _weighted(hist.lags(hist.y, len(l_coeffs), 0, T + 1), l_coeffs)
+    ybar_size = _size(hist.lags(np.abs(hist.y), len(l_coeffs), 0, T + 1), l_coeffs)
+    ybar_star = _weighted(hist.lags(r_ext, len(h), -d, T + 1), h)
+    ybar_star_size = _size(hist.lags(r_mags, len(h), -d, T + 1), h)
+    worst = _relative(trace.eps - (trace.y - trace.y_star), np.abs(trace.y), np.abs(trace.y_star))
     rep.add("consistency_tracking_error", CHECK_TOL - worst, tol=0.0)
     worst = _relative(trace.eps_bar - (ybar_t - ybar_star), ybar_size, ybar_star_size)
     rep.add("consistency_weighted_error", CHECK_TOL - worst, tol=0.0)
@@ -837,7 +885,7 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     # Prediction-error column: e(t) = ybar(t) - phi(t-d)^T theta_hat(t-1); e(t0) = 0.
     lagged, prev = phi[:T], trace.theta_hat[:T]
     pred = ybar_t[1:] - _weighted(lagged, prev)
-    pred_size = ybar_size[1:] + _size(lagged, prev)
+    pred_size = ybar_size[1:] + _size(phi_mags[:T], prev)
     worst = max(abs(float(trace.e[0])), _relative(trace.e[1:] - pred, pred_size))
     rep.add("consistency_prediction_error", CHECK_TOL - worst, tol=0.0)
 
@@ -861,11 +909,11 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     # y*(t) = ybar*(t) - sum_{j>=1} l_j y*(t-j), at rest before t0.
     bad = np.count_nonzero(trace.t != cfg.t0 + np.arange(T + 1))
     rep.add("consistency_time_index", -float(bad), f"t = {cfg.t0} .. {cfg.t0 + cfg.steps}", tol=0.0)
-    worst = max(_relative(trace.r - r_cfg, r_cfg), _relative(trace.w - w_cfg, w_cfg))
+    worst = max(_relative(trace.r - r_cfg, np.abs(r_cfg)), _relative(trace.w - w_cfg, np.abs(w_cfg)))
     rep.add("consistency_exogenous_signals", CHECK_TOL - worst, tol=0.0)
     past = hist.lags(hist.at_rest(trace.y_star), len(l_coeffs), 0, T + 1)[:, 1:]
     res = trace.y_star - (ybar_star - _weighted(past, l_coeffs[1:]))
-    worst = _relative(res, ybar_star_size, _size(past, l_coeffs[1:]))
+    worst = _relative(res, ybar_star_size, _size(np.abs(past), l_coeffs[1:]))
     rep.add("consistency_reference_recursion", CHECK_TOL - worst, tol=0.0)
     return rep
 
@@ -883,7 +931,7 @@ def predictor_residuals(trace: Trace, cfg: ExperimentConfig) -> np.ndarray:
     l_coeffs = cfg.ref.L.coeffs
     hist = history(cfg.x0, trace.y, trace.u, cfg.n, cfg.m, d)
     ybar_t = _weighted(hist.lags(hist.y, len(l_coeffs), d, T + 1 - d), l_coeffs)
-    wb = gt.wbar[t0 - gt.wbar_t0 + np.arange(T + 1 - d)]
+    wb = _wbar_rows(gt.wbar, gt.wbar_t0, t0, T + 1 - d)
     return ybar_t - _weighted(hist.phi(0, T + 1 - d), gt.theta_star) - wb
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import PolyZ, poly_mul, predictor_split, schur_stable, schur_stable_rows
+from .poly import PolyZ, predictor_split, schur_stable, schur_stable_rows
 
 __all__ = [
     "AdmissibilityError",
@@ -211,9 +211,13 @@ def _check_order(ref: ReferenceModel, n: int) -> None:
 def predictor_map(a, b, ref: ReferenceModel) -> tuple[PolyZ, tuple[float, ...]]:
     """The quotient F (d coefficients) and theta* = (alpha, beta) of plant coefficients (a, b).
 
-    One long division, no admissibility checks: the caller has tested (a, b)."""
-    F, alpha = predictor_split(ref.L, PolyZ((1.0,) + tuple(a)), ref.d)
-    return F, alpha.coeffs[: len(a)] + poly_mul(F, PolyZ(b)).coeffs
+    One long division, no admissibility checks: the caller has tested (a, b).
+    beta is poly_mul's np.convolve of the same floats, without its PolyZ round trips.
+    """
+    a = np.asarray(a, dtype=float).tolist()
+    F, alpha = predictor_split(ref.L, PolyZ((1.0, *a)), ref.d)
+    beta = np.convolve(F.coeffs, np.asarray(b, dtype=float)).tolist()
+    return F, alpha.coeffs[: len(a)] + tuple(beta)
 
 
 def build_param_box(

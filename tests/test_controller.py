@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mraclab.controller import (
     ControlError,
@@ -68,6 +69,74 @@ class TestRegressor:
         hist = history(np.zeros(4), [10.0, 11.0, 12.0, 13.0], [20.0, 21.0, 22.0, 23.0], n=1, m=0, d=2)
         np.testing.assert_array_equal(hist.phi(3, 1), [[13.0, 23.0, 22.0]])
         np.testing.assert_array_equal(hist.phi(2, 1), [[12.0, 22.0, 21.0]])
+
+
+def explicit_lags(x, lead: int, depth: int, first: int, count: int):
+    """Lag rows by integer indexing of a padded column; None when a row reads outside it."""
+    index = [[lead + first + k - j for j in range(depth)] for k in range(count)]
+    if any(not 0 <= i < len(x) for row in index for i in row):
+        return None
+    return np.array([[x[i] for i in row] for row in index]).reshape(count, depth)
+
+
+class TestLagViews:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(0, 3), m=st.integers(0, 2), d=st.integers(1, 3), rows=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_lags_and_phi_match_explicit_indexing(self, n, m, d, rows, data):
+        # Distinct values everywhere but the zero padding, so a wrong index shows.
+        x0 = 0.5 * np.arange(1, x0_length(n, m, d) + 1)
+        hist = history(x0, 100.0 + np.arange(rows), 200.0 + np.arange(rows), n, m, d)
+        first = data.draw(st.integers(-hist.lead - 2, rows + 1), label="first")
+        count = data.draw(st.integers(1, hist.lead + rows + 2), label="count")
+        depth = data.draw(st.integers(1, 4), label="depth")
+        for x in (hist.y, hist.u):
+            want = explicit_lags(x, hist.lead, depth, first, count)
+            if want is None:
+                with pytest.raises(ValueError, match="reach outside"):
+                    hist.lags(x, depth, first, count)
+            else:
+                got = hist.lags(x, depth, first, count)
+                assert got.shape == want.shape and np.array_equal(got, want)
+        ys = explicit_lags(hist.y, hist.lead, n, first, count)
+        us = explicit_lags(hist.u, hist.lead, m + d, first, count)
+        if ys is None or us is None:
+            with pytest.raises(ValueError, match="reach outside"):
+                hist.phi(first, count)
+        else:
+            got = hist.phi(first, count)
+            assert got.shape == (count, n + m + d) and np.array_equal(got, np.hstack((ys, us)))
+
+    def test_lags_are_read_only_views(self):
+        hist = history([1.0, 2.0, 3.0], [1.0, 4.0, 5.0], [6.0, 7.0, 8.0], n=2, m=1, d=1)
+        view = hist.lags(hist.y, 2, 0, 3)
+        assert np.shares_memory(view, hist.y) and not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 9.0
+        assert hist.y.tolist() == [0.0, 0.0, 0.0, 2.0, 1.0, 4.0, 5.0]
+        assert view.tolist() == [[1.0, 2.0], [4.0, 1.0], [5.0, 4.0]]
+
+    def test_phi_is_a_new_array(self):
+        hist = history([1.0, 2.0, 3.0], [1.0, 4.0, 5.0], [6.0, 7.0, 8.0], n=2, m=1, d=1)
+        phi = hist.phi(0, 3)
+        assert phi.flags.c_contiguous and phi.flags.writeable
+        assert not np.shares_memory(phi, hist.y) and not np.shares_memory(phi, hist.u)
+
+    def test_out_of_range_rows_raise(self):
+        # A window that ran off either end of the padded column used to be clipped silently.
+        hist = history([1.0, 2.0, 3.0], [1.0, 4.0, 5.0], [6.0, 7.0, 8.0], n=2, m=1, d=1)
+        assert hist.lead == 4 and len(hist.y) == 7
+        hist.lags(hist.y, 2, -3, 6)  # y(t0-4) .. y(t0+2): the whole column
+        with pytest.raises(ValueError, match=r"from t0-4 reach outside t0-4 \.\. t0\+2"):
+            hist.lags(hist.y, 2, -4, 1)  # would read y(t0-5)
+        with pytest.raises(ValueError, match="reach outside"):
+            hist.lags(hist.y, 2, -3, 7)  # one row past y(t0+2)
+        with pytest.raises(ValueError, match="reach outside"):
+            hist.phi(2, 2)
+        with pytest.raises(ValueError, match="reach outside"):
+            hist.lags(hist.y, 2, 0, -1)
 
 
 class TestYbar:

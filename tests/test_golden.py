@@ -1,4 +1,5 @@
-"""Golden pins: the showcase artifacts, four more traces and the config hashes must not drift.
+"""Golden pins: the showcase artifacts, four more traces, their verified summaries and the
+config hashes must not drift.
 
 Any change to arithmetic order in the closed loop, the summary, or the
 config serialization moves one of these digests. Updating a pin is a
@@ -102,6 +103,25 @@ def test_trace_pinned(tmp_path, doc, digest):
     assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == digest
     if doc is D1_GATED_CONFIG:  # the pin must keep covering a closed gate
         assert not trace.rho[:-1].all()
+
+
+@pytest.mark.parametrize(
+    "doc, digest",
+    [
+        (README_CONFIG, "5f937adb32cd49ed15441085cbac8ab55c69968be467bfea90d439fc294dc6cf"),
+        (D1_CONFIG, "d37f4b8ba07647e3af862b1c4394374e189644e0db79b9ac54215f9d00f77a76"),
+        (STATIC_D3_CONFIG, "6e40b3d7796b2895b17f01a479f88779e329bfef412b5bbc48807727cba76c6c"),
+        (D1_GATED_CONFIG, "f76f39de711a0959ac6ba8798f05618dd1ec495a85a3315f904350db43b817d9"),
+    ],
+    ids=["readme", "d1", "static_d3", "d1_gated"],
+)
+def test_summary_pinned(tmp_path, capsys, doc, digest):
+    # summary.json of run --verify holds every check margin: the contraction and identity
+    # margins of a constant plant move here when an audit's arithmetic order changes.
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out), "--verify"]) == 0
+    assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == digest
 
 
 def test_readme_config_block_is_pinned():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from collections import Counter
@@ -307,6 +308,44 @@ class TestConfigRoundTrip:
             config_from_dict(doc)
         with pytest.raises(ConfigError, match="^estimator.margin: must be finite$"):
             replace(make_config(), s_ab_margin=math.inf)
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            ("sim.x0", "123456"),  # read digit by digit, it was x0 = (1.0, .., 6.0)
+            ("sim.x0", [True, False, 0, 0, 0, 0]),
+            ("sim.x0", {str(i): 0 for i in range(1, 7)}),  # read key by key
+            ("sim.theta0", [True, 0, 2, 0, 0]),
+            ("plant.a", "12"),
+            ("plant.b", "21"),
+            ("reference.L", "1"),
+            ("reference.H", "6"),
+            ("estimator.box.lo", "11111"),
+            ("estimator.box.hi", [2, 1, 3, 1, True]),
+        ],
+        ids=["x0_string", "x0_bools", "x0_object", "theta0_bool", "a_string", "b_string",
+             "L_string", "H_string", "box_lo_string", "box_hi_bool"],
+    )
+    def test_array_of_numbers_is_a_list_of_numbers(self, where, value):
+        # Every one of these documents was accepted, read element by element by float().
+        doc = json.loads(json.dumps(README_CONFIG))
+        *parents, key = where.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(where)}: expected an array of numbers$"):
+            config_from_dict(doc)
+
+    def test_array_of_numbers_takes_ints_and_floats(self):
+        doc = json.loads(json.dumps(README_CONFIG))
+        doc["sim"]["x0"] = [0, 1, -2.5, 0, 0, 3]
+        doc["estimator"]["box"]["lo"] = (-2, -1, 1, -1, -1)
+        cfg = config_from_dict(doc)
+        assert cfg.x0 == (0.0, 1.0, -2.5, 0.0, 0.0, 3.0) and cfg.box.lo == (-2.0, -1.0, 1.0, -1.0, -1.0)
+        doc["sim"]["x0"][0] = 10**400  # an int no float holds
+        with pytest.raises(ConfigError, match="^sim.x0: expected an array of numbers$"):
+            config_from_dict(doc)
 
     def test_field_path_in_errors(self):
         doc = make_config().to_config_dict()
