@@ -12,6 +12,14 @@ offline audits read regressor rows from it. The reference-model outputs
 are whole-horizon columns of r; the control law and the weighted-output
 sum ybar are pure functions of coefficients and oldest-first lists.
 
+The golden traces pin each kernel's products and the order of its sums.
+Each walks its lags with a running negative index, newest sample first:
+ybar adds l_j y(t-j) for j = 0, 1, .. to an accumulator from +0.0;
+control_input starts from ybar*(t+d), subtracts theta_i y(t-i) for
+i = 0 .. n-1 and then theta_{n+i} u(t-i) for i = 1 .. m+d-1, and divides
+by beta0_hat last; the y* recursion adds l_j y*(t-j) for j = 1, .. from
++0.0 and subtracts that sum from ybar*(t).
+
 Conventions: the reference input r(t) is taken as 0 before the start time
 t0, and output history older than the supplied initial condition is
 treated as 0.
@@ -143,8 +151,10 @@ def ybar(y, L: PolyZ) -> float:
     if len(y) < len(coeffs):
         raise ValueError(f"history of depth {len(y)} cannot evaluate deg-{L.degree} L")
     acc = 0.0  # term by term from +0.0: the trace pins depend on this order
-    for j, c in enumerate(coeffs):
-        acc += c * y[-1 - j]
+    i = -1
+    for c in coeffs:
+        acc += c * y[i]
+        i -= 1
     return acc
 
 
@@ -164,11 +174,13 @@ def reference_outputs(ref: ReferenceModel, r) -> tuple[np.ndarray, np.ndarray, n
     for i, c in enumerate(h):
         now = now + c * r_ext[lead - d - i : lead - d - i + rows]
         ahead = ahead + c * r_ext[lead - i : lead - i + rows]
-    y_star = [0.0] * ref.order
+    y_star, tail = [0.0] * ref.order, l[1:]
     for s in now.tolist():
         acc = 0.0
-        for j in range(1, len(l)):
-            acc += l[j] * y_star[-j]
+        i = -1
+        for c in tail:
+            acc += c * y_star[i]
+            i -= 1
         y_star.append(s - acc)
     return np.array(y_star[ref.order :]), now, ahead
 
@@ -188,8 +200,12 @@ def control_input(theta_hat, target: float, y, u, n: int, p: int, gain_sign: flo
             "the box must pin the sign of beta0"
         )
     acc = target
-    for i in range(n):
-        acc -= theta_hat[i] * y[-1 - i]
-    for i in range(1, p - n):
-        acc -= theta_hat[n + i] * u[-i]
+    i = -1
+    for c in theta_hat[:n]:
+        acc -= c * y[i]
+        i -= 1
+    i = -1
+    for c in theta_hat[n + 1 :]:
+        acc -= c * u[i]
+        i -= 1
     return acc / b0_hat

@@ -13,7 +13,11 @@ the set, which is what makes the parameter-error arguments go through.
 The step runs on plain floats in one pass over phi: phi^T theta_hat and
 ||phi||^2 are summed left to right, each in its own accumulator from +0.0,
 with no BLAS dot. The audits' column sums take that order, so they
-recompute e, ||phi|| and the gate bit for bit.
+recompute e, ||phi|| and the gate bit for bit. A gated-on step then sets
+each coordinate i, in index order, to v = theta_hat_i + phi_i (e / ||phi||^2)
+clamped to the box: lo_i if v < lo_i, else hi_i if v > hi_i, else v, so a
+NaN passes through and a signed zero keeps its sign. The golden traces pin
+these products and this order.
 """
 
 from __future__ import annotations
@@ -89,7 +93,10 @@ def estimator_update(state: EstimatorState, phi_lag, ybar_next: float) -> StepRe
     rho = deadzone_flag(e_next, sq, state.box_norm_cached, state.delta)
     if rho:
         g = e_next / sq
-        for i, (f, lo, hi) in enumerate(zip(phi_lag, state.box.lo, state.box.hi)):
+        lo, hi = state.box.lo, state.box.hi
+        i = 0
+        for f in phi_lag:
             v = theta[i] + f * g
-            theta[i] = lo if v < lo else hi if v > hi else v  # min(max(v, lo), hi)
+            theta[i] = lo[i] if v < lo[i] else hi[i] if v > hi[i] else v  # min(max(v, lo), hi)
+            i += 1
     return StepRecord(e_next, rho)

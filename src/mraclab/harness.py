@@ -59,6 +59,9 @@ from .plant_sim import (
     CoefficientSchedule,
     CoefSpec,
     SignalSpec,
+    integer,
+    number,
+    numbers,
     plant_step,
     signal_rows,
     square_wave,
@@ -316,31 +319,27 @@ def _section(doc: dict, key: str, fieldpath: str, keys: tuple[str, ...], default
     return doc[key]
 
 
-def _number(convert, doc: dict, key: str, fieldpath: str, default=None):
-    """convert(doc[key]) (or the default when it is absent), finite, errors under fieldpath."""
+def _number(read, doc: dict, key: str, fieldpath: str, default=None):
+    """read(doc[key]) (or the default when it is absent), finite, errors under fieldpath.
+
+    read is plant_sim's integer or number: a string, a bool or, for an integer, a fraction fails."""
     if key not in doc and default is None:
         raise ConfigError(fieldpath, "missing field")
     try:
-        value = convert(doc.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(fieldpath, f"expected a number: {exc}") from None
+        value = read(doc.get(key, default))
+    except (TypeError, OverflowError) as exc:
+        raise ConfigError(fieldpath, str(exc)) from None
     if isinstance(value, float) and not math.isfinite(value):  # before build_param_box reads it
         raise ConfigError(fieldpath, "must be finite")
     return value
 
 
 def _floats(doc, fieldpath: str) -> tuple[float, ...]:
-    """doc as floats; only a list or tuple of ints and floats (not bools) is an array of numbers.
-
-    float() alone would read a string, object or bool element by element."""
-    if not isinstance(doc, (list, tuple)) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc
-    ):
-        raise ConfigError(fieldpath, "expected an array of numbers")
+    """doc as floats; only a list or tuple of ints and floats (not bools) is an array of numbers."""
     try:
-        return tuple(float(v) for v in doc)
-    except OverflowError:  # an int past the float range
-        raise ConfigError(fieldpath, "expected an array of numbers") from None
+        return numbers(doc)
+    except TypeError as exc:
+        raise ConfigError(fieldpath, str(exc)) from None
 
 
 def _pair(doc, keys: tuple[str, str], fieldpath: str) -> tuple:
@@ -377,7 +376,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     est = _section(doc, "estimator", "estimator", ("delta", "box", "s_ab_box", "samples", "margin"))
     sim = _section(doc, "sim", "sim", ("t0", "steps", "seed", "x0", "theta0"))
     signals = _section(doc, "signals", "signals", ("r", "w"), default={})
-    d = _number(int, plant, "d", "plant.d")
+    d = _number(integer, plant, "d", "plant.d")
 
     # A constant plant is a schedule of constant specs: ExperimentConfig tests its row once.
     fieldpath = "plant.schedule" if "schedule" in plant else "plant"
@@ -401,9 +400,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError("reference", str(exc))
 
-    t0 = _number(int, sim, "t0", "sim.t0", default=0)
-    steps = _number(int, sim, "steps", "sim.steps")
-    seed = _number(int, sim, "seed", "sim.seed", default=0)
+    t0 = _number(integer, sim, "t0", "sim.t0", default=0)
+    steps = _number(integer, sim, "steps", "sim.steps")
+    seed = _number(integer, sim, "seed", "sim.seed", default=0)
     x0 = _floats(sim.get("x0", [0.0] * x0_length(schedule.n, schedule.m, d)), "sim.x0")
 
     raw_delta = est.get("delta", "inf")
@@ -413,13 +412,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         delta = math.inf
     else:
         try:
-            delta = float(raw_delta)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError("estimator.delta", "expected a number or 'inf'")
+            delta = number(raw_delta)
+        except (TypeError, OverflowError):
+            raise ConfigError("estimator.delta", "expected a number or 'inf'") from None
 
     s_ab = None
-    samples = _number(int, est, "samples", "estimator.samples", default=256)
-    margin = _number(float, est, "margin", "estimator.margin", default=0.0)
+    samples = _number(integer, est, "samples", "estimator.samples", default=256)
+    margin = _number(number, est, "margin", "estimator.margin", default=0.0)
     if "s_ab_box" in est:
         s_ab = _box(est["s_ab_box"], "estimator.s_ab_box")
     if "box" in est:
@@ -547,6 +546,13 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     loop; the coefficient rows are the ones the config validated. Each
     update sums phi^T theta_hat and ||phi||^2 in one pass over phi, each
     from +0.0; theta_hat and rho are written to their arrays once, after the loop.
+
+    Each step calls its kernels (control_input, plant_step, ybar,
+    estimator_update) through this module's names, so a wrapper installed
+    on a name sees every call. Their term orders, which the golden traces
+    pin, are stated in the controller, plant_sim and estimator module
+    docstrings. The last time t0 + T only records theta_hat and solves for
+    u; it emits nothing and runs no update.
     """
     n, m, d = cfg.n, cfg.m, cfg.d
     p, T, L = cfg.dim_theta, cfg.steps, cfg.ref.L
@@ -566,24 +572,26 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     y, u = start.y.tolist(), start.u.tolist()  # y ends with y(t), u with u(t-1)
     target, w_next = target.tolist(), w[1:].tolist()
     ys, us = slice(-d, -d - n, -1), slice(-d, -m - 2 * d, -1)  # phi(t-d+1) = y[ys] + u[us]
+    theta = est.theta_hat  # updated in place by every update
     ybars, e, thetas, gates = [ybar(y, L)], [0.0], array("d"), []  # thetas: T+1 rows of p
-    for k in range(T + 1):
-        thetas.fromlist(est.theta_hat)
-        u.append(control_input(est.theta_hat, target[k], y, u, n, p, gain_sign))
-        if k == T:
-            break
+    for k, (a, b) in enumerate(coeffs):
+        thetas.fromlist(theta)
+        u.append(control_input(theta, target[k], y, u, n, p, gain_sign))
         phi_lag = y[ys] + u[us]
-        y_next = plant_step(*coeffs[k], d, y, u, w_next[k])
+        y_next = plant_step(a, b, d, y, u, w_next[k])
         if not -OVERFLOW_LIMIT <= y_next <= OVERFLOW_LIMIT:  # NaN compares false: aborts too
             raise NumericAbort(
                 f"output diverged at t = {cfg.t0 + k + 1} (y = {y_next!r}); "
                 "check the admissible box and plant schedule"
             )
         y.append(y_next)
-        ybars.append(ybar(y, L))
-        rec = estimator_update(est, phi_lag, ybars[-1])
+        yb = ybar(y, L)
+        ybars.append(yb)
+        rec = estimator_update(est, phi_lag, yb)
         e.append(rec.e_next)
         gates.append(rec.rho)
+    thetas.fromlist(theta)  # the final time: u(t0 + T) and theta_hat(t0 + T), no emission
+    u.append(control_input(theta, target[T], y, u, n, p, gain_sign))
     theta_hat[:] = np.frombuffer(thetas).reshape(T + 1, p)
     rho[:T] = gates
 

@@ -2,7 +2,10 @@
 
 plant_step is a pure function of the coefficients at emission time and the
 run's past outputs and inputs, read from the end of the oldest-first lists
-that the closed loop grows from controller.history's layout.
+that the closed loop grows from controller.history's layout. Its order of
+terms is pinned by the golden traces: from w(t+1) it subtracts a_i y(t-i)
+for i = 0 .. n-1, then adds b_i u(t-d+1-i) for i = 0 .. m, walking each
+list with a running negative index.
 
 Conventions used throughout the package:
 
@@ -53,24 +56,60 @@ __all__ = [
 
 REQUIRED = object()  # default of a field that every document of its kind must carry
 
-# kind -> its fields in document order, each (name, converter, default or REQUIRED).
-# The spec's __post_init__ turns the elements of a tuple field into numbers.
+
+# Readers of a document's number fields. JSON has one number type: an integer
+# field takes an int and a number field an int or a float, never a bool; a
+# string, a bool or a fraction is refused rather than converted.
+def integer(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def number(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)  # OverflowError for an int no float holds
+
+
+def numbers(v) -> tuple[float, ...]:
+    """A list or tuple of numbers, as floats."""
+    if isinstance(v, (list, tuple)):
+        try:
+            return tuple(number(x) for x in v)
+        except (TypeError, OverflowError):
+            pass
+    raise TypeError("expected an array of numbers")
+
+
+def integers(v) -> tuple[int, ...]:
+    """A list or tuple of integers."""
+    if isinstance(v, (list, tuple)):
+        try:
+            return tuple(integer(x) for x in v)
+        except TypeError:
+            pass
+    raise TypeError("expected an array of integers")
+
+
+# kind -> its fields in document order, each (name, reader, default or REQUIRED).
 SIGNAL_KINDS = {
     "zero": (),
-    "constant": (("level", float, REQUIRED),),
-    "square_wave": (("period", int, REQUIRED), ("amplitude", float, 1.0), ("phase", float, 0.0)),
-    "sinusoid": (("amplitude", float, REQUIRED), ("rate", float, REQUIRED), ("phase", float, 0.0)),
-    "windowed_sinusoid": (("t_start", int, REQUIRED), ("t_end", int, REQUIRED),
-                          ("amplitude", float, REQUIRED), ("rate", float, REQUIRED)),
-    "table": (("values", tuple, REQUIRED), ("t_start", int, 0)),
-    "white_noise": (("amplitude", float, REQUIRED), ("seed", int, 0)),
+    "constant": (("level", number, REQUIRED),),
+    "square_wave": (("period", integer, REQUIRED), ("amplitude", number, 1.0),
+                    ("phase", number, 0.0)),
+    "sinusoid": (("amplitude", number, REQUIRED), ("rate", number, REQUIRED), ("phase", number, 0.0)),
+    "windowed_sinusoid": (("t_start", integer, REQUIRED), ("t_end", integer, REQUIRED),
+                          ("amplitude", number, REQUIRED), ("rate", number, REQUIRED)),
+    "table": (("values", numbers, REQUIRED), ("t_start", integer, 0)),
+    "white_noise": (("amplitude", number, REQUIRED), ("seed", integer, 0)),
 }
 COEF_KINDS = {
-    "constant": (("value", float, REQUIRED),),
-    "sinusoid": (("offset", float, 0.0), ("amplitude", float, REQUIRED), ("rate", float, REQUIRED),
-                 ("phase", float, 0.0), ("trig", str, "cos")),
-    "piecewise": (("times", tuple, REQUIRED), ("values", tuple, REQUIRED)),
-    "table": (("values", tuple, REQUIRED), ("t_start", int, 0)),
+    "constant": (("value", number, REQUIRED),),
+    "sinusoid": (("offset", number, 0.0), ("amplitude", number, REQUIRED),
+                 ("rate", number, REQUIRED), ("phase", number, 0.0), ("trig", str, "cos")),
+    "piecewise": (("times", integers, REQUIRED), ("values", numbers, REQUIRED)),
+    "table": (("values", numbers, REQUIRED), ("t_start", integer, 0)),
 }
 
 
@@ -337,7 +376,9 @@ class CoefSpec(KindSpec):
 
     @classmethod
     def from_doc(cls, doc) -> "CoefSpec":
-        return cls.const(float(doc)) if isinstance(doc, (int, float)) else super().from_doc(doc)
+        if isinstance(doc, (int, float)) and not isinstance(doc, bool):
+            return cls.const(float(doc))
+        return super().from_doc(doc)
 
 
 def coef_eval(spec: CoefSpec, t: int) -> float:
@@ -436,10 +477,14 @@ def plant_step(a, b, d: int, y, u, w_next: float) -> float:
     y(t+1) = w(t+1) - sum_i a_i y(t-i) + sum_i b_i u(t-d+1-i).
     """
     y_next = float(w_next)
-    for i, ai in enumerate(a):
-        y_next -= ai * y[-1 - i]
-    for i, bi in enumerate(b):
-        y_next += bi * u[-d - i]
+    i = -1
+    for c in a:
+        y_next -= c * y[i]
+        i -= 1
+    i = -d
+    for c in b:
+        y_next += c * u[i]
+        i -= 1
     return y_next
 
 

@@ -1,4 +1,4 @@
-"""Golden pins: the showcase artifacts, four more traces, their verified summaries and the
+"""Golden pins: the showcase artifacts, five more traces, five verified summaries and the
 config hashes must not drift.
 
 Any change to arithmetic order in the closed loop, the summary, or the
@@ -67,6 +67,42 @@ STATIC_D3_CONFIG = {
     },
 }
 
+# One input lag fewer than any other pin: m = 0 (b = b0 alone), two-step delay, finite deadzone.
+M0_D2_CONFIG = {
+    "plant": {"a": [-0.7], "b": [1.5], "d": 2},
+    "reference": {"L": [1.0, -0.3], "H": [0.7]},
+    "estimator": {"box": {"lo": [-0.3, 0.9, 0.0], "hi": [0.9, 2.1, 1.2]}, "delta": 0.3},
+    "sim": {"t0": 0, "steps": 300, "x0": [0.2, -0.1, 0.3, -0.4], "theta0": "midpoint"},
+    "signals": {
+        "r": {"kind": "square_wave", "period": 50, "amplitude": 1.0},
+        "w": {"kind": "white_noise", "amplitude": 0.1, "seed": 7},
+    },
+}
+
+# p = n + m + d = 8 parameters: the squared parameter error is numpy's pairwise row sum, which
+# adds 8 terms in another order than left to right, so its contraction margins pin that order.
+P8_CONFIG = {
+    "plant": {"a": [-0.5, 0.2, -0.1], "b": [1.0, 0.3, 0.1], "d": 3},
+    "reference": {"L": [1.0, -0.4], "H": [0.6]},
+    "estimator": {
+        "box": {
+            "lo": [-0.6, -0.6, -0.6, 0.4, -0.2, -0.6, -0.6, -0.6],
+            "hi": [0.6, 0.6, 0.6, 1.6, 1.0, 0.6, 0.6, 0.6],
+        },
+        "delta": 0.5,
+    },
+    "sim": {
+        "t0": 0,
+        "steps": 400,
+        "x0": [0.1, -0.2, 0.3, -0.1, 0.2, -0.3, 0.1, -0.2, 0.3, -0.1, 0.2],
+        "theta0": "midpoint",
+    },
+    "signals": {
+        "r": {"kind": "square_wave", "period": 60, "amplitude": 1.0},
+        "w": {"kind": "white_noise", "amplitude": 0.05, "seed": 1},
+    },
+}
+
 
 def test_showcase_artifacts_pinned(tmp_path):
     assert main(["reproduce", "--out", str(tmp_path)]) == 0
@@ -94,8 +130,9 @@ def test_config_hash_pinned(make, digest):
         (D1_CONFIG, "a5bdd9615367d31a94bc21e6fc99e34ba63a9d03b0ac2988af00dc314ccad86a"),
         (STATIC_D3_CONFIG, "bca448a6a2fac8491d3c0d16780d79086d2c4745cbf854ea3d054f2cf86995fa"),
         (D1_GATED_CONFIG, "26f514d24301067925224cd3834faa6d3806f6add3f2dfc3a2a893e298883bdc"),
+        (M0_D2_CONFIG, "96711e6bdfb007a95850ef2c6b9c4a7e3882a0915bbcbeaa109ced8d5674a725"),
     ],
-    ids=["readme", "d1", "static_d3", "d1_gated"],
+    ids=["readme", "d1", "static_d3", "d1_gated", "m0_d2"],
 )
 def test_trace_pinned(tmp_path, doc, digest):
     trace = run_closed_loop(config_from_dict(doc))
@@ -112,8 +149,9 @@ def test_trace_pinned(tmp_path, doc, digest):
         (D1_CONFIG, "d37f4b8ba07647e3af862b1c4394374e189644e0db79b9ac54215f9d00f77a76"),
         (STATIC_D3_CONFIG, "6e40b3d7796b2895b17f01a479f88779e329bfef412b5bbc48807727cba76c6c"),
         (D1_GATED_CONFIG, "f76f39de711a0959ac6ba8798f05618dd1ec495a85a3315f904350db43b817d9"),
+        (P8_CONFIG, "5dd90d8552a6d5cf3c9bd1e5daa8e5bafbabfa2ef54fade14888174d29bd9d2c"),
     ],
-    ids=["readme", "d1", "static_d3", "d1_gated"],
+    ids=["readme", "d1", "static_d3", "d1_gated", "p8"],
 )
 def test_summary_pinned(tmp_path, capsys, doc, digest):
     # summary.json of run --verify holds every check margin: the contraction and identity

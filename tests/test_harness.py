@@ -347,6 +347,45 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="^sim.x0: expected an array of numbers$"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            ("sim.steps", "400", "sim.steps: expected an integer, got '400'"),
+            ("sim.steps", 400.9, "sim.steps: expected an integer, got 400.9"),
+            ("sim.t0", True, "sim.t0: expected an integer, got True"),
+            ("estimator.delta", True, "estimator.delta: expected a number or 'inf'"),
+            ("signals.w", {"kind": "white_noise", "amplitude": 0.05, "seed": 3.7},
+             "signals.w: field 'seed': expected an integer, got 3.7"),
+            ("signals.r", {"kind": "table", "values": "123"},
+             "signals.r: field 'values': expected an array of numbers"),
+            ("plant", {"schedule": {"a": [True, 0.08], "b": [2.0, 0.5]}, "d": 2},
+             "plant.schedule.a[0]: expected a number or an object with a 'kind' field"),
+        ],
+        ids=["steps_string", "steps_fraction", "t0_bool", "delta_bool", "seed_fraction",
+             "table_values_string", "coefficient_bool"],
+    )
+    def test_scalar_field_takes_a_json_number(self, where, value, message):
+        # Each was accepted through int() or float(): 400 steps twice, t0 = 1, delta = 1.0,
+        # noise seed 3, table values (1.0, 2.0, 3.0) and a constant coefficient 1.0.
+        doc = json.loads(json.dumps(README_CONFIG))
+        *parents, key = where.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(doc)
+
+    def test_number_fields_take_ints(self):
+        doc = json.loads(json.dumps(README_CONFIG))
+        doc["estimator"]["delta"] = 2
+        doc["signals"]["r"]["amplitude"] = 1
+        doc["plant"] = {"schedule": {"a": [-0.6, {"kind": "constant", "value": 0}], "b": [2, 0.5]},
+                        "d": 2}
+        cfg = config_from_dict(doc)
+        assert cfg.delta == 2.0 and type(cfg.delta) is float and type(cfg.r.amplitude) is float
+        assert cfg.plant_rows[0].tolist() == [[-0.6, 0.0]] and cfg.plant_rows[1].tolist() == [[2.0, 0.5]]
+
     def test_field_path_in_errors(self):
         doc = make_config().to_config_dict()
         doc["estimator"]["delta"] = "huge"

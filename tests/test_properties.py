@@ -1,12 +1,15 @@
 """Property tests: every admissible constant plant passes the audit and round-trips,
 the estimator's scalar sums match the audits' column sums bit for bit, configs
 survive their document form, the admissibility test agrees with the root
-moduli, the predictor split is exact, and a signal's column is its samples."""
+moduli, the predictor split is exact, a signal's column is its samples, and
+the loop's step kernels compute the products and sums of their plain
+index formulas bit for bit."""
 
 from __future__ import annotations
 
 import json
 import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mraclab import estimator
+from mraclab.controller import control_input, reference_outputs, ybar
 from mraclab.estimator import EstimatorState, estimator_update
 from mraclab.harness import (
     ExperimentConfig,
@@ -33,6 +37,7 @@ from mraclab.plant_sim import (
     SIGNAL_KINDS,
     CoefficientSchedule,
     constant_signal,
+    plant_step,
     signal_eval,
     signal_rows,
     sinusoid,
@@ -268,3 +273,120 @@ def test_signal_rows_are_signal_eval_bit_for_bit(kind, data):
     samples = np.array([signal_eval(spec, t) for t in range(t0, t0 + count)], dtype=float)
     assert column.dtype == samples.dtype and column.shape == samples.shape
     assert column.tobytes() == samples.tobytes()
+
+
+# The per-step kernels as the enumerate/range formulas they replaced. The loop's kernels
+# walk their lags with a running index instead; the products and the order of every sum
+# must stay these, or the golden traces move.
+def ybar_by_offsets(y, coeffs):
+    acc = 0.0
+    for j, c in enumerate(coeffs):
+        acc += c * y[-1 - j]
+    return acc
+
+
+def control_by_offsets(theta, target, y, u, n, p):
+    acc = target
+    for i in range(n):
+        acc -= theta[i] * y[-1 - i]
+    for i in range(1, p - n):
+        acc -= theta[n + i] * u[-i]
+    return acc / theta[n]
+
+
+def plant_step_by_offsets(a, b, d, y, u, w_next):
+    y_next = float(w_next)
+    for i, ai in enumerate(a):
+        y_next -= ai * y[-1 - i]
+    for i, bi in enumerate(b):
+        y_next += bi * u[-d - i]
+    return y_next
+
+
+def update_by_offsets(theta, box, delta, phi, ybar_next):
+    pred = sq = 0.0
+    for f, c in zip(phi, theta):
+        pred += f * c
+        sq += f * f
+    e_next = float(ybar_next) - pred
+    rho = estimator.deadzone_flag(e_next, sq, box_norm(box), delta)
+    if rho:
+        g = e_next / sq
+        for i, (f, lo, hi) in enumerate(zip(phi, box.lo, box.hi)):
+            v = theta[i] + f * g
+            theta[i] = lo if v < lo else hi if v > hi else v
+    return e_next, rho
+
+
+def y_star_by_offsets(now, l, order):
+    y_star = [0.0] * order
+    for s in now:
+        acc = 0.0
+        for j in range(1, len(l)):
+            acc += l[j] * y_star[-j]
+        y_star.append(s - acc)
+    return y_star[order:]
+
+
+def bits(values) -> bytes:
+    return b"".join(struct.pack("<d", v) for v in values)
+
+
+# Floats of mixed sign and scale with signed zeros often.
+VALUE = unit().map(lambda v: v * 10.0 ** round(4 * v)) | st.sampled_from((0.0, -0.0, 1.0, -1.0))
+WIDTH = st.sampled_from((0.0, 0.5)) | unit(0.0, 2.0)  # a zero width puts both edges on the centre
+ROOT, FRACTION, SHAPE = unit(-0.9, 0.9), unit(0.0, 1.0), st.integers(1, 3)
+EDGE, DEGREE, DELTA = st.integers(0, 2), st.integers(0, 3), st.sampled_from((math.inf, 1e-3, 0.5))
+
+
+@st.composite
+def kernel_cases(draw):
+    """n in 1..3, m in 0..2, d in 1..3, L of degree 0..3 (Schur stable), histories, a
+    box whose edges the estimate sits on or is pushed past, and a regressor."""
+    def values(size: int) -> list[float]:
+        return [draw(VALUE) for _ in range(size)]
+
+    n, m, d = draw(SHAPE), draw(SHAPE) - 1, draw(SHAPE)
+    p = n + m + d
+    L = PolyZ((1.0,))
+    for _ in range(draw(DEGREE)):
+        L = poly_mul(L, PolyZ((1.0, -draw(ROOT))))
+    ref = ReferenceModel(L=L, H=PolyZ(tuple(values(1 + max(L.degree - d, 0)))), d=d)
+    mid = values(p)
+    lo, hi = [c - draw(WIDTH) for c in mid], [c + draw(WIDTH) for c in mid]
+    if draw(EDGE) % 2:  # the sign of beta0 is pinned away from zero
+        lo[n], hi[n] = 0.25, 0.25 + hi[n] - lo[n]
+    else:
+        lo[n], hi[n] = -0.25 - hi[n] + lo[n], -0.25
+    phi = values(p)
+    if draw(EDGE) == 0:  # now and then a NaN in the regressor
+        phi[draw(SHAPE) % p] = math.nan
+    theta = []
+    for l, h in zip(lo, hi):
+        where = draw(EDGE)  # on the lower edge, on the upper edge, or inside
+        theta.append((l, h)[where] if where < 2 else l + draw(FRACTION) * (h - l))
+    return dict(n=n, d=d, p=p, ref=ref, box=ParamBox(lo=tuple(lo), hi=tuple(hi)), theta=theta,
+                a=values(n), b=values(m + 1), r=values(4 * draw(SHAPE)), y=values(8), u=values(8),
+                phi=phi, w=draw(VALUE), target=draw(VALUE), ybar_next=draw(VALUE), delta=draw(DELTA))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(kernel_cases())
+def test_loop_kernels_keep_their_products_and_order(case):
+    n, p, d, y, u = case["n"], case["p"], case["d"], case["y"], case["u"]
+    L, theta, box = case["ref"].L, case["theta"], case["box"]
+    assert bits([ybar(y, L)]) == bits([ybar_by_offsets(y, L.coeffs)])
+    gain_sign = math.copysign(1.0, theta[n])
+    got = control_input(theta, case["target"], y, u, n, p, gain_sign)
+    assert bits([got]) == bits([control_by_offsets(theta, case["target"], y, u, n, p)])
+    got = plant_step(case["a"], case["b"], d, y, u, case["w"])
+    assert bits([got]) == bits([plant_step_by_offsets(case["a"], case["b"], d, y, u, case["w"])])
+
+    state = EstimatorState(theta_hat=list(theta), box=box, delta=case["delta"])
+    rec = estimator_update(state, case["phi"], case["ybar_next"])
+    want = list(theta)
+    e_next, rho = update_by_offsets(want, box, case["delta"], case["phi"], case["ybar_next"])
+    assert bits(state.theta_hat + [rec.e_next]) == bits(want + [e_next]) and rec.rho == rho
+
+    y_star, now, _ = reference_outputs(case["ref"], case["r"])
+    assert bits(y_star.tolist()) == bits(y_star_by_offsets(now.tolist(), L.coeffs, L.degree))
