@@ -9,6 +9,7 @@ and verification (harness), and the command-line front end (cli).
 
 from .harness import (
     ExperimentConfig,
+    audit,
     check_identities,
     check_prop1,
     check_trace_consistency,
@@ -38,6 +39,7 @@ __all__ = [
     "config_from_dict",
     "run_closed_loop",
     "ground_truth",
+    "audit",
     "check_prop1",
     "check_identities",
     "check_trace_consistency",

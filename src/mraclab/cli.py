@@ -20,17 +20,10 @@ from pathlib import Path
 
 from .harness import (
     ConfigError,
-    ExperimentConfig,
     NumericAbort,
-    Trace,
     VerificationReport,
-    check_identities,
-    check_prop1,
-    check_trace_consistency,
+    audit,
     config_from_dict,
-    config_spectral_floor,
-    fit_decay_bound,
-    ground_truth,
     reproduce_example,
     run_closed_loop,
     trace_from_csv,
@@ -66,39 +59,6 @@ def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
     return doc
 
 
-def _resolve_lambda(cfg: ExperimentConfig, requested: float | None) -> tuple[float, float]:
-    floor = config_spectral_floor(cfg)
-    if requested is None:
-        lam = 0.9 if floor < 0.9 else 0.5 * (1.0 + floor)
-        return lam, floor
-    if not floor < requested < 1.0:
-        raise ConfigError(
-            "lambda",
-            f"decay rate must lie in ({floor:.6f}, 1) for this configuration, "
-            f"got {requested}",
-        )
-    return requested, floor
-
-
-def _verification(
-    trace: Trace, cfg: ExperimentConfig, lam: float, floor: float
-) -> VerificationReport:
-    rep = VerificationReport()
-    rep.checks += check_trace_consistency(trace, cfg).checks
-    if cfg.schedule.is_constant():
-        gt = ground_truth(cfg)
-        rep.checks += check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0).checks
-        rep.checks += check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0).checks
-    else:
-        rep.checks += check_prop1(trace).checks
-    rep.fitted = {
-        "lambda": lam,
-        "spectral_floor": floor,
-        "envelope_gain_c": fit_decay_bound(trace, lam, floor),
-    }
-    return rep
-
-
 def _print_report(rep: VerificationReport) -> None:
     for line in rep.lines():
         print(line)
@@ -109,10 +69,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     doc = _apply_overrides(_load_json(args.config), args)
     cfg = config_from_dict(doc)
     trace = run_closed_loop(cfg)
-    rep = None
-    if args.verify:
-        lam, floor = _resolve_lambda(cfg, args.decay)
-        rep = _verification(trace, cfg, lam, floor)
+    rep = audit(trace, args.decay) if args.verify else None
     paths = write_outputs(trace, args.out, rep)
     for name in ("trace", "summary", "plot"):
         print(f"wrote {paths[name]}")
@@ -154,8 +111,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ConfigError("config", "verify needs --config or --trace")
         cfg = config_from_dict(_load_json(args.config))
         trace = run_closed_loop(cfg)
-    lam, floor = _resolve_lambda(cfg, args.decay)
-    rep = _verification(trace, cfg, lam, floor)
+    rep = audit(trace, args.decay)
     _print_report(rep)
     if args.out:
         paths = write_outputs(trace, args.out, rep)

@@ -2,8 +2,9 @@
 
 One experiment = plant schedule + reference model + estimator box + initial
 data + exogenous signals. run_closed_loop executes the certainty-equivalence
-loop and records everything needed to re-derive each quantity offline; the
-check_* functions then confirm, on the recorded trace, the properties the
+loop and records everything needed to re-derive each quantity offline; audit,
+the one audit of a run (run --verify, verify and reproduce call it), picks
+the check_* functions that confirm, on the recorded trace, the properties the
 projection estimator and the adaptive loop are supposed to have:
 
 * the per-step estimate move is bounded by the normalized prediction error,
@@ -96,6 +97,7 @@ __all__ = [
     "check_trace_consistency",
     "fit_decay_bound",
     "tracking_energy",
+    "audit",
     "config_spectral_floor",
     "demo_config",
     "reproduce_example",
@@ -124,6 +126,12 @@ class NumericAbort(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Configuration
+
+# ExperimentConfig's scalar fields: (name, plant_sim reader, document field path).
+SCALAR_FIELDS = (("delta", number, "estimator.delta"), ("t0", integer, "sim.t0"),
+                 ("steps", integer, "sim.steps"), ("seed", integer, "sim.seed"),
+                 ("s_ab_samples", integer, "estimator.samples"),
+                 ("s_ab_margin", number, "estimator.margin"))
 
 
 @dataclass(frozen=True)
@@ -164,11 +172,17 @@ class ExperimentConfig:
         return self.n + self.m + self.d
 
     def __post_init__(self) -> None:
-        """Convert x0/theta0 to float tuples and check the whole configuration.
+        """Read the scalar fields as a document's, convert x0/theta0 to float tuples and
+        check the whole configuration.
 
         Raises ConfigError with the offending field path, so a constructed
         config always meets the assumptions run_closed_loop relies on.
         """
+        for name, read, fieldpath in SCALAR_FIELDS:
+            try:
+                object.__setattr__(self, name, read(getattr(self, name)))
+            except (TypeError, OverflowError) as exc:
+                raise ConfigError(fieldpath, str(exc)) from None
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         object.__setattr__(self, "theta0", tuple(float(v) for v in self.theta0))
         n, m, d = self.n, self.m, self.d
@@ -897,11 +911,12 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     worst = max(abs(float(trace.e[0])), _relative(trace.e[1:] - pred, pred_size))
     rep.add("consistency_prediction_error", CHECK_TOL - worst, tol=0.0)
 
-    # Regressor norms and deadzone gates.
-    norm = np.sqrt(_weighted(now, now))
+    # Regressor norms and deadzone gates; ||phi||^2 is row-wise, so one pass serves both.
+    sq = _weighted(phi, phi)
+    norm = np.sqrt(sq[d - 1 :])
     worst = _relative(trace.norm_phi - norm, norm)
     rep.add("consistency_regressor_norm", CHECK_TOL - worst, tol=0.0)
-    lag_norm = np.sqrt(_weighted(lagged, lagged))
+    lag_norm = np.sqrt(sq[:T])
     gate = lag_norm > 0.0
     if not math.isinf(cfg.delta):
         gate &= np.abs(trace.e[1:]) < (2.0 * box_norm(cfg.box) + cfg.delta) * lag_norm
@@ -985,6 +1000,32 @@ def tracking_energy(trace: Trace) -> tuple[float, np.ndarray]:
 def config_spectral_floor(cfg: ExperimentConfig) -> float:
     """Spectral floor of one run: root moduli of L and of B(t) on the horizon."""
     return max(max_root_modulus(cfg.ref.L), float(np.max(max_root_moduli(cfg.plant_rows[1]))))
+
+
+def audit(trace: Trace, decay: float | None = None) -> VerificationReport:
+    """A run's audit, as run --verify, verify and reproduce make it: every column against its
+    recursion, then a constant plant against its ground truth (check_prop1 in full and
+    check_identities), any other plant by check_prop1's move bound; then the envelope fit.
+
+    The decay rate is decay, which must lie in (floor, 1), else 0.9, or halfway
+    from the spectral floor to 1 when the floor is 0.9 or more."""
+    cfg = trace.cfg
+    floor = config_spectral_floor(cfg)
+    if decay is None:
+        decay = 0.9 if floor < 0.9 else 0.5 * (1.0 + floor)
+    elif not floor < decay < 1.0:
+        msg = f"decay rate must lie in ({floor:.6f}, 1) for this configuration, got {decay}"
+        raise ConfigError("lambda", msg)
+    rep = check_trace_consistency(trace, cfg)
+    if cfg.schedule.is_constant():
+        gt = ground_truth(cfg)
+        rep.checks += check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0).checks
+        rep.checks += check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0).checks
+    else:
+        rep.checks += check_prop1(trace).checks
+    gain = fit_decay_bound(trace, decay, floor)
+    rep.fitted = {"lambda": decay, "spectral_floor": floor, "envelope_gain_c": gain}
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -1180,15 +1221,14 @@ def demo_config(steps: int = 1000) -> ExperimentConfig:
 
 
 def reproduce_example(out_dir=None) -> tuple[Trace, dict]:
-    """Run the packaged showcase experiment and build its summary.
+    """Run the packaged showcase experiment, audit it and build its summary.
 
     When out_dir is given, also writes trace.csv, summary.json, and plot.gp
     there. Returns (trace, summary). The run is fully deterministic: two
     invocations produce byte-identical artifacts.
     """
-    cfg = demo_config()
-    trace = run_closed_loop(cfg)
-    summary = build_summary(trace, check_prop1(trace))
+    trace = run_closed_loop(demo_config())
+    summary = build_summary(trace, audit(trace))
     if out_dir is not None:
         _write_artifacts(trace, out_dir, summary)
     return trace, summary

@@ -136,13 +136,20 @@ class KindSpec:
     def _used(cls, kind) -> set:
         return {name for name, _, _ in cls.fields_of(kind)} | {"kind"}
 
-    def _check_fields(self) -> None:
-        """Reject a value other than the class default in a field the kind does not read, and a
-        NaN or an infinity in any number field (integer fields are finite by type)."""
-        used = self._used(self.kind)
+    def _read_fields(self) -> None:
+        """Read each field the kind uses by its KINDS reader, as from a document; reject a value
+        other than the class default in a field the kind does not read, and a NaN or an
+        infinity in any number field (integer fields are finite by type)."""
+        read = {name: reader for name, reader, _ in self.fields_of(self.kind)}
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name not in used and value != f.default:
+            if f.name in read:
+                try:
+                    value = read[f.name](value)
+                except (TypeError, OverflowError) as exc:
+                    raise ValueError(f"field {f.name!r}: {exc}") from None
+                object.__setattr__(self, f.name, value)
+            elif f.name != "kind" and value != f.default:
                 raise ValueError(f"field {f.name!r} is not used by {self.NOUN} kind {self.kind!r}")
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in (value if isinstance(value, tuple) else (value,))):
@@ -177,14 +184,11 @@ class KindSpec:
         for key in doc:
             if key not in used:
                 raise ValueError(f"field {key!r}: not used by {cls.NOUN} kind {kind!r}")
-        for name, convert, default in cls.fields_of(kind):
+        for name, _, default in cls.fields_of(kind):
             if name not in doc and default is REQUIRED:
                 raise ValueError(f"missing field {name!r} for kind {kind!r}")
-            try:
-                values[name] = convert(doc[name]) if name in doc else default
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"field {name!r}: {exc}") from None
-        return cls(kind=kind, **values)
+            values[name] = doc.get(name, default)
+        return cls(kind=kind, **values)  # __post_init__ reads each value
 
 
 _NOISE_BLOCK = 512
@@ -209,8 +213,7 @@ class SignalSpec(KindSpec):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        self._check_fields()
+        self._read_fields()
         if self.kind == "square_wave" and self.period < 1:
             raise ValueError("square_wave needs period >= 1")
         if self.kind == "windowed_sinusoid" and self.t_end < self.t_start:
@@ -353,9 +356,7 @@ class CoefSpec(KindSpec):
     t_start: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", tuple(int(v) for v in self.times))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        self._check_fields()
+        self._read_fields()
         if self.kind == "sinusoid" and self.trig not in ("cos", "sin"):
             raise ValueError("sinusoid coefficient needs trig in {'cos', 'sin'}")
         if self.kind == "piecewise":
@@ -377,7 +378,7 @@ class CoefSpec(KindSpec):
     @classmethod
     def from_doc(cls, doc) -> "CoefSpec":
         if isinstance(doc, (int, float)) and not isinstance(doc, bool):
-            return cls.const(float(doc))
+            return cls.const(doc)
         return super().from_doc(doc)
 
 

@@ -345,6 +345,15 @@ class TestReproduce:
         assert main(["verify", "--trace", str(out / "trace.csv")]) == 0
         assert "VERIFY PASS" in capsys.readouterr().out
 
+    def test_summary_is_the_audit_of_verify(self, tmp_path):
+        # reproduce audits its run as verify --trace audits the written trace.
+        out, again = tmp_path / "show", tmp_path / "again"
+        assert main(["reproduce", "--out", str(out)]) == 0
+        assert main(["verify", "--trace", str(out / "trace.csv"), "--out", str(again)]) == 0
+        summary = (out / "summary.json").read_bytes()
+        assert (again / "summary.json").read_bytes() == summary
+        assert json.loads(summary)["checks"]["passed"] is True
+
 
 @pytest.mark.parametrize("command", ["run", "verify", "reproduce"])
 def test_output_path_that_is_a_file_is_a_file_error(config_path, tmp_path, capsys, command):

@@ -19,7 +19,7 @@ from mraclab.harness import config_from_dict, demo_config, run_closed_loop, writ
 
 SHOWCASE_SHA256 = {
     "trace.csv": "d3186d34fb19995a22413fc7d243dc20a990eb97553078c13d5aa37cc27dbd3d",
-    "summary.json": "381ae892da70cdd6adaa8be957c26fb929f133ae8c6760358b730a25632c7b5d",
+    "summary.json": "75b97ccff8cf4ac0d26deb35c9b6dc41fda4c2f9412e9dec99f302c22bbd8b22",
 }
 
 # The config from the README's "Config format" section.

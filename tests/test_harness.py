@@ -18,6 +18,7 @@ from mraclab.harness import (
     ExperimentConfig,
     NumericAbort,
     Trace,
+    audit,
     check_identities,
     check_prop1,
     check_trace_consistency,
@@ -36,10 +37,14 @@ from mraclab.harness import (
 )
 from mraclab.harness import CHECK_TOL, _csv_header
 from mraclab.plant_sim import (
+    COEF_KINDS,
+    SIGNAL_KINDS,
     CoefficientSchedule,
     CoefSpec,
     SignalSpec,
     constant_signal,
+    integer,
+    integers,
     sinusoid,
     square_wave,
     table_signal,
@@ -215,6 +220,25 @@ class TestConfigValidation:
                 r=square_wave(40),
                 w=zero_signal(),
             )
+
+
+    @pytest.mark.parametrize(
+        "name, value, fieldpath",
+        [
+            ("t0", True, "sim.t0"),
+            ("seed", 1.5, "sim.seed"),
+            ("delta", True, "estimator.delta"),
+            ("t0", 0.5, "sim.t0"),
+            ("steps", 200.0, "sim.steps"),
+            ("s_ab_samples", True, "estimator.samples"),
+        ],
+        ids=["t0_bool", "seed_fraction", "delta_bool", "t0_fraction", "steps_float", "samples_bool"],
+    )
+    def test_scalar_fields_follow_the_document_rules(self, name, value, fieldpath):
+        # The first three ran and wrote a summary that config_from_dict refuses;
+        # t0 = 0.5 and steps = 200.0 raised a bare TypeError.
+        with pytest.raises(ConfigError, match=f"^{re.escape(fieldpath)}: expected an? "):
+            replace(demo_config(200), **{name: value})
 
 
 class TestConfigRoundTrip:
@@ -555,6 +579,57 @@ class TestSpecKinds:
         with pytest.raises(ValueError, match=f"field '{name}' is not used by"):
             make()
 
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: square_wave(60.5), "period"),
+            (lambda: white_noise(0.1, seed=2.5), "seed"),
+            (lambda: CoefSpec(kind="piecewise", times=(0.5, 10), values=(1.0, 2.0)), "times"),
+            (lambda: CoefSpec(kind="table", values=(1.0, 2.0), t_start=2.5), "t_start"),
+            (lambda: table_signal(("1", "2")), "values"),
+        ],
+        ids=["square_wave_period", "noise_seed", "piecewise_times", "coef_table_start",
+             "table_strings"],
+    )
+    def test_spec_built_in_python_follows_the_document_rules(self, make, name):
+        # Each was built: a period of 60.5 ran but its summary could not be read
+        # back, seed 2.5 failed inside numpy, the times were truncated to (0, 10),
+        # t_start 2.5 was kept and the strings were read as (1.0, 2.0).
+        with pytest.raises(ValueError, match=f"^field '{name}': expected an"):
+            make()
+
+    @pytest.mark.parametrize(
+        "kinds, examples",
+        [(SIGNAL_KINDS, SIGNAL_EXAMPLES), (COEF_KINDS, COEF_EXAMPLES)],
+        ids=["signal", "coefficient"],
+    )
+    def test_integer_fields_refuse_floats_and_bools(self, kinds, examples):
+        assert examples.keys() == kinds.keys()
+        tried = 0
+        for kind, kind_fields in kinds.items():
+            spec = examples[kind][0]
+            for name, read, _ in kind_fields:
+                value = getattr(spec, name)
+                if read is integer:
+                    bad = [float(value), value + 0.5, True]
+                elif read is integers:
+                    bad = [tuple(map(float, value)), value[:-1] + (True,)]
+                else:
+                    continue
+                for v in bad:
+                    with pytest.raises(ValueError, match=f"^field '{name}': expected an"):
+                        replace(spec, **{name: v})
+                    tried += 1
+        assert tried >= 5
+
+    def test_python_built_numbers_hash_as_their_document(self):
+        # An int where a number belongs is held as a float, as a document's is
+        # read, so the config hash survives the round trip through the document.
+        cfg = make_config(delta=2, r=square_wave(40, 1), w=constant_signal(0))
+        back = config_from_dict(cfg.to_config_dict())
+        assert back.config_hash() == cfg.config_hash()
+        assert type(cfg.delta) is type(cfg.r.amplitude) is type(cfg.w.level) is float
+
     def test_bare_number_is_a_constant_coefficient(self):
         doc = coef_config(CoefSpec.const(-0.5)).to_config_dict()
         doc["plant"]["schedule"]["a"][0] = -0.5
@@ -845,14 +920,7 @@ class TestChecks:
         # alike, and every check must keep its verdict. The time-varying
         # showcase runs without ground truth, the README's constant plant with it.
         def verdicts(cfg):
-            tr = run_closed_loop(cfg)
-            checks = check_trace_consistency(tr, cfg).checks
-            if not cfg.schedule.is_constant():
-                return [(c.name, c.passed) for c in checks + check_prop1(tr).checks]
-            gt = ground_truth(cfg)
-            checks += check_prop1(tr, gt.theta_star, gt.wbar, gt.wbar_t0).checks
-            checks += check_identities(tr, gt.theta_star, gt.wbar, gt.wbar_t0).checks
-            return [(c.name, c.passed) for c in checks]
+            return [(c.name, c.passed) for c in audit(run_closed_loop(cfg)).checks]
 
         for base, scale in ((demo_config(3000), 1e6), (config_from_dict(README_CONFIG), 1e8)):
             scaled = replace(
@@ -889,6 +957,58 @@ class TestChecks:
         rep = check_trace_consistency(bad, cfg)
         gate = [c for c in rep.checks if c.name == "consistency_deadzone_gate"][0]
         assert not gate.passed
+
+
+CONSISTENCY_CHECKS = [
+    "consistency_plant_recursion",
+    "consistency_control_closure",
+    "consistency_tracking_error",
+    "consistency_weighted_error",
+    "consistency_prediction_error",
+    "consistency_regressor_norm",
+    "consistency_deadzone_gate",
+    "consistency_estimates_in_box",
+    "consistency_time_index",
+    "consistency_exogenous_signals",
+    "consistency_reference_recursion",
+]
+FITTED = ["lambda", "spectral_floor", "envelope_gain_c"]
+
+
+class TestAudit:
+    """audit is a run's one audit: which checks it runs and how it fits the envelope."""
+
+    def test_constant_plant_is_checked_against_ground_truth(self):
+        rep = audit(run_closed_loop(config_from_dict(README_CONFIG)))
+        assert [c.name for c in rep.checks] == CONSISTENCY_CHECKS + [
+            "estimate_move_bounded",
+            "parameter_error_contraction_step",
+            "parameter_error_contraction_total",
+            "identity_tracking_vs_prediction",
+            "identity_prediction_error",
+            "identity_tracking_error",
+        ]
+        assert list(rep.fitted) == FITTED and rep.fitted["lambda"] == 0.9
+        assert rep.passed
+
+    def test_showcase_gets_the_move_bound(self):
+        rep = audit(run_closed_loop(demo_config()))
+        assert [c.name for c in rep.checks] == CONSISTENCY_CHECKS + ["estimate_move_bounded"]
+        assert list(rep.fitted) == FITTED and rep.fitted["lambda"] == 0.9
+        assert rep.passed
+
+    def test_decay_rate(self):
+        # With a floor of 0.9 or more the default is halfway to 1; a given
+        # rate must lie strictly between the floor and 1.
+        trace = run_closed_loop(make_config(L=(1.0, -0.95)))
+        fitted = audit(trace).fitted
+        floor = fitted["spectral_floor"]
+        assert floor == pytest.approx(0.95, abs=1e-12) and fitted["lambda"] == 0.5 * (1.0 + floor)
+        assert audit(trace, 0.99).fitted["lambda"] == 0.99
+        for decay in (floor, 0.5, 1.0):
+            msg = f"lambda: decay rate must lie in ({floor:.6f}, 1) for this configuration, got {decay}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+                audit(trace, decay)
 
 
 def loop_margins(tr, cfg, gt):

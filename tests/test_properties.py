@@ -22,12 +22,9 @@ from mraclab.controller import control_input, reference_outputs, ybar
 from mraclab.estimator import EstimatorState, estimator_update
 from mraclab.harness import (
     ExperimentConfig,
-    check_identities,
-    check_prop1,
-    check_trace_consistency,
+    audit,
     config_from_dict,
     demo_config,
-    ground_truth,
     run_closed_loop,
     trace_from_csv,
     write_trace_csv,
@@ -100,7 +97,7 @@ def constant_plants(draw) -> ExperimentConfig:
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(constant_plants())
 def test_admissible_constant_plants_pass_and_round_trip(cfg):
-    trace, gt = run_closed_loop(cfg), ground_truth(cfg)
+    trace = run_closed_loop(cfg)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         write_trace_csv(trace, path)
@@ -108,13 +105,9 @@ def test_admissible_constant_plants_pass_and_round_trip(cfg):
     for name in COLUMNS:
         got, want = getattr(back, name), getattr(trace, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    reports = (
-        check_trace_consistency(trace, cfg),
-        check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0),
-        check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0),
-    )
-    failed = [c.line() for rep in reports for c in rep.checks if not c.passed]
-    assert not failed
+    rep = audit(trace)  # consistency, prop1 against ground truth, identities
+    assert [c.line() for c in rep.checks if not c.passed] == []
+    assert {"parameter_error_contraction_total", "identity_prediction_error"} <= {c.name for c in rep.checks}
 
 
 @st.composite
