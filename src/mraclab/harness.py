@@ -42,6 +42,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +61,6 @@ from .plant_sim import (
     CoefficientSchedule,
     CoefSpec,
     SignalSpec,
-    integer,
-    number,
-    numbers,
     plant_step,
     signal_rows,
     square_wave,
@@ -77,6 +75,9 @@ from .system import (
     ReferenceModel,
     box_norm,
     build_param_box,
+    integer,
+    number,
+    numbers,
     predictor_map,
 )
 
@@ -127,7 +128,7 @@ class NumericAbort(RuntimeError):
 # ---------------------------------------------------------------------------
 # Configuration
 
-# ExperimentConfig's scalar fields: (name, plant_sim reader, document field path).
+# ExperimentConfig's scalar fields: (name, system reader, document field path).
 SCALAR_FIELDS = (("delta", number, "estimator.delta"), ("t0", integer, "sim.t0"),
                  ("steps", integer, "sim.steps"), ("seed", integer, "sim.seed"),
                  ("s_ab_samples", integer, "estimator.samples"),
@@ -172,8 +173,8 @@ class ExperimentConfig:
         return self.n + self.m + self.d
 
     def __post_init__(self) -> None:
-        """Read the scalar fields as a document's, convert x0/theta0 to float tuples and
-        check the whole configuration.
+        """Read the scalar fields and x0/theta0 as a document's and check the whole
+        configuration.
 
         Raises ConfigError with the offending field path, so a constructed
         config always meets the assumptions run_closed_loop relies on.
@@ -183,8 +184,11 @@ class ExperimentConfig:
                 object.__setattr__(self, name, read(getattr(self, name)))
             except (TypeError, OverflowError) as exc:
                 raise ConfigError(fieldpath, str(exc)) from None
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-        object.__setattr__(self, "theta0", tuple(float(v) for v in self.theta0))
+        for name in ("x0", "theta0"):
+            try:
+                object.__setattr__(self, name, numbers(getattr(self, name)))
+            except TypeError as exc:
+                raise ConfigError(f"sim.{name}", str(exc)) from None
         n, m, d = self.n, self.m, self.d
         if self.ref.d != d:
             raise ConfigError("reference", f"reference delay {self.ref.d} != plant delay {d}")
@@ -336,7 +340,7 @@ def _section(doc: dict, key: str, fieldpath: str, keys: tuple[str, ...], default
 def _number(read, doc: dict, key: str, fieldpath: str, default=None):
     """read(doc[key]) (or the default when it is absent), finite, errors under fieldpath.
 
-    read is plant_sim's integer or number: a string, a bool or, for an integer, a fraction fails."""
+    read is system's integer or number: a string, a bool or, for an integer, a fraction fails."""
     if key not in doc and default is None:
         raise ConfigError(fieldpath, "missing field")
     try:
@@ -963,8 +967,9 @@ def fit_decay_bound(trace: Trace, lam: float, floor: float | None = None) -> flo
 
         ||phi(t)|| <= c [ lam^(t-t0) ||x0|| + sum_{j=t0..t} lam^(t-j) (|r(j)| + |w(j)|) ].
 
-    The envelope is computed recursively; lam must lie strictly between the
-    spectral floor of the configuration (when supplied) and 1.
+    The envelope is computed recursively in one pass (itertools.accumulate, the
+    same float operations in the same order as a loop); lam must lie strictly
+    between the spectral floor of the configuration (when supplied) and 1.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"decay rate must lie in (0, 1), got {lam}")
@@ -972,19 +977,19 @@ def fit_decay_bound(trace: Trace, lam: float, floor: float | None = None) -> flo
         raise ValueError(
             f"decay rate {lam} does not exceed the spectral floor {floor:.6f}"
         )
-    env = float(np.linalg.norm(np.array(trace.cfg.x0)))
-    c = 0.0
-    drive = np.abs(trace.r) + np.abs(trace.w)
-    for k, (dk, norm_phi) in enumerate(zip(drive.tolist(), trace.norm_phi.tolist())):
-        env = env + dk if k == 0 else lam * env + dk
-        if env <= 0.0:
-            if norm_phi > 0.0:
-                raise ValueError(
-                    f"degenerate fit at t = {trace.t0 + k}: zero envelope, nonzero signal"
-                )
-            continue
-        c = max(c, norm_phi / env)
-    return c
+    drive = (np.abs(trace.r) + np.abs(trace.w)).tolist()
+    start = float(np.linalg.norm(np.array(trace.cfg.x0))) + drive[0]
+    env = np.fromiter(accumulate(drive[1:], lambda e, dk: lam * e + dk, initial=start),
+                      float, len(drive))
+    norm_phi = trace.norm_phi
+    live = env > 0.0
+    bad = np.flatnonzero(~live & (norm_phi > 0.0))
+    if len(bad):
+        raise ValueError(
+            f"degenerate fit at t = {trace.t0 + int(bad[0])}: zero envelope, nonzero signal"
+        )
+    # max(0.0, .) turns a -0.0 maximum into +0.0, as a running max from 0.0 gives
+    return max(0.0, float(np.max(norm_phi[live] / env[live], initial=0.0)))
 
 
 def tracking_energy(trace: Trace) -> tuple[float, np.ndarray]:
@@ -1044,11 +1049,24 @@ def _csv_header(p: int) -> list[str]:
     return [cell for name in TRACE_COLUMNS for cell in _cells(name, p)]
 
 
+CSV_BLOCK = 512  # rows formatted per pass of write_trace_csv
+
+
 def write_trace_csv(trace: Trace, path) -> None:
-    """Exact decimal dump, one row per time step, reloadable bit-for-bit."""
+    """Exact decimal dump, one row per time step, reloadable bit-for-bit.
+
+    The bytes np.savetxt(fmt=CSV_FMT, delimiter=",") writes, header first. Each
+    block of CSV_BLOCK rows is one % over the row template repeated per row,
+    applied to the block's cells as Python floats; a block at a time keeps the
+    boxed cells few.
+    """
     table = np.column_stack([getattr(trace, name) for name in TRACE_COLUMNS])
-    np.savetxt(path, table, fmt=CSV_FMT, delimiter=",",
-               header=",".join(_csv_header(trace.theta_hat.shape[1])), comments="")
+    row = ",".join([CSV_FMT] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(_csv_header(trace.theta_hat.shape[1])) + "\n")
+        for start in range(0, len(table), CSV_BLOCK):
+            block = table[start : start + CSV_BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def trace_from_csv(path, cfg: ExperimentConfig) -> Trace:

@@ -14,14 +14,17 @@ Conventions used throughout the package:
 * Time-varying coefficients are sampled at emission time: producing y(t+1)
   from data up to time t uses a_i(t), b_i(t). validate_horizon returns the
   rows it checked, and the experiment config keeps them for every consumer.
-* Signals are pure functions of (spec, t) - evaluating one sample never
-  depends on the horizon or on previous evaluations, so every run is
-  reproducible sample-by-sample. signal_eval is that definition. The run
-  and the audits sample a horizon t0 .. t0 + count - 1 at once:
-  signal_rows reads the stored-sample kinds (zero, constant, table,
-  white_noise) as array slices pinned bit for bit to signal_eval and
-  samples the others through it, and CoefficientSchedule.coeff_rows
-  fills the coefficient rows through coef_eval.
+* Signals and coefficients are pure functions of (spec, t) - evaluating one
+  sample never depends on the horizon or on previous evaluations, so every
+  run is reproducible sample-by-sample. The run and the audits sample a
+  horizon t0 .. t0 + count - 1 at once. coef_column is the one definition
+  of each coefficient kind, evaluated over the whole horizon (coef_eval is
+  its one-sample view), and CoefficientSchedule.coeff_rows calls it once
+  per coefficient. signal_eval defines each signal kind per sample;
+  signal_rows reads every kind but square_wave as one column pinned bit
+  for bit to it (stored samples as array slices, the sinusoids as one
+  math.cos comprehension) and still samples square_wave through
+  signal_eval, whose calls inside a run the benchmark's tracer test counts.
 """
 
 from __future__ import annotations
@@ -32,7 +35,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .system import AdmissibilityError, PlantParams, first_inadmissible
+from .system import (
+    AdmissibilityError,
+    PlantParams,
+    first_inadmissible,
+    integer,
+    integers,
+    number,
+    numbers,
+)
 
 __all__ = [
     "SIGNAL_KINDS",
@@ -48,6 +59,7 @@ __all__ = [
     "table_signal",
     "white_noise",
     "CoefSpec",
+    "coef_column",
     "coef_eval",
     "CoefficientSchedule",
     "plant_step",
@@ -55,41 +67,6 @@ __all__ = [
 ]
 
 REQUIRED = object()  # default of a field that every document of its kind must carry
-
-
-# Readers of a document's number fields. JSON has one number type: an integer
-# field takes an int and a number field an int or a float, never a bool; a
-# string, a bool or a fraction is refused rather than converted.
-def integer(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(f"expected an integer, got {v!r}")
-    return v
-
-
-def number(v) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError(f"expected a number, got {v!r}")
-    return float(v)  # OverflowError for an int no float holds
-
-
-def numbers(v) -> tuple[float, ...]:
-    """A list or tuple of numbers, as floats."""
-    if isinstance(v, (list, tuple)):
-        try:
-            return tuple(number(x) for x in v)
-        except (TypeError, OverflowError):
-            pass
-    raise TypeError("expected an array of numbers")
-
-
-def integers(v) -> tuple[int, ...]:
-    """A list or tuple of integers."""
-    if isinstance(v, (list, tuple)):
-        try:
-            return tuple(integer(x) for x in v)
-        except TypeError:
-            pass
-    raise TypeError("expected an array of integers")
 
 
 # kind -> its fields in document order, each (name, reader, default or REQUIRED).
@@ -302,11 +279,13 @@ def signal_rows(spec: SignalSpec, t0: int, count: int) -> np.ndarray:
 
     The stored-sample kinds (zero, constant, table, white_noise) are read as
     array slices; each sample is a stored number, or amplitude times a stored
-    noise value in one IEEE multiply, so the column equals signal_eval's bit
-    for bit. square_wave, sinusoid and windowed_sinusoid stay sample by
-    sample: the benchmark's tracer test counts signal_eval calls inside a
-    run on a square wave, and np.cos is not guaranteed to round as math.cos
-    on every CPU. Index arithmetic is on Python ints, so no start overflows.
+    noise value in one IEEE multiply. sinusoid and windowed_sinusoid (its
+    window only; zero elsewhere) take signal_eval's expression per sample in
+    one list comprehension over math.cos, since np.cos need not round as
+    math.cos on every CPU. So every column equals signal_eval's bit for bit.
+    square_wave alone still goes through signal_eval sample by sample: the
+    benchmark's tracer test counts signal_eval calls inside a run on a
+    square wave. Index arithmetic is on Python ints, so no start overflows.
     """
     if spec.kind == "zero":
         return np.zeros(count)
@@ -325,6 +304,17 @@ def signal_rows(spec: SignalSpec, t0: int, count: int) -> np.ndarray:
         last = (t0 + max(count, 1) - 1) // _NOISE_BLOCK
         noise = np.concatenate([_noise_block(spec.seed, b) for b in range(first, last + 1)])
         return spec.amplitude * noise[offset : offset + count]
+    amplitude, rate = spec.amplitude, spec.rate
+    if spec.kind == "sinusoid":
+        phase = spec.phase
+        return np.array([amplitude * math.cos(rate * t + phase) for t in range(t0, t0 + count)],
+                        dtype=float)
+    if spec.kind == "windowed_sinusoid":  # nonzero on t_start < t <= t_end
+        out = np.zeros(count)
+        lo, hi = max(t0, spec.t_start + 1), min(t0 + count, spec.t_end + 1)
+        if lo < hi:
+            out[lo - t0 : hi - t0] = [amplitude * math.cos(rate * t) for t in range(lo, hi)]
+        return out
     return np.array([signal_eval(spec, t) for t in range(t0, t0 + count)], dtype=float)
 
 
@@ -382,26 +372,43 @@ class CoefSpec(KindSpec):
         return super().from_doc(doc)
 
 
-def coef_eval(spec: CoefSpec, t: int) -> float:
+def coef_column(spec: CoefSpec, t0: int, count: int) -> np.ndarray:
+    """The coefficient at t = t0 .. t0 + count - 1, the one definition of each kind.
+
+    A sinusoid takes offset + amplitude * trig(rate * t + phase) per sample
+    with math.cos/math.sin (np.cos need not round as math.cos on every CPU);
+    piecewise and table fill slices of stored values, with index arithmetic
+    on Python ints so that no t0 overflows.
+    """
     kind = spec.kind
     if kind == "constant":
-        return spec.value
+        return np.full(count, spec.value, dtype=float)
     if kind == "sinusoid":
-        angle = spec.rate * t + spec.phase
-        trig = math.cos(angle) if spec.trig == "cos" else math.sin(angle)
-        return spec.offset + spec.amplitude * trig
-    if kind == "piecewise":
-        out = spec.values[0]
-        for brk, val in zip(spec.times, spec.values):
-            if t >= brk:
-                out = val
-            else:
-                break
+        trig = math.cos if spec.trig == "cos" else math.sin
+        rate, phase, offset, amplitude = spec.rate, spec.phase, spec.offset, spec.amplitude
+        return np.array([offset + amplitude * trig(rate * t + phase)
+                         for t in range(t0, t0 + count)], dtype=float)
+    if kind == "piecewise":  # values[k] from times[k] on, values[0] before times[0]
+        out = np.full(count, spec.values[0], dtype=float)
+        starts = [min(max(brk - t0, 0), count) for brk in spec.times]
+        for lo, hi, val in zip(starts, starts[1:] + [count], spec.values):
+            out[lo:hi] = val
         return out
-    if kind == "table":
-        i = min(max(t - spec.t_start, 0), len(spec.values) - 1)
-        return spec.values[i]
+    if kind == "table":  # values[t - t_start], clamped to the table ends
+        values, start = spec.values, spec.t_start
+        lo = min(max(start - t0, 0), count)  # first sample inside the table
+        hi = min(max(start + len(values) - t0, 0), count)  # first sample past its end
+        out = np.empty(count)
+        out[:lo], out[hi:] = values[0], values[-1]
+        if lo < hi:
+            out[lo:hi] = values[t0 + lo - start : t0 + hi - start]
+        return out
     raise ValueError(f"unknown coefficient kind {kind!r}")
+
+
+def coef_eval(spec: CoefSpec, t: int) -> float:
+    """The coefficient at integer time t: coef_column's one sample."""
+    return float(coef_column(spec, t, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -449,7 +456,7 @@ class CoefficientSchedule:
         except ValueError:  # numpy's refusal of more bytes than it can address
             raise MemoryError from None
         for j, spec in enumerate(self.a + self.b):
-            ab[:, j] = [coef_eval(spec, t) for t in range(t0, t0 + count)]
+            ab[:, j] = coef_column(spec, t0, count)
         return ab[:, : self.n], ab[:, self.n :]
 
     def validate_horizon(self, t0: int, steps: int) -> tuple[np.ndarray, np.ndarray]:

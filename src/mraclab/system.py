@@ -12,7 +12,9 @@ beta = F B, under which the weighted output ybar(t) = y(t) + sum l_j y(t-j)
 satisfies ybar(t+d) = phi(t)^T theta* + wbar(t) with the regressor
 phi(t) = (y(t)..y(t-n+1), u(t)..u(t-m-d+1)).
 
-This module holds the parameter containers, the one admissibility test of
+This module holds the readers of a document's number fields (integer,
+number, numbers, integers; plant_sim's specs, the experiment config and
+ParamBox read by them), the parameter containers, the one admissibility test of
 plant coefficient rows (first_inadmissible), the plant-to-predictor map
 predictor_map (F and theta* from one long division, with no checks: a
 config maps the rows it has tested, PlantParams checks a hand-built plant),
@@ -41,11 +43,50 @@ __all__ = [
     "predictor_map",
     "build_param_box",
     "box_norm",
+    "integer",
+    "number",
+    "numbers",
+    "integers",
 ]
 
 
 class AdmissibilityError(ValueError):
     """A parameter set violates the standing admissibility assumptions."""
+
+
+# Readers of a document's number fields. JSON has one number type: an integer
+# field takes an int and a number field an int or a float, never a bool; a
+# string, a bool or a fraction is refused rather than converted.
+def integer(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def number(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)  # OverflowError for an int no float holds
+
+
+def numbers(v) -> tuple[float, ...]:
+    """A list or tuple of numbers, as floats."""
+    if isinstance(v, (list, tuple)):
+        try:
+            return tuple(number(x) for x in v)
+        except (TypeError, OverflowError):
+            pass
+    raise TypeError("expected an array of numbers")
+
+
+def integers(v) -> tuple[int, ...]:
+    """A list or tuple of integers."""
+    if isinstance(v, (list, tuple)):
+        try:
+            return tuple(integer(x) for x in v)
+        except TypeError:
+            pass
+    raise TypeError("expected an array of integers")
 
 
 def first_inadmissible(a_rows, b_rows) -> tuple[int, str] | None:
@@ -156,8 +197,10 @@ class ParamBox:
     hi: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
+        try:
+            lo, hi = numbers(self.lo), numbers(self.hi)
+        except TypeError as exc:
+            raise AdmissibilityError(f"box bounds: {exc}") from None
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or not lo:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from mraclab import plant_sim
+from mraclab import harness, plant_sim
 from mraclab.cli import main
 from mraclab.harness import demo_config
 from test_golden import README_CONFIG
@@ -338,6 +338,30 @@ class TestReproduce:
         for name in ("trace.csv", "summary.json", "plot.gp"):
             assert (out / name).is_file()
 
+    def test_prints_its_audit(self, tmp_path, capsys):
+        out = tmp_path / "show"
+        assert main(["reproduce", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert main(["verify", "--trace", str(out / "trace.csv")]) == 0
+        report = capsys.readouterr().out
+        assert report.splitlines()[-1] == "VERIFY PASS" and text.endswith(report)
+
+    def test_failed_audit_exits_1(self, tmp_path, capsys, monkeypatch):
+        check_prop1 = harness.check_prop1
+
+        def failing(*args, **kwargs):
+            rep = check_prop1(*args, **kwargs)
+            rep.add("injected_failure", -1.0)
+            return rep
+
+        monkeypatch.setattr(harness, "check_prop1", failing)
+        out = tmp_path / "show"
+        assert main(["reproduce", "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL injected_failure (worst margin -1.000e+00)" in lines
+        assert lines[-1] == "VERIFY FAIL"
+        assert json.loads((out / "summary.json").read_text())["checks"]["passed"] is False
+
     def test_reproduce_then_audit(self, tmp_path, capsys):
         out = tmp_path / "show"
         main(["reproduce", "--out", str(out)])
@@ -366,21 +390,30 @@ def test_output_path_that_is_a_file_is_a_file_error(config_path, tmp_path, capsy
 
 
 def test_schedule_is_evaluated_once_per_command(tmp_path, monkeypatch):
-    # A time-varying run evaluates each coefficient once per emission time,
-    # when the config is validated; the loop and every audit read those rows.
+    # A time-varying run evaluates its schedule once, over every emission time,
+    # when the config is validated: one coeff_rows call, one coef_column per
+    # coefficient and no coef_eval. The loop and every audit read those rows.
     cfg = demo_config(3000)
     (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_config_dict()))
-    calls, coef_eval = [0], plant_sim.coef_eval
+    calls = {"coeff_rows": [], "coef_column": [], "coef_eval": []}
 
-    def counted(spec, t):
-        calls[0] += 1
-        return coef_eval(spec, t)
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name].append(args[-2:])
+            return func(*args)
+        return wrapper
 
-    monkeypatch.setattr(plant_sim, "coef_eval", counted)
-    want = (cfg.n + cfg.m + 1) * cfg.steps
+    sched = plant_sim.CoefficientSchedule
+    monkeypatch.setattr(sched, "coeff_rows", counted("coeff_rows", sched.coeff_rows))
+    for name in ("coef_column", "coef_eval"):
+        monkeypatch.setattr(plant_sim, name, counted(name, getattr(plant_sim, name)))
+    horizon = (cfg.t0, cfg.steps)
+    columns = cfg.n + cfg.m + 1  # one per coefficient, 4 on the showcase
+    want = {"coeff_rows": [horizon], "coef_column": [horizon] * columns, "coef_eval": []}
     out = tmp_path / "out"
     assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out), "--verify"]) == 0
-    assert calls[0] == want == 12_000
-    calls[0] = 0
+    assert calls == want
+    for name in calls:
+        calls[name].clear()
     assert main(["verify", "--trace", str(out / "trace.csv")]) == 0
-    assert calls[0] == want
+    assert calls == want

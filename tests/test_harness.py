@@ -35,7 +35,7 @@ from mraclab.harness import (
     write_outputs,
     write_trace_csv,
 )
-from mraclab.harness import CHECK_TOL, _csv_header
+from mraclab.harness import CHECK_TOL, CSV_FMT, TRACE_COLUMNS, _csv_header
 from mraclab.plant_sim import (
     COEF_KINDS,
     SIGNAL_KINDS,
@@ -239,6 +239,24 @@ class TestConfigValidation:
         # t0 = 0.5 and steps = 200.0 raised a bare TypeError.
         with pytest.raises(ConfigError, match=f"^{re.escape(fieldpath)}: expected an? "):
             replace(demo_config(200), **{name: value})
+
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("x0", "123"), ("x0", (True, 0.0, 0.0)), ("x0", (1.0, "2", 3.0)), ("theta0", "1234"),
+         ("theta0", (0.0, 0.0, 3.0, None)), ("x0", np.zeros(3))],
+        ids=["x0_string", "x0_bool", "x0_string_cell", "theta0_string", "theta0_none", "x0_ndarray"],
+    )
+    def test_python_built_arrays_follow_the_document_rules(self, name, value):
+        # replace(demo_config(200), x0="123") built x0 = (1.0, 2.0, 3.0).
+        with pytest.raises(ConfigError, match=f"^sim.{name}: expected an array of numbers$"):
+            replace(demo_config(200), **{name: value})
+
+    def test_tuples_of_numpy_floats_are_numbers(self):
+        cfg = demo_config(200)
+        built = replace(cfg, x0=tuple(np.float64(v) for v in cfg.x0),
+                        theta0=tuple(cfg.box.midpoint()))
+        assert built == cfg and all(type(v) is float for v in built.x0 + built.theta0)
 
 
 class TestConfigRoundTrip:
@@ -1144,6 +1162,29 @@ class TestDecayFit:
         with pytest.raises(ValueError, match="degenerate"):
             fit_decay_bound(tr, 0.9)
 
+    def test_degenerate_fit_names_its_first_time(self):
+        norm_phi = [0.0, 0.0, 0.0, 2.0, 3.0, 1.0]  # nonzero under a zero envelope at t = 3, 4
+        tr = forged_trace(norm_phi, np.zeros(6), [0.0, 0.0, 0.0, 0.0, 0.0, 1.0], x0_norm=0.0)
+        with pytest.raises(ValueError, match="^degenerate fit at t = 3: "):
+            fit_decay_bound(tr, 0.9)
+
+    def test_gain_from_zero_signals_is_positive_zero(self):
+        tr = forged_trace([-0.0] * 4, np.ones(4), np.zeros(4), x0_norm=1.0)
+        assert math.copysign(1.0, fit_decay_bound(tr, 0.9)) == 1.0
+
+    @pytest.mark.parametrize("lam", [0.75, 0.9, 0.99])
+    @pytest.mark.parametrize("build", [lambda: demo_config(3000), lambda: config_from_dict(README_CONFIG)],
+                             ids=["showcase", "readme"])
+    def test_gain_is_the_running_loop_bit_for_bit(self, build, lam):
+        tr = run_closed_loop(build())
+        env, c = float(np.linalg.norm(np.array(tr.cfg.x0))), 0.0
+        drive = np.abs(tr.r) + np.abs(tr.w)
+        for k, (dk, norm_phi) in enumerate(zip(drive.tolist(), tr.norm_phi.tolist())):
+            env = env + dk if k == 0 else lam * env + dk
+            if env > 0.0:
+                c = max(c, norm_phi / env)
+        assert fit_decay_bound(tr, lam).hex() == c.hex()
+
     def test_monotone_in_rate(self):
         cfg = make_config(steps=300)
         tr = run_closed_loop(cfg)
@@ -1193,6 +1234,25 @@ class TestTraceFiles:
         span = (1 - cfg.d, tr.rows + cfg.d - 1)
         assert np.array_equal(tr.history().phi(*span), tr2.history().phi(*span))
         assert check_trace_consistency(tr2, cfg).passed
+
+    @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1025])
+    def test_writer_writes_the_savetxt_bytes(self, tmp_path, rows):
+        # Whole blocks, a partial last block and one row all print as np.savetxt does.
+        rng = np.random.default_rng(rows)
+        width = len(_csv_header(3))
+        table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+        cells = table.reshape(-1)
+        cells[::5] = np.resize([-0.0, 5e-324, 2.0**53, 1e16, -(2.0**53), 0.1], cells[::5].size)
+        stops = np.cumsum([3 if name == "theta_hat" else 1 for name in TRACE_COLUMNS[:-1]])
+        cols = dict(zip(TRACE_COLUMNS, np.split(table, stops, axis=1)))
+        cols = {n: c if n == "theta_hat" else c[:, 0] for n, c in cols.items()}
+        write_trace_csv(Trace(**cols, cfg=make_config()), tmp_path / "trace.csv")
+        np.savetxt(tmp_path / "want.csv", table, fmt=CSV_FMT, delimiter=",",
+                   header=",".join(_csv_header(3)), comments="")
+        written = (tmp_path / "trace.csv").read_bytes()
+        assert written == (tmp_path / "want.csv").read_bytes()
+        back = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert back.tobytes() == table.tobytes()
 
     def test_header_guard(self, tmp_path):
         cfg = make_config(steps=50)

@@ -7,6 +7,7 @@ index formulas bit for bit."""
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import struct
@@ -31,8 +32,12 @@ from mraclab.harness import (
 )
 from mraclab.harness import _weighted
 from mraclab.plant_sim import (
+    COEF_KINDS,
     SIGNAL_KINDS,
     CoefficientSchedule,
+    CoefSpec,
+    coef_column,
+    coef_eval,
     constant_signal,
     plant_step,
     signal_eval,
@@ -266,6 +271,56 @@ def test_signal_rows_are_signal_eval_bit_for_bit(kind, data):
     samples = np.array([signal_eval(spec, t) for t in range(t0, t0 + count)], dtype=float)
     assert column.dtype == samples.dtype and column.shape == samples.shape
     assert column.tobytes() == samples.tobytes()
+
+
+@st.composite
+def coef_specs(draw, kind: str):
+    """A coefficient spec of the kind; its breakpoints and table start may be HUGE."""
+    start = draw(st.integers(-700, 700) | st.sampled_from(HUGE))
+    if kind == "constant":
+        return CoefSpec.const(draw(unit(-5.0, 5.0)))
+    if kind == "sinusoid":
+        return CoefSpec(kind="sinusoid", offset=draw(unit(-3.0, 3.0)), amplitude=draw(unit(-5.0, 5.0)),
+                        rate=draw(unit(-2.0, 2.0)), phase=draw(unit(-3.0, 3.0)),
+                        trig=draw(st.sampled_from(("cos", "sin"))))
+    if kind == "piecewise":
+        gaps = draw(st.lists(st.integers(1, 200), min_size=1, max_size=8))
+        times = [start + sum(gaps[:i]) for i in range(len(gaps))]
+        return CoefSpec(kind="piecewise", times=tuple(times),
+                        values=tuple(draw(unit(-5.0, 5.0)) for _ in times))
+    values = draw(st.lists(unit(-5.0, 5.0), min_size=1, max_size=12))
+    return CoefSpec(kind="table", values=tuple(values), t_start=start)
+
+
+def coef_reference(spec: CoefSpec, t: int) -> float:
+    """Each kind's definition at time t, as CoefSpec's docstring states it."""
+    if spec.kind == "constant":
+        return spec.value
+    if spec.kind == "sinusoid":
+        trig = math.cos if spec.trig == "cos" else math.sin
+        return spec.offset + spec.amplitude * trig(spec.rate * t + spec.phase)
+    if spec.kind == "piecewise":  # the last breakpoint at or before t, values[0] before all
+        return spec.values[max(bisect.bisect_right(spec.times, t) - 1, 0)]
+    return spec.values[min(max(t - spec.t_start, 0), len(spec.values) - 1)]
+
+
+@pytest.mark.parametrize("kind", COEF_KINDS)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_coefficient_columns_are_their_definitions_bit_for_bit(kind, data):
+    spec = data.draw(coef_specs(kind))
+    edges = spec.times + (spec.t_start, spec.t_start + len(spec.values))
+    t0, count = data.draw(horizons(edges))
+    want = np.array([coef_reference(spec, t) for t in range(t0, t0 + count)], dtype=float)
+    column = coef_column(spec, t0, count)
+    assert column.dtype == want.dtype and column.shape == want.shape
+    assert column.tobytes() == want.tobytes()
+    samples = [coef_eval(spec, t) for t in range(t0, t0 + count)]
+    assert all(type(v) is float for v in samples)
+    assert struct.pack(f"{count}d", *samples) == want.tobytes()
+    a, b = CoefficientSchedule(a=(spec,), b=(spec,), d=1).coeff_rows(t0, count)
+    rows = min(count, 1) if kind == "constant" else count  # a constant plant keeps one row
+    assert a.tobytes() == b.tobytes() == want[:rows].tobytes()
 
 
 # The per-step kernels as the enumerate/range formulas they replaced. The loop's kernels

@@ -146,6 +146,21 @@ class TestParamBox:
         with pytest.raises(AdmissibilityError):
             ParamBox(lo=(1.0,), hi=(0.0,))
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [((True, "1"), (2, 3)), ("12", (2.0, 3.0)), ((0.0, 1.0), (2.0, None)), (np.zeros(2), (1.0, 1.0))],
+        ids=["bool_and_string", "string", "none", "ndarray"],
+    )
+    def test_bounds_are_arrays_of_numbers(self, lo, hi):
+        # ParamBox(lo=(True, "1"), hi=(2, 3)) built lo = (1.0, 1.0).
+        with pytest.raises(AdmissibilityError, match="^box bounds: expected an array of numbers$"):
+            ParamBox(lo=lo, hi=hi)
+
+    def test_ints_and_numpy_floats_are_numbers(self):
+        box = ParamBox(lo=(np.float64(-1.5), 0), hi=[2, np.float64(0.25)])
+        assert box.lo == (-1.5, 0.0) and box.hi == (2.0, 0.25)
+        assert all(type(v) is float for v in box.lo + box.hi)
+
     def test_contains_and_midpoint(self):
         box = ParamBox(lo=(-1.0, 0.0), hi=(1.0, 2.0))
         assert box.contains((0.0, 1.0))
