@@ -20,18 +20,16 @@ later without re-simulation. A Trace carries its ExperimentConfig, whose
 document and hash are built only when a summary is written. The config
 keeps the coefficient rows it validated; the loop and every audit read
 those rows rather than evaluating the schedule again. Regressors
-are not stored: the checks derive them from x0 and the y/u columns through
-controller.history and work on whole columns at once. Consistency checks
+are not stored: Trace.regressors builds their one table from x0 and the y/u
+columns, and the checks read it on whole columns at once. Consistency checks
 re-derive every column from its recursion or config signal, so edits show
 as residuals.
 Loop and audits add every sum term by term in one order, dot products left
 to right from +0.0 with no BLAS dot, so a recomputed e, norm_phi or gate
 matches the loop's bit for bit. Those three must follow the loop's order;
-the audits keep the same order in every other row sum too (_weighted, and
-_size over magnitudes), so reading rows from History's lag views, taking
-|phi| once per check or slicing wbar leaves every margin bit for bit as it
-was. The squared parameter error stays numpy's row sum, whose pairwise
-order differs from _weighted's once p >= 8.
+every other audit row sum keeps it too (_weighted, the squared parameter
+error included, and _size over magnitudes), so slicing History's lag views,
+the regressor table or wbar leaves every margin bit for bit as it was.
 """
 
 from __future__ import annotations
@@ -42,13 +40,13 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from .controller import (
-    History,
     control_input,
     history,
     loop_start,
@@ -507,8 +505,8 @@ class Trace:
     """Row-per-time-step record of one closed-loop run (t = t0 .. t0+steps).
 
     cfg is the run's configuration (for a reloaded file, the one it is
-    audited against). Regressors are not stored: history() derives them on
-    demand from cfg.x0 and the y/u columns, so an edit shows in every check.
+    audited against). Regressors are not stored: regressors() builds their table
+    anew from cfg.x0 and the y/u columns, so an edit shows in every check.
     Every array is float64, t and rho too; TRACE_COLUMNS orders them as the file does.
     """
 
@@ -538,8 +536,28 @@ class Trace:
     def t_end(self) -> int:
         return int(self.t[-1])
 
-    def history(self) -> History:
-        return history(self.cfg.x0, self.y, self.u, self.cfg.n, self.cfg.m, self.cfg.d)
+    def regressors(self) -> Regressors:
+        return Regressors(self.cfg, self.y, self.u)
+
+
+class Regressors:
+    """The regressor table of a run of cfg with these y/u columns, from one history and one
+    phi build: phi's row k is phi(t0-d+1+k), k = 0 .. T+d-1, sq its ||phi||^2 in the loop's
+    order and mags its |phi|, each taken on first use. All are row-wise, so a slice has the
+    bits of a build of its rows alone. audit passes one table to every check as table=; a
+    check given none builds its own."""
+
+    def __init__(self, cfg: ExperimentConfig, y: np.ndarray, u: np.ndarray):
+        self.hist = history(cfg.x0, y, u, cfg.n, cfg.m, cfg.d)
+        self.phi = self.hist.phi(1 - cfg.d, len(y) + cfg.d - 1)
+
+    @cached_property
+    def sq(self) -> np.ndarray:
+        return _weighted(self.phi, self.phi)
+
+    @cached_property
+    def mags(self) -> np.ndarray:
+        return np.abs(self.phi)
 
 
 # The one trace layout, read by the header, writer, reader, plot.gp and the loop's finite check.
@@ -614,7 +632,6 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     rho[:T] = gates
 
     y, u = np.array(y[start.lead :]), np.array(u[start.lead :])
-    phi = history(cfg.x0, y, u, n, m, d).phi(0, T + 1)
     trace = Trace(
         t=np.arange(cfg.t0, cfg.t0 + T + 1, dtype=float),
         y=y,
@@ -624,7 +641,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         eps_bar=np.array(ybars) - ybar_star,
         e=np.array(e),
         rho=rho,
-        norm_phi=np.sqrt(_weighted(phi, phi)),
+        norm_phi=np.sqrt(Regressors(cfg, y, u).sq[d - 1 :]),
         theta_hat=theta_hat,
         r=r,
         w=w,
@@ -764,9 +781,8 @@ def _relative(res: np.ndarray, *mags: np.ndarray) -> float:
     return _max_abs(res / (1.0 + sum(mags[1:], mags[0])))
 
 
-def check_prop1(
-    trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = None
-) -> VerificationReport:
+def check_prop1(trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = None, *,
+                table: Regressors | None = None) -> VerificationReport:
     """Estimator-property checks on a recorded trace.
 
     Always checked: the per-step estimate move is bounded by the gated,
@@ -780,9 +796,8 @@ def check_prop1(
     t0 = trace.t0
     T = trace.rows - 1
 
-    # Row k pairs the update from t = t0 + k with its regressor phi(t-d+1).
-    phi = trace.history().phi(1 - d, T)
-    sq = _weighted(phi, phi)
+    # Row k pairs the update from t = t0 + k with ||phi(t-d+1)||^2.
+    sq = (trace.regressors() if table is None else table).sq[:T]
     gated = (trace.rho[:T] != 0) & (sq > 0.0)
     bound = np.divide(np.abs(trace.e[1:]), np.sqrt(sq), out=np.zeros(T), where=gated)
     th = trace.theta_hat
@@ -798,9 +813,8 @@ def check_prop1(
         raise ValueError("contraction checks need the filtered noise sequence")
     wb = _wbar_rows(wbar, wbar_t0, t0, T - d + 1)  # wbar(t-d+1) for t = t0+d-1 .. t0+T-1
 
-    # numpy's pairwise sum: for p < 8 the same order as _weighted, for p >= 8 not.
     dev = th - theta_star
-    err_sq = (dev * dev).sum(axis=1)
+    err_sq = _weighted(dev, dev)
     e = trace.e[d:]
     allowed = np.divide(
         -0.5 * e * e + 2.0 * wb * wb, sq[d - 1 :], out=np.zeros(T - d + 1), where=gated[d - 1 :]
@@ -817,7 +831,8 @@ def check_prop1(
     return rep
 
 
-def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int) -> VerificationReport:
+def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int, *,
+                     table: Regressors | None = None) -> VerificationReport:
     """Exact algebraic identities linking eps_bar, e, and the parameter error.
 
     Checked for t >= t0 + d, where the recorded history fully determines
@@ -841,11 +856,12 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int) -> Verificati
     T = trace.rows - 1
     count = max(T + 1 - d, 0)
 
-    phi = trace.history().phi(0, count)  # phi(t-d) for t = t0+d .. t0+T
+    table = trace.regressors() if table is None else table
+    phi, mags = table.phi[d - 1 : T], table.mags[d - 1 : T]  # phi(t-d) for t = t0+d .. t0+T
     wb = _wbar_rows(wbar, wbar_t0, t0, count)
     prev, lagged = trace.theta_hat[d - 1 : T], trace.theta_hat[:count]
     eps_bar, e = trace.eps_bar[d:], trace.e[d:]
-    mags, wb_mag = np.abs(phi), np.abs(wb)
+    wb_mag = np.abs(wb)
     prev_size, lagged_size = _size(mags, prev), _size(mags, lagged)
     star_size = _size(mags, theta_star)
     res1 = _relative(eps_bar - e - _weighted(phi, prev - lagged), np.abs(e), prev_size, lagged_size)
@@ -858,7 +874,8 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int) -> Verificati
     return rep
 
 
-def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> VerificationReport:
+def check_trace_consistency(trace: Trace, cfg: ExperimentConfig, *,
+                            table: Regressors | None = None) -> VerificationReport:
     """Cross-check every stored column against the recursions that made it.
 
     Used when auditing a reloaded trace file: each column is re-derived from
@@ -874,24 +891,23 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     if trace.rows != T + 1:
         raise ValueError(f"trace has {trace.rows} rows; the configuration's horizon has {T + 1}")
     h, l_coeffs = cfg.ref.H.coeffs, cfg.ref.L.coeffs
-    hist = history(cfg.x0, trace.y, trace.u, n, m, d)
+    table = Regressors(cfg, trace.y, trace.u) if table is None else table
+    hist, phi, sq, phi_mags = table.hist, table.phi, table.sq, table.mags  # phi(t0-d+1 .. t0+T)
     r_cfg, w_cfg = signal_rows(cfg.r, cfg.t0, T + 1), signal_rows(cfg.w, cfg.t0, T + 1)
     # Lags of |x| are |lags of x|: each magnitude column is taken once, sizes read its views.
     r_ext = hist.at_rest(r_cfg)
     r_mags = np.abs(r_ext)
 
-    # Plant recursion: y(t+1) from schedule, history, and w(t+1).
-    lags = np.empty((T, n + m + 1))
-    lags[:, :n] = hist.lags(hist.y, n, 0, T)
-    lags[:, n:] = hist.lags(hist.u, m + 1, 1 - d, T)
+    # Plant recursion: y(t+1) from schedule, history, and w(t+1); phi(t) holds its
+    # y(t) .. y(t-n+1) and u(t-d+1) .. u(t-d-m+1).
+    cols = np.r_[:n, n + d - 1 : n + m + d]
+    lags, mags = phi[d - 1 : -1, cols], phi_mags[d - 1 : -1, cols]
     coeffs = np.hstack((-cfg.plant_rows[0], cfg.plant_rows[1]))
     y_next = _weighted(lags, coeffs, w_cfg[1:])
-    worst = _relative(y_next - trace.y[1:], _size(np.abs(lags), coeffs), np.abs(w_cfg[1:]))
+    worst = _relative(y_next - trace.y[1:], _size(mags, coeffs), np.abs(w_cfg[1:]))
     rep.add("consistency_plant_recursion", CHECK_TOL - worst, tol=0.0)
 
     # Control-law closure: phi(t)^T theta_hat(t) = ybar*(t+d).
-    phi = hist.phi(1 - d, T + d)  # phi(t) for t = t0-d+1 .. t0+T
-    phi_mags = np.abs(phi)
     now, now_mags = phi[d - 1 :], phi_mags[d - 1 :]
     closure = _weighted(now, trace.theta_hat) - _weighted(hist.lags(r_ext, len(h), 0, T + 1), h)
     r_size = _size(hist.lags(r_mags, len(h), 0, T + 1), h)
@@ -915,8 +931,7 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig) -> Verification
     worst = max(abs(float(trace.e[0])), _relative(trace.e[1:] - pred, pred_size))
     rep.add("consistency_prediction_error", CHECK_TOL - worst, tol=0.0)
 
-    # Regressor norms and deadzone gates; ||phi||^2 is row-wise, so one pass serves both.
-    sq = _weighted(phi, phi)
+    # Regressor norms and deadzone gates, both from the table's ||phi||^2.
     norm = np.sqrt(sq[d - 1 :])
     worst = _relative(trace.norm_phi - norm, norm)
     rep.add("consistency_regressor_norm", CHECK_TOL - worst, tol=0.0)
@@ -956,10 +971,10 @@ def predictor_residuals(trace: Trace, cfg: ExperimentConfig) -> np.ndarray:
     gt = ground_truth(cfg)
     d, t0, T = cfg.d, trace.t0, trace.rows - 1
     l_coeffs = cfg.ref.L.coeffs
-    hist = history(cfg.x0, trace.y, trace.u, cfg.n, cfg.m, d)
-    ybar_t = _weighted(hist.lags(hist.y, len(l_coeffs), d, T + 1 - d), l_coeffs)
+    table = Regressors(cfg, trace.y, trace.u)
+    ybar_t = _weighted(table.hist.lags(table.hist.y, len(l_coeffs), d, T + 1 - d), l_coeffs)
     wb = _wbar_rows(gt.wbar, gt.wbar_t0, t0, T + 1 - d)
-    return ybar_t - _weighted(hist.phi(0, T + 1 - d), gt.theta_star) - wb
+    return ybar_t - _weighted(table.phi[d - 1 : T], gt.theta_star) - wb
 
 
 def fit_decay_bound(trace: Trace, lam: float, floor: float | None = None) -> float:
@@ -1021,13 +1036,14 @@ def audit(trace: Trace, decay: float | None = None) -> VerificationReport:
     elif not floor < decay < 1.0:
         msg = f"decay rate must lie in ({floor:.6f}, 1) for this configuration, got {decay}"
         raise ConfigError("lambda", msg)
-    rep = check_trace_consistency(trace, cfg)
+    table = trace.regressors()  # the one regressor table every check reads
+    rep = check_trace_consistency(trace, cfg, table=table)
     if cfg.schedule.is_constant():
         gt = ground_truth(cfg)
-        rep.checks += check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0).checks
-        rep.checks += check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0).checks
+        rep.checks += check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0, table=table).checks
+        rep.checks += check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0, table=table).checks
     else:
-        rep.checks += check_prop1(trace).checks
+        rep.checks += check_prop1(trace, table=table).checks
     gain = fit_decay_bound(trace, decay, floor)
     rep.fitted = {"lambda": decay, "spectral_floor": floor, "envelope_gain_c": gain}
     return rep
@@ -1072,8 +1088,8 @@ def write_trace_csv(trace: Trace, path) -> None:
 def trace_from_csv(path, cfg: ExperimentConfig) -> Trace:
     """Reload a stored trace written by write_trace_csv.
 
-    Regressors are not in the file; Trace.history() derives them from the
-    y/u columns plus cfg.x0. A wrong header, a row count other than
+    Regressors are not in the file; Trace.regressors() derives their table
+    from the y/u columns plus cfg.x0. A wrong header, a row count other than
     cfg.steps + 1, a row of the wrong length or a non-finite cell raises ConfigError.
     """
     header = _csv_header(cfg.dim_theta)

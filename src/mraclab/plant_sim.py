@@ -20,11 +20,12 @@ Conventions used throughout the package:
   horizon t0 .. t0 + count - 1 at once. coef_column is the one definition
   of each coefficient kind, evaluated over the whole horizon (coef_eval is
   its one-sample view), and CoefficientSchedule.coeff_rows calls it once
-  per coefficient. signal_eval defines each signal kind per sample;
-  signal_rows reads every kind but square_wave as one column pinned bit
-  for bit to it (stored samples as array slices, the sinusoids as one
-  math.cos comprehension) and still samples square_wave through
-  signal_eval, whose calls inside a run the benchmark's tracer test counts.
+  per coefficient. signal_rows is the one definition of every signal kind
+  but square_wave, over the whole horizon (stored samples as array slices,
+  the sinusoids as one math.cos comprehension), and signal_eval is its
+  one-sample view. square_wave alone is defined per sample in signal_eval,
+  which signal_rows calls per sample: the benchmark's tracer test counts
+  those calls inside a run.
 """
 
 from __future__ import annotations
@@ -246,46 +247,27 @@ def _noise_block(seed: int, block: int) -> np.ndarray:
 
 
 def signal_eval(spec: SignalSpec, t: int) -> float:
-    """Sample the signal at integer time t (pure function)."""
-    kind = spec.kind
-    if kind == "zero":
-        return 0.0
-    if kind == "constant":
-        return spec.level
-    if kind == "square_wave":
-        s = t - spec.phase
-        if s < 0:
-            s = 0.0  # frozen at the start-of-wave value before the phase origin
-        return spec.amplitude if (s % spec.period) < spec.period / 2.0 else -spec.amplitude
-    if kind == "sinusoid":
-        return spec.amplitude * math.cos(spec.rate * t + spec.phase)
-    if kind == "windowed_sinusoid":
-        if spec.t_start < t <= spec.t_end:
-            return spec.amplitude * math.cos(spec.rate * t)
-        return 0.0
-    if kind == "table":
-        i = t - spec.t_start
-        if 0 <= i < len(spec.values):
-            return spec.values[i]
-        return 0.0
-    if kind == "white_noise":
-        block, offset = divmod(t, _NOISE_BLOCK)
-        return spec.amplitude * float(_noise_block(spec.seed, block)[offset])
-    raise ValueError(f"unknown signal kind {kind!r}")
+    """Sample the signal at integer time t: signal_rows' one sample, or a square wave's."""
+    if spec.kind != "square_wave":
+        return float(signal_rows(spec, t, 1)[0])
+    s = t - spec.phase
+    if s < 0:
+        s = 0.0  # frozen at the start-of-wave value before the phase origin
+    return spec.amplitude if (s % spec.period) < spec.period / 2.0 else -spec.amplitude
 
 
 def signal_rows(spec: SignalSpec, t0: int, count: int) -> np.ndarray:
-    """signal_eval at t = t0 .. t0 + count - 1, the samples a run takes over its horizon.
+    """The signal at t = t0 .. t0 + count - 1, the samples a run takes over its horizon.
 
     The stored-sample kinds (zero, constant, table, white_noise) are read as
     array slices; each sample is a stored number, or amplitude times a stored
-    noise value in one IEEE multiply. sinusoid and windowed_sinusoid (its
-    window only; zero elsewhere) take signal_eval's expression per sample in
-    one list comprehension over math.cos, since np.cos need not round as
-    math.cos on every CPU. So every column equals signal_eval's bit for bit.
-    square_wave alone still goes through signal_eval sample by sample: the
-    benchmark's tracer test counts signal_eval calls inside a run on a
-    square wave. Index arithmetic is on Python ints, so no start overflows.
+    noise value in one IEEE multiply. sinusoid is amplitude * cos(rate * t +
+    phase), and windowed_sinusoid the same on its window (its phase is 0.0,
+    and cos(-0.0) = cos(+0.0)) and zero elsewhere: one list comprehension
+    over math.cos, since np.cos need not round as math.cos on every CPU.
+    square_wave goes through signal_eval sample by sample: the benchmark's
+    tracer test counts signal_eval calls inside a run on a square wave.
+    Index arithmetic is on Python ints, so no start overflows.
     """
     if spec.kind == "zero":
         return np.zeros(count)
@@ -298,24 +280,24 @@ def signal_rows(spec: SignalSpec, t0: int, count: int) -> np.ndarray:
             out[lo - t0 : hi - t0] = spec.values[lo - spec.t_start : hi - spec.t_start]
         return out
     if spec.kind == "white_noise":
-        # Sample t is block t // _NOISE_BLOCK (floored, as signal_eval's divmod) at
-        # offset t % _NOISE_BLOCK; the blocks from t0's on are laid end to end.
+        # Sample t is block t // _NOISE_BLOCK (floored) at offset t % _NOISE_BLOCK;
+        # the blocks from t0's on are laid end to end.
         first, offset = divmod(t0, _NOISE_BLOCK)
         last = (t0 + max(count, 1) - 1) // _NOISE_BLOCK
         noise = np.concatenate([_noise_block(spec.seed, b) for b in range(first, last + 1)])
         return spec.amplitude * noise[offset : offset + count]
-    amplitude, rate = spec.amplitude, spec.rate
-    if spec.kind == "sinusoid":
-        phase = spec.phase
-        return np.array([amplitude * math.cos(rate * t + phase) for t in range(t0, t0 + count)],
-                        dtype=float)
-    if spec.kind == "windowed_sinusoid":  # nonzero on t_start < t <= t_end
+    if spec.kind in ("sinusoid", "windowed_sinusoid"):
+        lo, hi = t0, t0 + count
+        if spec.kind == "windowed_sinusoid":  # nonzero on t_start < t <= t_end
+            lo, hi = max(lo, spec.t_start + 1), min(hi, spec.t_end + 1)
+        amplitude, rate, phase = spec.amplitude, spec.rate, spec.phase
         out = np.zeros(count)
-        lo, hi = max(t0, spec.t_start + 1), min(t0 + count, spec.t_end + 1)
         if lo < hi:
-            out[lo - t0 : hi - t0] = [amplitude * math.cos(rate * t) for t in range(lo, hi)]
+            out[lo - t0 : hi - t0] = [amplitude * math.cos(rate * t + phase) for t in range(lo, hi)]
         return out
-    return np.array([signal_eval(spec, t) for t in range(t0, t0 + count)], dtype=float)
+    if spec.kind == "square_wave":
+        return np.array([signal_eval(spec, t) for t in range(t0, t0 + count)], dtype=float)
+    raise ValueError(f"unknown signal kind {spec.kind!r}")
 
 
 @dataclass(frozen=True)

@@ -79,8 +79,8 @@ M0_D2_CONFIG = {
     },
 }
 
-# p = n + m + d = 8 parameters: the squared parameter error is numpy's pairwise row sum, which
-# adds 8 terms in another order than left to right, so its contraction margins pin that order.
+# p = n + m + d = 8 parameters: the squared parameter error is _weighted's left-to-right row
+# sum, so its contraction margins pin that order at p = 8, where numpy's pairwise sum differs.
 P8_CONFIG = {
     "plant": {"a": [-0.5, 0.2, -0.1], "b": [1.0, 0.3, 0.1], "d": 3},
     "reference": {"L": [1.0, -0.4], "H": [0.6]},
@@ -149,7 +149,7 @@ def test_trace_pinned(tmp_path, doc, digest):
         (D1_CONFIG, "d37f4b8ba07647e3af862b1c4394374e189644e0db79b9ac54215f9d00f77a76"),
         (STATIC_D3_CONFIG, "6e40b3d7796b2895b17f01a479f88779e329bfef412b5bbc48807727cba76c6c"),
         (D1_GATED_CONFIG, "f76f39de711a0959ac6ba8798f05618dd1ec495a85a3315f904350db43b817d9"),
-        (P8_CONFIG, "5dd90d8552a6d5cf3c9bd1e5daa8e5bafbabfa2ef54fade14888174d29bd9d2c"),
+        (P8_CONFIG, "0b1bd0bb2c714cb89eab66aa14987309af5917b3de586ec54261883e78665d7e"),
     ],
     ids=["readme", "d1", "static_d3", "d1_gated", "p8"],
 )

@@ -54,7 +54,7 @@ from mraclab.plant_sim import (
 )
 from mraclab.poly import PolyZ, max_root_modulus, predictor_split
 from mraclab.system import ParamBox, PlantParams, ReferenceModel, to_predictor_params
-from test_golden import D1_CONFIG, README_CONFIG, STATIC_D3_CONFIG
+from test_golden import D1_CONFIG, D1_GATED_CONFIG, P8_CONFIG, README_CONFIG, STATIC_D3_CONFIG
 
 
 def make_config(
@@ -674,7 +674,7 @@ class TestRunClosedLoop:
         assert np.array_equal(tr.theta_hat[0], np.array(cfg.theta0))
         assert tr.y[0] == cfg.x0[0]
         # derived phi rows carry the recorded signals
-        phi = tr.history().phi(0, tr.rows)
+        phi = tr.regressors().phi[cfg.d - 1 :]  # row k is phi(t0 + k)
         assert phi[5][0] == tr.y[5]
         assert phi[5][cfg.n] == tr.u[5]
 
@@ -687,10 +687,10 @@ class TestRunClosedLoop:
     def test_pre_phi_for_two_step_delay(self):
         cfg = make_config(steps=50)
         tr = run_closed_loop(cfg)
-        # phi(-1) = [y(-1), y(-2), u(-1), u(-2), u(-3)], all read from x0
+        # table row 0 is phi(t0-d+1) = phi(-1) = [y(-1), y(-2), u(-1), u(-2), u(-3)], from x0
         y_part = [cfg.x0[1], cfg.x0[2]]
         u_part = [cfg.x0[3], cfg.x0[4], cfg.x0[5]]
-        assert np.array_equal(tr.history().phi(-1, 1)[0], np.array(y_part + u_part))
+        assert np.array_equal(tr.regressors().phi[0], np.array(y_part + u_part))
 
     def test_exact_estimate_tracks_after_transient(self):
         # theta_hat(0) = theta*, no disturbance, plant at rest: the weighted
@@ -801,6 +801,22 @@ def test_plant_is_checked_and_split_once(monkeypatch):
     assert check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0).passed
     assert check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0).passed
     assert calls == {"first_inadmissible": 1, "predictor_split": 1}
+
+
+def test_regressors_are_built_once(monkeypatch):
+    # The loop lays out one history and builds one phi table for norm_phi; the
+    # audit builds one more, which every check reads.
+    calls = Counter()
+    for owner, name in [(harness, "history"), (controller.History, "phi")]:
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    trace = run_closed_loop(config_from_dict(README_CONFIG))
+    assert calls == {"history": 1, "phi": 1}
+    assert audit(trace).passed
+    assert calls == {"history": 2, "phi": 2}
 
 
 class TestGroundTruth:
@@ -1092,17 +1108,29 @@ def test_vectorized_checks_match_row_loops(d, t0):
 @pytest.mark.parametrize(
     "make",
     [lambda: config_from_dict(README_CONFIG), lambda: config_from_dict(D1_CONFIG),
-     lambda: config_from_dict(STATIC_D3_CONFIG), demo_config],
-    ids=["readme", "d1", "static_d3", "showcase"],
+     lambda: config_from_dict(STATIC_D3_CONFIG), demo_config,
+     lambda: config_from_dict(D1_GATED_CONFIG), lambda: config_from_dict(P8_CONFIG)],
+    ids=["readme", "d1", "static_d3", "showcase", "d1_gated", "p8"],
 )
 def test_audit_recomputes_loop_columns_exactly(make):
     # The loop's dot products and the audit's column sums run in one order,
     # so e and norm_phi are recomputed with a zero residual.
     cfg = make()
-    margins = {c.name: c.margin for c in check_trace_consistency(run_closed_loop(cfg), cfg).checks}
+    trace = run_closed_loop(cfg)
+    rep = check_trace_consistency(trace, cfg)
+    margins = {c.name: c.margin for c in rep.checks}
     assert margins["consistency_prediction_error"] == CHECK_TOL
     assert margins["consistency_regressor_norm"] == CHECK_TOL
     assert margins["consistency_deadzone_gate"] == 0.0
+    # audit hands its one regressor table to the checks; called alone, each builds its own.
+    if cfg.schedule.is_constant():
+        gt = ground_truth(cfg)
+        rep.checks += check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0).checks
+        rep.checks += check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0).checks
+    else:
+        rep.checks += check_prop1(trace).checks
+    alone = [(c.name, c.margin.hex()) for c in rep.checks]
+    assert [(c.name, c.margin.hex()) for c in audit(trace).checks] == alone
 
 
 class TestPredictorResiduals:
@@ -1231,8 +1259,7 @@ class TestTraceFiles:
         for name in ("t", "y", "y_star", "u", "eps", "eps_bar", "e", "rho",
                      "norm_phi", "theta_hat", "r", "w"):
             assert np.array_equal(getattr(tr, name), getattr(tr2, name)), name
-        span = (1 - cfg.d, tr.rows + cfg.d - 1)
-        assert np.array_equal(tr.history().phi(*span), tr2.history().phi(*span))
+        assert np.array_equal(tr.regressors().phi, tr2.regressors().phi)
         assert check_trace_consistency(tr2, cfg).passed
 
     @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1025])

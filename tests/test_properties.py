@@ -1,13 +1,14 @@
 """Property tests: every admissible constant plant passes the audit and round-trips,
 the estimator's scalar sums match the audits' column sums bit for bit, configs
 survive their document form, the admissibility test agrees with the root
-moduli, the predictor split is exact, a signal's column is its samples, and
-the loop's step kernels compute the products and sums of their plain
-index formulas bit for bit."""
+moduli, the predictor split is exact, signals and coefficients are their
+definitions, and the loop's step kernels compute the products and sums of
+their plain index formulas bit for bit."""
 
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 import struct
@@ -35,6 +36,7 @@ from mraclab.plant_sim import (
     COEF_KINDS,
     SIGNAL_KINDS,
     CoefficientSchedule,
+    SignalSpec,
     CoefSpec,
     coef_column,
     coef_eval,
@@ -260,17 +262,46 @@ def horizons(draw, edges):
     return start, min(max(stop - start, 0), 725)
 
 
+@functools.lru_cache(maxsize=64)
+def noise_block(seed: int, block: int) -> tuple[float, ...]:
+    """512 uniform samples on [-1, 1] from a generator seeded by (seed, block), zig-zag encoded."""
+    enc = tuple(2 * v if v >= 0 else -2 * v - 1 for v in (seed, block))
+    return tuple(np.random.default_rng((0x9E3779B9,) + enc).uniform(-1.0, 1.0, 512).tolist())
+
+
+def signal_reference(spec: SignalSpec, t: int) -> float:
+    """Each kind's definition at time t, as the plant_sim constructors state it."""
+    if spec.kind == "zero":
+        return 0.0
+    if spec.kind == "constant":
+        return spec.level
+    if spec.kind == "square_wave":  # frozen at its first value before the phase origin
+        s = max(t - spec.phase, 0.0)
+        return spec.amplitude if s % spec.period < spec.period / 2.0 else -spec.amplitude
+    if spec.kind == "sinusoid":
+        return spec.amplitude * math.cos(spec.rate * t + spec.phase)
+    if spec.kind == "windowed_sinusoid":
+        return spec.amplitude * math.cos(spec.rate * t) if spec.t_start < t <= spec.t_end else 0.0
+    if spec.kind == "table":
+        return spec.values[t - spec.t_start] if 0 <= t - spec.t_start < len(spec.values) else 0.0
+    return spec.amplitude * noise_block(spec.seed, t // 512)[t % 512]
+
+
 @pytest.mark.parametrize("kind", SIGNAL_KINDS)
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_signal_rows_are_signal_eval_bit_for_bit(kind, data):
+    # Both are each kind's definition, written out in signal_reference.
     spec = data.draw(signal_specs(kind))
     edges = (spec.t_start, spec.t_start + len(spec.values), spec.t_end + 1)
     t0, count = data.draw(horizons(edges))
+    want = np.array([signal_reference(spec, t) for t in range(t0, t0 + count)], dtype=float)
     column = signal_rows(spec, t0, count)
-    samples = np.array([signal_eval(spec, t) for t in range(t0, t0 + count)], dtype=float)
-    assert column.dtype == samples.dtype and column.shape == samples.shape
-    assert column.tobytes() == samples.tobytes()
+    assert column.dtype == want.dtype and column.shape == want.shape
+    assert column.tobytes() == want.tobytes()
+    samples = [signal_eval(spec, t) for t in range(t0, t0 + count)]
+    assert all(type(v) is float for v in samples)
+    assert struct.pack(f"{count}d", *samples) == want.tobytes()
 
 
 @st.composite
