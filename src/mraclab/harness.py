@@ -26,10 +26,12 @@ re-derive every column from its recursion or config signal, so edits show
 as residuals.
 Loop and audits add every sum term by term in one order, dot products left
 to right from +0.0 with no BLAS dot, so a recomputed e, norm_phi or gate
-matches the loop's bit for bit. Those three must follow the loop's order;
-every other audit row sum keeps it too (_weighted, the squared parameter
-error included, and _size over magnitudes), so slicing History's lag views,
-the regressor table or wbar leaves every margin bit for bit as it was.
+matches the loop's bit for bit. _weighted carries that order for the audits:
+e, norm_phi and the gate must follow it; every other audit row sum keeps it
+too (the squared parameter error, _size over magnitudes, and ||x0|| in
+fit_decay_bound), as does system.box_norm, which sets the gate's threshold.
+Slicing History's lag views, the regressor table or wbar therefore leaves
+every margin bit for bit as it was.
 """
 
 from __future__ import annotations
@@ -726,29 +728,19 @@ class VerificationReport:
         }
 
 
-def _max_abs(x) -> float:
-    return float(np.abs(x).max(initial=0.0))
-
-
 def _weighted(lags: np.ndarray, coeffs, acc=0.0):
-    """acc + sum_j coeffs[..., j] * lags[:, j], column by column; coeffs may vary by row.
+    """acc + sum_j coeffs[..., j] * lags[:, j], column by column.
 
     This is the loop's order, term by term from acc: with acc = 0.0 a row
     dot gets the loop's bits, so e, norm_phi and the gate's ||phi|| come
     out as the loop made them, and every margin built on them keeps its
-    bits. Coefficients that do not vary by row enter as the Python floats
-    of one tolist(); per-row coefficients multiply lags in one pass, and
-    column j of those products is added in turn.
+    bits. coeffs is 1-D, (1, p) or one row per lag row; it is broadcast
+    against lags in one multiplication, and column j of the products is
+    added in turn.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim == 2 and len(coeffs) > 1:
-        terms = coeffs * lags
-        for j in range(lags.shape[1]):
-            acc = acc + terms[:, j]
-        return acc
-    coeffs = coeffs.reshape(-1).tolist()
+    terms = np.asarray(coeffs, dtype=float) * lags
     for j in range(lags.shape[1]):
-        acc = acc + coeffs[j] * lags[:, j]
+        acc = acc + terms[:, j]
     return acc
 
 
@@ -778,7 +770,7 @@ def _relative(res: np.ndarray, *mags: np.ndarray) -> float:
     or |term| taken by the caller), so a check against CHECK_TOL gives the
     same verdict when every signal is rescaled.
     """
-    return _max_abs(res / (1.0 + sum(mags[1:], mags[0])))
+    return float(np.abs(res / (1.0 + sum(mags[1:], mags[0]))).max(initial=0.0))
 
 
 def check_prop1(trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = None, *,
@@ -993,7 +985,8 @@ def fit_decay_bound(trace: Trace, lam: float, floor: float | None = None) -> flo
             f"decay rate {lam} does not exceed the spectral floor {floor:.6f}"
         )
     drive = (np.abs(trace.r) + np.abs(trace.w)).tolist()
-    start = float(np.linalg.norm(np.array(trace.cfg.x0))) + drive[0]
+    x0 = np.array([trace.cfg.x0], dtype=float)  # one row: ||x0|| in _weighted's order
+    start = math.sqrt(_weighted(x0, x0, np.zeros(1))[0]) + drive[0]
     env = np.fromiter(accumulate(drive[1:], lambda e, dk: lam * e + dk, initial=start),
                       float, len(drive))
     norm_phi = trace.norm_phi

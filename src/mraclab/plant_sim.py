@@ -404,7 +404,7 @@ class CoefficientSchedule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", tuple(self.a))
         object.__setattr__(self, "b", tuple(self.b))
-        if self.d < 1:
+        if integer(self.d) < 1:
             raise AdmissibilityError("input delay d must be at least 1")
         if not self.b:
             raise AdmissibilityError("schedule needs at least the b0 coefficient")

@@ -4,6 +4,8 @@ Coefficients are stored densely in ascending powers of z^-1: coeffs[i]
 multiplies z^-i. This is the natural indexing for difference equations,
 where a polynomial acts on a signal as sum_i c_i x(t - i). Trailing zero
 coefficients are legal; trimmed() drops them where the degree matters.
+PolyZ reads its coefficients by a document's number rule; the readers
+(integer, number, numbers, integers) live here and system re-exports them.
 """
 
 from __future__ import annotations
@@ -28,6 +30,41 @@ __all__ = [
 BOUNDARY_TOL = 1e-9
 
 
+# Readers of a document's number fields. JSON has one number type: an integer
+# field takes an int and a number field an int or a float, never a bool; a
+# string, a bool or a fraction is refused rather than converted.
+def integer(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def number(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)  # OverflowError for an int no float holds
+
+
+def numbers(v) -> tuple[float, ...]:
+    """A list or tuple of numbers, as floats."""
+    if isinstance(v, (list, tuple)):
+        try:
+            return tuple(number(x) for x in v)
+        except (TypeError, OverflowError):
+            pass
+    raise TypeError("expected an array of numbers")
+
+
+def integers(v) -> tuple[int, ...]:
+    """A list or tuple of integers."""
+    if isinstance(v, (list, tuple)):
+        try:
+            return tuple(integer(x) for x in v)
+        except TypeError:
+            pass
+    raise TypeError("expected an array of integers")
+
+
 @dataclass(frozen=True)
 class PolyZ:
     """Dense polynomial in z^-1; degree = len(coeffs) - 1, never empty."""
@@ -35,7 +72,7 @@ class PolyZ:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(c) for c in self.coeffs)
+        vals = numbers(self.coeffs)
         if not vals:
             raise ValueError("PolyZ needs at least one coefficient")
         if not all(math.isfinite(c) for c in vals):

@@ -12,10 +12,10 @@ beta = F B, under which the weighted output ybar(t) = y(t) + sum l_j y(t-j)
 satisfies ybar(t+d) = phi(t)^T theta* + wbar(t) with the regressor
 phi(t) = (y(t)..y(t-n+1), u(t)..u(t-m-d+1)).
 
-This module holds the readers of a document's number fields (integer,
-number, numbers, integers; plant_sim's specs, the experiment config and
-ParamBox read by them), the parameter containers, the one admissibility test of
-plant coefficient rows (first_inadmissible), the plant-to-predictor map
+This module re-exports poly's number readers (integer, number, numbers,
+integers: specs, configs, ParamBox and each delay d are read by them). It
+holds the parameter containers, the one admissibility test of plant
+coefficient rows (first_inadmissible), the plant-to-predictor map
 predictor_map (F and theta* from one long division, with no checks: a
 config maps the rows it has tested, PlantParams checks a hand-built plant),
 and the hyperrectangle machinery the projected estimator needs: building
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import PolyZ, predictor_split, schur_stable, schur_stable_rows
+from .poly import integer, integers, number, numbers  # re-exported: the readers PolyZ uses
 
 __all__ = [
     "AdmissibilityError",
@@ -52,41 +53,6 @@ __all__ = [
 
 class AdmissibilityError(ValueError):
     """A parameter set violates the standing admissibility assumptions."""
-
-
-# Readers of a document's number fields. JSON has one number type: an integer
-# field takes an int and a number field an int or a float, never a bool; a
-# string, a bool or a fraction is refused rather than converted.
-def integer(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(f"expected an integer, got {v!r}")
-    return v
-
-
-def number(v) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError(f"expected a number, got {v!r}")
-    return float(v)  # OverflowError for an int no float holds
-
-
-def numbers(v) -> tuple[float, ...]:
-    """A list or tuple of numbers, as floats."""
-    if isinstance(v, (list, tuple)):
-        try:
-            return tuple(number(x) for x in v)
-        except (TypeError, OverflowError):
-            pass
-    raise TypeError("expected an array of numbers")
-
-
-def integers(v) -> tuple[int, ...]:
-    """A list or tuple of integers."""
-    if isinstance(v, (list, tuple)):
-        try:
-            return tuple(integer(x) for x in v)
-        except TypeError:
-            pass
-    raise TypeError("expected an array of integers")
 
 
 def first_inadmissible(a_rows, b_rows) -> tuple[int, str] | None:
@@ -122,7 +88,7 @@ class PlantParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
         object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-        if self.d < 1:
+        if integer(self.d) < 1:
             raise AdmissibilityError("input delay d must be at least 1")
         if not self.b:
             raise AdmissibilityError("b must contain at least b0")
@@ -151,7 +117,7 @@ class ReferenceModel:
     d: int
 
     def __post_init__(self) -> None:
-        if self.d < 1:
+        if integer(self.d) < 1:
             raise AdmissibilityError("reference delay d must be at least 1")
         if not self.L.is_monic():
             raise AdmissibilityError("L must be monic in z^0")
@@ -310,5 +276,9 @@ def build_param_box(
 
 
 def box_norm(box: ParamBox) -> float:
-    """Largest Euclidean norm over the box, attained at a corner."""
-    return math.sqrt(sum(max(l * l, h * h) for l, h in zip(box.lo, box.hi)))
+    """Largest Euclidean norm over the box, attained at a corner; squares added
+    left to right from +0.0 (builtin sum() compensates from Python 3.12 on)."""
+    sq = 0.0
+    for l, h in zip(box.lo, box.hi):
+        sq += max(l * l, h * h)
+    return math.sqrt(sq)

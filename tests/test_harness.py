@@ -130,6 +130,17 @@ class TestConfigValidation:
     def test_demo_config_is_valid(self):
         demo_config()
 
+    @pytest.mark.parametrize("d", [2.0, True], ids=["float", "bool"])
+    def test_python_built_delay_is_an_integer(self, d):
+        # A document's plant.d must be an integer; so must a delay built in Python.
+        # A float would fail the run, a bool would write "d": true and not read back.
+        with pytest.raises(TypeError, match="expected an integer"):
+            CoefficientSchedule(a=(CoefSpec.const(-0.6),), b=(CoefSpec.const(2.0),), d=d)
+        with pytest.raises(TypeError, match="expected an integer"):
+            ReferenceModel(L=PolyZ((1.0,)), H=PolyZ((1.0,)), d=d)
+        with pytest.raises(TypeError, match="expected an integer"):
+            PlantParams(a=(-0.6,), b=(2.0,), d=d)
+
     def test_reference_order_exceeds_plant(self):
         params = PlantParams(a=(-0.5,), b=(1.0,), d=1)
         ref = ReferenceModel(L=PolyZ((1.0, 0.0, -0.25)), H=PolyZ((0.5,)), d=1)
@@ -1212,6 +1223,21 @@ class TestDecayFit:
             if env > 0.0:
                 c = max(c, norm_phi / env)
         assert fit_decay_bound(tr, lam).hex() == c.hex()
+
+    def test_envelope_starts_at_the_left_to_right_norm_of_x0(self):
+        # The long_constant benchmark's x0 at seed 17. Added left to right from +0.0
+        # its squares give 0.6126996449012786; a BLAS dot that fuses multiply-adds,
+        # as numpy's np.linalg.norm may, gives 0.6126996449012785.
+        x0 = [0.15546235888176674, -0.34109404688937395, 0.23349797599062883,
+              0.4012871765147368, 0.13808349941531117, 0.016352534116494066]
+        sq = 0.0
+        for v in x0:
+            sq += v * v
+        x0_norm = math.sqrt(sq)
+        assert x0_norm == 0.6126996449012786
+        tr = forged_trace([x0_norm, 0.0, 0.0], np.zeros(3), np.zeros(3), x0_norm=0.0, d=2)
+        tr = replace(tr, cfg=make_config(d=2, x0=tuple(x0)))
+        assert fit_decay_bound(tr, 0.5) == 1.0  # the gain is attained at t0
 
     def test_monotone_in_rate(self):
         cfg = make_config(steps=300)

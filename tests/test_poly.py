@@ -38,6 +38,15 @@ class TestPolyZ:
         with pytest.raises(ValueError):
             PolyZ((1.0, math.inf))
 
+    def test_coefficients_follow_the_number_rule(self):
+        # A document's arrays refuse a string or a bool; a Python-built PolyZ does too.
+        for bad in (("1", True), (1.0, True), ("1",), (None,), np.array([1.0, 0.5])):
+            with pytest.raises(TypeError, match="expected an array of numbers"):
+                PolyZ(bad)
+        p = PolyZ(tuple(np.convolve([1.0, 0.5], [1.0, -0.25])))  # numpy floats, as poly_mul builds
+        assert p.coeffs == (1.0, 0.25, -0.125) and all(type(c) is float for c in p.coeffs)
+        assert PolyZ([1, 2]).coeffs == (1.0, 2.0)
+
     def test_degree_counts_trailing_zeros(self):
         p = PolyZ((1.0, 0.0, 0.0))
         assert p.degree == 2

@@ -2,8 +2,8 @@
 the estimator's scalar sums match the audits' column sums bit for bit, configs
 survive their document form, the admissibility test agrees with the root
 moduli, the predictor split is exact, signals and coefficients are their
-definitions, and the loop's step kernels compute the products and sums of
-their plain index formulas bit for bit."""
+definitions, and the loop's step kernels, the audits' row sum _weighted and
+box_norm compute the products and sums of their plain index formulas bit for bit."""
 
 from __future__ import annotations
 
@@ -469,3 +469,51 @@ def test_loop_kernels_keep_their_products_and_order(case):
 
     y_star, now, _ = reference_outputs(case["ref"], case["r"])
     assert bits(y_star.tolist()) == bits(y_star_by_offsets(now.tolist(), L.coeffs, L.degree))
+
+
+def weighted_by_index(lags, coef, acc):
+    """Row i: acc(i) + coef(i, 0) * lags[i][0] + coef(i, 1) * lags[i][1] + ..., left to right."""
+    out = []
+    for i, row in enumerate(lags):
+        total = acc[i] if isinstance(acc, list) else acc
+        for j, v in enumerate(row):
+            total += coef(i, j) * v
+        out.append(total)
+    return out
+
+
+@st.composite
+def weighted_cases(draw):
+    """rows x p lags (p may be 0), coefficients 1-D, (1, p) or (rows, p), and a scalar
+    or per-row starting value."""
+    rows, p = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    lags = [[draw(VALUE) for _ in range(p)] for _ in range(rows)]
+    shape = draw(st.sampled_from(("1-D", "(1, p)", "(rows, p)")))
+    if shape == "1-D":
+        coeffs = [draw(VALUE) for _ in range(p)]
+    else:
+        coeffs = [[draw(VALUE) for _ in range(p)] for _ in range(1 if shape == "(1, p)" else rows)]
+    acc = draw(st.sampled_from((0.0, -0.0)) | VALUE | st.lists(VALUE, min_size=rows, max_size=rows))
+    return lags, shape, coeffs, acc
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(weighted_cases())
+def test_weighted_is_its_index_formula_bit_for_bit(case):
+    lags, shape, coeffs, acc = case
+    coef = {"1-D": lambda i, j: coeffs[j], "(1, p)": lambda i, j: coeffs[0][j],
+            "(rows, p)": lambda i, j: coeffs[i][j]}[shape]
+    lag_array = np.array(lags).reshape(len(lags), -1)  # keeps p = 0 as (rows, 0)
+    start = np.array(acc) if isinstance(acc, list) else acc
+    got = np.broadcast_to(_weighted(lag_array, coeffs, start), (len(lags),))
+    assert bits(got.tolist()) == bits(weighted_by_index(lags, coef, acc))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(VALUE, WIDTH), min_size=1, max_size=9))
+def test_box_norm_adds_left_to_right_from_zero(edges):
+    box = ParamBox(lo=tuple(c - w for c, w in edges), hi=tuple(c + w for c, w in edges))
+    sq = 0.0
+    for l, h in zip(box.lo, box.hi):
+        sq += max(l * l, h * h)
+    assert box_norm(box).hex() == math.sqrt(sq).hex()
