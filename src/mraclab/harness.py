@@ -79,6 +79,7 @@ from .system import (
     number,
     numbers,
     predictor_map,
+    text,
 )
 
 __all__ = [
@@ -128,11 +129,13 @@ class NumericAbort(RuntimeError):
 # ---------------------------------------------------------------------------
 # Configuration
 
-# ExperimentConfig's scalar fields: (name, system reader, document field path).
+# ExperimentConfig's fields read as a document's: (name, system reader, document field path).
 SCALAR_FIELDS = (("delta", number, "estimator.delta"), ("t0", integer, "sim.t0"),
                  ("steps", integer, "sim.steps"), ("seed", integer, "sim.seed"),
                  ("s_ab_samples", integer, "estimator.samples"),
-                 ("s_ab_margin", number, "estimator.margin"))
+                 ("s_ab_margin", number, "estimator.margin"),
+                 ("x0", numbers, "sim.x0"), ("theta0", numbers, "sim.theta0"),
+                 ("label", text, "label"))
 
 
 @dataclass(frozen=True)
@@ -173,22 +176,13 @@ class ExperimentConfig:
         return self.n + self.m + self.d
 
     def __post_init__(self) -> None:
-        """Read the scalar fields and x0/theta0 as a document's and check the whole
-        configuration.
+        """Read the SCALAR_FIELDS as a document's and check the whole configuration.
 
         Raises ConfigError with the offending field path, so a constructed
         config always meets the assumptions run_closed_loop relies on.
         """
         for name, read, fieldpath in SCALAR_FIELDS:
-            try:
-                object.__setattr__(self, name, read(getattr(self, name)))
-            except (TypeError, OverflowError) as exc:
-                raise ConfigError(fieldpath, str(exc)) from None
-        for name in ("x0", "theta0"):
-            try:
-                object.__setattr__(self, name, numbers(getattr(self, name)))
-            except TypeError as exc:
-                raise ConfigError(f"sim.{name}", str(exc)) from None
+            object.__setattr__(self, name, _at(fieldpath, read, getattr(self, name)))
         n, m, d = self.n, self.m, self.d
         if self.ref.d != d:
             raise ConfigError("reference", f"reference delay {self.ref.d} != plant delay {d}")
@@ -239,10 +233,7 @@ class ExperimentConfig:
         sampled += [(f"plant.schedule.{key}[{i}]", spec, self.t0, t_end - 1)
                     for key in "ab" for i, spec in enumerate(getattr(self.schedule, key))]
         for fieldpath, spec, first, last in sampled:
-            try:
-                spec.check_angle(first, last)
-            except ValueError as exc:
-                raise ConfigError(fieldpath, str(exc)) from None
+            _at(fieldpath, spec.check_angle, first, last)
         try:
             rows = self.schedule.validate_horizon(self.t0, self.steps)
         except AdmissibilityError as exc:
@@ -304,10 +295,11 @@ def _too_long(steps: int) -> ConfigError:
 # -- parsing ----------------------------------------------------------------
 
 
-def _spec(cls, doc, fieldpath: str):
-    """A SignalSpec or CoefSpec from its document form, errors under fieldpath."""
+def _at(fieldpath: str, read, *args, **kwargs):
+    """read(*args, **kwargs), whose TypeError, ValueError or OverflowError becomes a ConfigError
+    under fieldpath: the one way a reader's or a constructor's refusal names its field."""
     try:
-        return cls.from_doc(doc)
+        return read(*args, **kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(fieldpath, str(exc)) from None
 
@@ -315,7 +307,7 @@ def _spec(cls, doc, fieldpath: str):
 def _specs(cls, doc, fieldpath: str) -> tuple:
     if not isinstance(doc, list):
         raise ConfigError(fieldpath, "expected an array")
-    return tuple(_spec(cls, c, f"{fieldpath}[{i}]") for i, c in enumerate(doc))
+    return tuple(_at(f"{fieldpath}[{i}]", cls.from_doc, c) for i, c in enumerate(doc))
 
 
 def _known(doc: dict, keys: tuple[str, ...], fieldpath: str) -> None:
@@ -343,21 +335,10 @@ def _number(read, doc: dict, key: str, fieldpath: str, default=None):
     read is system's integer or number: a string, a bool or, for an integer, a fraction fails."""
     if key not in doc and default is None:
         raise ConfigError(fieldpath, "missing field")
-    try:
-        value = read(doc.get(key, default))
-    except (TypeError, OverflowError) as exc:
-        raise ConfigError(fieldpath, str(exc)) from None
+    value = _at(fieldpath, read, doc.get(key, default))
     if isinstance(value, float) and not math.isfinite(value):  # before build_param_box reads it
         raise ConfigError(fieldpath, "must be finite")
     return value
-
-
-def _floats(doc, fieldpath: str) -> tuple[float, ...]:
-    """doc as floats; only a list or tuple of ints and floats (not bools) is an array of numbers."""
-    try:
-        return numbers(doc)
-    except TypeError as exc:
-        raise ConfigError(fieldpath, str(exc)) from None
 
 
 def _pair(doc, keys: tuple[str, str], fieldpath: str) -> tuple:
@@ -368,15 +349,11 @@ def _pair(doc, keys: tuple[str, str], fieldpath: str) -> tuple:
     for key in keys:
         if key not in doc:
             raise ConfigError(fieldpath, f"missing field {key!r}")
-    return tuple(_floats(doc[key], f"{fieldpath}.{key}") for key in keys)
+    return tuple(_at(f"{fieldpath}.{key}", numbers, doc[key]) for key in keys)
 
 
 def _box(doc, fieldpath: str) -> ParamBox:
-    lo, hi = _pair(doc, ("lo", "hi"), fieldpath)
-    try:
-        return ParamBox(lo=lo, hi=hi)
-    except ValueError as exc:
-        raise ConfigError(fieldpath, str(exc))
+    return _at(fieldpath, ParamBox, *_pair(doc, ("lo", "hi"), fieldpath))
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -404,24 +381,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     elif "b" not in plant:
         raise ConfigError("plant.b", "missing section")
     else:
-        specs = [_floats(plant.get(key, ()), f"plant.{key}") for key in "ab"]
-    try:
-        if "schedule" not in plant:  # a non-finite number fails CoefSpec here
-            specs = [tuple(map(CoefSpec.const, row)) for row in specs]
-        schedule = CoefficientSchedule(*specs, d=d)
-    except ValueError as exc:
-        raise ConfigError(fieldpath, str(exc))
+        ab = [_at(f"plant.{key}", numbers, plant.get(key, ())) for key in "ab"]
+        # a non-finite number fails CoefSpec here
+        specs = [tuple(_at("plant", CoefSpec.const, v) for v in row) for row in ab]
+    schedule = _at(fieldpath, CoefficientSchedule, *specs, d=d)
 
     L, H = _pair(ref_doc, ("L", "H"), "reference")
-    try:
-        ref = ReferenceModel(L=PolyZ(L), H=PolyZ(H), d=d)
-    except ValueError as exc:
-        raise ConfigError("reference", str(exc))
+    ref = _at("reference", lambda: ReferenceModel(L=PolyZ(L), H=PolyZ(H), d=d))
 
     t0 = _number(integer, sim, "t0", "sim.t0", default=0)
     steps = _number(integer, sim, "steps", "sim.steps")
     seed = _number(integer, sim, "seed", "sim.seed", default=0)
-    x0 = _floats(sim.get("x0", [0.0] * x0_length(schedule.n, schedule.m, d)), "sim.x0")
 
     raw_delta = est.get("delta", "inf")
     if isinstance(raw_delta, str):
@@ -442,25 +412,19 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if "box" in est:
         box = _box(est["box"], "estimator.box")
     elif s_ab is not None:
-        try:
-            box = build_param_box(
-                s_ab, ref, n_a=schedule.n, samples=samples, margin=margin, seed=seed
-            )
-        except (AdmissibilityError, ValueError) as exc:
-            raise ConfigError("estimator.s_ab_box", str(exc))
+        box = _at("estimator.s_ab_box", build_param_box,
+                  s_ab, ref, n_a=schedule.n, samples=samples, margin=margin, seed=seed)
     else:
         raise ConfigError("estimator", "needs a 'box' or an 's_ab_box'")
 
-    raw_theta0 = sim.get("theta0", "midpoint")
-    if isinstance(raw_theta0, str):
-        if raw_theta0 != "midpoint":
-            raise ConfigError("sim.theta0", f"expected an array or 'midpoint', got {raw_theta0!r}")
+    theta0 = sim.get("theta0", "midpoint")  # x0 and theta0 are read by ExperimentConfig
+    if isinstance(theta0, str):
+        if theta0 != "midpoint":
+            raise ConfigError("sim.theta0", f"expected an array or 'midpoint', got {theta0!r}")
         theta0 = tuple(box.midpoint())
-    else:
-        theta0 = _floats(raw_theta0, "sim.theta0")
 
-    r = _spec(SignalSpec, signals["r"], "signals.r") if "r" in signals else zero_signal()
-    w = _spec(SignalSpec, signals["w"], "signals.w") if "w" in signals else zero_signal()
+    r = _at("signals.r", SignalSpec.from_doc, signals["r"]) if "r" in signals else zero_signal()
+    w = _at("signals.w", SignalSpec.from_doc, signals["w"]) if "w" in signals else zero_signal()
 
     cfg = ExperimentConfig(
         schedule=schedule,
@@ -469,7 +433,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         delta=delta,
         t0=t0,
         steps=steps,
-        x0=x0,
+        x0=sim.get("x0", [0.0] * x0_length(schedule.n, schedule.m, d)),
         theta0=theta0,
         r=r,
         w=w,
@@ -477,12 +441,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         s_ab=s_ab,
         s_ab_samples=samples,
         s_ab_margin=margin,
-        label=str(doc.get("label", "")),
+        label=doc.get("label", ""),
     )
     # plant.a and plant.b beside a schedule are its row at t0, as to_config_dict writes them.
     for key, rows in zip("ab", cfg.plant_rows if "schedule" in plant else ()):
         row = rows[0].tolist()
-        if key in plant and list(_floats(plant[key], f"plant.{key}")) != row:
+        if key in plant and list(_at(f"plant.{key}", numbers, plant[key])) != row:
             raise ConfigError(f"plant.{key}", f"must equal the schedule's row at t0, {row}")
     return cfg
 
@@ -1138,7 +1102,9 @@ def write_plot_script(trace: Trace, path) -> None:
 
 
 def _regime_rms(trace: Trace) -> dict:
-    """RMS tracking error over thirds of the run (before/during/after windows)."""
+    """RMS tracking error over three windows of t0 .. t_end, T = t_end - t0 steps: the first
+    fifth [t0, t0 + T // 5], the rest of the first half up to b1 = t0 + T // 2, and the
+    second half without its first fifth, [b1 + (t_end - b1) // 5, t_end]."""
     t, eps = trace.t, trace.eps
 
     def rms(mask) -> float:

@@ -44,6 +44,7 @@ from .system import (
     integers,
     number,
     numbers,
+    text,
 )
 
 __all__ = [
@@ -85,7 +86,7 @@ SIGNAL_KINDS = {
 COEF_KINDS = {
     "constant": (("value", number, REQUIRED),),
     "sinusoid": (("offset", number, 0.0), ("amplitude", number, REQUIRED),
-                 ("rate", number, REQUIRED), ("phase", number, 0.0), ("trig", str, "cos")),
+                 ("rate", number, REQUIRED), ("phase", number, 0.0), ("trig", text, "cos")),
     "piecewise": (("times", integers, REQUIRED), ("values", numbers, REQUIRED)),
     "table": (("values", numbers, REQUIRED), ("t_start", integer, 0)),
 }

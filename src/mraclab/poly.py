@@ -5,7 +5,7 @@ multiplies z^-i. This is the natural indexing for difference equations,
 where a polynomial acts on a signal as sum_i c_i x(t - i). Trailing zero
 coefficients are legal; trimmed() drops them where the degree matters.
 PolyZ reads its coefficients by a document's number rule; the readers
-(integer, number, numbers, integers) live here and system re-exports them.
+(integer, number, text, numbers, integers) live here and system re-exports them.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ __all__ = [
 BOUNDARY_TOL = 1e-9
 
 
-# Readers of a document's number fields. JSON has one number type: an integer
-# field takes an int and a number field an int or a float, never a bool; a
-# string, a bool or a fraction is refused rather than converted.
+# Readers of a document's number and string fields. JSON has one number type: an
+# integer field takes an int and a number field an int or a float, never a bool; a
+# string, a bool or a fraction is refused rather than converted, and a string field
+# takes only a string.
 def integer(v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise TypeError(f"expected an integer, got {v!r}")
@@ -43,6 +44,12 @@ def number(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"expected a number, got {v!r}")
     return float(v)  # OverflowError for an int no float holds
+
+
+def text(v) -> str:
+    if not isinstance(v, str):
+        raise TypeError(f"expected a string, got {v!r}")
+    return v
 
 
 def numbers(v) -> tuple[float, ...]:

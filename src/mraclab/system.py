@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import PolyZ, predictor_split, schur_stable, schur_stable_rows
-from .poly import integer, integers, number, numbers  # re-exported: the readers PolyZ uses
+from .poly import integer, integers, number, numbers, text  # re-exported: the document readers
 
 __all__ = [
     "AdmissibilityError",
@@ -48,6 +48,7 @@ __all__ = [
     "number",
     "numbers",
     "integers",
+    "text",
 ]
 
 

@@ -7,6 +7,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ class TestConfigValidation:
                 w=zero_signal(),
             )
 
+    def test_reference_order_is_capped_by_the_plant_order_not_the_delay(self):
+        # n = 1, d = 2: deg L = 2 meets deg L <= n+d-1 yet exceeds n, the rule the config keeps.
+        doc = {
+            "plant": {"a": [-0.5], "b": [1.0], "d": 2},
+            "reference": {"L": [1.0, 0.0, -0.25], "H": [0.5]},
+            "estimator": {"box": {"lo": [-1.0, 0.5, -1.0], "hi": [1.0, 2.0, 1.0]}},
+            "sim": {"steps": 100, "x0": [0.0] * 4},
+        }
+        with pytest.raises(ConfigError, match=r"^reference\.L: order 2 exceeds plant order 1$"):
+            config_from_dict(doc)
+
     def test_box_dimension_mismatch(self):
         cfg = make_config()
         with pytest.raises(ConfigError, match="estimator.box"):
@@ -242,12 +254,15 @@ class TestConfigValidation:
             ("t0", 0.5, "sim.t0"),
             ("steps", 200.0, "sim.steps"),
             ("s_ab_samples", True, "estimator.samples"),
+            ("label", 5, "label"),
         ],
-        ids=["t0_bool", "seed_fraction", "delta_bool", "t0_fraction", "steps_float", "samples_bool"],
+        ids=["t0_bool", "seed_fraction", "delta_bool", "t0_fraction", "steps_float", "samples_bool",
+             "label_int"],
     )
     def test_scalar_fields_follow_the_document_rules(self, name, value, fieldpath):
         # The first three ran and wrote a summary that config_from_dict refuses;
-        # t0 = 0.5 and steps = 200.0 raised a bare TypeError.
+        # t0 = 0.5 and steps = 200.0 raised a bare TypeError; label = 5 wrote
+        # "label": 5, which read back as "5" under another config hash.
         with pytest.raises(ConfigError, match=f"^{re.escape(fieldpath)}: expected an? "):
             replace(demo_config(200), **{name: value})
 
@@ -262,6 +277,12 @@ class TestConfigValidation:
         # replace(demo_config(200), x0="123") built x0 = (1.0, 2.0, 3.0).
         with pytest.raises(ConfigError, match=f"^sim.{name}: expected an array of numbers$"):
             replace(demo_config(200), **{name: value})
+
+    def test_document_label_is_a_string(self):
+        doc = json.loads(json.dumps(README_CONFIG))
+        doc["label"] = {"x": 1}  # was turned into the label "{'x': 1}"
+        with pytest.raises(ConfigError, match=r"^label: expected a string, got \{'x': 1\}$"):
+            config_from_dict(doc)
 
     def test_tuples_of_numpy_floats_are_numbers(self):
         cfg = demo_config(200)
@@ -428,6 +449,38 @@ class TestConfigRoundTrip:
         node[key] = value
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            ("plant.d", 1, "estimator.box: box dimension 5 != n+m+d = 4"),
+            ("plant.b", [2.0, 3.0], "plant: schedule inadmissible at t = 0: B(z^-1) must have all "
+                                    "roots strictly inside the unit circle"),
+            ("sim.x0", "123456", "sim.x0: expected an array of numbers"),
+            ("sim.steps", 400.9, "sim.steps: expected an integer, got 400.9"),
+            ("plant.a", [math.nan, 0.08], "plant: field 'value': must be finite"),
+            ("plant.schedule", {"a": [{"kind": "table", "values": [-0.6, math.nan]}, 0.08],
+                                "b": [2.0, 0.5]},
+             "plant.schedule.a[0]: field 'values': must be finite"),
+            ("reference.L", [], "reference: PolyZ needs at least one coefficient"),
+        ],
+        ids=["box_dimension", "non_minimum_phase", "x0_string", "steps_fraction", "nan_a",
+             "nan_table", "empty_L"],
+    )
+    def test_readme_error_messages(self, where, value, message):
+        # Each message is quoted in README.md; an empty L is a ValueError of PolyZ, which the
+        # reference's one guarded call names as a reference error.
+        doc = json.loads(json.dumps(README_CONFIG))
+        *parents, key = where.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == message
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        assert message in " ".join(readme.split())
 
     def test_number_fields_take_ints(self):
         doc = json.loads(json.dumps(README_CONFIG))
@@ -626,6 +679,16 @@ class TestSpecKinds:
         # t_start 2.5 was kept and the strings were read as (1.0, 2.0).
         with pytest.raises(ValueError, match=f"^field '{name}': expected an"):
             make()
+
+    def test_trig_is_a_string(self):
+        # builtin str read trig = 5 as "5" and refused it as neither cos nor sin.
+        with pytest.raises(ValueError, match="^field 'trig': expected a string, got 5$"):
+            CoefSpec.sinusoid(1.0, 0.1, trig=5)
+        doc = coef_config(CoefSpec.sinusoid(0.1, 0.01, offset=-0.5)).to_config_dict()
+        doc["plant"]["schedule"]["a"][0]["trig"] = ["cos"]
+        message = "plant.schedule.a[0]: field 'trig': expected a string, got ['cos']"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(doc)
 
     @pytest.mark.parametrize(
         "kinds, examples",
@@ -1216,7 +1279,10 @@ class TestDecayFit:
                              ids=["showcase", "readme"])
     def test_gain_is_the_running_loop_bit_for_bit(self, build, lam):
         tr = run_closed_loop(build())
-        env, c = float(np.linalg.norm(np.array(tr.cfg.x0))), 0.0
+        sq = 0.0  # ||x0|| in fit_decay_bound's order: squares added left to right from +0.0
+        for v in tr.cfg.x0:
+            sq += v * v
+        env, c = math.sqrt(sq), 0.0
         drive = np.abs(tr.r) + np.abs(tr.w)
         for k, (dk, norm_phi) in enumerate(zip(drive.tolist(), tr.norm_phi.tolist())):
             env = env + dk if k == 0 else lam * env + dk
