@@ -60,25 +60,25 @@ def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
     return doc
 
 
-def _print_report(rep: VerificationReport) -> None:
+def _finish(trace, out, rep: VerificationReport | None) -> int:
+    """Write the artifacts when out is given, then print the report if any; the exit code."""
+    if out:
+        paths = write_outputs(trace, out, rep)
+        for name in ("trace", "summary", "plot"):
+            print(f"wrote {paths[name]}")
+    if rep is None:
+        return EXIT_OK
     for line in rep.lines():
         print(line)
     print("VERIFY PASS" if rep.passed else "VERIFY FAIL")
+    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     doc = _apply_overrides(_load_json(args.config), args)
     cfg = config_from_dict(doc)
     trace = run_closed_loop(cfg)
-    rep = audit(trace, args.decay) if args.verify else None
-    paths = write_outputs(trace, args.out, rep)
-    for name in ("trace", "summary", "plot"):
-        print(f"wrote {paths[name]}")
-    if rep is not None:
-        _print_report(rep)
-        if not rep.passed:
-            return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return _finish(trace, args.out, audit(trace, args.decay) if args.verify else None)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -112,13 +112,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ConfigError("config", "verify needs --config or --trace")
         cfg = config_from_dict(_load_json(args.config))
         trace = run_closed_loop(cfg)
-    rep = audit(trace, args.decay)
-    _print_report(rep)
-    if args.out:
-        paths = write_outputs(trace, args.out, rep)
-        for name in ("trace", "summary", "plot"):
-            print(f"wrote {paths[name]}")
-    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+    return _finish(trace, args.out, audit(trace, args.decay))
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
@@ -133,8 +127,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         print(f"wrote {out / name}")
     audited = summary["checks"]  # the report, as run --verify prints it
     rep = VerificationReport([CheckResult(**c) for c in audited["checks"]], audited["fitted"])
-    _print_report(rep)
-    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+    return _finish(trace, None, rep)  # reproduce_example has written the artifacts
 
 
 def build_parser() -> argparse.ArgumentParser:

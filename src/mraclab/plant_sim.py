@@ -68,7 +68,9 @@ __all__ = [
     "wbar_sequence",
 ]
 
-REQUIRED = object()  # default of a field that every document of its kind must carry
+# Every spec field but kind defaults to UNSET, read as the kind's default below (none if REQUIRED).
+# Ellipsis survives deepcopy and pickle, and no JSON holds it: a document's null reaches the reader.
+UNSET = REQUIRED = ...
 
 
 # kind -> its fields in document order, each (name, reader, default or REQUIRED).
@@ -116,19 +118,24 @@ class KindSpec:
         return {name for name, _, _ in cls.fields_of(kind)} | {"kind"}
 
     def _read_fields(self) -> None:
-        """Read each field the kind uses by its KINDS reader, as from a document; reject a value
-        other than the class default in a field the kind does not read, and a NaN or an
-        infinity in any number field (integer fields are finite by type)."""
-        read = {name: reader for name, reader, _ in self.fields_of(self.kind)}
+        """The one place a spec field gets its value: an UNSET field takes its KINDS default, or
+        is missing if that is REQUIRED, and each field the kind uses is read by its KINDS reader.
+        A field set outside the kind is refused, and so is a NaN or an infinity in any number
+        field (integer fields are finite by type)."""
+        for name, _, default in self.fields_of(self.kind):  # in table order, before any read
+            if default is REQUIRED and getattr(self, name) is UNSET:
+                raise ValueError(f"missing field {name!r} for kind {self.kind!r}")
+        read = {name: (reader, default) for name, reader, default in self.fields_of(self.kind)}
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name in read:
+                reader, default = read[f.name]
                 try:
-                    value = read[f.name](value)
+                    value = reader(default if value is UNSET else value)
                 except (TypeError, OverflowError) as exc:
                     raise ValueError(f"field {f.name!r}: {exc}") from None
                 object.__setattr__(self, f.name, value)
-            elif f.name != "kind" and value != f.default:
+            elif f.name != "kind" and value is not UNSET:
                 raise ValueError(f"field {f.name!r} is not used by {self.NOUN} kind {self.kind!r}")
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in (value if isinstance(value, tuple) else (value,))):
@@ -143,8 +150,9 @@ class KindSpec:
         if self.kind == "windowed_sinusoid":
             first, last = max(first, self.t_start + 1), min(last, self.t_end)
         if "rate" in self._used(self.kind) and first <= last:
+            phase = self.phase if "phase" in self._used(self.kind) else 0.0  # none on a window
             for t in (first, last):
-                if not math.isfinite(self.rate * t + self.phase):
+                if not math.isfinite(self.rate * t + phase):
                     raise ValueError(f"field 'rate': rate * t + phase is not finite at t = {t}")
 
     def to_doc(self) -> dict:
@@ -158,16 +166,11 @@ class KindSpec:
     def from_doc(cls, doc):
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ValueError(f"expected {cls.SHAPE}")
-        kind, values = doc["kind"], {}
-        used = cls._used(kind)
+        used = cls._used(doc["kind"])
         for key in doc:
             if key not in used:
-                raise ValueError(f"field {key!r}: not used by {cls.NOUN} kind {kind!r}")
-        for name, _, default in cls.fields_of(kind):
-            if name not in doc and default is REQUIRED:
-                raise ValueError(f"missing field {name!r} for kind {kind!r}")
-            values[name] = doc.get(name, default)
-        return cls(kind=kind, **values)  # __post_init__ reads each value
+                raise ValueError(f"field {key!r}: not used by {cls.NOUN} kind {doc['kind']!r}")
+        return cls(**doc)  # __post_init__ gives each field its value, as in Python
 
 
 _NOISE_BLOCK = 512
@@ -181,15 +184,15 @@ class SignalSpec(KindSpec):
     NOUN = "signal"
 
     kind: str
-    amplitude: float = 0.0
-    level: float = 0.0
-    period: int = 0
-    phase: float = 0.0
-    rate: float = 0.0
-    t_start: int = 0
-    t_end: int = 0
-    values: tuple[float, ...] = ()
-    seed: int = 0
+    amplitude: float = UNSET
+    level: float = UNSET
+    period: int = UNSET
+    phase: float = UNSET
+    rate: float = UNSET
+    t_start: int = UNSET
+    t_end: int = UNSET
+    values: tuple[float, ...] = UNSET
+    seed: int = UNSET
 
     def __post_init__(self) -> None:
         self._read_fields()
@@ -209,12 +212,12 @@ def constant_signal(level: float) -> SignalSpec:
     return SignalSpec(kind="constant", level=level)
 
 
-def square_wave(period: int, amplitude: float = 1.0, phase: float = 0.0) -> SignalSpec:
+def square_wave(period: int, amplitude: float = UNSET, phase: float = UNSET) -> SignalSpec:
     """+amplitude on the first half of each period, -amplitude on the second."""
     return SignalSpec(kind="square_wave", period=period, amplitude=amplitude, phase=phase)
 
 
-def sinusoid(amplitude: float, rate: float, phase: float = 0.0) -> SignalSpec:
+def sinusoid(amplitude: float, rate: float, phase: float = UNSET) -> SignalSpec:
     """amplitude * cos(rate * t + phase)."""
     return SignalSpec(kind="sinusoid", amplitude=amplitude, rate=rate, phase=phase)
 
@@ -226,12 +229,12 @@ def windowed_sinusoid(t_start: int, t_end: int, amplitude: float, rate: float) -
     )
 
 
-def table_signal(values, t_start: int = 0) -> SignalSpec:
+def table_signal(values, t_start: int = UNSET) -> SignalSpec:
     """Explicit samples values[k] at t = t_start + k; zero outside the table."""
     return SignalSpec(kind="table", values=tuple(values), t_start=t_start)
 
 
-def white_noise(amplitude: float, seed: int = 0) -> SignalSpec:
+def white_noise(amplitude: float, seed: int = UNSET) -> SignalSpec:
     """Uniform noise on [-amplitude, amplitude], reproducible per (seed, t)."""
     return SignalSpec(kind="white_noise", amplitude=amplitude, seed=seed)
 
@@ -263,8 +266,8 @@ def signal_rows(spec: SignalSpec, t0: int, count: int) -> np.ndarray:
     The stored-sample kinds (zero, constant, table, white_noise) are read as
     array slices; each sample is a stored number, or amplitude times a stored
     noise value in one IEEE multiply. sinusoid is amplitude * cos(rate * t +
-    phase), and windowed_sinusoid the same on its window (its phase is 0.0,
-    and cos(-0.0) = cos(+0.0)) and zero elsewhere: one list comprehension
+    phase), and windowed_sinusoid, which has no phase, the same with phase 0.0 on
+    its window (cos(-0.0) = cos(+0.0)) and zero elsewhere: one list comprehension
     over math.cos, since np.cos need not round as math.cos on every CPU.
     square_wave goes through signal_eval sample by sample: the benchmark's
     tracer test counts signal_eval calls inside a run on a square wave.
@@ -291,7 +294,8 @@ def signal_rows(spec: SignalSpec, t0: int, count: int) -> np.ndarray:
         lo, hi = t0, t0 + count
         if spec.kind == "windowed_sinusoid":  # nonzero on t_start < t <= t_end
             lo, hi = max(lo, spec.t_start + 1), min(hi, spec.t_end + 1)
-        amplitude, rate, phase = spec.amplitude, spec.rate, spec.phase
+        amplitude, rate = spec.amplitude, spec.rate
+        phase = spec.phase if spec.kind == "sinusoid" else 0.0
         out = np.zeros(count)
         if lo < hi:
             out[lo - t0 : hi - t0] = [amplitude * math.cos(rate * t + phase) for t in range(lo, hi)]
@@ -318,15 +322,15 @@ class CoefSpec(KindSpec):
     SHAPE = "a number or an object with a 'kind' field"
 
     kind: str
-    value: float = 0.0
-    offset: float = 0.0
-    amplitude: float = 0.0
-    rate: float = 0.0
-    phase: float = 0.0
-    trig: str = "cos"
-    times: tuple[int, ...] = ()
-    values: tuple[float, ...] = ()
-    t_start: int = 0
+    value: float = UNSET
+    offset: float = UNSET
+    amplitude: float = UNSET
+    rate: float = UNSET
+    phase: float = UNSET
+    trig: str = UNSET
+    times: tuple[int, ...] = UNSET
+    values: tuple[float, ...] = UNSET
+    t_start: int = UNSET
 
     def __post_init__(self) -> None:
         self._read_fields()
@@ -345,7 +349,7 @@ class CoefSpec(KindSpec):
         return CoefSpec(kind="constant", value=value)
 
     @staticmethod
-    def sinusoid(amplitude: float, rate: float, offset: float = 0.0, trig: str = "cos"):
+    def sinusoid(amplitude: float, rate: float, offset: float = UNSET, trig: str = UNSET):
         return CoefSpec(kind="sinusoid", offset=offset, amplitude=amplitude, rate=rate, trig=trig)
 
     @classmethod
@@ -403,8 +407,11 @@ class CoefficientSchedule:
     d: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
+        for key in "ab":
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+            for i, spec in enumerate(getattr(self, key)):
+                if not isinstance(spec, CoefSpec):  # only a document may hold a bare number
+                    raise TypeError(f"{key}[{i}]: expected a CoefSpec, got {spec!r}")
         if integer(self.d) < 1:
             raise AdmissibilityError("input delay d must be at least 1")
         if not self.b:

@@ -87,8 +87,8 @@ class PlantParams:
     d: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
+        object.__setattr__(self, "a", numbers(self.a))
+        object.__setattr__(self, "b", numbers(self.b))
         if integer(self.d) < 1:
             raise AdmissibilityError("input delay d must be at least 1")
         if not self.b:
@@ -147,8 +147,8 @@ class PredictorParams:
     beta: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", tuple(float(v) for v in self.alpha))
-        object.__setattr__(self, "beta", tuple(float(v) for v in self.beta))
+        object.__setattr__(self, "alpha", numbers(self.alpha))
+        object.__setattr__(self, "beta", numbers(self.beta))
         if not self.beta:
             raise AdmissibilityError("beta must contain at least beta0")
 

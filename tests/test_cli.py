@@ -168,6 +168,18 @@ class TestVerify:
         assert main(["verify", "--config", str(config_path)]) == 0
         assert "VERIFY PASS" in capsys.readouterr().out
 
+    def test_out_writes_then_reports_as_run_verify(self, config_path, tmp_path, capsys):
+        # verify --out printed its report first and its wrote lines after it.
+        run = ["run", "--config", str(config_path), "--out", str(tmp_path / "r"), "--verify"]
+        assert main(run) == 0
+        run_lines = capsys.readouterr().out.splitlines()
+        assert main(["verify", "--config", str(config_path), "--out", str(tmp_path / "v")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.startswith("wrote ") for line in lines[:3])
+        assert lines[3:] == run_lines[3:] and lines[-1] == "VERIFY PASS"
+        for name in ("trace.csv", "summary.json"):
+            assert (tmp_path / "v" / name).read_bytes() == (tmp_path / "r" / name).read_bytes()
+
     def test_from_trace_with_sidecar(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", "--config", str(config_path), "--out", str(out)])

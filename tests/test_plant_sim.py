@@ -1,6 +1,12 @@
 """Tests for plant stepping, coefficient schedules, signals, and filtered noise."""
 
+import copy
+import json
 import math
+import pickle
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +17,16 @@ from mraclab.harness import check_trace_consistency, config_from_dict, ground_tr
 from mraclab.poly import PolyZ, predictor_split
 from mraclab.system import AdmissibilityError, PlantParams, ReferenceModel, to_predictor_params
 from mraclab.plant_sim import (
+    COEF_KINDS,
+    REQUIRED,
+    SIGNAL_KINDS,
     CoefSpec,
     CoefficientSchedule,
     coef_eval,
     constant_signal,
     plant_step,
     signal_eval,
+    SignalSpec,
     sinusoid,
     square_wave,
     table_signal,
@@ -165,7 +175,14 @@ class TestSchedule:
         sched = CoefficientSchedule.constant(params)
         assert sched.is_constant()
         a, b = sched.coeff_rows(123, 77)
-        assert PlantParams(a=a[0], b=b[0], d=sched.d) == params and len(a) == 1
+        assert PlantParams(a=tuple(a[0]), b=tuple(b[0]), d=sched.d) == params and len(a) == 1
+
+    def test_entries_are_coef_specs(self):
+        # A bare 0.5 was kept, and ExperimentConfig then ended in an AttributeError.
+        with pytest.raises(TypeError, match=r"^a\[0\]: expected a CoefSpec, got 0\.5$"):
+            CoefficientSchedule(a=(0.5, CoefSpec.const(0.1)), b=(CoefSpec.const(1.0),), d=1)
+        with pytest.raises(TypeError, match=r"^b\[1\]: expected a CoefSpec, got \{"):
+            CoefficientSchedule(a=(), b=(CoefSpec.const(1.0), {"kind": "constant"}), d=1)
 
     def test_demo_horizon_is_admissible(self):
         demo_schedule().validate_horizon(0, 1000)
@@ -221,6 +238,113 @@ class TestSchedule:
         with pytest.raises(AdmissibilityError) as info:
             sched.validate_horizon(0, 100)
         assert str(info.value) == message
+
+
+# Each kind's REQUIRED fields, with values the kind accepts.
+SIGNAL_REQUIRED = {
+    "zero": {},
+    "constant": {"level": 0.5},
+    "square_wave": {"period": 60},
+    "sinusoid": {"amplitude": 1.5, "rate": 0.1},
+    "windowed_sinusoid": {"t_start": 5, "t_end": 20, "amplitude": 0.1, "rate": 10.0},
+    "table": {"values": [1.0, -2.0]},
+    "white_noise": {"amplitude": 0.3},
+}
+COEF_REQUIRED = {
+    "constant": {"value": 0.5},
+    "sinusoid": {"amplitude": 2.0, "rate": 0.01},
+    "piecewise": {"times": [0, 50], "values": [1.0, -1.0]},
+    "table": {"values": [0.5, 0.6]},
+}
+# The helper constructor of each kind that has one; its parameters are named as the fields.
+HELPERS = {
+    (SignalSpec, "zero"): zero_signal,
+    (SignalSpec, "constant"): constant_signal,
+    (SignalSpec, "square_wave"): square_wave,
+    (SignalSpec, "sinusoid"): sinusoid,
+    (SignalSpec, "windowed_sinusoid"): windowed_sinusoid,
+    (SignalSpec, "table"): table_signal,
+    (SignalSpec, "white_noise"): white_noise,
+    (CoefSpec, "constant"): CoefSpec.const,
+    (CoefSpec, "sinusoid"): CoefSpec.sinusoid,
+}
+KIND_CASES = [(SignalSpec, kind, req) for kind, req in SIGNAL_REQUIRED.items()] + [
+    (CoefSpec, kind, req) for kind, req in COEF_REQUIRED.items()
+]
+
+
+@pytest.mark.parametrize(
+    "cls, kind, required", KIND_CASES, ids=[f"{cls.NOUN}-{kind}" for cls, kind, _ in KIND_CASES]
+)
+class TestOneConstructionPath:
+    """A spec built in Python takes its kind's defaults and needs its required fields, as its
+    document does: SignalSpec(kind="square_wave", period=60) had amplitude 0.0, and
+    SignalSpec(kind="sinusoid", amplitude=1.0) built with rate 0.0."""
+
+    def test_every_kind_and_required_field_is_covered(self, cls, kind, required):
+        assert set(SIGNAL_REQUIRED) == set(SIGNAL_KINDS) and set(COEF_REQUIRED) == set(COEF_KINDS)
+        assert set(required) == {name for name, _, default in cls.KINDS[kind] if default is REQUIRED}
+
+    def test_python_and_document_build_the_same_spec(self, cls, kind, required):
+        spec = cls(kind=kind, **required)
+        assert spec == cls.from_doc({"kind": kind, **required})
+        if (cls, kind) in HELPERS:
+            assert HELPERS[cls, kind](**required) == spec
+        for name, _, default in cls.KINDS[kind]:
+            if default is not REQUIRED:
+                value = getattr(spec, name)
+                assert value == default and type(value) is type(default), name
+
+    def test_a_missing_field_is_the_same_error_on_both_paths(self, cls, kind, required):
+        for name in required:
+            rest = {key: value for key, value in required.items() if key != name}
+            message = f"^missing field '{name}' for kind '{kind}'$"
+            with pytest.raises(ValueError, match=message):
+                cls.from_doc({"kind": kind, **rest})
+            with pytest.raises(ValueError, match=message):
+                cls(kind=kind, **rest)
+
+    def test_copies_keep_the_spec(self, cls, kind, required):
+        spec = cls(kind=kind, **required)
+        assert copy.deepcopy(spec) == spec
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert replace(copy.deepcopy(spec)) == spec
+        assert replace(copy.deepcopy(spec), **required) == spec
+
+
+def readme_kind_table(header: str) -> dict:
+    """kind -> ((field, default or REQUIRED), ...) from the README table headed by header.
+
+    A field's parenthesis is its default when it holds a JSON value, such as (1.0) or
+    (`"cos"`); otherwise it notes a constraint, such as (≥ 1), and the field is required.
+    """
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table_text = text.split(f"| {header} | fields (default) |", 1)[1].split("\n\n", 1)[0]
+    rows = table_text.splitlines()[2:]  # below the header's separator row
+    table = {}
+    for row in rows:
+        kind, fields = (cell.strip() for cell in row.split("|")[1:3])
+        entries = []
+        for name, note in re.findall(r"`(\w+)`(?: \(([^)]*)\))?", fields):
+            try:
+                default = json.loads(note.strip("`"))
+            except ValueError:
+                default = REQUIRED
+            entries.append((name, default, type(default)))
+        table[kind.strip("`")] = tuple(entries)
+    return table
+
+
+@pytest.mark.parametrize(
+    "header, kinds", [("signal kind", SIGNAL_KINDS), ("coefficient kind", COEF_KINDS)],
+    ids=["signal", "coefficient"],
+)
+def test_readme_kind_tables_are_the_kind_tables(header, kinds):
+    # The kind tables are the one home of a field's default; README's tables restate them.
+    documented = readme_kind_table(header)
+    assert list(documented) == list(kinds)
+    for kind, fields in kinds.items():
+        assert documented[kind] == tuple((name, d, type(d)) for name, _, d in fields), kind
 
 
 def at_rest(n, m, d):

@@ -293,7 +293,9 @@ def signal_reference(spec: SignalSpec, t: int) -> float:
 def test_signal_rows_are_signal_eval_bit_for_bit(kind, data):
     # Both are each kind's definition, written out in signal_reference.
     spec = data.draw(signal_specs(kind))
-    edges = (spec.t_start, spec.t_start + len(spec.values), spec.t_end + 1)
+    doc = spec.to_doc()  # the kind's fields only: the others are unset
+    start = doc.get("t_start", 0)
+    edges = (start, start + len(doc.get("values", ())), doc.get("t_end", 0) + 1)
     t0, count = data.draw(horizons(edges))
     want = np.array([signal_reference(spec, t) for t in range(t0, t0 + count)], dtype=float)
     column = signal_rows(spec, t0, count)
@@ -340,7 +342,9 @@ def coef_reference(spec: CoefSpec, t: int) -> float:
 @given(data=st.data())
 def test_coefficient_columns_are_their_definitions_bit_for_bit(kind, data):
     spec = data.draw(coef_specs(kind))
-    edges = spec.times + (spec.t_start, spec.t_start + len(spec.values))
+    doc = spec.to_doc()  # the kind's fields only: the others are unset
+    start = doc.get("t_start", 0)
+    edges = tuple(doc.get("times", ())) + (start, start + len(doc.get("values", ())))
     t0, count = data.draw(horizons(edges))
     want = np.array([coef_reference(spec, t) for t in range(t0, t0 + count)], dtype=float)
     column = coef_column(spec, t0, count)

@@ -43,6 +43,25 @@ class TestPlantParams:
         with pytest.raises(AdmissibilityError):
             PlantParams(a=(), b=(1.0,), d=0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PlantParams(a=("-0.5",), b=(True,), d=1),
+            lambda: PlantParams(a=(), b=np.ones(1), d=1),
+            lambda: PredictorParams(alpha=("1",), beta=(True,)),
+        ],
+        ids=["plant_string_and_bool", "plant_ndarray", "predictor_string_and_bool"],
+    )
+    def test_coefficients_are_arrays_of_numbers(self, make):
+        # PlantParams(a=("-0.5",), b=(True,), d=1) built a = (-0.5,), b = (1.0,).
+        with pytest.raises(TypeError, match="^expected an array of numbers$"):
+            make()
+
+    def test_ints_and_numpy_floats_are_coefficients(self):
+        p = PlantParams(a=(np.float64(0.3), 0), b=[2, np.float64(1.0)], d=1)
+        assert p.a == (0.3, 0.0) and p.b == (2.0, 1.0)
+        assert all(type(v) is float for v in p.a + p.b)
+
 
 class TestReferenceModel:
     def test_order(self):
