@@ -22,8 +22,8 @@ Conventions used throughout the package:
   its one-sample view), and CoefficientSchedule.coeff_rows calls it once
   per coefficient. signal_rows is the one definition of every signal kind
   but square_wave, over the whole horizon (stored samples as array slices,
-  the sinusoids as one math.cos comprehension), and signal_eval is its
-  one-sample view. square_wave alone is defined per sample in signal_eval,
+  the sinusoids as one angle pass, see _sinusoid_column), and signal_eval is
+  its one-sample view. square_wave alone is defined per sample in signal_eval,
   which signal_rows calls per sample: the benchmark's tracer test counts
   those calls inside a run.
 """
@@ -250,6 +250,25 @@ def _noise_block(seed: int, block: int) -> np.ndarray:
     return noise
 
 
+def _sinusoid_column(trig, rate, phase, lo, hi, amplitude, offset=None) -> np.ndarray:
+    """amplitude * trig(rate * t + phase), plus offset if given, for t = lo .. hi - 1.
+
+    numpy forms the angles in one pass over the times as floats (each rounded
+    as float(t)), math.cos or math.sin is mapped over them (np.cos need not
+    round as math.cos on every CPU), and numpy applies amplitude and offset:
+    the per-sample formula's own IEEE operations, so its bits. An overflow
+    gives the formula's infinity, not a warning.
+    """
+    if -(2**63) <= lo and hi <= 2**63:
+        t = np.arange(lo, hi, dtype=np.int64).astype(float)
+    else:
+        t = np.arange(lo, hi, dtype=object).astype(float)  # OverflowError past the floats
+    with np.errstate(over="ignore"):
+        angle = rate * t + phase
+        wave = amplitude * np.fromiter(map(trig, angle.tolist()), float, len(angle))
+        return wave if offset is None else offset + wave
+
+
 def signal_eval(spec: SignalSpec, t: int) -> float:
     """Sample the signal at integer time t: signal_rows' one sample, or a square wave's."""
     if spec.kind != "square_wave":
@@ -267,8 +286,7 @@ def signal_rows(spec: SignalSpec, t0: int, count: int) -> np.ndarray:
     array slices; each sample is a stored number, or amplitude times a stored
     noise value in one IEEE multiply. sinusoid is amplitude * cos(rate * t +
     phase), and windowed_sinusoid, which has no phase, the same with phase 0.0 on
-    its window (cos(-0.0) = cos(+0.0)) and zero elsewhere: one list comprehension
-    over math.cos, since np.cos need not round as math.cos on every CPU.
+    its window (cos(-0.0) = cos(+0.0)) and zero elsewhere, both as _sinusoid_column.
     square_wave goes through signal_eval sample by sample: the benchmark's
     tracer test counts signal_eval calls inside a run on a square wave.
     Index arithmetic is on Python ints, so no start overflows.
@@ -294,11 +312,10 @@ def signal_rows(spec: SignalSpec, t0: int, count: int) -> np.ndarray:
         lo, hi = t0, t0 + count
         if spec.kind == "windowed_sinusoid":  # nonzero on t_start < t <= t_end
             lo, hi = max(lo, spec.t_start + 1), min(hi, spec.t_end + 1)
-        amplitude, rate = spec.amplitude, spec.rate
         phase = spec.phase if spec.kind == "sinusoid" else 0.0
         out = np.zeros(count)
         if lo < hi:
-            out[lo - t0 : hi - t0] = [amplitude * math.cos(rate * t + phase) for t in range(lo, hi)]
+            out[lo - t0 : hi - t0] = _sinusoid_column(math.cos, spec.rate, phase, lo, hi, spec.amplitude)
         return out
     if spec.kind == "square_wave":
         return np.array([signal_eval(spec, t) for t in range(t0, t0 + count)], dtype=float)
@@ -362,19 +379,16 @@ class CoefSpec(KindSpec):
 def coef_column(spec: CoefSpec, t0: int, count: int) -> np.ndarray:
     """The coefficient at t = t0 .. t0 + count - 1, the one definition of each kind.
 
-    A sinusoid takes offset + amplitude * trig(rate * t + phase) per sample
-    with math.cos/math.sin (np.cos need not round as math.cos on every CPU);
-    piecewise and table fill slices of stored values, with index arithmetic
-    on Python ints so that no t0 overflows.
+    A sinusoid is offset + amplitude * trig(rate * t + phase), as
+    _sinusoid_column; piecewise and table fill slices of stored values, with
+    index arithmetic on Python ints so that no t0 overflows.
     """
     kind = spec.kind
     if kind == "constant":
         return np.full(count, spec.value, dtype=float)
     if kind == "sinusoid":
         trig = math.cos if spec.trig == "cos" else math.sin
-        rate, phase, offset, amplitude = spec.rate, spec.phase, spec.offset, spec.amplitude
-        return np.array([offset + amplitude * trig(rate * t + phase)
-                         for t in range(t0, t0 + count)], dtype=float)
+        return _sinusoid_column(trig, spec.rate, spec.phase, t0, t0 + count, spec.amplitude, spec.offset)
     if kind == "piecewise":  # values[k] from times[k] on, values[0] before times[0]
         out = np.full(count, spec.values[0], dtype=float)
         starts = [min(max(brk - t0, 0), count) for brk in spec.times]

@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "PolyZ",
+    "convolve",
     "poly_mul",
     "predictor_split",
     "schur_stable",
@@ -102,9 +103,25 @@ class PolyZ:
         return PolyZ(self.coeffs[: last + 1])
 
 
+def convolve(f, g) -> list[float]:
+    """Coefficients c_k = sum_i f_i g_(k-i) of the product of f and g.
+
+    Each c_k adds its products left to right over f's index i, starting from
+    +0.0, in plain float arithmetic: no BLAS kernel picks the order, so the
+    bits are the same on every CPU.
+    """
+    out = []
+    for k in range(len(f) + len(g) - 1):
+        acc = 0.0
+        for i in range(max(0, k - len(g) + 1), min(k + 1, len(f))):
+            acc += f[i] * g[k - i]
+        out.append(acc)
+    return out
+
+
 def poly_mul(p: PolyZ, q: PolyZ) -> PolyZ:
     """Product of two delay polynomials (coefficient convolution)."""
-    return PolyZ(tuple(np.convolve(p.coeffs, q.coeffs)))
+    return PolyZ(tuple(convolve(p.coeffs, q.coeffs)))
 
 
 def predictor_split(L: PolyZ, A: PolyZ, d: int) -> tuple[PolyZ, PolyZ]:
@@ -183,7 +200,11 @@ def max_root_moduli(coeffs) -> np.ndarray:
 
     Row r holds p_0 .. p_k in ascending powers of z^-1. The roots are the
     eigenvalues of the companion matrix of p / p_0, the matrix np.roots
-    builds, found for all rows in one batched eigvals call.
+    builds, found for all rows in one batched eigvals call. A first-degree
+    row's one root is |p_1 / p_0|, the bits of its 1x1 companion's eigenvalue
+    while LAPACK's dgeev takes the matrix unscaled, which is when its entry
+    is 0 or lies in [2^-459, 2^459]; past that range dgeev rescales and may
+    round the root by an ulp, so such rows take the eigvals call.
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=float))
     if np.any(c[:, 0] == 0.0):
@@ -191,6 +212,10 @@ def max_root_moduli(coeffs) -> np.ndarray:
     rows, k = c.shape[0], c.shape[1] - 1
     if k == 0:
         return np.zeros(rows)
+    if k == 1:
+        root = np.abs(c[:, 1] / c[:, 0])
+        if np.all((root == 0.0) | ((root >= 2.0**-459) & (root <= 2.0**459))):
+            return root
     comp = np.zeros((rows, k, k))
     comp[:, 0, :] = -c[:, 1:] / c[:, :1]
     comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import PolyZ, predictor_split, schur_stable, schur_stable_rows
+from .poly import PolyZ, convolve, predictor_split, schur_stable, schur_stable_rows
 from .poly import integer, integers, number, numbers, text  # re-exported: the document readers
 
 __all__ = [
@@ -222,11 +222,11 @@ def predictor_map(a, b, ref: ReferenceModel) -> tuple[PolyZ, tuple[float, ...]]:
     """The quotient F (d coefficients) and theta* = (alpha, beta) of plant coefficients (a, b).
 
     One long division, no admissibility checks: the caller has tested (a, b).
-    beta is poly_mul's np.convolve of the same floats, without its PolyZ round trips.
+    beta = F * B is poly_mul's convolution of the same floats.
     """
     a = np.asarray(a, dtype=float).tolist()
     F, alpha = predictor_split(ref.L, PolyZ((1.0, *a)), ref.d)
-    beta = np.convolve(F.coeffs, np.asarray(b, dtype=float)).tolist()
+    beta = convolve(F.coeffs, np.asarray(b, dtype=float).tolist())
     return F, alpha.coeffs[: len(a)] + tuple(beta)
 
 

@@ -147,6 +147,16 @@ class TestCoefSpecs:
         assert coef_eval(s, 0) == 0.0
         assert coef_eval(s, 300) == pytest.approx(-2.0 * math.sin(1.0), abs=1e-15)
 
+    @pytest.mark.parametrize("t0", [2**63 - 1000, 2**63 + 5000, -(2**63) - 100])
+    def test_sinusoid_times_round_as_python_floats_past_int64(self, t0):
+        # Each t is rounded as float(t); stepping a float from float(t0) would
+        # not reach the next representable time 1024 or 2048 later.
+        c = CoefSpec(kind="sinusoid", offset=0.5, amplitude=2.0, rate=1.0, phase=0.25, trig="sin")
+        want = [0.5 + 2.0 * math.sin(1.0 * t + 0.25) for t in range(t0, t0 + 1100)]
+        assert plant_sim.coef_column(c, t0, 1100).tolist() == want
+        want = [2.0 * math.cos(1.0 * t + 0.25) for t in range(t0, t0 + 1100)]
+        assert plant_sim.signal_rows(sinusoid(2.0, 1.0, 0.25), t0, 1100).tolist() == want
+
     def test_piecewise(self):
         c = CoefSpec(kind="piecewise", times=(0, 100), values=(1.0, -1.0))
         assert coef_eval(c, -5) == 1.0

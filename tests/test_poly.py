@@ -43,7 +43,7 @@ class TestPolyZ:
         for bad in (("1", True), (1.0, True), ("1",), (None,), np.array([1.0, 0.5])):
             with pytest.raises(TypeError, match="expected an array of numbers"):
                 PolyZ(bad)
-        p = PolyZ(tuple(np.convolve([1.0, 0.5], [1.0, -0.25])))  # numpy floats, as poly_mul builds
+        p = PolyZ(tuple(np.convolve([1.0, 0.5], [1.0, -0.25])))  # numpy floats, as np.convolve gives them
         assert p.coeffs == (1.0, 0.25, -0.125) and all(type(c) is float for c in p.coeffs)
         assert PolyZ([1, 2]).coeffs == (1.0, 2.0)
 

@@ -2,8 +2,9 @@
 the estimator's scalar sums match the audits' column sums bit for bit, configs
 survive their document form, the admissibility test agrees with the root
 moduli, the predictor split is exact, signals and coefficients are their
-definitions, and the loop's step kernels, the audits' row sum _weighted and
-box_norm compute the products and sums of their plain index formulas bit for bit."""
+definitions, the loop's step kernels, the audits' row sum _weighted, box_norm
+and the convolution compute the products and sums of their plain index formulas
+bit for bit, and the root moduli are their companion matrices' eigenvalues."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mraclab import estimator
 from mraclab.controller import control_input, reference_outputs, ybar
@@ -51,7 +52,7 @@ from mraclab.plant_sim import (
     windowed_sinusoid,
     zero_signal,
 )
-from mraclab.poly import PolyZ, max_root_moduli, poly_mul, predictor_split
+from mraclab.poly import PolyZ, convolve, max_root_moduli, poly_mul, predictor_split
 from mraclab.system import (
     ParamBox,
     PlantParams,
@@ -521,3 +522,51 @@ def test_box_norm_adds_left_to_right_from_zero(edges):
     for l, h in zip(box.lo, box.hi):
         sq += max(l * l, h * h)
     assert box_norm(box).hex() == math.sqrt(sq).hex()
+
+
+def convolve_by_index(f, g):
+    """c_k = +0.0 + f_0 g_k + f_1 g_(k-1) + ..., left to right over the i with 0 <= k - i < len(g)."""
+    out = []
+    for k in range(len(f) + len(g) - 1):
+        total = 0.0
+        for i in range(len(f)):
+            if 0 <= k - i < len(g):
+                total += f[i] * g[k - i]
+        out.append(total)
+    return out
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(VALUE, min_size=1, max_size=6), st.lists(VALUE, min_size=1, max_size=6))
+@example([2.0, 1.0], [-0.0])  # single-term products of -0.0: each sum is +0.0
+def test_convolution_is_its_index_formula_bit_for_bit(f, g):
+    want = bits(convolve_by_index(f, g))
+    assert bits(convolve(f, g)) == want
+    assert bits(poly_mul(PolyZ(f), PolyZ(g)).coeffs) == want
+
+
+LEAD = st.sampled_from((-1.0, 1.0)).flatmap(lambda s: unit(0.1, 5.0).map(lambda v: s * v))
+
+
+def companion_root_modulus(p) -> float:
+    """Largest eigenvalue modulus of the companion matrix of p / p_0; 0.0 for a constant."""
+    k = len(p) - 1
+    if k == 0:
+        return 0.0
+    comp = np.zeros((k, k))
+    comp[0] = [-c / p[0] for c in p[1:]]
+    for i in range(1, k):
+        comp[i, i - 1] = 1.0
+    return float(np.max(np.abs(np.linalg.eigvals(comp))))
+
+
+# Degree 1 is |p_1 / p_0| in closed form. Past [2^-459, 2^459] dgeev rescales the 1x1
+# matrix and rounds these two roots an ulp off that quotient.
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.tuples(LEAD, *[VALUE] * k), min_size=1, max_size=8)))
+@example([(1.0, 0.5), (1.0, 8.852710601199884e-141)])
+@example([(-1.0, 3.7544088060464667e139), (1.0, 0.5)])
+def test_root_moduli_are_companion_eigenvalues_bit_for_bit(rows):
+    got = max_root_moduli(rows)
+    assert bits(got.tolist()) == bits([companion_root_modulus(p) for p in rows])
