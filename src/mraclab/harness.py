@@ -22,13 +22,14 @@ keeps the coefficient rows it validated; the loop and every audit read
 those rows rather than evaluating the schedule again. Regressors
 are not stored: Trace.regressors builds their one table from x0 and the y/u
 columns, and the checks read it on whole columns at once. Consistency checks
-re-derive every column from its recursion or config signal, so edits show
-as residuals.
+re-derive columns from their recursions and config signals in the loop's
+operation order and compare with ==: an edit that changes a re-derived value
+shows as a differing row.
 Loop and audits add every sum term by term in one order, dot products left
-to right from +0.0 with no BLAS dot, so a recomputed e, norm_phi or gate
-matches the loop's bit for bit. _weighted carries that order for the audits:
-e, norm_phi and the gate must follow it; every other audit row sum keeps it
-too (the squared parameter error, _size over magnitudes, and ||x0|| in
+to right from +0.0 with no BLAS dot, so every re-derived column matches the
+loop's bit for bit. _weighted carries that order for the audits: the
+consistency checks must follow it; every other audit row sum keeps it too
+(the squared parameter error, the identities' _size and ||x0|| in
 fit_decay_bound), as does system.box_norm, which sets the gate's threshold.
 Slicing History's lag views, the regressor table or wbar therefore leaves
 every margin bit for bit as it was.
@@ -457,7 +458,7 @@ CONVENTIONS = {
     "coefficient_sampling": "time-varying coefficients are sampled at emission time",
     "history_padding": "output/input history older than x0 is zero",
     "e_column": "e(t) was computed while emitting y(t); e(t0) = 0",
-    "rho_column": "rho(t)/nu(t) gate the update from t to t+1; final row is 0",
+    "rho_column": "rho(t) gates the update from t to t+1; final row is 0",
     "identity_range": "algebraic identity checks start at t = t0 + d",
 }
 
@@ -730,9 +731,9 @@ def _wbar_rows(wbar, wbar_t0: int, t0: int, count: int) -> np.ndarray:
 def _relative(res: np.ndarray, *mags: np.ndarray) -> float:
     """Largest |res| / (1 + sum mags) over rows, the mags added left to right.
 
-    The mags are the magnitudes of the parts of the re-derived value (sizes,
-    or |term| taken by the caller), so a check against CHECK_TOL gives the
-    same verdict when every signal is rescaled.
+    The mags are the magnitudes of the parts of an identity's right-hand side
+    (sizes, or |term| taken by the caller), so a check against IDENTITY_TOL
+    gives the same verdict when every signal is rescaled.
     """
     return float(np.abs(res / (1.0 + sum(mags[1:], mags[0]))).max(initial=0.0))
 
@@ -800,10 +801,10 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int, *,
       eps_bar(t) = -phi(t-d)^T [theta_hat(t-d) - theta*] + wbar(t-d)
 
     The first is pure bookkeeping (no plant knowledge); the other two hold
-    because theta* satisfies the d-step predictor. As in
-    check_trace_consistency, each residual is scaled by 1 + sum |terms|,
-    the terms being the parts of the right-hand side, so the margins do
-    not depend on units.
+    because theta* satisfies the d-step predictor. The two sides add their
+    terms in different orders, so each residual is scaled by 1 + sum |terms|,
+    the terms being the parts of the right-hand side, and the margins do not
+    depend on units.
     """
     rep = VerificationReport()
     theta_star = np.asarray(theta_star, dtype=float)
@@ -835,11 +836,11 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig, *,
     """Cross-check every stored column against the recursions that made it.
 
     Used when auditing a reloaded trace file: each column is re-derived from
-    the configuration plus the y/u columns (the README lists which check
-    owns which column), so any edit to a stored value shows up as a residual.
-    Residual margins are CHECK_TOL - max |res| / (1 + sum |terms|), the terms
-    being the parts of the re-derived value, so they do not depend on units.
-    A trace must span the config's horizon, whose coefficient rows it reads.
+    the configuration plus the y/u columns in the loop's operation order (the
+    README lists which check owns which column) and compared with ==; the
+    margin is minus the rows that differ. Only consistency_estimates_in_box
+    has a tolerance. A trace must span the config's horizon, whose
+    coefficient rows it reads.
     """
     rep = VerificationReport()
     n, m, d = cfg.n, cfg.m, cfg.d
@@ -848,71 +849,60 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig, *,
         raise ValueError(f"trace has {trace.rows} rows; the configuration's horizon has {T + 1}")
     h, l_coeffs = cfg.ref.H.coeffs, cfg.ref.L.coeffs
     table = Regressors(cfg, trace.y, trace.u) if table is None else table
-    hist, phi, sq, phi_mags = table.hist, table.phi, table.sq, table.mags  # phi(t0-d+1 .. t0+T)
+    hist, phi, sq = table.hist, table.phi, table.sq  # phi(t0-d+1 .. t0+T)
     r_cfg, w_cfg = signal_rows(cfg.r, cfg.t0, T + 1), signal_rows(cfg.w, cfg.t0, T + 1)
-    # Lags of |x| are |lags of x|: each magnitude column is taken once, sizes read its views.
     r_ext = hist.at_rest(r_cfg)
-    r_mags = np.abs(r_ext)
 
-    # Plant recursion: y(t+1) from schedule, history, and w(t+1); phi(t) holds its
-    # y(t) .. y(t-n+1) and u(t-d+1) .. u(t-d-m+1).
+    def equal(name: str, recorded, derived) -> None:
+        # Rows t0 .. t0+T of recorded (a column, or one row of columns per t) == derived.
+        differ = np.flatnonzero((recorded != derived).reshape(T + 1, -1).any(axis=1))
+        first = f", first at t = {cfg.t0 + int(differ[0])}" if len(differ) else ""
+        rep.add(name, float(-len(differ)), f"{len(differ)} of {T + 1} rows differ{first}", tol=0.0)
+
+    # Plant recursion: y(t0) as the loop starts from it, then y(t+1) from schedule,
+    # history, and w(t+1); phi(t) holds its y(t) .. y(t-n+1) and u(t-d+1) .. u(t-d-m+1).
     cols = np.r_[:n, n + d - 1 : n + m + d]
-    lags, mags = phi[d - 1 : -1, cols], phi_mags[d - 1 : -1, cols]
     coeffs = np.hstack((-cfg.plant_rows[0], cfg.plant_rows[1]))
-    y_next = _weighted(lags, coeffs, w_cfg[1:])
-    worst = _relative(y_next - trace.y[1:], _size(mags, coeffs), np.abs(w_cfg[1:]))
-    rep.add("consistency_plant_recursion", CHECK_TOL - worst, tol=0.0)
+    y = _weighted(phi[d - 1 : -1, cols], coeffs, w_cfg[1:])
+    equal("consistency_plant_recursion", trace.y, np.r_[loop_start(cfg.x0, n, m, d).y[-1], y])
 
-    # Control-law closure: phi(t)^T theta_hat(t) = ybar*(t+d).
-    now, now_mags = phi[d - 1 :], phi_mags[d - 1 :]
-    closure = _weighted(now, trace.theta_hat) - _weighted(hist.lags(r_ext, len(h), 0, T + 1), h)
-    r_size = _size(hist.lags(r_mags, len(h), 0, T + 1), h)
-    worst = _relative(closure, _size(now_mags, trace.theta_hat), r_size)
-    rep.add("consistency_control_closure", CHECK_TOL - worst, tol=0.0)
+    # Control law: u(t) re-solved as control_input does, from ybar*(t+d) less
+    # theta_hat_i y(t-i), then theta_hat_{n+j} u(t-j) for j >= 1, over beta0_hat.
+    th = trace.theta_hat
+    target = _weighted(hist.lags(r_ext, len(h), 0, T + 1), h)
+    with np.errstate(all="ignore"):  # an edited beta0_hat of 0 re-solves to inf or NaN: it differs
+        u = _weighted(np.delete(phi[d - 1 :], n, 1), -np.delete(th, n, 1), target) / th[:, n]
+    equal("consistency_control_closure", trace.u, u)
 
     # Error columns from y, y*, and the weighted sums.
     ybar_t = _weighted(hist.lags(hist.y, len(l_coeffs), 0, T + 1), l_coeffs)
-    ybar_size = _size(hist.lags(np.abs(hist.y), len(l_coeffs), 0, T + 1), l_coeffs)
     ybar_star = _weighted(hist.lags(r_ext, len(h), -d, T + 1), h)
-    ybar_star_size = _size(hist.lags(r_mags, len(h), -d, T + 1), h)
-    worst = _relative(trace.eps - (trace.y - trace.y_star), np.abs(trace.y), np.abs(trace.y_star))
-    rep.add("consistency_tracking_error", CHECK_TOL - worst, tol=0.0)
-    worst = _relative(trace.eps_bar - (ybar_t - ybar_star), ybar_size, ybar_star_size)
-    rep.add("consistency_weighted_error", CHECK_TOL - worst, tol=0.0)
+    equal("consistency_tracking_error", trace.eps, trace.y - trace.y_star)
+    equal("consistency_weighted_error", trace.eps_bar, ybar_t - ybar_star)
 
     # Prediction-error column: e(t) = ybar(t) - phi(t-d)^T theta_hat(t-1); e(t0) = 0.
-    lagged, prev = phi[:T], trace.theta_hat[:T]
-    pred = ybar_t[1:] - _weighted(lagged, prev)
-    pred_size = ybar_size[1:] + _size(phi_mags[:T], prev)
-    worst = max(abs(float(trace.e[0])), _relative(trace.e[1:] - pred, pred_size))
-    rep.add("consistency_prediction_error", CHECK_TOL - worst, tol=0.0)
+    e = np.r_[0.0, ybar_t[1:] - _weighted(phi[:T], th[:T])]
+    equal("consistency_prediction_error", trace.e, e)
 
     # Regressor norms and deadzone gates, both from the table's ||phi||^2.
-    norm = np.sqrt(sq[d - 1 :])
-    worst = _relative(trace.norm_phi - norm, norm)
-    rep.add("consistency_regressor_norm", CHECK_TOL - worst, tol=0.0)
+    equal("consistency_regressor_norm", trace.norm_phi, np.sqrt(sq[d - 1 :]))
     lag_norm = np.sqrt(sq[:T])
     gate = lag_norm > 0.0
     if not math.isinf(cfg.delta):
         gate &= np.abs(trace.e[1:]) < (2.0 * box_norm(cfg.box) + cfg.delta) * lag_norm
-    bad = np.count_nonzero(gate != trace.rho[:T]) + int(trace.rho[T] != 0)
-    rep.add("consistency_deadzone_gate", -float(bad), f"{T} gates", tol=0.0)
+    equal("consistency_deadzone_gate", trace.rho, np.r_[gate, False])
 
     # Estimates stay inside the box.
-    th, lo, hi = trace.theta_hat, np.asarray(cfg.box.lo), np.asarray(cfg.box.hi)
+    lo, hi = np.asarray(cfg.box.lo), np.asarray(cfg.box.hi)
     overs = np.max(np.maximum(lo - th, th - hi), initial=0.0)
     rep.add("consistency_estimates_in_box", 1e-12 - float(overs), tol=0.0)
 
     # Time index, exogenous inputs, and the reference recursion
     # y*(t) = ybar*(t) - sum_{j>=1} l_j y*(t-j), at rest before t0.
-    bad = np.count_nonzero(trace.t != cfg.t0 + np.arange(T + 1))
-    rep.add("consistency_time_index", -float(bad), f"t = {cfg.t0} .. {cfg.t0 + cfg.steps}", tol=0.0)
-    worst = max(_relative(trace.r - r_cfg, np.abs(r_cfg)), _relative(trace.w - w_cfg, np.abs(w_cfg)))
-    rep.add("consistency_exogenous_signals", CHECK_TOL - worst, tol=0.0)
+    equal("consistency_time_index", trace.t, cfg.t0 + np.arange(T + 1))
+    equal("consistency_exogenous_signals", np.c_[trace.r, trace.w], np.c_[r_cfg, w_cfg])
     past = hist.lags(hist.at_rest(trace.y_star), len(l_coeffs), 0, T + 1)[:, 1:]
-    res = trace.y_star - (ybar_star - _weighted(past, l_coeffs[1:]))
-    worst = _relative(res, ybar_star_size, _size(np.abs(past), l_coeffs[1:]))
-    rep.add("consistency_reference_recursion", CHECK_TOL - worst, tol=0.0)
+    equal("consistency_reference_recursion", trace.y_star, ybar_star - _weighted(past, l_coeffs[1:]))
     return rep
 
 

@@ -19,7 +19,7 @@ from mraclab.harness import config_from_dict, demo_config, run_closed_loop, writ
 
 SHOWCASE_SHA256 = {
     "trace.csv": "d3186d34fb19995a22413fc7d243dc20a990eb97553078c13d5aa37cc27dbd3d",
-    "summary.json": "75b97ccff8cf4ac0d26deb35c9b6dc41fda4c2f9412e9dec99f302c22bbd8b22",
+    "summary.json": "7b039937874284d32bb9ff29146369661e9de468e0025c61961b5caaa0061597",
 }
 
 # The config from the README's "Config format" section.
@@ -145,11 +145,11 @@ def test_trace_pinned(tmp_path, doc, digest):
 @pytest.mark.parametrize(
     "doc, digest",
     [
-        (README_CONFIG, "5f937adb32cd49ed15441085cbac8ab55c69968be467bfea90d439fc294dc6cf"),
-        (D1_CONFIG, "d37f4b8ba07647e3af862b1c4394374e189644e0db79b9ac54215f9d00f77a76"),
-        (STATIC_D3_CONFIG, "6e40b3d7796b2895b17f01a479f88779e329bfef412b5bbc48807727cba76c6c"),
-        (D1_GATED_CONFIG, "f76f39de711a0959ac6ba8798f05618dd1ec495a85a3315f904350db43b817d9"),
-        (P8_CONFIG, "0b1bd0bb2c714cb89eab66aa14987309af5917b3de586ec54261883e78665d7e"),
+        (README_CONFIG, "4882d95dfcefea79335d1a833eebf8d29cdcedf62fd92552d8aeabd4e6bfd118"),
+        (D1_CONFIG, "a5214290f2606fc2c54b1fc146bff4379ece8c06b4efb9085e4f95c382f60c54"),
+        (STATIC_D3_CONFIG, "90bc9ad8e2f5bb78a6f14a30acc1197ad4bc575b864b19210552ed671cd27d1e"),
+        (D1_GATED_CONFIG, "f29f651fe00f85338e60f540198810b08666bc4909a6c8cc1fe963113dec0e79"),
+        (P8_CONFIG, "7028fe7612f4d5fbfc71d5545a2f4f74e6453eff42aefad17c50e60bb26cb8e8"),
     ],
     ids=["readme", "d1", "static_d3", "d1_gated", "p8"],
 )

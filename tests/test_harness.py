@@ -7,6 +7,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from mraclab.harness import (
     write_outputs,
     write_trace_csv,
 )
-from mraclab.harness import CHECK_TOL, CSV_FMT, TRACE_COLUMNS, _csv_header
+from mraclab.harness import CSV_FMT, TRACE_COLUMNS, _csv_header
 from mraclab.plant_sim import (
     COEF_KINDS,
     SIGNAL_KINDS,
@@ -970,14 +971,15 @@ class TestChecks:
         assert check_trace_consistency(tr, cfg).passed
 
     def test_consistency_catches_each_column(self, noisy_run):
-        # One edited cell of any trace.csv column fails the check that owns it.
+        # One edited cell of any trace.csv column fails the check that owns it, whether
+        # the edit is 1e-3 or one ulp.
         cfg, tr, gt = noisy_run
         assert cfg.d == 2
         owners = {
             "t": "consistency_time_index",
             "y": "consistency_plant_recursion",
             "y_star": "consistency_reference_recursion",
-            "u": "consistency_plant_recursion",
+            "u": "consistency_control_closure",
             "eps": "consistency_tracking_error",
             "eps_bar": "consistency_weighted_error",
             "e": "consistency_prediction_error",
@@ -990,28 +992,39 @@ class TestChecks:
             {f"theta_hat_{i}": "consistency_control_closure" for i in range(cfg.dim_theta)}
         )
         assert sorted(owners) == sorted(_csv_header(cfg.dim_theta))
-        for col, check_name in owners.items():
-            if col.startswith("theta_hat_"):
-                name, hacked = "theta_hat", np.array(tr.theta_hat)
-                hacked[150, int(col.rsplit("_", 1)[1])] += 1e-3
-            else:
-                name, hacked = col, np.array(getattr(tr, col))
-                hacked[150] = 1 - hacked[150] if col == "rho" else hacked[150] + 1e-3
-                if col == "t":
-                    hacked[150] += 1
-            bad = Trace(**{**tr.__dict__, name: hacked})
-            rep = check_trace_consistency(bad, cfg)
-            assert not rep.passed, col
-            assert any(
-                c.name == check_name and not c.passed for c in rep.checks
-            ), col
-        # A consistent edit of y_star and eps still breaks the reference recursion.
-        y_star, eps = np.array(tr.y_star), np.array(tr.eps)
-        y_star[150] += 1e-3
-        eps[150] -= 1e-3
-        rep = check_trace_consistency(Trace(**{**tr.__dict__, "y_star": y_star, "eps": eps}), cfg)
-        failed = {c.name for c in rep.checks if not c.passed}
-        assert failed == {"consistency_reference_recursion"}
+
+        def edit(col, cell, size):
+            if size == "ulp":
+                return np.nextafter(cell, np.inf)
+            if col == "rho":
+                return 1 - cell
+            return cell + 1e-3 + 1 if col == "t" else cell + 1e-3
+
+        # Row 0 holds the start of every recursion (y(t0) comes from x0); row 150 is interior.
+        for size, row in product(("1e-3", "ulp"), (0, 150)):
+            for col, check_name in owners.items():
+                if col.startswith("theta_hat_"):
+                    # A one-ulp theta_hat edit whose products round away passes: 1e-3 only.
+                    if size == "ulp":
+                        continue
+                    name, hacked = "theta_hat", np.array(tr.theta_hat)
+                    hacked[row, int(col.rsplit("_", 1)[1])] += 1e-3
+                else:
+                    name, hacked = col, np.array(getattr(tr, col))
+                    hacked[row] = edit(col, hacked[row], size)
+                bad = Trace(**{**tr.__dict__, name: hacked})
+                rep = check_trace_consistency(bad, cfg)
+                assert not rep.passed, (col, size, row)
+                assert any(
+                    c.name == check_name and not c.passed for c in rep.checks
+                ), (col, size, row)
+            # A consistent edit of y_star and eps still breaks the reference recursion.
+            y_star, eps = np.array(tr.y_star), np.array(tr.eps)
+            y_star[row] = edit("y_star", y_star[row], size)
+            eps[row] = tr.y[row] - y_star[row]
+            rep = check_trace_consistency(Trace(**{**tr.__dict__, "y_star": y_star, "eps": eps}), cfg)
+            failed = {c.name for c in rep.checks if not c.passed}
+            assert failed == {"consistency_reference_recursion"}, (size, row)
 
     @pytest.mark.parametrize("make", [lambda: make_config(steps=60), lambda: demo_config(60)],
                              ids=["constant", "time_varying"])
@@ -1187,15 +1200,13 @@ def test_vectorized_checks_match_row_loops(d, t0):
     ids=["readme", "d1", "static_d3", "showcase", "d1_gated", "p8"],
 )
 def test_audit_recomputes_loop_columns_exactly(make):
-    # The loop's dot products and the audit's column sums run in one order,
-    # so e and norm_phi are recomputed with a zero residual.
+    # The audit re-derives every column in the loop's operation order, so every
+    # consistency check but the box's finds no differing row: its margin is 0.0.
     cfg = make()
     trace = run_closed_loop(cfg)
     rep = check_trace_consistency(trace, cfg)
-    margins = {c.name: c.margin for c in rep.checks}
-    assert margins["consistency_prediction_error"] == CHECK_TOL
-    assert margins["consistency_regressor_norm"] == CHECK_TOL
-    assert margins["consistency_deadzone_gate"] == 0.0
+    exact = [(c.name, c.margin.hex()) for c in rep.checks if c.name != "consistency_estimates_in_box"]
+    assert exact == [(name, (0.0).hex()) for name, _ in exact]
     # audit hands its one regressor table to the checks; called alone, each builds its own.
     if cfg.schedule.is_constant():
         gt = ground_truth(cfg)
