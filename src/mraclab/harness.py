@@ -29,7 +29,7 @@ Loop and audits add every sum term by term in one order, dot products left
 to right from +0.0 with no BLAS dot, so every re-derived column matches the
 loop's bit for bit. _weighted carries that order for the audits: the
 consistency checks must follow it; every other audit row sum keeps it too
-(the squared parameter error, the identities' _size and ||x0|| in
+(the squared parameter error, the identities' sizes and ||x0|| in
 fit_decay_bound), as does system.box_norm, which sets the gate's threshold.
 Slicing History's lag views, the regressor table or wbar therefore leaves
 every margin bit for bit as it was.
@@ -217,7 +217,7 @@ class ExperimentConfig:
             raise ConfigError(
                 "sim.theta0", f"needs {self.dim_theta} entries, got {len(self.theta0)}"
             )
-        if not self.box.contains(np.array(self.theta0), tol=1e-12):
+        if not self.box.contains(np.array(self.theta0)):
             raise ConfigError("sim.theta0", "initial estimate must lie inside the box")
         if self.steps < self.ref.order + 2 * d:
             raise ConfigError(
@@ -509,8 +509,8 @@ class Trace:
 
 class Regressors:
     """The regressor table of a run of cfg with these y/u columns, from one history and one
-    phi build: phi's row k is phi(t0-d+1+k), k = 0 .. T+d-1, sq its ||phi||^2 in the loop's
-    order and mags its |phi|, each taken on first use. All are row-wise, so a slice has the
+    phi build: phi's row k is phi(t0-d+1+k), k = 0 .. T+d-1, and sq its ||phi||^2 in the
+    loop's order, taken on first use. Both are row-wise, so a slice has the
     bits of a build of its rows alone. audit passes one table to every check as table=; a
     check given none builds its own."""
 
@@ -521,10 +521,6 @@ class Regressors:
     @cached_property
     def sq(self) -> np.ndarray:
         return _weighted(self.phi, self.phi)
-
-    @cached_property
-    def mags(self) -> np.ndarray:
-        return np.abs(self.phi)
 
 
 # The one trace layout, read by the header, writer, reader, plot.gp and the loop's finite check.
@@ -709,13 +705,6 @@ def _weighted(lags: np.ndarray, coeffs, acc=0.0):
     return acc
 
 
-def _size(mags: np.ndarray, coeffs) -> np.ndarray:
-    """Row sums of |coeffs[..., j]| * mags[:, j], mags = |lags|: the magnitude _weighted adds up.
-
-    The caller takes |lags| once for all the sizes over the same rows."""
-    return _weighted(mags, np.abs(coeffs))
-
-
 def _wbar_rows(wbar, wbar_t0: int, t0: int, count: int) -> np.ndarray:
     """wbar(t) for t = t0 .. t0+count-1, a slice of wbar = wbar(wbar_t0), wbar(wbar_t0+1), .."""
     wbar = np.asarray(wbar, dtype=float)
@@ -744,9 +733,9 @@ def check_prop1(trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = 
 
     Always checked: the per-step estimate move is bounded by the gated,
     normalized prediction error. When the true parameters (constant plants)
-    and the filtered noise are supplied, additionally checks the
-    parameter-error contraction per step and accumulated over the run, and
-    - for disturbance-free runs - monotonicity of the parameter error.
+    and the filtered noise are supplied, additionally checks that theta* is
+    in the box, the parameter-error contraction per step and accumulated over
+    the run, and - for disturbance-free runs - monotonicity of the parameter error.
     """
     rep = VerificationReport()
     d = trace.cfg.d
@@ -766,6 +755,9 @@ def check_prop1(trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = 
         return rep
 
     theta_star = np.asarray(theta_star, dtype=float)
+    lo, hi = np.asarray(trace.cfg.box.lo), np.asarray(trace.cfg.box.hi)
+    inside = float(np.minimum(theta_star - lo, hi - theta_star).min())
+    rep.add("ground_truth_in_box", inside, "the contraction checks assume theta* is in the box", tol=0.0)
     if wbar is None or wbar_t0 is None:
         raise ValueError("contraction checks need the filtered noise sequence")
     wb = _wbar_rows(wbar, wbar_t0, t0, T - d + 1)  # wbar(t-d+1) for t = t0+d-1 .. t0+T-1
@@ -814,13 +806,14 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int, *,
     count = max(T + 1 - d, 0)
 
     table = trace.regressors() if table is None else table
-    phi, mags = table.phi[d - 1 : T], table.mags[d - 1 : T]  # phi(t-d) for t = t0+d .. t0+T
+    phi = table.phi[d - 1 : T]  # phi(t-d) for t = t0+d .. t0+T
+    mags = np.abs(phi)
     wb = _wbar_rows(wbar, wbar_t0, t0, count)
     prev, lagged = trace.theta_hat[d - 1 : T], trace.theta_hat[:count]
     eps_bar, e = trace.eps_bar[d:], trace.e[d:]
     wb_mag = np.abs(wb)
-    prev_size, lagged_size = _size(mags, prev), _size(mags, lagged)
-    star_size = _size(mags, theta_star)
+    prev_size, lagged_size = _weighted(mags, np.abs(prev)), _weighted(mags, np.abs(lagged))
+    star_size = _weighted(mags, np.abs(theta_star))
     res1 = _relative(eps_bar - e - _weighted(phi, prev - lagged), np.abs(e), prev_size, lagged_size)
     res2 = _relative(e + _weighted(phi, prev - theta_star) - wb, prev_size, star_size, wb_mag)
     res3 = _relative(eps_bar + _weighted(phi, lagged - theta_star) - wb, lagged_size, star_size, wb_mag)
@@ -838,8 +831,8 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig, *,
     Used when auditing a reloaded trace file: each column is re-derived from
     the configuration plus the y/u columns in the loop's operation order (the
     README lists which check owns which column) and compared with ==; the
-    margin is minus the rows that differ. Only consistency_estimates_in_box
-    has a tolerance. A trace must span the config's horizon, whose
+    margin is minus the rows that differ; theta_hat is the projection update
+    replayed from theta0. A trace must span the config's horizon, whose
     coefficient rows it reads.
     """
     rep = VerificationReport()
@@ -892,10 +885,14 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig, *,
         gate &= np.abs(trace.e[1:]) < (2.0 * box_norm(cfg.box) + cfg.delta) * lag_norm
     equal("consistency_deadzone_gate", trace.rho, np.r_[gate, False])
 
-    # Estimates stay inside the box.
+    # Projection update: theta_hat(t0) = theta0; where rho(t) != 0, theta_hat(t+1) is
+    # theta_hat(t) + phi(t-d+1) (e(t+1) / ||phi||^2) clamped as estimator_update clamps.
     lo, hi = np.asarray(cfg.box.lo), np.asarray(cfg.box.hi)
-    overs = np.max(np.maximum(lo - th, th - hi), initial=0.0)
-    rep.add("consistency_estimates_in_box", 1e-12 - float(overs), tol=0.0)
+    with np.errstate(all="ignore"):  # an edited rho on a zero regressor divides by 0: it differs
+        v = th[:T] + phi[:T] * (trace.e[1:] / sq[:T])[:, None]
+    step = np.where(v < lo, lo, np.where(v > hi, hi, v))
+    equal("consistency_estimator_recursion", th,
+          np.r_[[cfg.theta0], np.where(trace.rho[:T, None] != 0, step, th[:T])])
 
     # Time index, exogenous inputs, and the reference recursion
     # y*(t) = ybar*(t) - sum_{j>=1} l_j y*(t-j), at rest before t0.

@@ -83,6 +83,14 @@ class TestRun:
         rc = main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "estimator.box" in capsys.readouterr().err
+        # A beta0_hat of 0 a hair below the box is refused up front, not by the control law.
+        doc["estimator"]["box"]["lo"][2] = 1e-13
+        doc["sim"]["theta0"] = [0.0, 0.0, 0.0, 0.0, 0.0]
+        config_path.write_text(json.dumps(doc))
+        rc = main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: sim.theta0: initial estimate must lie inside the box\n"
 
     def test_divergent_run_aborts(self, tmp_path, capsys):
         doc = {

@@ -19,7 +19,7 @@ from mraclab.harness import config_from_dict, demo_config, run_closed_loop, writ
 
 SHOWCASE_SHA256 = {
     "trace.csv": "d3186d34fb19995a22413fc7d243dc20a990eb97553078c13d5aa37cc27dbd3d",
-    "summary.json": "7b039937874284d32bb9ff29146369661e9de468e0025c61961b5caaa0061597",
+    "summary.json": "86e7c21115b8247d39bae3213ee014c424ea3c3caa045cbd2ce7614d12c65495",
 }
 
 # The config from the README's "Config format" section.
@@ -145,11 +145,11 @@ def test_trace_pinned(tmp_path, doc, digest):
 @pytest.mark.parametrize(
     "doc, digest",
     [
-        (README_CONFIG, "4882d95dfcefea79335d1a833eebf8d29cdcedf62fd92552d8aeabd4e6bfd118"),
-        (D1_CONFIG, "a5214290f2606fc2c54b1fc146bff4379ece8c06b4efb9085e4f95c382f60c54"),
-        (STATIC_D3_CONFIG, "90bc9ad8e2f5bb78a6f14a30acc1197ad4bc575b864b19210552ed671cd27d1e"),
-        (D1_GATED_CONFIG, "f29f651fe00f85338e60f540198810b08666bc4909a6c8cc1fe963113dec0e79"),
-        (P8_CONFIG, "7028fe7612f4d5fbfc71d5545a2f4f74e6453eff42aefad17c50e60bb26cb8e8"),
+        (README_CONFIG, "f9d83f64e1604315c8d8e57b9e34fed1ab6ce02bf4d10be38371b5510128d365"),
+        (D1_CONFIG, "6f346217f5e44e306c0368489e6ba0b6155f0d4ebc3d640464cbc8e83eebb2fe"),
+        (STATIC_D3_CONFIG, "5427acf9f451dfdb50e4c7f88db26618d8653289ca5d1a6b5ac1550db30669f3"),
+        (D1_GATED_CONFIG, "a8403a5c1d13779daede70def8818ddb004857da51cd1a3a594c7d63bef093fc"),
+        (P8_CONFIG, "cfb500d5f01b001c2c98eaf0d75d4cbc2f498c78f1448d683aa47e439ad4de5f"),
     ],
     ids=["readme", "d1", "static_d3", "d1_gated", "p8"],
 )

@@ -210,6 +210,13 @@ class TestConfigValidation:
         theta0 = np.array(cfg.box.hi) + 1.0
         with pytest.raises(ConfigError, match="sim.theta0"):
             make_config(theta0=theta0)
+        # No tolerance either: a beta0_hat of 0 a hair below the box would reach the control law.
+        for beta0 in (0.0, -0.0):
+            doc = json.loads(json.dumps(README_CONFIG))
+            doc["estimator"]["box"]["lo"][2] = 1e-13
+            doc["sim"]["theta0"] = [0.0, 0.0, beta0, 0.0, 0.0]
+            with pytest.raises(ConfigError, match="sim.theta0"):
+                config_from_dict(doc)
 
     def test_x0_wrong_length(self):
         with pytest.raises(ConfigError, match="sim.x0"):
@@ -953,6 +960,17 @@ class TestChecks:
         rep = check_prop1(bad)
         assert not rep.passed
 
+    def test_prop1_names_ground_truth_outside_the_box(self):
+        # The README plant with box coordinate 0 moved to [theta*_0 + 0.05, theta*_0 + 0.5].
+        theta_star = ground_truth(config_from_dict(README_CONFIG)).theta_star
+        doc = json.loads(json.dumps(README_CONFIG))
+        doc["estimator"]["box"]["lo"][0] = theta_star[0] + 0.05
+        doc["estimator"]["box"]["hi"][0] = theta_star[0] + 0.5
+        rep = audit(run_closed_loop(config_from_dict(doc)))
+        failed = {c.name: c.margin for c in rep.checks if not c.passed}
+        assert sorted(failed) == ["ground_truth_in_box", "parameter_error_contraction_step"]
+        assert failed["ground_truth_in_box"] == pytest.approx(-0.05)
+
     def test_identities_pass(self, noisy_run):
         cfg, tr, gt = noisy_run
         rep = check_identities(tr, gt.theta_star, gt.wbar, gt.wbar_t0)
@@ -989,7 +1007,7 @@ class TestChecks:
             "w": "consistency_exogenous_signals",
         }
         owners.update(
-            {f"theta_hat_{i}": "consistency_control_closure" for i in range(cfg.dim_theta)}
+            {f"theta_hat_{i}": "consistency_estimator_recursion" for i in range(cfg.dim_theta)}
         )
         assert sorted(owners) == sorted(_csv_header(cfg.dim_theta))
 
@@ -1004,11 +1022,9 @@ class TestChecks:
         for size, row in product(("1e-3", "ulp"), (0, 150)):
             for col, check_name in owners.items():
                 if col.startswith("theta_hat_"):
-                    # A one-ulp theta_hat edit whose products round away passes: 1e-3 only.
-                    if size == "ulp":
-                        continue
                     name, hacked = "theta_hat", np.array(tr.theta_hat)
-                    hacked[row, int(col.rsplit("_", 1)[1])] += 1e-3
+                    i = int(col.rsplit("_", 1)[1])
+                    hacked[row, i] = edit(col, hacked[row, i], size)
                 else:
                     name, hacked = col, np.array(getattr(tr, col))
                     hacked[row] = edit(col, hacked[row], size)
@@ -1088,7 +1104,7 @@ CONSISTENCY_CHECKS = [
     "consistency_prediction_error",
     "consistency_regressor_norm",
     "consistency_deadzone_gate",
-    "consistency_estimates_in_box",
+    "consistency_estimator_recursion",
     "consistency_time_index",
     "consistency_exogenous_signals",
     "consistency_reference_recursion",
@@ -1103,6 +1119,7 @@ class TestAudit:
         rep = audit(run_closed_loop(config_from_dict(README_CONFIG)))
         assert [c.name for c in rep.checks] == CONSISTENCY_CHECKS + [
             "estimate_move_bounded",
+            "ground_truth_in_box",
             "parameter_error_contraction_step",
             "parameter_error_contraction_total",
             "identity_tracking_vs_prediction",
@@ -1201,11 +1218,11 @@ def test_vectorized_checks_match_row_loops(d, t0):
 )
 def test_audit_recomputes_loop_columns_exactly(make):
     # The audit re-derives every column in the loop's operation order, so every
-    # consistency check but the box's finds no differing row: its margin is 0.0.
+    # consistency check finds no differing row: its margin is 0.0.
     cfg = make()
     trace = run_closed_loop(cfg)
     rep = check_trace_consistency(trace, cfg)
-    exact = [(c.name, c.margin.hex()) for c in rep.checks if c.name != "consistency_estimates_in_box"]
+    exact = [(c.name, c.margin.hex()) for c in rep.checks]
     assert exact == [(name, (0.0).hex()) for name, _ in exact]
     # audit hands its one regressor table to the checks; called alone, each builds its own.
     if cfg.schedule.is_constant():

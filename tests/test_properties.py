@@ -1,5 +1,6 @@
 """Property tests: every admissible constant plant passes the audit and round-trips,
-the estimator's scalar sums match the audits' column sums bit for bit, configs
+a one-ulp edit of any trace cell fails the check README names for its column, the
+estimator's scalar sums match the audits' column sums bit for bit, configs
 survive their document form, the admissibility test agrees with the root
 moduli, the predictor split is exact, signals and coefficients are their
 definitions, the loop's step kernels, the audits' row sum _weighted, box_norm
@@ -12,6 +13,7 @@ import bisect
 import functools
 import json
 import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -25,6 +27,7 @@ from mraclab.controller import control_input, reference_outputs, ybar
 from mraclab.estimator import EstimatorState, estimator_update
 from mraclab.harness import (
     ExperimentConfig,
+    Trace,
     audit,
     config_from_dict,
     demo_config,
@@ -61,6 +64,7 @@ from mraclab.system import (
     first_inadmissible,
     to_predictor_params,
 )
+from test_golden import README_CONFIG
 
 SHAPES = [(n, m, d) for n in range(3) for m in range(2) for d in range(1, 4)]
 COLUMNS = ("t", "y", "y_star", "u", "eps", "eps_bar", "e", "rho", "norm_phi", "theta_hat", "r", "w")
@@ -116,6 +120,39 @@ def test_admissible_constant_plants_pass_and_round_trip(cfg):
     rep = audit(trace)  # consistency, prop1 against ground truth, identities
     assert [c.line() for c in rep.checks if not c.passed] == []
     assert {"parameter_error_contraction_total", "identity_prediction_error"} <= {c.name for c in rep.checks}
+
+
+@functools.lru_cache(maxsize=None)
+def tamper_trace(name: str):
+    """A 200-step run of the README config or of the showcase, built once."""
+    if name == "showcase":
+        return run_closed_loop(demo_config(200))
+    doc = json.loads(json.dumps(README_CONFIG))
+    doc["sim"]["steps"] = 200
+    return run_closed_loop(config_from_dict(doc))
+
+
+@functools.lru_cache(maxsize=None)
+def readme_owners() -> dict:
+    """Trace column -> the check README's column table names first for it."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| (`.+?`) \| `(consistency_\w+)`", text, re.M)
+    cells = ((col, check) for cols, check in rows for col in re.findall(r"`(\w+)`", cols))
+    return {col.removesuffix("_i"): check for col, check in cells}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(("readme", "showcase")), st.sampled_from(COLUMNS),
+       st.sampled_from((math.inf, -math.inf)), st.data())
+def test_one_ulp_edit_of_any_cell_fails_its_owner(name, col, toward, data):
+    owners = readme_owners()
+    assert sorted(owners) == sorted(COLUMNS)
+    trace = tamper_trace(name)
+    hacked = np.array(getattr(trace, col))
+    cell = data.draw(st.tuples(*(st.integers(0, k - 1) for k in hacked.shape)), label="cell")
+    hacked[cell] = np.nextafter(hacked[cell], toward)
+    rep = audit(Trace(**{**trace.__dict__, col: hacked}))
+    assert owners[col] in {c.name for c in rep.checks if not c.passed}
 
 
 @st.composite
