@@ -61,7 +61,7 @@ class EstimatorState:
         self.theta_hat = [float(v) for v in self.theta_hat]
         if not self.delta > 0.0:
             raise ValueError("delta must be positive (math.inf disables the deadzone)")
-        if not self.box.contains(self.theta_hat, tol=1e-12):  # also checks the dimension
+        if not self.box.contains(self.theta_hat):  # exactly; also checks the dimension
             raise ValueError("initial estimate must lie inside the box")
         self.box_norm_cached = box_norm(self.box)
 

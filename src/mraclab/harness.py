@@ -59,6 +59,8 @@ from .controller import (
 )
 from .estimator import EstimatorState, estimator_update
 from .plant_sim import (
+    REQUIRED,
+    UNSET,
     CoefficientSchedule,
     CoefSpec,
     SignalSpec,
@@ -130,34 +132,57 @@ class NumericAbort(RuntimeError):
 # ---------------------------------------------------------------------------
 # Configuration
 
-# ExperimentConfig's fields read as a document's: (name, system reader, document field path).
-SCALAR_FIELDS = (("delta", number, "estimator.delta"), ("t0", integer, "sim.t0"),
-                 ("steps", integer, "sim.steps"), ("seed", integer, "sim.seed"),
-                 ("s_ab_samples", integer, "estimator.samples"),
-                 ("s_ab_margin", number, "estimator.margin"),
-                 ("x0", numbers, "sim.x0"), ("theta0", numbers, "sim.theta0"),
-                 ("label", text, "label"))
+def _deadzone(v) -> float:
+    """A deadzone width: a number, or the string "inf" for no deadzone."""
+    if isinstance(v, str):
+        if v == "inf":
+            return math.inf
+        raise TypeError(f"expected a number or 'inf', got {v!r}")
+    try:
+        return number(v)
+    except (TypeError, OverflowError):
+        raise TypeError("expected a number or 'inf'") from None
+
+
+def _estimate(v):
+    """An initial estimate: an array of numbers, or "midpoint", read as the box's once it is known."""
+    return v if isinstance(v, str) and v == "midpoint" else numbers(v)
+
+
+# ExperimentConfig's fields read as a document's: (name, reader, document field path, default).
+# An UNSET field takes its default, called with the config if callable, or is missing if REQUIRED.
+SCALAR_FIELDS = (("delta", _deadzone, "estimator.delta", "inf"), ("t0", integer, "sim.t0", 0),
+                 ("steps", integer, "sim.steps", REQUIRED), ("seed", integer, "sim.seed", 0),
+                 ("s_ab_samples", integer, "estimator.samples", 256),
+                 ("s_ab_margin", number, "estimator.margin", 0.0),
+                 ("x0", numbers, "sim.x0", lambda cfg: (0.0,) * x0_length(cfg.n, cfg.m, cfg.d)),
+                 ("theta0", _estimate, "sim.theta0", "midpoint"), ("label", text, "label", ""))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one closed-loop run depends on, in plain hashable data."""
+    """Everything one closed-loop run depends on, in plain hashable data.
+
+    Built in Python or by config_from_dict, it takes the document's defaults:
+    each SCALAR_FIELDS field left UNSET takes the table's, r and w are zero,
+    and a box left out is built from s_ab.
+    """
 
     schedule: CoefficientSchedule
     ref: ReferenceModel
-    box: ParamBox
-    delta: float
-    t0: int
-    steps: int
-    x0: tuple[float, ...]
-    theta0: tuple[float, ...]
-    r: SignalSpec
-    w: SignalSpec
-    seed: int = 0
+    box: ParamBox | None = None
+    delta: float = UNSET
+    t0: int = UNSET
+    steps: int = UNSET
+    x0: tuple[float, ...] = UNSET
+    theta0: tuple[float, ...] = UNSET
+    r: SignalSpec = zero_signal()
+    w: SignalSpec = zero_signal()
+    seed: int = UNSET
     s_ab: ParamBox | None = None
-    s_ab_samples: int = 256
-    s_ab_margin: float = 0.0
-    label: str = ""
+    s_ab_samples: int = UNSET
+    s_ab_margin: float = UNSET
+    label: str = UNSET
     plant_rows: tuple = field(init=False, repr=False, compare=False)  # validate_horizon's (a, b)
 
     @property
@@ -177,13 +202,33 @@ class ExperimentConfig:
         return self.n + self.m + self.d
 
     def __post_init__(self) -> None:
-        """Read the SCALAR_FIELDS as a document's and check the whole configuration.
+        """Give each SCALAR_FIELDS field its value as a document's, build a box left out
+        from s_ab, and check the whole configuration.
 
         Raises ConfigError with the offending field path, so a constructed
         config always meets the assumptions run_closed_loop relies on.
         """
-        for name, read, fieldpath in SCALAR_FIELDS:
-            object.__setattr__(self, name, _at(fieldpath, read, getattr(self, name)))
+        for name, read, fieldpath, default in SCALAR_FIELDS:
+            value = getattr(self, name)
+            if value is UNSET:
+                if default is REQUIRED:
+                    raise ConfigError(fieldpath, "missing field")
+                value = default(self) if callable(default) else default
+            object.__setattr__(self, name, _at(fieldpath, read, value))
+        if not math.isfinite(self.s_ab_margin):  # before build_param_box reads it
+            raise ConfigError("estimator.margin", "must be finite")
+        if self.s_ab is None:  # to_config_dict writes samples and margin only beside an s_ab_box
+            for name, _, fieldpath, default in SCALAR_FIELDS:
+                if name.startswith("s_ab_") and getattr(self, name) != default:
+                    raise ConfigError(fieldpath, "only read with an s_ab_box")
+            if self.box is None:
+                raise ConfigError("estimator", "needs a 'box' or an 's_ab_box'")
+        elif self.box is None:
+            box = _at("estimator.s_ab_box", build_param_box, self.s_ab, self.ref, n_a=self.n,
+                      samples=self.s_ab_samples, margin=self.s_ab_margin, seed=self.seed)
+            object.__setattr__(self, "box", box)
+        if isinstance(self.theta0, str):  # "midpoint"
+            object.__setattr__(self, "theta0", tuple(self.box.midpoint().tolist()))
         n, m, d = self.n, self.m, self.d
         if self.ref.d != d:
             raise ConfigError("reference", f"reference delay {self.ref.d} != plant delay {d}")
@@ -204,8 +249,6 @@ class ExperimentConfig:
             )
         if not self.delta > 0.0:
             raise ConfigError("estimator.delta", "deadzone width must be positive (or inf)")
-        if not math.isfinite(self.s_ab_margin):
-            raise ConfigError("estimator.margin", "must be finite")
         if len(self.x0) != x0_length(n, m, d):
             raise ConfigError(
                 "sim.x0",
@@ -330,18 +373,6 @@ def _section(doc: dict, key: str, fieldpath: str, keys: tuple[str, ...], default
     return doc[key]
 
 
-def _number(read, doc: dict, key: str, fieldpath: str, default=None):
-    """read(doc[key]) (or the default when it is absent), finite, errors under fieldpath.
-
-    read is system's integer or number: a string, a bool or, for an integer, a fraction fails."""
-    if key not in doc and default is None:
-        raise ConfigError(fieldpath, "missing field")
-    value = _at(fieldpath, read, doc.get(key, default))
-    if isinstance(value, float) and not math.isfinite(value):  # before build_param_box reads it
-        raise ConfigError(fieldpath, "must be finite")
-    return value
-
-
 def _pair(doc, keys: tuple[str, str], fieldpath: str) -> tuple:
     """The two arrays of numbers doc[keys[0]], doc[keys[1]]; doc must be an object with just these."""
     if not isinstance(doc, dict):
@@ -357,22 +388,32 @@ def _box(doc, fieldpath: str) -> ParamBox:
     return _at(fieldpath, ParamBox, *_pair(doc, ("lo", "hi"), fieldpath))
 
 
+def _keys(section: str) -> tuple[str, ...]:
+    """The SCALAR_FIELDS keys of a document section."""
+    return tuple(path.rpartition(".")[2] for _, _, path, _ in SCALAR_FIELDS
+                 if path.rpartition(".")[0] == section)
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from its JSON-document form.
 
+    Maps the document's structure to ExperimentConfig's keyword arguments;
+    a field left out stays UNSET and takes its SCALAR_FIELDS default there.
     Raises ConfigError (with a dotted field path) on any structural or
     semantic problem. config_from_dict(cfg.to_config_dict()) == cfg for any
     valid configuration.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config", "top level must be an object")
-    _known(doc, ("plant", "reference", "estimator", "sim", "signals", "label"), "")
+    _known(doc, ("plant", "reference", "estimator", "sim", "signals", *_keys("")), "")
     plant = _section(doc, "plant", "plant", ("a", "b", "d", "schedule"))
     ref_doc = _section(doc, "reference", "reference", ("L", "H"))
-    est = _section(doc, "estimator", "estimator", ("delta", "box", "s_ab_box", "samples", "margin"))
-    sim = _section(doc, "sim", "sim", ("t0", "steps", "seed", "x0", "theta0"))
+    est = _section(doc, "estimator", "estimator", (*_keys("estimator"), "box", "s_ab_box"))
+    sim = _section(doc, "sim", "sim", _keys("sim"))
     signals = _section(doc, "signals", "signals", ("r", "w"), default={})
-    d = _number(integer, plant, "d", "plant.d")
+    if "d" not in plant:
+        raise ConfigError("plant.d", "missing field")
+    d = _at("plant.d", integer, plant["d"])
 
     # A constant plant is a schedule of constant specs: ExperimentConfig tests its row once.
     fieldpath = "plant.schedule" if "schedule" in plant else "plant"
@@ -390,60 +431,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     L, H = _pair(ref_doc, ("L", "H"), "reference")
     ref = _at("reference", lambda: ReferenceModel(L=PolyZ(L), H=PolyZ(H), d=d))
 
-    t0 = _number(integer, sim, "t0", "sim.t0", default=0)
-    steps = _number(integer, sim, "steps", "sim.steps")
-    seed = _number(integer, sim, "seed", "sim.seed", default=0)
-
-    raw_delta = est.get("delta", "inf")
-    if isinstance(raw_delta, str):
-        if raw_delta != "inf":
-            raise ConfigError("estimator.delta", f"expected a number or 'inf', got {raw_delta!r}")
-        delta = math.inf
-    else:
-        try:
-            delta = number(raw_delta)
-        except (TypeError, OverflowError):
-            raise ConfigError("estimator.delta", "expected a number or 'inf'") from None
-
-    s_ab = None
-    samples = _number(integer, est, "samples", "estimator.samples", default=256)
-    margin = _number(number, est, "margin", "estimator.margin", default=0.0)
-    if "s_ab_box" in est:
-        s_ab = _box(est["s_ab_box"], "estimator.s_ab_box")
-    if "box" in est:
-        box = _box(est["box"], "estimator.box")
-    elif s_ab is not None:
-        box = _at("estimator.s_ab_box", build_param_box,
-                  s_ab, ref, n_a=schedule.n, samples=samples, margin=margin, seed=seed)
-    else:
-        raise ConfigError("estimator", "needs a 'box' or an 's_ab_box'")
-
-    theta0 = sim.get("theta0", "midpoint")  # x0 and theta0 are read by ExperimentConfig
-    if isinstance(theta0, str):
-        if theta0 != "midpoint":
-            raise ConfigError("sim.theta0", f"expected an array or 'midpoint', got {theta0!r}")
-        theta0 = tuple(box.midpoint())
-
-    r = _at("signals.r", SignalSpec.from_doc, signals["r"]) if "r" in signals else zero_signal()
-    w = _at("signals.w", SignalSpec.from_doc, signals["w"]) if "w" in signals else zero_signal()
-
-    cfg = ExperimentConfig(
-        schedule=schedule,
-        ref=ref,
-        box=box,
-        delta=delta,
-        t0=t0,
-        steps=steps,
-        x0=sim.get("x0", [0.0] * x0_length(schedule.n, schedule.m, d)),
-        theta0=theta0,
-        r=r,
-        w=w,
-        seed=seed,
-        s_ab=s_ab,
-        s_ab_samples=samples,
-        s_ab_margin=margin,
-        label=doc.get("label", ""),
-    )
+    kwargs = {name: _box(est[key], f"estimator.{key}")
+              for name, key in (("s_ab", "s_ab_box"), ("box", "box")) if key in est}
+    kwargs.update({key: _at(f"signals.{key}", SignalSpec.from_doc, signals[key])
+                   for key in ("r", "w") if key in signals})
+    sections = {"": doc, "estimator": est, "sim": sim}
+    for name, _, path, _ in SCALAR_FIELDS:  # each is read by ExperimentConfig
+        section, _, key = path.rpartition(".")
+        if key in sections[section]:
+            kwargs[name] = sections[section][key]
+    cfg = ExperimentConfig(schedule=schedule, ref=ref, **kwargs)
     # plant.a and plant.b beside a schedule are its row at t0, as to_config_dict writes them.
     for key, rows in zip("ab", cfg.plant_rows if "schedule" in plant else ()):
         row = rows[0].tolist()
@@ -1113,9 +1110,7 @@ def build_summary(trace: Trace, report: VerificationReport | None = None) -> dic
     cfg = trace.cfg
     total, _ = tracking_energy(trace)
     lo, hi = np.asarray(cfg.box.lo), np.asarray(cfg.box.hi)
-    in_box = bool(
-        np.all(trace.theta_hat >= lo - 1e-12) and np.all(trace.theta_hat <= hi + 1e-12)
-    )
+    in_box = bool(np.all(trace.theta_hat >= lo) and np.all(trace.theta_hat <= hi))
     doc = cfg.to_config_dict()
     summary = {
         "config": doc,
@@ -1188,14 +1183,10 @@ def demo_config(steps: int = 1000) -> ExperimentConfig:
         schedule=schedule,
         ref=ref,
         box=box,
-        delta=math.inf,
-        t0=0,
         steps=steps,
         x0=(-1.0, -1.0, 0.0),
-        theta0=tuple(box.midpoint()),
         r=square_wave(period=200, amplitude=1.0),
         w=windowed_sinusoid(200, 500, amplitude=0.1, rate=10.0),
-        seed=0,
         label="showcase",
     )
 

@@ -107,6 +107,13 @@ class TestEstimatorState:
         with pytest.raises(ValueError):
             EstimatorState(theta_hat=np.array([2.0, 0.0]), box=UNIT_BOX)
 
+    @pytest.mark.parametrize("bound, outward", [(1.0, math.inf), (-1.0, -math.inf)])
+    def test_rejects_estimate_one_ulp_outside_box(self, bound, outward):
+        # No slack, as in ExperimentConfig and the audit's replay of the update.
+        EstimatorState(theta_hat=[0.0, bound], box=UNIT_BOX)
+        with pytest.raises(ValueError, match="inside the box"):
+            EstimatorState(theta_hat=[0.0, float(np.nextafter(bound, outward))], box=UNIT_BOX)
+
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
             EstimatorState(theta_hat=np.zeros(2), box=UNIT_BOX, delta=0.0)

@@ -383,7 +383,8 @@ class TestConfigRoundTrip:
             config_from_dict(doc)
 
     def test_margin_must_be_finite(self):
-        # Beside a literal box the margin is unread, but the document would carry it.
+        # Checked before anything reads it; beside a literal box a margin other than
+        # the default is refused too, since to_config_dict would drop it.
         doc = demo_config().to_config_dict()
         doc["estimator"]["margin"] = math.nan
         with pytest.raises(ConfigError, match="^estimator.margin: must be finite$"):
@@ -557,6 +558,88 @@ class TestConfigRoundTrip:
         node[key] = value
         with pytest.raises(ConfigError, match="^" + re.escape(fieldpath) + ":"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("key, name, value", [("samples", "s_ab_samples", 10),
+                                                 ("margin", "s_ab_margin", 0.25)])
+    def test_samples_and_margin_need_an_s_ab_box(self, key, name, value):
+        # Beside a literal box they were kept, then dropped by to_config_dict, so the
+        # config read back from its own document differed under the same hash.
+        doc = demo_config().to_config_dict()
+        doc["estimator"][key] = value
+        with pytest.raises(ConfigError, match=f"^estimator.{key}: only read with an s_ab_box$"):
+            config_from_dict(doc)
+        with pytest.raises(ConfigError, match=f"^estimator.{key}: only read with an s_ab_box$"):
+            replace(demo_config(), **{name: value})
+        doc["estimator"].update(samples=256, margin=0.0)  # the defaults change nothing
+        assert config_from_dict(doc) == demo_config()
+
+
+MINIMAL_DOC = {key: README_CONFIG[key] for key in ("plant", "reference")}
+MINIMAL_DOC.update(estimator={"box": README_CONFIG["estimator"]["box"]}, sim={"steps": 400})
+README_S_AB = {"lo": [-0.8, 0.0, 1.5, 0.3], "hi": [-0.4, 0.16, 2.5, 0.7]}
+
+
+def minimal_config(**fields) -> ExperimentConfig:
+    """README's plant and reference built in Python, with only the given fields."""
+    return ExperimentConfig(
+        schedule=CoefficientSchedule.constant(PlantParams(a=(-0.6, 0.08), b=(2.0, 0.5), d=2)),
+        ref=ReferenceModel(L=PolyZ((1.0, -0.4)), H=PolyZ((0.6,)), d=2),
+        **fields,
+    )
+
+
+def minimal_doc(estimator=None, **sim) -> dict:
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["estimator"] = estimator or doc["estimator"]
+    doc["sim"].update(sim)
+    return doc
+
+
+class TestPythonAndDocumentParity:
+    """A config built in Python takes the document's defaults (SCALAR_FIELDS)."""
+
+    BOX = ParamBox(lo=(-2.0, -1.0, 1.0, -1.0, -1.0), hi=(2.0, 1.0, 3.0, 1.0, 1.0))
+
+    def test_minimal_config_equals_its_document(self):
+        cfg = minimal_config(box=self.BOX, steps=400)
+        doc = config_from_dict(minimal_doc())
+        assert cfg == doc and cfg.config_hash() == doc.config_hash()
+        assert (cfg.delta, cfg.t0, cfg.seed, cfg.label) == (math.inf, 0, 0, "")
+        assert cfg.x0 == (0.0,) * 6 and cfg.theta0 == (0.0, 0.0, 2.0, 0.0, 0.0)
+        assert cfg.r == cfg.w == zero_signal()
+
+    @pytest.mark.parametrize("section, key, value", [("estimator", "delta", "inf"),
+                                                     ("sim", "theta0", "midpoint")])
+    def test_document_strings_are_read_in_python(self, section, key, value):
+        # Each was refused in Python: delta "expected a number", theta0 "expected an array".
+        cfg = minimal_config(box=self.BOX, steps=400, **{key: value})
+        doc = minimal_doc()
+        doc[section][key] = value
+        assert cfg == config_from_dict(doc) == minimal_config(box=self.BOX, steps=400)
+
+    def test_s_ab_alone_builds_the_box(self):
+        cfg = minimal_config(s_ab=ParamBox(**{k: tuple(v) for k, v in README_S_AB.items()}),
+                             steps=400)
+        assert cfg == config_from_dict(minimal_doc({"s_ab_box": README_S_AB}))
+        assert cfg.box.contains(cfg.theta0) and cfg.theta0 == tuple(cfg.box.midpoint())
+
+    def test_s_ab_box_round_trip_keeps_samples_and_margin(self):
+        doc = minimal_doc({"s_ab_box": README_S_AB, "samples": 12, "margin": 0.125}, seed=7)
+        cfg = config_from_dict(doc)
+        assert (cfg.s_ab_samples, cfg.s_ab_margin, cfg.seed) == (12, 0.125, 7)
+        assert cfg.box != config_from_dict(minimal_doc({"s_ab_box": README_S_AB})).box
+        back = config_from_dict(cfg.to_config_dict())
+        assert back == cfg and back.config_hash() == cfg.config_hash()
+
+    def test_missing_fields_are_named(self):
+        with pytest.raises(ConfigError, match=r"^sim\.steps: missing field$"):
+            minimal_config(box=self.BOX)
+        doc = minimal_doc()
+        del doc["sim"]["steps"]
+        with pytest.raises(ConfigError, match=r"^sim\.steps: missing field$"):
+            config_from_dict(doc)
+        with pytest.raises(ConfigError, match=r"^estimator: needs a 'box' or an 's_ab_box'$"):
+            minimal_config(steps=400)
 
 
 # Every kind of the document form, one example each, with the fields a
@@ -1439,6 +1522,17 @@ class TestTraceFiles:
         assert summary["rows"] == tr.rows
         assert summary["estimates"]["within_box"] is True
         assert summary["estimates"]["updates_gated_on"] == int(np.sum(tr.rho))
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_within_box_is_exact(self, side):
+        # One ulp outside the box is outside, as in ExperimentConfig and the estimator replay.
+        tr = run_closed_loop(make_config(steps=60))
+        assert harness.build_summary(tr)["estimates"]["within_box"] is True
+        theta = tr.theta_hat.copy()
+        bound = getattr(tr.cfg.box, side)[1]
+        theta[30, 1] = np.nextafter(bound, -np.inf if side == "lo" else np.inf)
+        summary = harness.build_summary(replace(tr, theta_hat=theta))
+        assert summary["estimates"]["within_box"] is False
 
 
 class TestShowcase:
