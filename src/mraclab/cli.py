@@ -55,7 +55,7 @@ def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
         sim["steps"] = args.steps
     if getattr(args, "seed", None) is not None:
         sim["seed"] = args.seed
-    if getattr(args, "label", None):
+    if getattr(args, "label", None) is not None:
         doc["label"] = args.label
     return doc
 

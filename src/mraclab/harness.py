@@ -42,7 +42,7 @@ import json
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
@@ -149,14 +149,13 @@ def _estimate(v):
     return v if isinstance(v, str) and v == "midpoint" else numbers(v)
 
 
-# ExperimentConfig's fields read as a document's: (name, reader, document field path, default).
+# ExperimentConfig's fields as a document's, in its order: (name, reader, field path, default).
 # An UNSET field takes its default, called with the config if callable, or is missing if REQUIRED.
 SCALAR_FIELDS = (("delta", _deadzone, "estimator.delta", "inf"), ("t0", integer, "sim.t0", 0),
-                 ("steps", integer, "sim.steps", REQUIRED), ("seed", integer, "sim.seed", 0),
-                 ("s_ab_samples", integer, "estimator.samples", 256),
-                 ("s_ab_margin", number, "estimator.margin", 0.0),
+                 ("steps", integer, "sim.steps", REQUIRED),
                  ("x0", numbers, "sim.x0", lambda cfg: (0.0,) * x0_length(cfg.n, cfg.m, cfg.d)),
-                 ("theta0", _estimate, "sim.theta0", "midpoint"), ("label", text, "label", ""))
+                 ("theta0", _estimate, "sim.theta0", "midpoint"), ("seed", integer, "sim.seed", 0),
+                 ("label", text, "label", ""))
 
 
 @dataclass(frozen=True)
@@ -164,8 +163,8 @@ class ExperimentConfig:
     """Everything one closed-loop run depends on, in plain hashable data.
 
     Built in Python or by config_from_dict, it takes the document's defaults:
-    each SCALAR_FIELDS field left UNSET takes the table's, r and w are zero,
-    and a box left out is built from s_ab.
+    each SCALAR_FIELDS field left UNSET takes the table's, r and w are zero, and
+    s_ab, like theta0 "midpoint", is a recipe: it builds the box once, and only the box is kept.
     """
 
     schedule: CoefficientSchedule
@@ -179,9 +178,9 @@ class ExperimentConfig:
     r: SignalSpec = zero_signal()
     w: SignalSpec = zero_signal()
     seed: int = UNSET
-    s_ab: ParamBox | None = None
-    s_ab_samples: int = UNSET
-    s_ab_margin: float = UNSET
+    s_ab: InitVar[ParamBox | None] = None
+    s_ab_samples: InitVar[int] = UNSET
+    s_ab_margin: InitVar[float] = UNSET
     label: str = UNSET
     plant_rows: tuple = field(init=False, repr=False, compare=False)  # validate_horizon's (a, b)
 
@@ -201,9 +200,10 @@ class ExperimentConfig:
     def dim_theta(self) -> int:
         return self.n + self.m + self.d
 
-    def __post_init__(self) -> None:
-        """Give each SCALAR_FIELDS field its value as a document's, build a box left out
-        from s_ab, and check the whole configuration.
+    def __post_init__(self, s_ab, s_ab_samples, s_ab_margin) -> None:
+        """Give each SCALAR_FIELDS field its value as a document's, build the box from
+        s_ab with the samples and margin given (build_param_box holds their defaults),
+        and check the whole configuration.
 
         Raises ConfigError with the offending field path, so a constructed
         config always meets the assumptions run_closed_loop relies on.
@@ -215,18 +215,19 @@ class ExperimentConfig:
                     raise ConfigError(fieldpath, "missing field")
                 value = default(self) if callable(default) else default
             object.__setattr__(self, name, _at(fieldpath, read, value))
-        if not math.isfinite(self.s_ab_margin):  # before build_param_box reads it
+        recipe = (("samples", integer, s_ab_samples), ("margin", number, s_ab_margin))
+        given = {key: _at(f"estimator.{key}", read, v) for key, read, v in recipe if v is not UNSET}
+        if not math.isfinite(given.get("margin", 0.0)):  # before build_param_box reads it
             raise ConfigError("estimator.margin", "must be finite")
-        if self.s_ab is None:  # to_config_dict writes samples and margin only beside an s_ab_box
-            for name, _, fieldpath, default in SCALAR_FIELDS:
-                if name.startswith("s_ab_") and getattr(self, name) != default:
-                    raise ConfigError(fieldpath, "only read with an s_ab_box")
-            if self.box is None:
-                raise ConfigError("estimator", "needs a 'box' or an 's_ab_box'")
+        if s_ab is not None:
+            if self.box is not None:
+                raise ConfigError("estimator", "takes a 'box' or an 's_ab_box', not both")
+            object.__setattr__(self, "box", _at("estimator.s_ab_box", build_param_box, s_ab, self.ref,
+                                                n_a=self.n, seed=self.seed, **given))
+        elif given:
+            raise ConfigError(f"estimator.{next(iter(given))}", "only read with an s_ab_box")
         elif self.box is None:
-            box = _at("estimator.s_ab_box", build_param_box, self.s_ab, self.ref, n_a=self.n,
-                      samples=self.s_ab_samples, margin=self.s_ab_margin, seed=self.seed)
-            object.__setattr__(self, "box", box)
+            raise ConfigError("estimator", "needs a 'box' or an 's_ab_box'")
         if isinstance(self.theta0, str):  # "midpoint"
             object.__setattr__(self, "theta0", tuple(self.box.midpoint().tolist()))
         n, m, d = self.n, self.m, self.d
@@ -290,37 +291,22 @@ class ExperimentConfig:
     # -- serialization ------------------------------------------------------
 
     def to_config_dict(self) -> dict:
-        """Plain-JSON document form (the shape the CLI accepts)."""
+        """Plain-JSON document form (the shape the CLI accepts): each SCALAR_FIELDS
+        field at its path, a tuple as a list, an infinity as "inf", an empty label left out."""
         a, b = self.plant_rows
         plant: dict = {"a": a[0].tolist(), "b": b[0].tolist(), "d": self.d}
         if not self.schedule.is_constant():
-            plant["schedule"] = {
-                "a": [c.to_doc() for c in self.schedule.a],
-                "b": [c.to_doc() for c in self.schedule.b],
-            }
-        estimator: dict = {
-            "delta": "inf" if math.isinf(self.delta) else self.delta,
-            "box": {"lo": list(self.box.lo), "hi": list(self.box.hi)},
-        }
-        if self.s_ab is not None:
-            estimator["s_ab_box"] = {"lo": list(self.s_ab.lo), "hi": list(self.s_ab.hi)}
-            estimator["samples"] = self.s_ab_samples
-            estimator["margin"] = self.s_ab_margin
-        doc = {
-            "plant": plant,
-            "reference": {"L": list(self.ref.L.coeffs), "H": list(self.ref.H.coeffs)},
-            "estimator": estimator,
-            "sim": {
-                "t0": self.t0,
-                "steps": self.steps,
-                "x0": list(self.x0),
-                "theta0": list(self.theta0),
-                "seed": self.seed,
-            },
-            "signals": {"r": self.r.to_doc(), "w": self.w.to_doc()},
-        }
-        if self.label:
-            doc["label"] = self.label
+            plant["schedule"] = {key: [c.to_doc() for c in getattr(self.schedule, key)] for key in "ab"}
+        doc = {"plant": plant,
+               "reference": {"L": list(self.ref.L.coeffs), "H": list(self.ref.H.coeffs)},
+               "estimator": {}, "sim": {}, "signals": {"r": self.r.to_doc(), "w": self.w.to_doc()}}
+        for name, _, path, _ in SCALAR_FIELDS:
+            section, _, key = path.rpartition(".")
+            value = getattr(self, name)
+            if value != "":  # an empty label is left out
+                value = list(value) if isinstance(value, tuple) else value
+                (doc[section] if section else doc)[key] = "inf" if value == math.inf else value
+        doc["estimator"]["box"] = {"lo": list(self.box.lo), "hi": list(self.box.hi)}
         return doc
 
     def config_hash(self) -> str:
@@ -408,7 +394,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     _known(doc, ("plant", "reference", "estimator", "sim", "signals", *_keys("")), "")
     plant = _section(doc, "plant", "plant", ("a", "b", "d", "schedule"))
     ref_doc = _section(doc, "reference", "reference", ("L", "H"))
-    est = _section(doc, "estimator", "estimator", (*_keys("estimator"), "box", "s_ab_box"))
+    est = _section(doc, "estimator", "estimator",
+                   (*_keys("estimator"), "box", "s_ab_box", "samples", "margin"))
     sim = _section(doc, "sim", "sim", _keys("sim"))
     signals = _section(doc, "signals", "signals", ("r", "w"), default={})
     if "d" not in plant:
@@ -433,6 +420,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     kwargs = {name: _box(est[key], f"estimator.{key}")
               for name, key in (("s_ab", "s_ab_box"), ("box", "box")) if key in est}
+    kwargs.update({f"s_ab_{key}": est[key] for key in ("samples", "margin") if key in est})
     kwargs.update({key: _at(f"signals.{key}", SignalSpec.from_doc, signals[key])
                    for key in ("r", "w") if key in signals})
     sections = {"": doc, "estimator": est, "sim": sim}

@@ -236,7 +236,8 @@ def build_param_box(
     n_a: int,
     samples: int = 256,
     margin: float = 0.0,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> ParamBox:
     """Hyperrectangle hull of the predictor-space image of a plant-space box.
 

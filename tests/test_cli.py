@@ -10,6 +10,7 @@ from mraclab import harness, plant_sim
 from mraclab.cli import main
 from mraclab.harness import demo_config
 from test_golden import README_CONFIG
+from test_harness import README_S_AB
 
 
 @pytest.fixture()
@@ -70,6 +71,26 @@ class TestRun:
         main(["run", "--config", str(config_path), "--out", str(out_b), "--seed", "9"])
         h = lambda p: json.loads((p / "summary.json").read_text())["config_hash"]
         assert h(out_a) != h(out_b)
+
+    def test_empty_label_override_clears_the_label(self, config_path, tmp_path):
+        # An empty --label was taken for no override, so the document's label stayed.
+        doc = json.loads(config_path.read_text())
+        doc["label"] = "old"
+        config_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out), "--label", ""]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert "label" not in summary and "label" not in summary["config"]
+
+    def test_box_and_s_ab_box_is_a_config_error(self, tmp_path, capsys):
+        # The literal box ran, while summary.json recorded the s_ab_box as its source.
+        doc = json.loads(json.dumps(README_CONFIG))
+        doc["estimator"].update(s_ab_box=README_S_AB, samples=64, margin=0.05)
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: estimator: takes a 'box' or an 's_ab_box', not both\n"
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

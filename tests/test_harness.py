@@ -6,7 +6,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -55,7 +55,7 @@ from mraclab.plant_sim import (
     zero_signal,
 )
 from mraclab.poly import PolyZ, max_root_modulus, predictor_split
-from mraclab.system import ParamBox, PlantParams, ReferenceModel, to_predictor_params
+from mraclab.system import ParamBox, PlantParams, ReferenceModel, build_param_box, to_predictor_params
 from test_golden import D1_CONFIG, D1_GATED_CONFIG, P8_CONFIG, README_CONFIG, STATIC_D3_CONFIG
 
 
@@ -383,8 +383,8 @@ class TestConfigRoundTrip:
             config_from_dict(doc)
 
     def test_margin_must_be_finite(self):
-        # Checked before anything reads it; beside a literal box a margin other than
-        # the default is refused too, since to_config_dict would drop it.
+        # Checked first, before build_param_box reads it: beside a literal box, where a
+        # finite margin is "only read with an s_ab_box", a NaN is still this error.
         doc = demo_config().to_config_dict()
         doc["estimator"]["margin"] = math.nan
         with pytest.raises(ConfigError, match="^estimator.margin: must be finite$"):
@@ -563,20 +563,21 @@ class TestConfigRoundTrip:
                                                  ("margin", "s_ab_margin", 0.25)])
     def test_samples_and_margin_need_an_s_ab_box(self, key, name, value):
         # Beside a literal box they were kept, then dropped by to_config_dict, so the
-        # config read back from its own document differed under the same hash.
-        doc = demo_config().to_config_dict()
-        doc["estimator"][key] = value
-        with pytest.raises(ConfigError, match=f"^estimator.{key}: only read with an s_ab_box$"):
-            config_from_dict(doc)
-        with pytest.raises(ConfigError, match=f"^estimator.{key}: only read with an s_ab_box$"):
-            replace(demo_config(), **{name: value})
-        doc["estimator"].update(samples=256, margin=0.0)  # the defaults change nothing
-        assert config_from_dict(doc) == demo_config()
+        # config read back from its own document differed under the same hash. They
+        # build nothing there, so any value is refused, build_param_box's default too.
+        for v in (value, {"samples": 256, "margin": 0.0}[key]):
+            doc = demo_config().to_config_dict()
+            doc["estimator"][key] = v
+            with pytest.raises(ConfigError, match=f"^estimator.{key}: only read with an s_ab_box$"):
+                config_from_dict(doc)
+            with pytest.raises(ConfigError, match=f"^estimator.{key}: only read with an s_ab_box$"):
+                replace(demo_config(), **{name: v})
 
 
 MINIMAL_DOC = {key: README_CONFIG[key] for key in ("plant", "reference")}
 MINIMAL_DOC.update(estimator={"box": README_CONFIG["estimator"]["box"]}, sim={"steps": 400})
 README_S_AB = {"lo": [-0.8, 0.0, 1.5, 0.3], "hi": [-0.4, 0.16, 2.5, 0.7]}
+S_AB = ParamBox(**{k: tuple(v) for k, v in README_S_AB.items()})
 
 
 def minimal_config(**fields) -> ExperimentConfig:
@@ -618,18 +619,44 @@ class TestPythonAndDocumentParity:
         assert cfg == config_from_dict(doc) == minimal_config(box=self.BOX, steps=400)
 
     def test_s_ab_alone_builds_the_box(self):
-        cfg = minimal_config(s_ab=ParamBox(**{k: tuple(v) for k, v in README_S_AB.items()}),
-                             steps=400)
+        cfg = minimal_config(s_ab=S_AB, steps=400)
         assert cfg == config_from_dict(minimal_doc({"s_ab_box": README_S_AB}))
         assert cfg.box.contains(cfg.theta0) and cfg.theta0 == tuple(cfg.box.midpoint())
 
     def test_s_ab_box_round_trip_keeps_samples_and_margin(self):
         doc = minimal_doc({"s_ab_box": README_S_AB, "samples": 12, "margin": 0.125}, seed=7)
         cfg = config_from_dict(doc)
-        assert (cfg.s_ab_samples, cfg.s_ab_margin, cfg.seed) == (12, 0.125, 7)
+        assert cfg.box == build_param_box(S_AB, cfg.ref, n_a=2, samples=12, margin=0.125, seed=7)
         assert cfg.box != config_from_dict(minimal_doc({"s_ab_box": README_S_AB})).box
         back = config_from_dict(cfg.to_config_dict())
         assert back == cfg and back.config_hash() == cfg.config_hash()
+
+    def test_s_ab_document_records_only_the_box(self):
+        # It recorded s_ab_box, samples and margin beside the box they built.
+        cfg = config_from_dict(minimal_doc({"s_ab_box": README_S_AB, "samples": 64, "margin": 0.05}))
+        doc = cfg.to_config_dict()
+        assert list(doc["estimator"]) == ["delta", "box"]
+        back = config_from_dict(doc)
+        assert back == cfg and back.config_hash() == cfg.config_hash()
+        assert not [f.name for f in fields(ExperimentConfig) if f.name.startswith("s_ab")]
+
+    def test_replace_keeps_the_box_and_refuses_a_recipe(self):
+        # replace(cfg, s_ab_margin=0.5) kept the box built without it, and
+        # to_config_dict wrote margin 0.5 beside that box.
+        cfg = minimal_config(s_ab=S_AB, s_ab_margin=0.05, steps=400)
+        with pytest.raises(ConfigError, match="^estimator.margin: only read with an s_ab_box$"):
+            replace(cfg, s_ab_margin=0.5)
+        assert replace(cfg, steps=300).box == cfg.box
+
+    def test_box_and_s_ab_box_are_refused_together(self):
+        # The literal box ran, while summary.json recorded the s_ab_box,
+        # samples and margin as its source.
+        message = "^estimator: takes a 'box' or an 's_ab_box', not both$"
+        with pytest.raises(ConfigError, match=message):
+            minimal_config(box=self.BOX, s_ab=S_AB, steps=400)
+        doc = minimal_doc({"box": MINIMAL_DOC["estimator"]["box"], "s_ab_box": README_S_AB})
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(doc)
 
     def test_missing_fields_are_named(self):
         with pytest.raises(ConfigError, match=r"^sim\.steps: missing field$"):

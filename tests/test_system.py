@@ -199,19 +199,19 @@ class TestBuildParamBox:
     def test_demo_box_is_exact(self):
         # d = 1 makes the map affine per coordinate, so corners are exact:
         # alpha0 = -a1, alpha1 = -1/2 - a2, beta = b.
-        box = build_param_box(DEMO_S_AB, REF_2, n_a=2, samples=64, margin=0.0)
+        box = build_param_box(DEMO_S_AB, REF_2, n_a=2, samples=64, margin=0.0, seed=0)
         np.testing.assert_allclose(box.lo, [-2.0, -2.5, 1.5, -1.0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(box.hi, [2.0, 1.5, 5.0, 1.0], rtol=0, atol=1e-12)
 
     def test_point_box(self):
         s = ParamBox(lo=(0.3, -0.1, 2.0, 1.0), hi=(0.3, -0.1, 2.0, 1.0))
-        box = build_param_box(s, REF_2, n_a=2, samples=8)
+        box = build_param_box(s, REF_2, n_a=2, samples=8, seed=0)
         np.testing.assert_allclose(box.lo, box.hi, rtol=0, atol=0)
         np.testing.assert_allclose(box.lo, [-0.3, -0.4, 2.0, 1.0], rtol=0, atol=1e-15)
 
     def test_one_step_images_contained(self):
         rng = np.random.default_rng(31)
-        box = build_param_box(DEMO_S_AB, REF_2, n_a=2, samples=32, margin=0.0)
+        box = build_param_box(DEMO_S_AB, REF_2, n_a=2, samples=32, margin=0.0, seed=0)
         for _ in range(1000):
             p = DEMO_S_AB.sample(rng)
             pp = to_predictor_params(PlantParams(a=tuple(p[:2]), b=tuple(p[2:]), d=1), REF_2)
@@ -231,8 +231,8 @@ class TestBuildParamBox:
                     assert box.contains(to_predictor_params(plant, ref).theta_star())
 
     def test_margin_inflates(self):
-        tight = build_param_box(DEMO_S_AB, REF_2, n_a=2, samples=16, margin=0.0)
-        loose = build_param_box(DEMO_S_AB, REF_2, n_a=2, samples=16, margin=0.25)
+        tight = build_param_box(DEMO_S_AB, REF_2, n_a=2, samples=16, margin=0.0, seed=0)
+        loose = build_param_box(DEMO_S_AB, REF_2, n_a=2, samples=16, margin=0.25, seed=0)
         np.testing.assert_allclose(
             np.asarray(loose.lo), np.asarray(tight.lo) - 0.25, rtol=0, atol=1e-12
         )
@@ -243,13 +243,15 @@ class TestBuildParamBox:
     def test_rejects_gain_interval_through_zero(self):
         s = ParamBox(lo=(-0.5, -1.0, -0.2), hi=(0.5, 1.0, 0.2))
         with pytest.raises(AdmissibilityError):
-            build_param_box(s, ReferenceModel(L=PolyZ((1.0, -0.4)), H=PolyZ((1.0,)), d=1), n_a=1)
+            build_param_box(s, ReferenceModel(L=PolyZ((1.0, -0.4)), H=PolyZ((1.0,)), d=1), n_a=1,
+                            seed=0)
 
     def test_rejects_inadmissible_corner(self):
         # b-box corner with |b1| > b0 breaks minimum phase.
         s = ParamBox(lo=(-0.5, 0.5, -2.0), hi=(0.5, 1.0, 2.0))
         with pytest.raises(AdmissibilityError):
-            build_param_box(s, ReferenceModel(L=PolyZ((1.0, -0.4)), H=PolyZ((1.0,)), d=1), n_a=1)
+            build_param_box(s, ReferenceModel(L=PolyZ((1.0, -0.4)), H=PolyZ((1.0,)), d=1), n_a=1,
+                            seed=0)
 
 
 def box_by_points(s_ab, ref, n_a, samples=256, margin=0.0, seed=0):
@@ -283,7 +285,7 @@ class TestBuildParamBoxMatchesPointwise:
     @pytest.mark.parametrize(
         "s_ab, ref, n_a, kwargs",
         [
-            (DEMO_S_AB, REF_2, 2, dict(samples=64)),
+            (DEMO_S_AB, REF_2, 2, dict(samples=64, seed=0)),
             (ParamBox((-0.6, 1.0, -0.3), (0.2, 2.0, 0.3)), ReferenceModel(L_1, PolyZ((0.6,)), 2), 1,
              dict(samples=256, margin=0.05, seed=4)),
             (ParamBox((-0.5, 0.3, -2.0, -0.5, -0.3), (0.5, 0.6, -1.5, 0.5, 0.3)),
@@ -291,11 +293,11 @@ class TestBuildParamBoxMatchesPointwise:
              dict(samples=100, seed=7)),
             # Failures: a non-minimum-phase corner, b0 = 0 after a non-minimum-phase
             # corner, b0 = 0 first, and a reference of higher order than the plant.
-            (ParamBox((-0.5, 0.5, -2.0), (0.5, 1.0, 2.0)), REF_1, 1, {}),
-            (ParamBox((-0.5, -1.0, -2.0), (0.5, 0.0, 2.0)), REF_1, 1, {}),
-            (ParamBox((-0.5, 0.0, -0.1), (0.5, 1.0, 0.1)), REF_1, 1, {}),
-            (ParamBox((-0.5, 1.0), (0.5, 2.0)), REF_2, 1, dict(samples=8)),
-            (ParamBox((-0.5, 0.0), (0.5, 2.0)), REF_2, 1, dict(samples=8)),
+            (ParamBox((-0.5, 0.5, -2.0), (0.5, 1.0, 2.0)), REF_1, 1, dict(seed=0)),
+            (ParamBox((-0.5, -1.0, -2.0), (0.5, 0.0, 2.0)), REF_1, 1, dict(seed=0)),
+            (ParamBox((-0.5, 0.0, -0.1), (0.5, 1.0, 0.1)), REF_1, 1, dict(seed=0)),
+            (ParamBox((-0.5, 1.0), (0.5, 2.0)), REF_2, 1, dict(samples=8, seed=0)),
+            (ParamBox((-0.5, 0.0), (0.5, 2.0)), REF_2, 1, dict(samples=8, seed=0)),
         ],
         ids=["demo", "d2", "d3", "nonminphase", "zero_b0_later", "zero_b0_first", "order",
              "order_b0"],
@@ -310,7 +312,7 @@ class TestBoxNorm:
         assert abs(box_norm(ParamBox(lo=(-1.0, -1.0), hi=(1.0, 1.0))) - math.sqrt(2)) < 1e-15
 
     def test_demo_box(self):
-        assert abs(box_norm(build_param_box(DEMO_S_AB, REF_2, n_a=2, samples=0))
+        assert abs(box_norm(build_param_box(DEMO_S_AB, REF_2, n_a=2, samples=0, seed=0))
                    - math.sqrt(36.25)) < 1e-12
 
     def test_point_box(self):
