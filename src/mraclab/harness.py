@@ -113,8 +113,7 @@ __all__ = [
 
 OVERFLOW_LIMIT = 1e100
 MAX_TIME = 2**53  # |t| bound on a run's times: the trace's float t column holds each exactly
-CHECK_TOL = 1e-9
-IDENTITY_TOL = 1e-8
+TOL = 1e-9  # a row passes when TOL + slack / (1 + sum |terms|) >= 0
 
 
 class ConfigError(ValueError):
@@ -219,6 +218,11 @@ class ExperimentConfig:
         given = {key: _at(f"estimator.{key}", read, v) for key, read, v in recipe if v is not UNSET}
         if not math.isfinite(given.get("margin", 0.0)):  # before build_param_box reads it
             raise ConfigError("estimator.margin", "must be finite")
+        if given.get("samples", 0) < 0:
+            raise ConfigError("estimator.samples", f"must not be negative, got {given['samples']}")
+        for fieldpath, box in (("estimator.box", self.box), ("estimator.s_ab_box", s_ab)):
+            if box is not None and not isinstance(box, ParamBox):
+                raise ConfigError(fieldpath, f"expected a ParamBox, got {type(box).__name__}")
         if s_ab is not None:
             if self.box is not None:
                 raise ConfigError("estimator", "takes a 'box' or an 's_ab_box', not both")
@@ -234,14 +238,9 @@ class ExperimentConfig:
         if self.ref.d != d:
             raise ConfigError("reference", f"reference delay {self.ref.d} != plant delay {d}")
         if self.ref.order > n:
-            raise ConfigError(
-                "reference.L", f"order {self.ref.order} exceeds plant order {n}"
-            )
+            raise ConfigError("reference.L", f"order {self.ref.order} exceeds plant order {n}")
         if self.box.dim != self.dim_theta:
-            raise ConfigError(
-                "estimator.box",
-                f"box dimension {self.box.dim} != n+m+d = {self.dim_theta}",
-            )
+            raise ConfigError("estimator.box", f"box dimension {self.box.dim} != n+m+d = {self.dim_theta}")
         lo, hi = self.box.lo[n], self.box.hi[n]
         if lo <= 0.0 <= hi:
             raise ConfigError(
@@ -258,9 +257,7 @@ class ExperimentConfig:
         if not all(math.isfinite(v) for v in self.x0):
             raise ConfigError("sim.x0", "entries must be finite")
         if len(self.theta0) != self.dim_theta:
-            raise ConfigError(
-                "sim.theta0", f"needs {self.dim_theta} entries, got {len(self.theta0)}"
-            )
+            raise ConfigError("sim.theta0", f"needs {self.dim_theta} entries, got {len(self.theta0)}")
         if not self.box.contains(np.array(self.theta0)):
             raise ConfigError("sim.theta0", "initial estimate must lie inside the box")
         if self.steps < self.ref.order + 2 * d:
@@ -654,8 +651,8 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, margin: float, detail: str = "", tol: float = CHECK_TOL) -> None:
-        self.checks.append(CheckResult(name, bool(margin >= -tol), float(margin), detail))
+    def add(self, name: str, margin: float, detail: str = "") -> None:
+        self.checks.append(CheckResult(name, bool(margin >= 0.0), float(margin), detail))
 
     def lines(self) -> list[str]:
         out = [c.line() for c in self.checks]
@@ -702,14 +699,15 @@ def _wbar_rows(wbar, wbar_t0: int, t0: int, count: int) -> np.ndarray:
     return wbar[first : first + count]
 
 
-def _relative(res: np.ndarray, *mags: np.ndarray) -> float:
-    """Largest |res| / (1 + sum mags) over rows, the mags added left to right.
+def _margin(slack, *mags) -> float:
+    """A check's margin: the smallest TOL + slack / (1 + sum mags) over its rows, TOL with none.
 
-    The mags are the magnitudes of the parts of an identity's right-hand side
-    (sizes, or |term| taken by the caller), so a check against IDENTITY_TOL
-    gives the same verdict when every signal is rescaled.
+    slack is how far each row is from failing (negative when it fails), the
+    mags are the magnitudes of its terms, added left to right, so the verdict
+    is the same in any unit of the signals.
     """
-    return float(np.abs(res / (1.0 + sum(mags[1:], mags[0]))).max(initial=0.0))
+    rel = np.asarray(slack / (1.0 + sum(mags[1:], mags[0])))
+    return TOL + float(rel.min()) if rel.size else TOL
 
 
 def check_prop1(trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = None, *,
@@ -734,7 +732,7 @@ def check_prop1(trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = 
     th = trace.theta_hat
     step = th[1:] - th[:-1]
     move = np.sqrt(_weighted(step, step))
-    rep.add("estimate_move_bounded", float((bound - move).min(initial=math.inf)), f"{T} steps")
+    rep.add("estimate_move_bounded", _margin(bound - move, bound, move), f"{T} steps")
 
     if theta_star is None:
         return rep
@@ -742,7 +740,7 @@ def check_prop1(trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = 
     theta_star = np.asarray(theta_star, dtype=float)
     lo, hi = np.asarray(trace.cfg.box.lo), np.asarray(trace.cfg.box.hi)
     inside = float(np.minimum(theta_star - lo, hi - theta_star).min())
-    rep.add("ground_truth_in_box", inside, "the contraction checks assume theta* is in the box", tol=0.0)
+    rep.add("ground_truth_in_box", inside, "the contraction checks assume theta* is in the box")
     if wbar is None or wbar_t0 is None:
         raise ValueError("contraction checks need the filtered noise sequence")
     wb = _wbar_rows(wbar, wbar_t0, t0, T - d + 1)  # wbar(t-d+1) for t = t0+d-1 .. t0+T-1
@@ -753,15 +751,16 @@ def check_prop1(trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = 
     allowed = np.divide(
         -0.5 * e * e + 2.0 * wb * wb, sq[d - 1 :], out=np.zeros(T - d + 1), where=gated[d - 1 :]
     )
-    worst = float((allowed - (err_sq[d:] - err_sq[d - 1 : -1])).min(initial=math.inf))
-    rep.add("parameter_error_contraction_step", worst, f"from t = {t0 + d - 1}")
+    before, after = err_sq[d - 1 : -1], err_sq[d:]
+    rep.add("parameter_error_contraction_step",
+            _margin(allowed - (after - before), before, after, np.abs(allowed)), f"from t = {t0 + d - 1}")
     budget = float(allowed.cumsum()[-1]) if len(allowed) else 0.0  # summed in time order
-    rep.add("parameter_error_contraction_total", err_sq[d - 1] + budget - err_sq[T])
+    rep.add("parameter_error_contraction_total",
+            _margin(err_sq[d - 1] + budget - err_sq[T], err_sq[d - 1], abs(budget), err_sq[T]))
 
     if not trace.w.any():
         err = np.sqrt(err_sq[d - 1 :])
-        inc = float((err[1:] - err[:-1]).max()) if T >= d else 0.0
-        rep.add("parameter_error_monotone", -inc, "w = 0 run")
+        rep.add("parameter_error_monotone", _margin(err[:-1] - err[1:], err[:-1], err[1:]), "w = 0 run")
     return rep
 
 
@@ -796,16 +795,16 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int, *,
     wb = _wbar_rows(wbar, wbar_t0, t0, count)
     prev, lagged = trace.theta_hat[d - 1 : T], trace.theta_hat[:count]
     eps_bar, e = trace.eps_bar[d:], trace.e[d:]
-    wb_mag = np.abs(wb)
+    e_mag, wb_mag = np.abs(e), np.abs(wb)
     prev_size, lagged_size = _weighted(mags, np.abs(prev)), _weighted(mags, np.abs(lagged))
     star_size = _weighted(mags, np.abs(theta_star))
-    res1 = _relative(eps_bar - e - _weighted(phi, prev - lagged), np.abs(e), prev_size, lagged_size)
-    res2 = _relative(e + _weighted(phi, prev - theta_star) - wb, prev_size, star_size, wb_mag)
-    res3 = _relative(eps_bar + _weighted(phi, lagged - theta_star) - wb, lagged_size, star_size, wb_mag)
+    res1 = eps_bar - e - _weighted(phi, prev - lagged)
+    res2 = e + _weighted(phi, prev - theta_star) - wb
+    res3 = eps_bar + _weighted(phi, lagged - theta_star) - wb
     span = f"t = {t0 + d} .. {t0 + T}"
-    rep.add("identity_tracking_vs_prediction", IDENTITY_TOL - res1, span, tol=0.0)
-    rep.add("identity_prediction_error", IDENTITY_TOL - res2, span, tol=0.0)
-    rep.add("identity_tracking_error", IDENTITY_TOL - res3, span, tol=0.0)
+    rep.add("identity_tracking_vs_prediction", _margin(-np.abs(res1), e_mag, prev_size, lagged_size), span)
+    rep.add("identity_prediction_error", _margin(-np.abs(res2), prev_size, star_size, wb_mag), span)
+    rep.add("identity_tracking_error", _margin(-np.abs(res3), lagged_size, star_size, wb_mag), span)
     return rep
 
 
@@ -835,7 +834,7 @@ def check_trace_consistency(trace: Trace, cfg: ExperimentConfig, *,
         # Rows t0 .. t0+T of recorded (a column, or one row of columns per t) == derived.
         differ = np.flatnonzero((recorded != derived).reshape(T + 1, -1).any(axis=1))
         first = f", first at t = {cfg.t0 + int(differ[0])}" if len(differ) else ""
-        rep.add(name, float(-len(differ)), f"{len(differ)} of {T + 1} rows differ{first}", tol=0.0)
+        rep.add(name, float(-len(differ)), f"{len(differ)} of {T + 1} rows differ{first}")
 
     # Plant recursion: y(t0) as the loop starts from it, then y(t+1) from schedule,
     # history, and w(t+1); phi(t) holds its y(t) .. y(t-n+1) and u(t-d+1) .. u(t-d-m+1).
@@ -905,21 +904,17 @@ def predictor_residuals(trace: Trace, cfg: ExperimentConfig) -> np.ndarray:
     return ybar_t - _weighted(table.phi[d - 1 : T], gt.theta_star) - wb
 
 
-def fit_decay_bound(trace: Trace, lam: float, floor: float | None = None) -> float:
+def fit_decay_bound(trace: Trace, lam: float) -> float:
     """Smallest c such that, for every recorded t,
 
         ||phi(t)|| <= c [ lam^(t-t0) ||x0|| + sum_{j=t0..t} lam^(t-j) (|r(j)| + |w(j)|) ].
 
     The envelope is computed recursively in one pass (itertools.accumulate, the
-    same float operations in the same order as a loop); lam must lie strictly
-    between the spectral floor of the configuration (when supplied) and 1.
+    same float operations in the same order as a loop); lam must lie in (0, 1).
+    audit also holds it above the configuration's spectral floor.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"decay rate must lie in (0, 1), got {lam}")
-    if floor is not None and lam <= floor:
-        raise ValueError(
-            f"decay rate {lam} does not exceed the spectral floor {floor:.6f}"
-        )
     drive = (np.abs(trace.r) + np.abs(trace.w)).tolist()
     x0 = np.array([trace.cfg.x0], dtype=float)  # one row: ||x0|| in _weighted's order
     start = math.sqrt(_weighted(x0, x0, np.zeros(1))[0]) + drive[0]
@@ -973,7 +968,7 @@ def audit(trace: Trace, decay: float | None = None) -> VerificationReport:
         rep.checks += check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0, table=table).checks
     else:
         rep.checks += check_prop1(trace, table=table).checks
-    gain = fit_decay_bound(trace, decay, floor)
+    gain = fit_decay_bound(trace, decay)
     rep.fitted = {"lambda": decay, "spectral_floor": floor, "envelope_gain_c": gain}
     return rep
 

@@ -230,7 +230,7 @@ def test_criterion_05_error_identities(prop1_runs):
     for cfg, trace, gt in prop1_runs:
         rep = check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0)
         assert rep.passed, [c.line() for c in rep.checks if not c.passed]
-        worst = max(worst, max(1e-8 - c.margin for c in rep.checks))
+        worst = max(worst, max(1e-9 - c.margin for c in rep.checks))
     assert worst <= 1e-8
     print(
         f"\nPASS criterion 5: three identities on all 50 runs, worst residual "

@@ -19,7 +19,7 @@ from mraclab.harness import config_from_dict, demo_config, run_closed_loop, writ
 
 SHOWCASE_SHA256 = {
     "trace.csv": "d3186d34fb19995a22413fc7d243dc20a990eb97553078c13d5aa37cc27dbd3d",
-    "summary.json": "86e7c21115b8247d39bae3213ee014c424ea3c3caa045cbd2ce7614d12c65495",
+    "summary.json": "913ee35d4410ff63cfb52310a79974cfc85590d109c6e67fb08277f1ef9cb4d1",
 }
 
 # The config from the README's "Config format" section.
@@ -145,11 +145,11 @@ def test_trace_pinned(tmp_path, doc, digest):
 @pytest.mark.parametrize(
     "doc, digest",
     [
-        (README_CONFIG, "f9d83f64e1604315c8d8e57b9e34fed1ab6ce02bf4d10be38371b5510128d365"),
-        (D1_CONFIG, "6f346217f5e44e306c0368489e6ba0b6155f0d4ebc3d640464cbc8e83eebb2fe"),
-        (STATIC_D3_CONFIG, "5427acf9f451dfdb50e4c7f88db26618d8653289ca5d1a6b5ac1550db30669f3"),
-        (D1_GATED_CONFIG, "a8403a5c1d13779daede70def8818ddb004857da51cd1a3a594c7d63bef093fc"),
-        (P8_CONFIG, "cfb500d5f01b001c2c98eaf0d75d4cbc2f498c78f1448d683aa47e439ad4de5f"),
+        (README_CONFIG, "df3533640b5950769cb570a315ff96c2074996ff39b4e6e4c315184c5c524b6e"),
+        (D1_CONFIG, "50d55e80482b0029ca079b804c7a3332ff7b5e80451a94e7cdfdef101858cd3d"),
+        (STATIC_D3_CONFIG, "2beabff955228d278b9ed3aa69d9532835d08fa460ef12a4a21e67a786aee08a"),
+        (D1_GATED_CONFIG, "902d3c2ad5695384d379f47b93d24fbfef797224514cf331a007788df3e21ba8"),
+        (P8_CONFIG, "a48ddc47a361375e7e875167749ec7da2dc93024671c49a146b5951a0fd2d0bf"),
     ],
     ids=["readme", "d1", "static_d3", "d1_gated", "p8"],
 )

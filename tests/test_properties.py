@@ -1,5 +1,7 @@
 """Property tests: every admissible constant plant passes the audit and round-trips,
-a one-ulp edit of any trace cell fails the check README names for its column, the
+passes it too with u in any unit, keeps its bits but u's and beta's signs when u
+changes sign, and scales exactly with a power-of-two scale of r, w and x0; a
+one-ulp edit of any trace cell fails the check README names for its column, the
 estimator's scalar sums match the audits' column sums bit for bit, configs
 survive their document form, the admissibility test agrees with the root
 moduli, the predictor split is exact, signals and coefficients are their
@@ -120,6 +122,71 @@ def test_admissible_constant_plants_pass_and_round_trip(cfg):
     rep = audit(trace)  # consistency, prop1 against ground truth, identities
     assert [c.line() for c in rep.checks if not c.passed] == []
     assert {"parameter_error_contraction_total", "identity_prediction_error"} <= {c.name for c in rep.checks}
+
+
+def transformed(cfg: ExperimentConfig, gain: float = 1.0, scale: float = 1.0) -> ExperimentConfig:
+    """cfg with u in units gain times smaller and r, w and x0 times scale.
+
+    gain multiplies b and the beta coordinates of the box and of theta0, and
+    divides x0's u entries; a negative gain swaps the box's beta bounds.
+    """
+    doc = cfg.to_config_dict()
+    n, ny = cfg.n, cfg.n + cfg.d - 1  # theta0 and the box: n alphas, then betas; x0: ny outputs
+
+    def beta(v):
+        return v[:n] + [gain * x for x in v[n:]]
+
+    doc["plant"]["b"] = [gain * v for v in doc["plant"]["b"]]
+    lo, hi = beta(doc["estimator"]["box"]["lo"]), beta(doc["estimator"]["box"]["hi"])
+    doc["estimator"]["box"] = {"lo": list(map(min, lo, hi)), "hi": list(map(max, lo, hi))}
+    x0 = doc["sim"]["x0"]
+    doc["sim"].update(theta0=beta(doc["sim"]["theta0"]),
+                      x0=[scale * v for v in x0[:ny]] + [scale * v / gain for v in x0[ny:]])
+    for key in ("r", "w"):
+        doc["signals"][key]["amplitude"] *= scale
+    return config_from_dict(doc)
+
+
+def margins(rep, drop: str | None = None) -> list[tuple[str, str]]:
+    """Each check's name and margin bits, leaving out the checks whose names start with drop."""
+    return [(c.name, c.margin.hex()) for c in rep.checks if drop is None or not c.name.startswith(drop)]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(constant_plants(), unit(-8.0, 8.0))
+def test_every_check_passes_in_any_unit_of_u(cfg, log_gain):
+    # A check against an absolute tolerance failed the contraction step by one ulp
+    # of ||theta_hat - theta*||^2 once u was measured in units 1e4 times smaller.
+    rep = audit(run_closed_loop(transformed(cfg, gain=10.0**log_gain)))
+    assert [c.line() for c in rep.checks if not c.passed] == []
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(constant_plants())
+def test_negating_u_keeps_every_bit_but_the_signs_of_u_and_beta(cfg):
+    trace, flipped = run_closed_loop(cfg), run_closed_loop(transformed(cfg, gain=-1.0))
+    for name in ("t", "y", "y_star", "eps", "eps_bar", "e", "rho", "norm_phi", "r", "w"):
+        assert getattr(flipped, name).tobytes() == getattr(trace, name).tobytes(), name
+    n = cfg.n
+    assert flipped.theta_hat[:, :n].tobytes() == trace.theta_hat[:, :n].tobytes()
+    assert np.array_equal(flipped.theta_hat[:, n:], -trace.theta_hat[:, n:])  # == : 0.0 is -0.0
+    assert np.array_equal(flipped.u, -trace.u)
+    rep, back = audit(trace), audit(flipped)
+    assert margins(back) == margins(rep) and back.fitted == rep.fitted
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(constant_plants(), st.integers(-24, 24))
+def test_a_power_of_two_scale_of_r_w_and_x0_scales_every_signal_exactly(cfg, power):
+    scale = 2.0**power
+    trace, scaled = run_closed_loop(cfg), run_closed_loop(transformed(cfg, scale=scale))
+    for name in ("y", "y_star", "u", "eps", "eps_bar", "e", "norm_phi", "r", "w"):
+        assert getattr(scaled, name).tobytes() == (scale * getattr(trace, name)).tobytes(), name
+    for name in ("t", "rho", "theta_hat"):
+        assert getattr(scaled, name).tobytes() == getattr(trace, name).tobytes(), name
+    # The identities' 1 + sum |terms| does not scale; every other margin is a ratio that does not move.
+    rep, back = audit(trace), audit(scaled)
+    assert margins(back, drop="identity_") == margins(rep, drop="identity_") and back.fitted == rep.fitted
 
 
 @functools.lru_cache(maxsize=None)
