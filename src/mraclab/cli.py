@@ -53,8 +53,6 @@ def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
         return doc  # config_from_dict reports the malformed section
     if getattr(args, "steps", None) is not None:
         sim["steps"] = args.steps
-    if getattr(args, "seed", None) is not None:
-        sim["seed"] = args.seed
     if getattr(args, "label", None) is not None:
         doc["label"] = args.label
     return doc
@@ -141,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="experiment JSON file")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--steps", type=int, help="override sim.steps")
-    run_p.add_argument("--seed", type=int, help="override sim.seed")
     run_p.add_argument("--label", help="override the run label")
     run_p.add_argument("--verify", action="store_true", help="also run every check")
     run_p.add_argument(

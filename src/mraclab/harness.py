@@ -153,8 +153,7 @@ def _estimate(v):
 SCALAR_FIELDS = (("delta", _deadzone, "estimator.delta", "inf"), ("t0", integer, "sim.t0", 0),
                  ("steps", integer, "sim.steps", REQUIRED),
                  ("x0", numbers, "sim.x0", lambda cfg: (0.0,) * x0_length(cfg.n, cfg.m, cfg.d)),
-                 ("theta0", _estimate, "sim.theta0", "midpoint"), ("seed", integer, "sim.seed", 0),
-                 ("label", text, "label", ""))
+                 ("theta0", _estimate, "sim.theta0", "midpoint"), ("label", text, "label", ""))
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,6 @@ class ExperimentConfig:
     theta0: tuple[float, ...] = UNSET
     r: SignalSpec = zero_signal()
     w: SignalSpec = zero_signal()
-    seed: int = UNSET
     s_ab: InitVar[ParamBox | None] = None
     s_ab_samples: InitVar[int] = UNSET
     s_ab_margin: InitVar[float] = UNSET
@@ -227,7 +225,7 @@ class ExperimentConfig:
             if self.box is not None:
                 raise ConfigError("estimator", "takes a 'box' or an 's_ab_box', not both")
             object.__setattr__(self, "box", _at("estimator.s_ab_box", build_param_box, s_ab, self.ref,
-                                                n_a=self.n, seed=self.seed, **given))
+                                                n_a=self.n, **given))
         elif given:
             raise ConfigError(f"estimator.{next(iter(given))}", "only read with an s_ab_box")
         elif self.box is None:
@@ -289,12 +287,12 @@ class ExperimentConfig:
 
     def to_config_dict(self) -> dict:
         """Plain-JSON document form (the shape the CLI accepts): each SCALAR_FIELDS
-        field at its path, a tuple as a list, an infinity as "inf", an empty label left out."""
+        field at its path, a tuple as a list, an infinity as "inf", an empty label left out;
+        a constant plant as its row, any other as its schedule."""
         a, b = self.plant_rows
-        plant: dict = {"a": a[0].tolist(), "b": b[0].tolist(), "d": self.d}
-        if not self.schedule.is_constant():
-            plant["schedule"] = {key: [c.to_doc() for c in getattr(self.schedule, key)] for key in "ab"}
-        doc = {"plant": plant,
+        plant = ({"a": a[0].tolist(), "b": b[0].tolist()} if self.schedule.is_constant() else
+                 {"schedule": {key: [c.to_doc() for c in getattr(self.schedule, key)] for key in "ab"}})
+        doc = {"plant": {**plant, "d": self.d},
                "reference": {"L": list(self.ref.L.coeffs), "H": list(self.ref.H.coeffs)},
                "estimator": {}, "sim": {}, "signals": {"r": self.r.to_doc(), "w": self.w.to_doc()}}
         for name, _, path, _ in SCALAR_FIELDS:
@@ -402,6 +400,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     # A constant plant is a schedule of constant specs: ExperimentConfig tests its row once.
     fieldpath = "plant.schedule" if "schedule" in plant else "plant"
     if "schedule" in plant:
+        _known(plant, ("d", "schedule"), "plant")  # a schedule holds its rows
         sched = _section(plant, "schedule", fieldpath, ("a", "b"))
         specs = [_specs(CoefSpec, sched.get(key, []), f"{fieldpath}.{key}") for key in "ab"]
     elif "b" not in plant:
@@ -425,13 +424,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         section, _, key = path.rpartition(".")
         if key in sections[section]:
             kwargs[name] = sections[section][key]
-    cfg = ExperimentConfig(schedule=schedule, ref=ref, **kwargs)
-    # plant.a and plant.b beside a schedule are its row at t0, as to_config_dict writes them.
-    for key, rows in zip("ab", cfg.plant_rows if "schedule" in plant else ()):
-        row = rows[0].tolist()
-        if key in plant and list(_at(f"plant.{key}", numbers, plant[key])) != row:
-            raise ConfigError(f"plant.{key}", f"must equal the schedule's row at t0, {row}")
-    return cfg
+    return ExperimentConfig(schedule=schedule, ref=ref, **kwargs)
 
 
 CONVENTIONS = {
@@ -808,18 +801,18 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int, *,
     return rep
 
 
-def check_trace_consistency(trace: Trace, cfg: ExperimentConfig, *,
-                            table: Regressors | None = None) -> VerificationReport:
+def check_trace_consistency(trace: Trace, *, table: Regressors | None = None) -> VerificationReport:
     """Cross-check every stored column against the recursions that made it.
 
     Used when auditing a reloaded trace file: each column is re-derived from
-    the configuration plus the y/u columns in the loop's operation order (the
+    trace.cfg plus the y/u columns in the loop's operation order (the
     README lists which check owns which column) and compared with ==; the
     margin is minus the rows that differ; theta_hat is the projection update
     replayed from theta0. A trace must span the config's horizon, whose
     coefficient rows it reads.
     """
     rep = VerificationReport()
+    cfg = trace.cfg
     n, m, d = cfg.n, cfg.m, cfg.d
     T = cfg.steps
     if trace.rows != T + 1:
@@ -961,7 +954,7 @@ def audit(trace: Trace, decay: float | None = None) -> VerificationReport:
         msg = f"decay rate must lie in ({floor:.6f}, 1) for this configuration, got {decay}"
         raise ConfigError("lambda", msg)
     table = trace.regressors()  # the one regressor table every check reads
-    rep = check_trace_consistency(trace, cfg, table=table)
+    rep = check_trace_consistency(trace, table=table)
     if cfg.schedule.is_constant():
         gt = ground_truth(cfg)
         rep.checks += check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0, table=table).checks
@@ -1113,8 +1106,6 @@ def build_summary(trace: Trace, report: VerificationReport | None = None) -> dic
         },
         "conventions": dict(CONVENTIONS),
     }
-    if cfg.label:
-        summary["label"] = cfg.label
     if report is not None:
         summary["checks"] = report.to_dict()
     return summary

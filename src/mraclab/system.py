@@ -181,13 +181,11 @@ class ParamBox:
     def dim(self) -> int:
         return len(self.lo)
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"point has dimension {x.shape}, box has {self.dim}")
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return bool(np.all(x >= lo - tol) and np.all(x <= hi + tol))
+        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
     def midpoint(self) -> np.ndarray:
         return (np.asarray(self.lo) + np.asarray(self.hi)) / 2.0
@@ -237,18 +235,19 @@ def build_param_box(
     samples: int = 256,
     margin: float = 0.0,
     *,
-    seed: int,
+    seed: int = 0,
 ) -> ParamBox:
     """Hyperrectangle hull of the predictor-space image of a plant-space box.
 
     The first n_a coordinates of s_ab are the a-coefficients, the remaining
     m + 1 the b-coefficients. The map is evaluated at every corner of s_ab
-    plus `samples` uniform interior points; per-coordinate extrema, inflated
-    by `margin`, give the box. For d = 1 each output coordinate is affine in
-    (a, b), so the corner sweep alone is exact and samples only confirm it.
-    For d >= 2 the result is a sampled outer estimate; use margin > 0 for
-    slack. Every evaluated plant must be admissible (all points are tested
-    at once), and the resulting beta0 interval must exclude zero.
+    plus `samples` uniform interior points drawn with `seed`; per-coordinate
+    extrema, inflated by `margin`, give the box. For d = 1 each output
+    coordinate is affine in (a, b), so the corner sweep alone is exact and
+    samples only confirm it. For d >= 2 the result is a sampled outer
+    estimate; use margin > 0 for slack. Every evaluated plant must be
+    admissible (all points are tested at once), and the resulting beta0
+    interval must exclude zero.
     """
     if not 0 <= n_a <= s_ab.dim - 1:
         raise AdmissibilityError(

@@ -17,6 +17,7 @@ import pytest
 
 from mraclab.cli import main as cli_main
 from mraclab.harness import (
+    TOL,
     ExperimentConfig,
     check_identities,
     check_prop1,
@@ -217,10 +218,10 @@ def test_criterion_04_estimator_contraction(prop1_runs):
             assert mono and mono[0].passed
             monotone_runs += 1
     elapsed = time.monotonic() - start
-    assert worst >= -1e-9
+    assert worst >= 0.0
     assert monotone_runs >= 10
     print(
-        f"\nPASS criterion 4: 50 runs x 2000 steps, worst margin {worst:.2e} >= -1e-9; "
+        f"\nPASS criterion 4: 50 runs x 2000 steps, worst margin {worst:.2e} >= 0; "
         f"parameter error monotone on all {monotone_runs} noise-free runs; checks took {elapsed:.1f}s"
     )
 
@@ -230,11 +231,11 @@ def test_criterion_05_error_identities(prop1_runs):
     for cfg, trace, gt in prop1_runs:
         rep = check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0)
         assert rep.passed, [c.line() for c in rep.checks if not c.passed]
-        worst = max(worst, max(1e-9 - c.margin for c in rep.checks))
-    assert worst <= 1e-8
+        worst = max(worst, max(TOL - c.margin for c in rep.checks))
+    assert worst <= TOL
     print(
-        f"\nPASS criterion 5: three identities on all 50 runs, worst residual "
-        f"{worst:.2e} <= 1e-8"
+        f"\nPASS criterion 5: three identities on all 50 runs, worst relative residual "
+        f"{worst:.2e} <= {TOL:.0e}"
     )
 
 

@@ -27,7 +27,6 @@ def config_path(tmp_path):
             "steps": 300,
             "x0": [0.5, -0.5, 0.25, 1.0, -1.0, 0.0],
             "theta0": "midpoint",
-            "seed": 1,
         },
         "signals": {
             "r": {"kind": "square_wave", "period": 60},
@@ -64,13 +63,9 @@ class TestRun:
         ) == 0
         rows = (out / "trace.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 121
-
-    def test_seed_override_changes_hash(self, config_path, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["run", "--config", str(config_path), "--out", str(out_a)])
-        main(["run", "--config", str(config_path), "--out", str(out_b), "--seed", "9"])
-        h = lambda p: json.loads((p / "summary.json").read_text())["config_hash"]
-        assert h(out_a) != h(out_b)
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--config", str(config_path), "--out", str(out), "--seed", "9"])
+        assert info.value.code == 2
 
     def test_empty_label_override_clears_the_label(self, config_path, tmp_path):
         # An empty --label was taken for no override, so the document's label stayed.
@@ -303,16 +298,18 @@ class TestVerify:
         assert err.startswith("error: config:") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("key, row", [("a", [123.0, 456.0]), ("b", [0.0, 99.0])], ids=["a", "b"])
-    def test_sidecar_plant_row_must_match_the_schedule(self, tmp_path, capsys, key, row):
-        # The hash is taken from the schedule's rows, so an edited plant.a/b keeps it.
+    def test_sidecar_plant_row_beside_the_schedule_is_refused(self, tmp_path, capsys, key, row):
+        # The showcase's summary records its schedule alone and one label, in its config.
         out = tmp_path / "show"
         main(["reproduce", "--out", str(out)])
         summary = json.loads((out / "summary.json").read_text())
+        assert sorted(summary["config"]["plant"]) == ["d", "schedule"] and "label" not in summary
+        assert summary["config"]["label"] == "showcase"
         summary["config"]["plant"][key] = row
         (out / "summary.json").write_text(json.dumps(summary))
         capsys.readouterr()
         assert main(["verify", "--trace", str(out / "trace.csv")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: plant.{key}:")
+        assert capsys.readouterr().err == f"error: plant.{key}: unknown field\n"
 
     def test_sidecar_hash_is_recomputed(self, tmp_path, capsys):
         out = tmp_path / "show"

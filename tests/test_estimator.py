@@ -160,7 +160,7 @@ class TestEstimatorUpdate:
             for _ in range(500):
                 phi = rng.uniform(-3, 3, 2)
                 estimator_update(st, phi, ybar_next=float(rng.uniform(-10, 10)))
-                assert st.box.contains(st.theta_hat, tol=0.0)
+                assert st.box.contains(st.theta_hat)
 
     def test_move_bounded_by_normalized_error(self):
         # ||theta_hat(t+1) - theta_hat(t)|| <= rho |e| / ||phi||.

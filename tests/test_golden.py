@@ -19,7 +19,7 @@ from mraclab.harness import config_from_dict, demo_config, run_closed_loop, writ
 
 SHOWCASE_SHA256 = {
     "trace.csv": "d3186d34fb19995a22413fc7d243dc20a990eb97553078c13d5aa37cc27dbd3d",
-    "summary.json": "913ee35d4410ff63cfb52310a79974cfc85590d109c6e67fb08277f1ef9cb4d1",
+    "summary.json": "22543a065af7b2f3d16c3d8cf4b5d0de82c28103d3d0f8ddd42df97abb9c9156",
 }
 
 # The config from the README's "Config format" section.
@@ -42,7 +42,7 @@ D1_CONFIG = {
     "plant": {"a": [-0.5], "b": [1.0, 0.3], "d": 1},
     "reference": {"L": [1.0, -0.4], "H": [0.6]},
     "estimator": {"box": {"lo": [-1.0, 0.5, -1.0], "hi": [1.0, 2.0, 1.0]}, "delta": 0.5},
-    "sim": {"t0": -3, "steps": 200, "x0": [0.5, -0.25], "theta0": "midpoint", "seed": 4},
+    "sim": {"t0": -3, "steps": 200, "x0": [0.5, -0.25], "theta0": "midpoint"},
     "signals": {
         "r": {"kind": "sinusoid", "amplitude": 1.0, "rate": 0.05},
         "w": {"kind": "constant", "level": 0.01},
@@ -113,9 +113,9 @@ def test_showcase_artifacts_pinned(tmp_path):
 @pytest.mark.parametrize(
     "make, digest",
     [
-        (demo_config, "86c80136186788a7"),
-        (lambda: config_from_dict(README_CONFIG), "fcdf19a1c16cdc8d"),
-        (lambda: config_from_dict(D1_CONFIG), "ac4ebc08222b6409"),
+        (demo_config, "49b87c7b22062127"),
+        (lambda: config_from_dict(README_CONFIG), "f4261414f3c49702"),
+        (lambda: config_from_dict(D1_CONFIG), "4edfffaa30e63f76"),
     ],
     ids=["showcase", "readme", "d1"],
 )
@@ -145,11 +145,11 @@ def test_trace_pinned(tmp_path, doc, digest):
 @pytest.mark.parametrize(
     "doc, digest",
     [
-        (README_CONFIG, "df3533640b5950769cb570a315ff96c2074996ff39b4e6e4c315184c5c524b6e"),
-        (D1_CONFIG, "50d55e80482b0029ca079b804c7a3332ff7b5e80451a94e7cdfdef101858cd3d"),
-        (STATIC_D3_CONFIG, "2beabff955228d278b9ed3aa69d9532835d08fa460ef12a4a21e67a786aee08a"),
-        (D1_GATED_CONFIG, "902d3c2ad5695384d379f47b93d24fbfef797224514cf331a007788df3e21ba8"),
-        (P8_CONFIG, "a48ddc47a361375e7e875167749ec7da2dc93024671c49a146b5951a0fd2d0bf"),
+        (README_CONFIG, "0102d1c9ed78d561d1685e829aff505f6696ab984732c52f27d5bacbafb275b7"),
+        (D1_CONFIG, "50c62376dc3dde3aa58f8e713ba0b22854266a38d99070c808741d14ee682c12"),
+        (STATIC_D3_CONFIG, "fa17d9c66fa7e76b09156f570bcd1688a2cc9374dbcb559dcd7c46d148b0552b"),
+        (D1_GATED_CONFIG, "423fed05f5d08280f4d8f5c9ee74ec965de7fe2fa126fd789f94882fc8d6f8be"),
+        (P8_CONFIG, "0e1e939101d548f183984d4e8e5176a2b10fd3cfad021b9dfc8979ee809b4942"),
     ],
     ids=["readme", "d1", "static_d3", "d1_gated", "p8"],
 )

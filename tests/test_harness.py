@@ -111,6 +111,8 @@ MALFORMED = [
     ("estimator.box", 3.0, "estimator.box"),
     ("estimator.samples", "many", "estimator.samples"),
     ("estimator.margin", "wide", "estimator.margin"),
+    ("estimator.seed", 7, "estimator.seed"),
+    ("sim.seed", 0, "sim.seed"),
     ("lable", "showcase", "lable"),
     ("estimator.dleta", 0.5, "estimator.dleta"),
     ("estimator.box.mid", [0.0], "estimator.box.mid"),
@@ -257,18 +259,18 @@ class TestConfigValidation:
         "name, value, fieldpath",
         [
             ("t0", True, "sim.t0"),
-            ("seed", 1.5, "sim.seed"),
             ("delta", True, "estimator.delta"),
             ("t0", 0.5, "sim.t0"),
             ("steps", 200.0, "sim.steps"),
             ("s_ab_samples", True, "estimator.samples"),
+            ("s_ab_margin", "0.5", "estimator.margin"),
             ("label", 5, "label"),
         ],
-        ids=["t0_bool", "seed_fraction", "delta_bool", "t0_fraction", "steps_float", "samples_bool",
-             "label_int"],
+        ids=["t0_bool", "delta_bool", "t0_fraction", "steps_float", "samples_bool",
+             "margin_string", "label_int"],
     )
     def test_scalar_fields_follow_the_document_rules(self, name, value, fieldpath):
-        # The first three ran and wrote a summary that config_from_dict refuses;
+        # The first two ran and wrote a summary that config_from_dict refuses;
         # t0 = 0.5 and steps = 200.0 raised a bare TypeError; label = 5 wrote
         # "label": 5, which read back as "5" under another config hash.
         with pytest.raises(ConfigError, match=f"^{re.escape(fieldpath)}: expected an? "):
@@ -468,8 +470,8 @@ class TestConfigRoundTrip:
             ("sim.x0", "123456", "sim.x0: expected an array of numbers"),
             ("sim.steps", 400.9, "sim.steps: expected an integer, got 400.9"),
             ("plant.a", [math.nan, 0.08], "plant: field 'value': must be finite"),
-            ("plant.schedule", {"a": [{"kind": "table", "values": [-0.6, math.nan]}, 0.08],
-                                "b": [2.0, 0.5]},
+            ("plant", {"schedule": {"a": [{"kind": "table", "values": [-0.6, math.nan]}, 0.08],
+                                    "b": [2.0, 0.5]}, "d": 2},
              "plant.schedule.a[0]: field 'values': must be finite"),
             ("reference.L", [], "reference: PolyZ needs at least one coefficient"),
         ],
@@ -515,18 +517,15 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="signals.r"):
             config_from_dict(doc)
 
-    @pytest.mark.parametrize(
-        "key, value", [("a", ["x"]), ("a", [123.0, 456.0]), ("b", [0.0, 99.0])],
-        ids=["a_not_numbers", "a_other_row", "b_other_row"],
-    )
-    def test_plant_row_beside_a_schedule_is_its_row_at_t0(self, key, value):
+    @pytest.mark.parametrize("key", ["a", "b"])
+    def test_plant_row_beside_a_schedule_is_an_unknown_field(self, key):
+        # A schedule holds its rows: its document repeated the row at t0 as plant.a/b,
+        # a copy that config_from_dict had to hold equal to the schedule's.
         doc = demo_config().to_config_dict()
-        assert config_from_dict(doc) == demo_config()
-        doc["plant"][key] = value
-        with pytest.raises(ConfigError, match=f"^plant\\.{key}:"):
+        assert sorted(doc["plant"]) == ["d", "schedule"] and config_from_dict(doc) == demo_config()
+        doc["plant"][key] = demo_config().plant_rows["ab".index(key)][0].tolist()
+        with pytest.raises(ConfigError, match=f"^plant\\.{key}: unknown field$"):
             config_from_dict(doc)
-        del doc["plant"]["a"], doc["plant"]["b"]  # the schedule alone is enough
-        assert config_from_dict(doc) == demo_config()
 
     def test_sinusoid_angle_is_finite_where_sampled(self):
         # math.cos raises on an infinite angle; times the run never samples do not count.
@@ -605,7 +604,7 @@ class TestPythonAndDocumentParity:
         cfg = minimal_config(box=self.BOX, steps=400)
         doc = config_from_dict(minimal_doc())
         assert cfg == doc and cfg.config_hash() == doc.config_hash()
-        assert (cfg.delta, cfg.t0, cfg.seed, cfg.label) == (math.inf, 0, 0, "")
+        assert (cfg.delta, cfg.t0, cfg.label) == (math.inf, 0, "")
         assert cfg.x0 == (0.0,) * 6 and cfg.theta0 == (0.0, 0.0, 2.0, 0.0, 0.0)
         assert cfg.r == cfg.w == zero_signal()
 
@@ -624,9 +623,9 @@ class TestPythonAndDocumentParity:
         assert cfg.box.contains(cfg.theta0) and cfg.theta0 == tuple(cfg.box.midpoint())
 
     def test_s_ab_box_round_trip_keeps_samples_and_margin(self):
-        doc = minimal_doc({"s_ab_box": README_S_AB, "samples": 12, "margin": 0.125}, seed=7)
-        cfg = config_from_dict(doc)
-        assert cfg.box == build_param_box(S_AB, cfg.ref, n_a=2, samples=12, margin=0.125, seed=7)
+        cfg = config_from_dict(minimal_doc({"s_ab_box": README_S_AB, "samples": 12, "margin": 0.125}))
+        assert cfg.box == build_param_box(S_AB, cfg.ref, n_a=2, samples=12, margin=0.125)
+        assert cfg == minimal_config(s_ab=S_AB, s_ab_samples=12, s_ab_margin=0.125, steps=400)
         assert cfg.box != config_from_dict(minimal_doc({"s_ab_box": README_S_AB})).box
         back = config_from_dict(cfg.to_config_dict())
         assert back == cfg and back.config_hash() == cfg.config_hash()
@@ -1112,7 +1111,7 @@ class TestChecks:
 
     def test_consistency_passes(self, noisy_run):
         cfg, tr, gt = noisy_run
-        assert check_trace_consistency(tr, cfg).passed
+        assert check_trace_consistency(tr).passed
 
     def test_consistency_catches_each_column(self, noisy_run):
         # One edited cell of any trace.csv column fails the check that owns it, whether
@@ -1155,7 +1154,7 @@ class TestChecks:
                     name, hacked = col, np.array(getattr(tr, col))
                     hacked[row] = edit(col, hacked[row], size)
                 bad = Trace(**{**tr.__dict__, name: hacked})
-                rep = check_trace_consistency(bad, cfg)
+                rep = check_trace_consistency(bad)
                 assert not rep.passed, (col, size, row)
                 assert any(
                     c.name == check_name and not c.passed for c in rep.checks
@@ -1164,7 +1163,7 @@ class TestChecks:
             y_star, eps = np.array(tr.y_star), np.array(tr.eps)
             y_star[row] = edit("y_star", y_star[row], size)
             eps[row] = tr.y[row] - y_star[row]
-            rep = check_trace_consistency(Trace(**{**tr.__dict__, "y_star": y_star, "eps": eps}), cfg)
+            rep = check_trace_consistency(Trace(**{**tr.__dict__, "y_star": y_star, "eps": eps}))
             failed = {c.name for c in rep.checks if not c.passed}
             assert failed == {"consistency_reference_recursion"}, (size, row)
 
@@ -1176,7 +1175,7 @@ class TestChecks:
         cols = {k: v[:-1] if isinstance(v, np.ndarray) else v for k, v in tr.__dict__.items()}
         msg = "trace has 60 rows; the configuration's horizon has 61"
         with pytest.raises(ValueError, match=msg):
-            check_trace_consistency(Trace(**cols), cfg)
+            check_trace_consistency(Trace(**cols))
 
     def test_verdicts_do_not_depend_on_units(self):
         # The system is linear: r, w and x0 in other units scale every signal
@@ -1207,7 +1206,7 @@ class TestChecks:
         back = trace_from_csv(tmp_path / "trace.csv", cfg)
         gt = ground_truth(cfg)
         for trace in (tr, back):
-            assert check_trace_consistency(trace, cfg).passed
+            assert check_trace_consistency(trace).passed
             assert check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0).passed
             assert check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0).passed
         assert np.max(np.abs(predictor_residuals(back, cfg))) < 1e-9
@@ -1217,7 +1216,7 @@ class TestChecks:
         hacked = np.array(tr.rho)
         hacked[100] = 1 - hacked[100]
         bad = Trace(**{**tr.__dict__, "rho": hacked})
-        rep = check_trace_consistency(bad, cfg)
+        rep = check_trace_consistency(bad)
         gate = [c for c in rep.checks if c.name == "consistency_deadzone_gate"][0]
         assert not gate.passed
 
@@ -1349,7 +1348,7 @@ def test_audit_recomputes_loop_columns_exactly(make):
     # consistency check finds no differing row: its margin is 0.0.
     cfg = make()
     trace = run_closed_loop(cfg)
-    rep = check_trace_consistency(trace, cfg)
+    rep = check_trace_consistency(trace)
     exact = [(c.name, c.margin.hex()) for c in rep.checks]
     assert exact == [(name, (0.0).hex()) for name, _ in exact]
     # audit hands its one regressor table to the checks; called alone, each builds its own.
@@ -1506,7 +1505,7 @@ class TestTraceFiles:
                      "norm_phi", "theta_hat", "r", "w"):
             assert np.array_equal(getattr(tr, name), getattr(tr2, name)), name
         assert np.array_equal(tr.regressors().phi, tr2.regressors().phi)
-        assert check_trace_consistency(tr2, cfg).passed
+        assert check_trace_consistency(tr2).passed
 
     @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1025])
     def test_writer_writes_the_savetxt_bytes(self, tmp_path, rows):
@@ -1547,7 +1546,7 @@ class TestTraceFiles:
         cells[1] = "%.17g" % (float(cells[1]) + 1e-4)  # y column
         lines[40] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        rep = check_trace_consistency(trace_from_csv(path, cfg), cfg)
+        rep = check_trace_consistency(trace_from_csv(path, cfg))
         assert not rep.passed
 
     def test_write_outputs_file_set(self, tmp_path):

@@ -130,7 +130,7 @@ class TestSignals:
         monkeypatch.setattr(
             plant_sim, "signal_eval", lambda spec, t: sampled.append(spec) or sample(spec, t)
         )
-        check_trace_consistency(run_closed_loop(cfg), cfg)
+        check_trace_consistency(run_closed_loop(cfg))
         ground_truth(cfg)
         assert cfg.w.kind == "white_noise" and cfg.r in sampled
         assert cfg.w not in sampled
