@@ -10,14 +10,15 @@ additive regularizing constant; the deadzone itself is what keeps the
 division safe - and is then clamped back into the box coordinate-wise.
 Projection onto a convex set never increases the distance to any point of
 the set, which is what makes the parameter-error arguments go through.
-The step runs on plain floats in one pass over phi: phi^T theta_hat and
-||phi||^2 are summed left to right, each in its own accumulator from +0.0,
-with no BLAS dot. The audits' column sums take that order, so they
-recompute e, ||phi|| and the gate bit for bit. A gated-on step then sets
-each coordinate i, in index order, to v = theta_hat_i + phi_i (e / ||phi||^2)
-clamped to the box: lo_i if v < lo_i, else hi_i if v > hi_i, else v, so a
-NaN passes through and a signed zero keeps its sign. The golden traces pin
-these products and this order.
+The step runs on plain floats in one indexed pass over phi (pred += f *
+theta[i]; sq += f * f): phi^T theta_hat and ||phi||^2 are summed left to
+right, each from +0.0, with no BLAS dot and no sum(), math.fsum or
+math.sumprod, whose bits differ on newer Pythons. The audits' column sums
+take that order, so they recompute e, ||phi|| and the gate bit for bit. A
+gated-on step then sets each coordinate i, in index order, to
+v = theta_hat_i + phi_i (e / ||phi||^2) clamped to the box: lo_i if v < lo_i,
+else hi_i if v > hi_i, else v, so a NaN passes through and a signed zero
+keeps its sign. The golden traces pin these products and this order.
 """
 
 from __future__ import annotations
@@ -38,14 +39,15 @@ __all__ = [
 def deadzone_flag(e_next: float, sq: float, box_norm_value: float, delta: float) -> int:
     """Relative-deadzone gate: 1 iff |e| < (2 ||S|| + delta) ||phi||, from sq = ||phi||^2.
 
-    estimator_update sums sq in one pass over phi, in its own accumulator
-    from +0.0 beside phi^T theta_hat. A zero regressor always gates the
-    update off. delta = inf disables the deadzone entirely: the update runs
-    whenever ||phi|| > 0 (the infinite threshold never loses to a finite error).
+    A zero regressor always gates the update off. delta = inf disables the
+    deadzone: the gate is ||phi|| != 0 alone and no threshold is formed.
+    Otherwise the threshold is (2 ||S|| + delta) * ||phi||, and a NaN error
+    or regressor closes the gate. Returns the int 1 or 0.
     """
     norm = math.sqrt(sq)
-    threshold = (2.0 * box_norm_value + delta) * norm
-    return int(norm != 0.0 and (math.isinf(delta) or abs(e_next) < threshold))
+    if math.isinf(delta):
+        return 1 if norm != 0.0 else 0
+    return 1 if norm != 0.0 and abs(e_next) < (2.0 * box_norm_value + delta) * norm else 0
 
 
 @dataclass
@@ -77,18 +79,19 @@ class StepRecord:
 def estimator_update(state: EstimatorState, phi_lag, ybar_next: float) -> StepRecord:
     """One projection-algorithm step; mutates the list state.theta_hat in place.
 
-    One pass over phi_lag sums phi^T theta_hat and ||phi||^2, each in its
-    own accumulator from +0.0; ValueError if phi_lag and theta_hat differ in
-    length. Gated off (rho = 0) the estimate is untouched. Gated on, it moves
-    by phi e / ||phi||^2 and each coordinate is clamped back into the box.
+    ValueError if phi_lag and theta_hat differ in length. Gated off (rho = 0)
+    the estimate is untouched. Gated on, it moves by phi e / ||phi||^2 and
+    each coordinate is clamped back into the box.
     """
     theta = state.theta_hat
     if len(phi_lag) != len(theta):
         raise ValueError(f"regressor length {len(phi_lag)} != parameter length {len(theta)}")
     pred = sq = 0.0
-    for f, c in zip(phi_lag, theta):
-        pred += f * c
+    i = 0
+    for f in phi_lag:
+        pred += f * theta[i]
         sq += f * f
+        i += 1
     e_next = float(ybar_next) - pred
     rho = deadzone_flag(e_next, sq, state.box_norm_cached, state.delta)
     if rho:

@@ -517,9 +517,8 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     regressor. The estimate used to compute u(t) is always theta_hat(t),
     i.e. the one produced after the previous step's update. The open-loop
     columns (r, w and the reference outputs) are computed once, before the
-    loop; the coefficient rows are the ones the config validated. Each
-    update sums phi^T theta_hat and ||phi||^2 in one pass over phi, each
-    from +0.0; theta_hat and rho are written to their arrays once, after the loop.
+    loop; the coefficient rows are the ones the config validated. theta_hat
+    and rho are written to their arrays once, after the loop.
 
     Each step calls its kernels (control_input, plant_step, ybar,
     estimator_update) through this module's names, so a wrapper installed

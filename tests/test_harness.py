@@ -1109,6 +1109,25 @@ class TestChecks:
         rep = check_identities(bad, gt.theta_star, gt.wbar, gt.wbar_t0)
         assert not rep.passed
 
+    @pytest.mark.parametrize("tamper", ["theta_star", "wbar"])
+    def test_identities_catch_a_ground_truth_off_by_a_millionth(self, tamper):
+        # theta* or wbar off by 1e-6 (relative) fails the two identities that read
+        # it; the bookkeeping identity reads neither and still passes.
+        cfg = make_config(steps=400)
+        tr, gt = run_closed_loop(cfg), ground_truth(cfg)
+        theta_star, wbar = np.array(gt.theta_star), np.array(gt.wbar)
+        if tamper == "theta_star":
+            theta_star *= 1.0 + 1e-6
+        else:
+            wbar += 1e-6 * np.max(np.abs(wbar))
+        assert check_identities(tr, gt.theta_star, gt.wbar, gt.wbar_t0).passed
+        rep = check_identities(tr, theta_star, wbar, gt.wbar_t0)
+        assert {c.name: c.passed for c in rep.checks} == {
+            "identity_tracking_vs_prediction": True,
+            "identity_prediction_error": False,
+            "identity_tracking_error": False,
+        }
+
     def test_consistency_passes(self, noisy_run):
         cfg, tr, gt = noisy_run
         assert check_trace_consistency(tr).passed
@@ -1166,6 +1185,15 @@ class TestChecks:
             rep = check_trace_consistency(Trace(**{**tr.__dict__, "y_star": y_star, "eps": eps}))
             failed = {c.name for c in rep.checks if not c.passed}
             assert failed == {"consistency_reference_recursion"}, (size, row)
+
+    def test_consistency_detail_counts_rows_and_names_the_first(self):
+        cfg = make_config(steps=400)
+        tr = run_closed_loop(cfg)
+        w = np.array(tr.w)
+        w[100] = np.nextafter(w[100], np.inf)
+        rep = check_trace_consistency(Trace(**{**tr.__dict__, "w": w}))
+        failed = [(c.name, c.margin, c.detail) for c in rep.checks if not c.passed]
+        assert failed == [("consistency_exogenous_signals", -1.0, "1 of 401 rows differ, first at t = 100")]
 
     @pytest.mark.parametrize("make", [lambda: make_config(steps=60), lambda: demo_config(60)],
                              ids=["constant", "time_varying"])
