@@ -198,20 +198,13 @@ class ExperimentConfig:
         return self.n + self.m + self.d
 
     def __post_init__(self, s_ab, s_ab_samples, s_ab_margin) -> None:
-        """Give each SCALAR_FIELDS field its value as a document's, build the box from
-        s_ab with the samples and margin given (build_param_box holds their defaults),
+        """Build the box from s_ab with the samples and margin given (build_param_box
+        holds their defaults), give each SCALAR_FIELDS field its value as a document's,
         and check the whole configuration.
 
         Raises ConfigError with the offending field path, so a constructed
         config always meets the assumptions run_closed_loop relies on.
         """
-        for name, read, fieldpath, default in SCALAR_FIELDS:
-            value = getattr(self, name)
-            if value is UNSET:
-                if default is REQUIRED:
-                    raise ConfigError(fieldpath, "missing field")
-                value = default(self) if callable(default) else default
-            object.__setattr__(self, name, _at(fieldpath, read, value))
         recipe = (("samples", integer, s_ab_samples), ("margin", number, s_ab_margin))
         given = {key: _at(f"estimator.{key}", read, v) for key, read, v in recipe if v is not UNSET}
         if not math.isfinite(given.get("margin", 0.0)):  # before build_param_box reads it
@@ -224,12 +217,24 @@ class ExperimentConfig:
         if s_ab is not None:
             if self.box is not None:
                 raise ConfigError("estimator", "takes a 'box' or an 's_ab_box', not both")
-            object.__setattr__(self, "box", _at("estimator.s_ab_box", build_param_box, s_ab, self.ref,
-                                                n_a=self.n, **given))
+            try:  # the image's long division has d terms
+                box = _at("estimator.s_ab_box", build_param_box, s_ab, self.ref, n_a=self.n, **given)
+            except MemoryError:
+                raise ConfigError("plant.d", f"{self.d} is too long a delay to allocate") from None
+            object.__setattr__(self, "box", box)
         elif given:
             raise ConfigError(f"estimator.{next(iter(given))}", "only read with an s_ab_box")
         elif self.box is None:
             raise ConfigError("estimator", "needs a 'box' or an 's_ab_box'")
+        if self.box.dim != self.dim_theta:  # before x0's default, whose length grows with d
+            raise ConfigError("estimator.box", f"box dimension {self.box.dim} != n+m+d = {self.dim_theta}")
+        for name, read, fieldpath, default in SCALAR_FIELDS:
+            value = getattr(self, name)
+            if value is UNSET:
+                if default is REQUIRED:
+                    raise ConfigError(fieldpath, "missing field")
+                value = default(self) if callable(default) else default
+            object.__setattr__(self, name, _at(fieldpath, read, value))
         if isinstance(self.theta0, str):  # "midpoint"
             object.__setattr__(self, "theta0", tuple(self.box.midpoint().tolist()))
         n, m, d = self.n, self.m, self.d
@@ -237,8 +242,6 @@ class ExperimentConfig:
             raise ConfigError("reference", f"reference delay {self.ref.d} != plant delay {d}")
         if self.ref.order > n:
             raise ConfigError("reference.L", f"order {self.ref.order} exceeds plant order {n}")
-        if self.box.dim != self.dim_theta:
-            raise ConfigError("estimator.box", f"box dimension {self.box.dim} != n+m+d = {self.dim_theta}")
         lo, hi = self.box.lo[n], self.box.hi[n]
         if lo <= 0.0 <= hi:
             raise ConfigError(
@@ -470,14 +473,6 @@ class Trace:
     def rows(self) -> int:
         return len(self.t)
 
-    @property
-    def t0(self) -> int:
-        return int(self.t[0])
-
-    @property
-    def t_end(self) -> int:
-        return int(self.t[-1])
-
     def regressors(self) -> Regressors:
         return Regressors(self.cfg, self.y, self.u)
 
@@ -691,6 +686,16 @@ def _wbar_rows(wbar, wbar_t0: int, t0: int, count: int) -> np.ndarray:
     return wbar[first : first + count]
 
 
+def _horizon(trace: Trace) -> tuple[int, int]:
+    """The run's t0 and steps T, from trace.cfg: the one source of every audit's horizon.
+    The recorded t column is consistency_time_index's alone. ValueError unless the trace
+    holds the config's T + 1 rows."""
+    cfg = trace.cfg
+    if trace.rows != cfg.steps + 1:
+        raise ValueError(f"trace has {trace.rows} rows; the configuration's horizon has {cfg.steps + 1}")
+    return cfg.t0, cfg.steps
+
+
 def _margin(slack, *mags) -> float:
     """A check's margin: the smallest TOL + slack / (1 + sum mags) over its rows, TOL with none.
 
@@ -710,12 +715,12 @@ def check_prop1(trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = 
     normalized prediction error. When the true parameters (constant plants)
     and the filtered noise are supplied, additionally checks that theta* is
     in the box, the parameter-error contraction per step and accumulated over
-    the run, and - for disturbance-free runs - monotonicity of the parameter error.
+    the run, and - when wbar = 0 on every row the contraction reads, wbar(t0) ..
+    wbar(t0+T-d) - monotonicity of the parameter error. t0 and T are trace.cfg's.
     """
     rep = VerificationReport()
     d = trace.cfg.d
-    t0 = trace.t0
-    T = trace.rows - 1
+    t0, T = _horizon(trace)
 
     # Row k pairs the update from t = t0 + k with ||phi(t-d+1)||^2.
     sq = (trace.regressors() if table is None else table).sq[:T]
@@ -750,9 +755,10 @@ def check_prop1(trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = 
     rep.add("parameter_error_contraction_total",
             _margin(err_sq[d - 1] + budget - err_sq[T], err_sq[d - 1], abs(budget), err_sq[T]))
 
-    if not trace.w.any():
+    if not wb.any():  # then no allowed change is positive: the error cannot grow
         err = np.sqrt(err_sq[d - 1 :])
-        rep.add("parameter_error_monotone", _margin(err[:-1] - err[1:], err[:-1], err[1:]), "w = 0 run")
+        rep.add("parameter_error_monotone", _margin(err[:-1] - err[1:], err[:-1], err[1:]),
+                "wbar = 0 on every contraction row")
     return rep
 
 
@@ -777,8 +783,7 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int, *,
     rep = VerificationReport()
     theta_star = np.asarray(theta_star, dtype=float)
     d = trace.cfg.d
-    t0 = trace.t0
-    T = trace.rows - 1
+    t0, T = _horizon(trace)
     count = max(T + 1 - d, 0)
 
     table = trace.regressors() if table is None else table
@@ -813,11 +818,9 @@ def check_trace_consistency(trace: Trace, *, table: Regressors | None = None) ->
     rep = VerificationReport()
     cfg = trace.cfg
     n, m, d = cfg.n, cfg.m, cfg.d
-    T = cfg.steps
-    if trace.rows != T + 1:
-        raise ValueError(f"trace has {trace.rows} rows; the configuration's horizon has {T + 1}")
+    _, T = _horizon(trace)
     h, l_coeffs = cfg.ref.H.coeffs, cfg.ref.L.coeffs
-    table = Regressors(cfg, trace.y, trace.u) if table is None else table
+    table = trace.regressors() if table is None else table
     hist, phi, sq = table.hist, table.phi, table.sq  # phi(t0-d+1 .. t0+T)
     r_cfg, w_cfg = signal_rows(cfg.r, cfg.t0, T + 1), signal_rows(cfg.w, cfg.t0, T + 1)
     r_ext = hist.at_rest(r_cfg)
@@ -884,13 +887,14 @@ def predictor_residuals(trace: Trace, cfg: ExperimentConfig) -> np.ndarray:
 
     For a constant plant, ybar(t) - phi(t-d)^T theta* - wbar(t-d) is zero in
     exact arithmetic for every t >= t0 + d, no matter how u was chosen; the
-    returned array holds those residuals (closed-loop data included).
+    returned array holds those residuals (closed-loop data included). cfg gives
+    the predictor tested, trace.cfg the horizon and the regressor table.
     ground_truth raises ValueError for a time-varying plant.
     """
     gt = ground_truth(cfg)
-    d, t0, T = cfg.d, trace.t0, trace.rows - 1
-    l_coeffs = cfg.ref.L.coeffs
-    table = Regressors(cfg, trace.y, trace.u)
+    t0, T = _horizon(trace)
+    d, l_coeffs = cfg.d, cfg.ref.L.coeffs
+    table = trace.regressors()
     ybar_t = _weighted(table.hist.lags(table.hist.y, len(l_coeffs), d, T + 1 - d), l_coeffs)
     wb = _wbar_rows(gt.wbar, gt.wbar_t0, t0, T + 1 - d)
     return ybar_t - _weighted(table.phi[d - 1 : T], gt.theta_star) - wb
@@ -917,7 +921,7 @@ def fit_decay_bound(trace: Trace, lam: float) -> float:
     bad = np.flatnonzero(~live & (norm_phi > 0.0))
     if len(bad):
         raise ValueError(
-            f"degenerate fit at t = {trace.t0 + int(bad[0])}: zero envelope, nonzero signal"
+            f"degenerate fit at t = {trace.cfg.t0 + int(bad[0])}: zero envelope, nonzero signal"
         )
     # max(0.0, .) turns a -0.0 maximum into +0.0, as a running max from 0.0 gives
     return max(0.0, float(np.max(norm_phi[live] / env[live], initial=0.0)))
@@ -960,7 +964,10 @@ def audit(trace: Trace, decay: float | None = None) -> VerificationReport:
         rep.checks += check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0, table=table).checks
     else:
         rep.checks += check_prop1(trace, table=table).checks
-    gain = fit_decay_bound(trace, decay)
+    try:
+        gain = fit_decay_bound(trace, decay)
+    except ValueError:  # a zero envelope under a nonzero norm_phi: a consistency check has failed
+        gain = None
     rep.fitted = {"lambda": decay, "spectral_floor": floor, "envelope_gain_c": gain}
     return rep
 
@@ -1060,29 +1067,21 @@ def write_plot_script(trace: Trace, path) -> None:
     Path(path).write_text(PLOT_SCRIPT.format(theta_plots=thetas, **col))
 
 
-def _regime_rms(trace: Trace) -> dict:
-    """RMS tracking error over three windows of t0 .. t_end, T = t_end - t0 steps: the first
-    fifth [t0, t0 + T // 5], the rest of the first half up to b1 = t0 + T // 2, and the
-    second half without its first fifth, [b1 + (t_end - b1) // 5, t_end]."""
-    t, eps = trace.t, trace.eps
-
-    def rms(mask) -> float:
-        vals = eps[mask]
-        return float(np.sqrt(np.mean(vals**2))) if len(vals) else 0.0
-
-    t0, t_end = trace.t0, trace.t_end
-    b0, b1 = t0 + (t_end - t0) // 5, t0 + (t_end - t0) // 2
-    return {
-        f"rms_eps[{t0},{b0}]": rms((t >= t0) & (t <= b0)),
-        f"rms_eps({b0},{b1}]": rms((t > b0) & (t <= b1)),
-        f"rms_eps[{b1 + (t_end - b1) // 5},{t_end}]": rms(
-            (t >= b1 + (t_end - b1) // 5) & (t <= t_end)
-        ),
-    }
+def _regime_rms(trace: Trace, t0: int, T: int) -> dict:
+    """RMS tracking error over three windows of t0 .. t0 + T, by row index k = t - t0: the
+    first fifth [0, k0 = T // 5], the rest of the first half up to k1 = T // 2, and the
+    second half without its first fifth, [k1 + (T - k1) // 5, T]."""
+    k0, k1 = T // 5, T // 2
+    k2 = k1 + (T - k1) // 5
+    windows = {f"rms_eps[{t0},{t0 + k0}]": (0, k0), f"rms_eps({t0 + k0},{t0 + k1}]": (k0 + 1, k1),
+               f"rms_eps[{t0 + k2},{t0 + T}]": (k2, T)}
+    return {key: float(np.sqrt(np.mean(trace.eps[first : last + 1] ** 2)))
+            for key, (first, last) in windows.items()}
 
 
 def build_summary(trace: Trace, report: VerificationReport | None = None) -> dict:
     cfg = trace.cfg
+    t0, T = _horizon(trace)
     total, _ = tracking_energy(trace)
     lo, hi = np.asarray(cfg.box.lo), np.asarray(cfg.box.hi)
     in_box = bool(np.all(trace.theta_hat >= lo) and np.all(trace.theta_hat <= hi))
@@ -1090,11 +1089,11 @@ def build_summary(trace: Trace, report: VerificationReport | None = None) -> dic
     summary = {
         "config": doc,
         "config_hash": _document_hash(doc),
-        "rows": trace.rows,
-        "t_range": [trace.t0, trace.t_end],
+        "rows": T + 1,
+        "t_range": [t0, t0 + T],
         "tracking": {
             "energy_total": total,
-            **_regime_rms(trace),
+            **_regime_rms(trace, t0, T),
         },
         "estimates": {
             "final": [float(v) for v in trace.theta_hat[-1]],

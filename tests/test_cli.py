@@ -186,6 +186,35 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}: field 'rate':") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "box, fieldpath", [("box", "estimator.box"), ("s_ab_box", "plant.d")], ids=["box", "s_ab_box"]
+    )
+    @pytest.mark.parametrize("d", [2**40, 2**62], ids=["2^40", "2^62"])
+    def test_astronomical_delay_is_a_config_error(self, tmp_path, capsys, d, box, fieldpath):
+        # x0's default has about 3d entries, and an s_ab_box's image a d-term long division.
+        doc = json.loads(json.dumps(README_CONFIG))
+        doc["plant"]["d"] = d
+        del doc["sim"]["x0"]
+        if box == "s_ab_box":
+            doc["estimator"] = {"s_ab_box": README_S_AB}
+        with pytest.raises(harness.ConfigError, match=f"^{fieldpath}: "):
+            harness.config_from_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fieldpath}: ") and len(err.splitlines()) == 1
+
+
+def edit_cell(trace, column: str, row: int, cell: str) -> None:
+    """Set one cell of a trace.csv; row counts data rows from 0, and -1 is the last."""
+    lines = trace.read_text().splitlines()
+    k = row + 1 if row >= 0 else row  # line 0 is the header
+    cells = lines[k].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[k] = ",".join(cells)
+    trace.write_text("\n".join(lines) + "\n")
+
 
 class TestVerify:
     def test_from_config(self, config_path, capsys):
@@ -352,6 +381,45 @@ class TestVerify:
         assert main(["verify", "--trace", str(trace)]) == 1
         text = capsys.readouterr().out
         assert f"FAIL {owner} " in text and "VERIFY FAIL" in text
+
+    @pytest.mark.parametrize("row, cell", [(0, "-100"), (0, "5000"), (-1, "401")],
+                             ids=["t0_-100", "t0_5000", "t_end_+1"])
+    @pytest.mark.parametrize("plant", ["readme", "showcase"])
+    def test_edited_time_cell_fails_only_its_owner(self, tmp_path, capsys, plant, row, cell):
+        # The audit's horizon is the config's: an edited t cell fails consistency_time_index
+        # alone, and no check reads its rows from the t column.
+        out = tmp_path / "out"
+        if plant == "readme":
+            (tmp_path / "cfg.json").write_text(json.dumps(README_CONFIG))
+            main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        else:
+            main(["reproduce", "--out", str(out)])
+        if plant == "showcase" and row == -1:
+            cell = "1001"
+        edit_cell(out / "trace.csv", "t", row, cell)
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(out / "trace.csv")]) == 1
+        text = capsys.readouterr()
+        fails = [line.split()[1] for line in text.out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["consistency_time_index"] and text.err == ""
+
+    def test_degenerate_envelope_fit_is_recorded_as_null(self, tmp_path, capsys):
+        # x0 = 0 and r = w = 0: every column is zero. A nonzero norm_phi cell under the zero
+        # envelope leaves the fit undefined; the audit reports the edit and records no gain.
+        doc = json.loads(json.dumps(README_CONFIG))
+        doc["sim"]["x0"] = [0.0] * 6
+        del doc["signals"]
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        edit_cell(out / "trace.csv", "norm_phi", 10, "1e-300")
+        capsys.readouterr()
+        assert main(["verify", "--trace", str(out / "trace.csv"), "--out", str(tmp_path / "v")]) == 1
+        text = capsys.readouterr()
+        fails = [line.split()[1] for line in text.out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["consistency_regressor_norm"] and text.err == ""
+        summary = json.loads((tmp_path / "v" / "summary.json").read_text())
+        assert summary["checks"]["fitted"]["envelope_gain_c"] is None
 
     def test_lambda_below_floor(self, config_path, capsys):
         rc = main(["verify", "--config", str(config_path), "--lambda", "0.2"])

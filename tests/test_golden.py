@@ -1,4 +1,4 @@
-"""Golden pins: the showcase artifacts, five more traces, five verified summaries and the
+"""Golden pins: the showcase artifacts, five more traces, six verified summaries and the
 config hashes must not drift.
 
 Any change to arithmetic order in the closed loop, the summary, or the
@@ -36,6 +36,9 @@ README_CONFIG = {
         "w": {"kind": "white_noise", "amplitude": 0.05, "seed": 3},
     },
 }
+
+# The README config without a disturbance: the one summary pin of parameter_error_monotone.
+README_W0_CONFIG = {**README_CONFIG, "signals": {"r": README_CONFIG["signals"]["r"]}}
 
 # A one-step-delay constant plant with a finite deadzone and a negative start time.
 D1_CONFIG = {
@@ -150,8 +153,9 @@ def test_trace_pinned(tmp_path, doc, digest):
         (STATIC_D3_CONFIG, "fa17d9c66fa7e76b09156f570bcd1688a2cc9374dbcb559dcd7c46d148b0552b"),
         (D1_GATED_CONFIG, "423fed05f5d08280f4d8f5c9ee74ec965de7fe2fa126fd789f94882fc8d6f8be"),
         (P8_CONFIG, "0e1e939101d548f183984d4e8e5176a2b10fd3cfad021b9dfc8979ee809b4942"),
+        (README_W0_CONFIG, "bc416e1973bb1614b89984c0c41b29c19499c3e9c6c56d314394390d5c8ffa89"),
     ],
-    ids=["readme", "d1", "static_d3", "d1_gated", "p8"],
+    ids=["readme", "d1", "static_d3", "d1_gated", "p8", "readme_w0"],
 )
 def test_summary_pinned(tmp_path, capsys, doc, digest):
     # summary.json of run --verify holds every check margin: the contraction and identity
@@ -160,6 +164,9 @@ def test_summary_pinned(tmp_path, capsys, doc, digest):
     out = tmp_path / "out"
     assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out), "--verify"]) == 0
     assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == digest
+    if doc is README_W0_CONFIG:  # the pin must keep covering the monotone check
+        checks = json.loads((out / "summary.json").read_text())["checks"]["checks"]
+        assert "parameter_error_monotone" in [c["name"] for c in checks]
 
 
 def test_readme_config_block_is_pinned():

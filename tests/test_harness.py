@@ -56,7 +56,8 @@ from mraclab.plant_sim import (
 )
 from mraclab.poly import PolyZ, max_root_modulus, predictor_split
 from mraclab.system import ParamBox, PlantParams, ReferenceModel, build_param_box, to_predictor_params
-from test_golden import D1_CONFIG, D1_GATED_CONFIG, P8_CONFIG, README_CONFIG, STATIC_D3_CONFIG
+from test_golden import (D1_CONFIG, D1_GATED_CONFIG, P8_CONFIG, README_CONFIG, README_W0_CONFIG,
+                         STATIC_D3_CONFIG)
 
 
 def make_config(
@@ -861,6 +862,25 @@ class TestSpecKinds:
         assert config_from_dict(doc).schedule.a == (CoefSpec.const(-0.5),)
 
 
+def _with_ground_truth(check):
+    """check(trace, theta*, wbar, wbar_t0) from trace.cfg's ground truth, or check(trace) when
+    that plant has none."""
+    def run(trace):
+        if not trace.cfg.schedule.is_constant():
+            return check(trace)
+        gt = ground_truth(trace.cfg)
+        return check(trace, gt.theta_star, gt.wbar, gt.wbar_t0)
+    return run
+
+
+def constant_60():
+    return make_config(steps=60)
+
+
+def showcase_60():
+    return demo_config(60)
+
+
 class TestRunClosedLoop:
     def test_horizon_past_the_address_space_is_a_config_error(self):
         # theta_hat's 64 columns of 2^54 + 1 rows pass 2^63 bytes, which numpy
@@ -874,7 +894,7 @@ class TestRunClosedLoop:
         cfg = make_config(steps=150)
         tr = run_closed_loop(cfg)
         assert tr.rows == 151
-        assert tr.t0 == 0 and tr.t_end == 150
+        assert tr.t[0] == 0 and tr.t[-1] == 150
         assert tr.theta_hat.shape == (151, cfg.dim_theta)
         assert tr.e[0] == 0.0
         assert tr.rho[-1] == 0
@@ -1195,15 +1215,26 @@ class TestChecks:
         failed = [(c.name, c.margin, c.detail) for c in rep.checks if not c.passed]
         assert failed == [("consistency_exogenous_signals", -1.0, "1 of 401 rows differ, first at t = 100")]
 
-    @pytest.mark.parametrize("make", [lambda: make_config(steps=60), lambda: demo_config(60)],
-                             ids=["constant", "time_varying"])
-    def test_consistency_needs_the_configs_horizon(self, make):
+    @pytest.mark.parametrize(
+        "make, check",
+        [
+            pytest.param(constant_60, check_trace_consistency, id="constant"),
+            pytest.param(showcase_60, check_trace_consistency, id="time_varying"),
+            pytest.param(constant_60, _with_ground_truth(check_prop1), id="constant-check_prop1"),
+            pytest.param(showcase_60, _with_ground_truth(check_prop1), id="time_varying-check_prop1"),
+            pytest.param(constant_60, _with_ground_truth(check_identities), id="constant-check_identities"),
+            pytest.param(constant_60, lambda trace: predictor_residuals(trace, trace.cfg),
+                         id="constant-predictor_residuals"),
+        ],
+    )
+    def test_consistency_needs_the_configs_horizon(self, make, check):
+        # Every audit takes t0 and T from trace.cfg through one row-count guard.
         cfg = make()
         tr = run_closed_loop(cfg)
         cols = {k: v[:-1] if isinstance(v, np.ndarray) else v for k, v in tr.__dict__.items()}
         msg = "trace has 60 rows; the configuration's horizon has 61"
         with pytest.raises(ValueError, match=msg):
-            check_trace_consistency(Trace(**cols))
+            check(Trace(**cols))
 
     def test_verdicts_do_not_depend_on_units(self):
         # The system is linear: r, w and x0 in other units scale every signal
@@ -1302,9 +1333,71 @@ class TestAudit:
                 audit(trace, decay)
 
 
+class TestHorizonFromConfig:
+    """The audit takes t0, T and its check list from trace.cfg; the recorded t column is
+    consistency_time_index's alone, and w's cells decide no check."""
+
+    @pytest.mark.parametrize("doc", [README_CONFIG, D1_CONFIG], ids=["readme", "d1"])
+    @pytest.mark.parametrize(
+        "row, cell",
+        [(0, lambda t0, T: t0 - 100), (0, lambda t0, T: t0 + 1), (0, lambda t0, T: 0.5),
+         (0, lambda t0, T: 2.0**52), (-1, lambda t0, T: t0 + T + 1)],
+        ids=["t0_minus_100", "t0_plus_1", "half", "2^52", "t_end_plus_1"],
+    )
+    def test_edited_time_cell_fails_only_its_owner(self, doc, row, cell):
+        cfg = config_from_dict(doc)
+        tr = run_closed_loop(cfg)
+        t = np.array(tr.t)
+        t[row] = cell(cfg.t0, cfg.steps)
+        bad = Trace(**{**tr.__dict__, "t": t})
+        want, got = audit(tr), audit(bad)
+        assert [c.name for c in got.checks] == [c.name for c in want.checks]
+        assert [c.name for c in got.checks if not c.passed] == ["consistency_time_index"]
+        others = [(c.name, c.margin, c.detail) for c in got.checks if c.name != "consistency_time_index"]
+        assert others == [(c.name, c.margin, c.detail) for c in want.checks
+                          if c.name != "consistency_time_index"]
+        assert got.fitted == want.fitted
+        summary, clean = harness.build_summary(bad), harness.build_summary(tr)
+        assert summary == clean and summary["t_range"] == [cfg.t0, cfg.t0 + cfg.steps]
+
+    def test_edited_w_cell_keeps_every_check(self):
+        # w = 0 run: parameter_error_monotone rests on wbar = 0 from the config, not on w's cells.
+        tr = run_closed_loop(config_from_dict(README_W0_CONFIG))
+        w = np.array(tr.w)
+        w[100] = 1e-300
+        names = [c.name for c in audit(tr).checks]
+        assert "parameter_error_monotone" in names and len(names) == 19
+        got = audit(Trace(**{**tr.__dict__, "w": w}))
+        assert [c.name for c in got.checks] == names
+        assert [c.name for c in got.checks if not c.passed] == ["consistency_exogenous_signals"]
+
+    def test_w_at_t0_alone_keeps_the_monotone_check(self):
+        # w(t0) enters no update: wbar is zero on every contraction row.
+        cfg = replace(config_from_dict(README_CONFIG), w=table_signal([0.3], t_start=0))
+        tr = run_closed_loop(cfg)
+        assert tr.w[0] == 0.3 and not tr.w[1:].any()
+        monotone = [c for c in audit(tr).checks if c.name == "parameter_error_monotone"]
+        assert [c.passed for c in monotone] == [True]
+        assert monotone[0].margin == pytest.approx(harness.TOL, rel=1e-6)  # no estimate moved away
+
+    def test_zero_input_run_with_an_edited_norm_survives_the_fit(self):
+        # x0 = 0, r = w = 0: every column is zero, so the envelope is zero too; a nonzero
+        # norm_phi cell makes the fit degenerate, which the audit records as None.
+        cfg = replace(config_from_dict(README_CONFIG), x0=(0.0,) * 6, r=zero_signal(), w=zero_signal())
+        tr = run_closed_loop(cfg)
+        norm_phi = np.array(tr.norm_phi)
+        norm_phi[10] = 1e-300
+        bad = Trace(**{**tr.__dict__, "norm_phi": norm_phi})
+        rep = audit(bad)
+        assert [c.name for c in rep.checks if not c.passed] == ["consistency_regressor_norm"]
+        assert rep.fitted["envelope_gain_c"] is None and audit(tr).fitted["envelope_gain_c"] == 0.0
+        with pytest.raises(ValueError, match="^degenerate fit at t = 10: zero envelope, nonzero signal$"):
+            fit_decay_bound(bad, 0.9)
+
+
 def loop_margins(tr, cfg, gt):
     """Row-loop reference for the vectorized check_prop1/check_identities margins."""
-    n, m, d, t0, T = cfg.n, cfg.m, cfg.d, tr.t0, tr.rows - 1
+    n, m, d, t0, T = cfg.n, cfg.m, cfg.d, cfg.t0, cfg.steps
     x0, ny = cfg.x0, n + d - 1
 
     def y_at(s):
