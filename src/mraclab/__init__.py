@@ -20,14 +20,13 @@ from .harness import (
     reproduce_example,
     run_closed_loop,
 )
-from .poly import PolyZ, max_root_modulus, poly_mul, predictor_split, schur_stable
+from .poly import PolyZ, max_root_modulus, predictor_split, schur_stable
 from .system import ParamBox, PlantParams, ReferenceModel, to_predictor_params
 
 __version__ = "0.1.0"
 
 __all__ = [
     "PolyZ",
-    "poly_mul",
     "predictor_split",
     "schur_stable",
     "max_root_modulus",

@@ -19,10 +19,10 @@ Trace columns are exact re-loadable decimals, so a saved run can be audited
 later without re-simulation. A Trace carries its ExperimentConfig, whose
 document and hash are built only when a summary is written. The config
 keeps the coefficient rows it validated; the loop and every audit read
-those rows rather than evaluating the schedule again. Regressors
-are not stored: Trace.regressors builds their one table from x0 and the y/u
-columns, and the checks read it on whole columns at once. Consistency checks
-re-derive columns from their recursions and config signals in the loop's
+those rows rather than evaluating the schedule again. A trace keeps the loop's
+regressor table, which Trace.regressors hands to every check while cfg and y/u are
+its own (else it builds one): the checks read it on whole columns at once. Consistency
+checks re-derive columns from their recursions and config signals in the loop's
 operation order and compare with ==: an edit that changes a re-derived value
 shows as a differing row.
 Loop and audits add every sum term by term in one order, dot products left
@@ -449,9 +449,9 @@ CONVENTIONS = {
 class Trace:
     """Row-per-time-step record of one closed-loop run (t = t0 .. t0+steps).
 
-    cfg is the run's configuration (for a reloaded file, the one it is
-    audited against). Regressors are not stored: regressors() builds their table
-    anew from cfg.x0 and the y/u columns, so an edit shows in every check.
+    cfg is the run's configuration (for a reloaded file, the one it is audited against).
+    regressors() returns _table, the loop's, while cfg is its object and y/u are bitwise its
+    own, else builds one and keeps it there; _table is no column (file, == and repr skip it).
     Every array is float64, t and rho too; TRACE_COLUMNS orders them as the file does.
     """
 
@@ -468,33 +468,47 @@ class Trace:
     r: np.ndarray
     w: np.ndarray
     cfg: ExperimentConfig
+    _table: Regressors | None = field(default=None, repr=False, compare=False)
 
     @property
     def rows(self) -> int:
         return len(self.t)
 
     def regressors(self) -> Regressors:
-        return Regressors(self.cfg, self.y, self.u)
+        if self._table is None or not self._table.matches(self):
+            self._table = Regressors(self.cfg, self.y, self.u)
+        return self._table
 
 
 class Regressors:
     """The regressor table of a run of cfg with these y/u columns, from one history and one
     phi build: phi's row k is phi(t0-d+1+k), k = 0 .. T+d-1, and sq its ||phi||^2 in the
     loop's order, taken on first use. Both are row-wise, so a slice has the
-    bits of a build of its rows alone. audit passes one table to every check as table=; a
-    check given none builds its own."""
+    bits of a build of its rows alone. signals are cfg's r and w over the table's rows,
+    sampled on first use: the audit's one copy, never the trace's columns."""
 
     def __init__(self, cfg: ExperimentConfig, y: np.ndarray, u: np.ndarray):
+        self.cfg = cfg
         self.hist = history(cfg.x0, y, u, cfg.n, cfg.m, cfg.d)
         self.phi = self.hist.phi(1 - cfg.d, len(y) + cfg.d - 1)
+
+    def matches(self, trace: Trace) -> bool:
+        """Whether this is trace's table: its cfg object, and its y/u bit for bit."""
+        y, u = self.hist.y[self.hist.lead :], self.hist.u[self.hist.lead :]
+        return trace.cfg is self.cfg and (y.tobytes(), u.tobytes()) == (trace.y.tobytes(), trace.u.tobytes())
 
     @cached_property
     def sq(self) -> np.ndarray:
         return _weighted(self.phi, self.phi)
 
+    @cached_property
+    def signals(self) -> tuple[np.ndarray, np.ndarray]:
+        cfg, rows = self.cfg, len(self.hist.y) - self.hist.lead
+        return signal_rows(cfg.r, cfg.t0, rows), signal_rows(cfg.w, cfg.t0, rows)
+
 
 # The one trace layout, read by the header, writer, reader, plot.gp and the loop's finite check.
-TRACE_COLUMNS = tuple(f.name for f in fields(Trace) if f.name != "cfg")
+TRACE_COLUMNS = tuple(f.name for f in fields(Trace) if f.name not in ("cfg", "_table"))
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +578,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     rho[:T] = gates
 
     y, u = np.array(y[start.lead :]), np.array(u[start.lead :])
+    table = Regressors(cfg, y, u)
     trace = Trace(
         t=np.arange(cfg.t0, cfg.t0 + T + 1, dtype=float),
         y=y,
@@ -573,11 +588,12 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         eps_bar=np.array(ybars) - ybar_star,
         e=np.array(e),
         rho=rho,
-        norm_phi=np.sqrt(Regressors(cfg, y, u).sq[d - 1 :]),
+        norm_phi=np.sqrt(table.sq[d - 1 :]),
         theta_hat=theta_hat,
         r=r,
         w=w,
         cfg=cfg,
+        _table=table,
     )
     for name in TRACE_COLUMNS:
         if not np.all(np.isfinite(getattr(trace, name))):
@@ -707,8 +723,7 @@ def _margin(slack, *mags) -> float:
     return TOL + float(rel.min()) if rel.size else TOL
 
 
-def check_prop1(trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = None, *,
-                table: Regressors | None = None) -> VerificationReport:
+def check_prop1(trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = None) -> VerificationReport:
     """Estimator-property checks on a recorded trace.
 
     Always checked: the per-step estimate move is bounded by the gated,
@@ -723,7 +738,7 @@ def check_prop1(trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = 
     t0, T = _horizon(trace)
 
     # Row k pairs the update from t = t0 + k with ||phi(t-d+1)||^2.
-    sq = (trace.regressors() if table is None else table).sq[:T]
+    sq = trace.regressors().sq[:T]
     gated = (trace.rho[:T] != 0) & (sq > 0.0)
     bound = np.divide(np.abs(trace.e[1:]), np.sqrt(sq), out=np.zeros(T), where=gated)
     th = trace.theta_hat
@@ -762,8 +777,7 @@ def check_prop1(trace: Trace, theta_star=None, wbar=None, wbar_t0: int | None = 
     return rep
 
 
-def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int, *,
-                     table: Regressors | None = None) -> VerificationReport:
+def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int) -> VerificationReport:
     """Exact algebraic identities linking eps_bar, e, and the parameter error.
 
     Checked for t >= t0 + d, where the recorded history fully determines
@@ -784,13 +798,11 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int, *,
     theta_star = np.asarray(theta_star, dtype=float)
     d = trace.cfg.d
     t0, T = _horizon(trace)
-    count = max(T + 1 - d, 0)
 
-    table = trace.regressors() if table is None else table
-    phi = table.phi[d - 1 : T]  # phi(t-d) for t = t0+d .. t0+T
+    phi = trace.regressors().phi[d - 1 : T]  # phi(t-d) for t = t0+d .. t0+T
     mags = np.abs(phi)
-    wb = _wbar_rows(wbar, wbar_t0, t0, count)
-    prev, lagged = trace.theta_hat[d - 1 : T], trace.theta_hat[:count]
+    wb = _wbar_rows(wbar, wbar_t0, t0, T + 1 - d)
+    prev, lagged = trace.theta_hat[d - 1 : T], trace.theta_hat[: T + 1 - d]
     eps_bar, e = trace.eps_bar[d:], trace.e[d:]
     e_mag, wb_mag = np.abs(e), np.abs(wb)
     prev_size, lagged_size = _weighted(mags, np.abs(prev)), _weighted(mags, np.abs(lagged))
@@ -805,7 +817,7 @@ def check_identities(trace: Trace, theta_star, wbar, wbar_t0: int, *,
     return rep
 
 
-def check_trace_consistency(trace: Trace, *, table: Regressors | None = None) -> VerificationReport:
+def check_trace_consistency(trace: Trace) -> VerificationReport:
     """Cross-check every stored column against the recursions that made it.
 
     Used when auditing a reloaded trace file: each column is re-derived from
@@ -820,9 +832,9 @@ def check_trace_consistency(trace: Trace, *, table: Regressors | None = None) ->
     n, m, d = cfg.n, cfg.m, cfg.d
     _, T = _horizon(trace)
     h, l_coeffs = cfg.ref.H.coeffs, cfg.ref.L.coeffs
-    table = trace.regressors() if table is None else table
+    table = trace.regressors()
     hist, phi, sq = table.hist, table.phi, table.sq  # phi(t0-d+1 .. t0+T)
-    r_cfg, w_cfg = signal_rows(cfg.r, cfg.t0, T + 1), signal_rows(cfg.w, cfg.t0, T + 1)
+    r_cfg, w_cfg = table.signals
     r_ext = hist.at_rest(r_cfg)
 
     def equal(name: str, recorded, derived) -> None:
@@ -905,13 +917,14 @@ def fit_decay_bound(trace: Trace, lam: float) -> float:
 
         ||phi(t)|| <= c [ lam^(t-t0) ||x0|| + sum_{j=t0..t} lam^(t-j) (|r(j)| + |w(j)|) ].
 
-    The envelope is computed recursively in one pass (itertools.accumulate, the
-    same float operations in the same order as a loop); lam must lie in (0, 1).
-    audit also holds it above the configuration's spectral floor.
+    r and w are trace.cfg's signals from the regressor table, never the recorded columns.
+    The envelope is one pass of itertools.accumulate (a loop's float operations, in order);
+    lam must lie in (0, 1), and audit also holds it above the configuration's spectral floor.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"decay rate must lie in (0, 1), got {lam}")
-    drive = (np.abs(trace.r) + np.abs(trace.w)).tolist()
+    r, w = trace.regressors().signals
+    drive = (np.abs(r) + np.abs(w)).tolist()
     x0 = np.array([trace.cfg.x0], dtype=float)  # one row: ||x0|| in _weighted's order
     start = math.sqrt(_weighted(x0, x0, np.zeros(1))[0]) + drive[0]
     env = np.fromiter(accumulate(drive[1:], lambda e, dk: lam * e + dk, initial=start),
@@ -956,14 +969,13 @@ def audit(trace: Trace, decay: float | None = None) -> VerificationReport:
     elif not floor < decay < 1.0:
         msg = f"decay rate must lie in ({floor:.6f}, 1) for this configuration, got {decay}"
         raise ConfigError("lambda", msg)
-    table = trace.regressors()  # the one regressor table every check reads
-    rep = check_trace_consistency(trace, table=table)
+    rep = check_trace_consistency(trace)  # every check reads the one trace.regressors() table
     if cfg.schedule.is_constant():
         gt = ground_truth(cfg)
-        rep.checks += check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0, table=table).checks
-        rep.checks += check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0, table=table).checks
+        rep.checks += check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0).checks
+        rep.checks += check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0).checks
     else:
-        rep.checks += check_prop1(trace, table=table).checks
+        rep.checks += check_prop1(trace).checks
     try:
         gain = fit_decay_bound(trace, decay)
     except ValueError:  # a zero envelope under a nonzero norm_phi: a consistency check has failed
@@ -1011,8 +1023,8 @@ def write_trace_csv(trace: Trace, path) -> None:
 def trace_from_csv(path, cfg: ExperimentConfig) -> Trace:
     """Reload a stored trace written by write_trace_csv.
 
-    Regressors are not in the file; Trace.regressors() derives their table
-    from the y/u columns plus cfg.x0. A wrong header, a row count other than
+    Regressors are not in the file; the first Trace.regressors() call builds
+    their table from the y/u columns plus cfg.x0. A wrong header, a row count other than
     cfg.steps + 1, a row of the wrong length or a non-finite cell raises ConfigError.
     """
     header = _csv_header(cfg.dim_theta)

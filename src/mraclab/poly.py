@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "PolyZ",
     "convolve",
-    "poly_mul",
     "predictor_split",
     "schur_stable",
     "schur_stable_rows",
@@ -117,11 +116,6 @@ def convolve(f, g) -> list[float]:
             acc += f[i] * g[k - i]
         out.append(acc)
     return out
-
-
-def poly_mul(p: PolyZ, q: PolyZ) -> PolyZ:
-    """Product of two delay polynomials (coefficient convolution)."""
-    return PolyZ(tuple(convolve(p.coeffs, q.coeffs)))
 
 
 def predictor_split(L: PolyZ, A: PolyZ, d: int) -> tuple[PolyZ, PolyZ]:

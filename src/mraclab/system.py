@@ -220,7 +220,7 @@ def predictor_map(a, b, ref: ReferenceModel) -> tuple[PolyZ, tuple[float, ...]]:
     """The quotient F (d coefficients) and theta* = (alpha, beta) of plant coefficients (a, b).
 
     One long division, no admissibility checks: the caller has tested (a, b).
-    beta = F * B is poly_mul's convolution of the same floats.
+    beta = F * B is poly.convolve's product of the same floats.
     """
     a = np.asarray(a, dtype=float).tolist()
     F, alpha = predictor_split(ref.L, PolyZ((1.0, *a)), ref.d)

@@ -29,7 +29,7 @@ from mraclab.harness import (
     tracking_energy,
 )
 from mraclab.plant_sim import CoefficientSchedule, square_wave, white_noise, zero_signal
-from mraclab.poly import PolyZ, poly_mul, predictor_split
+from mraclab.poly import PolyZ, convolve, predictor_split
 from mraclab.system import ParamBox, PlantParams, ReferenceModel, to_predictor_params
 
 MODULE_START = time.monotonic()
@@ -72,15 +72,15 @@ def test_criterion_01_predictor_identity():
         L = PolyZ((1.0, *rng.uniform(-1.0, 1.0, n_l)))
         F, alpha = predictor_split(L, A, d)
         assert F.coeffs[0] == 1.0 and len(F.coeffs) == d
-        recon = list(poly_mul(F, A).coeffs) + [0.0] * len(alpha.coeffs)
+        recon = convolve(F.coeffs, A.coeffs) + [0.0] * len(alpha.coeffs)
         for i, c in enumerate(alpha.coeffs):
             recon[d + i] += c
         want = list(L.coeffs) + [0.0] * (len(recon) - len(L.coeffs))
         worst = max(worst, max(abs(x - y) for x, y in zip(recon, want)))
         b0 = float(rng.uniform(0.5, 5.0) * rng.choice([-1.0, 1.0]))
         B = PolyZ((b0, *rng.uniform(-0.4, 0.4, int(rng.integers(0, 3))) * abs(b0)))
-        beta = poly_mul(F, B)
-        assert beta.coeffs[0] == b0  # exact: leading F coefficient is 1.0
+        beta = convolve(F.coeffs, B.coeffs)
+        assert beta[0] == b0  # exact: leading F coefficient is 1.0
     elapsed = time.monotonic() - start
     assert worst <= 1e-10
     assert elapsed < 1.0

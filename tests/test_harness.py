@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 from itertools import product
@@ -1030,9 +1031,10 @@ def test_plant_is_checked_and_split_once(monkeypatch):
     assert calls == {"first_inadmissible": 1, "predictor_split": 1}
 
 
-def test_regressors_are_built_once(monkeypatch):
-    # The loop lays out one history and builds one phi table for norm_phi; the
-    # audit builds one more, which every check reads.
+def test_regressors_are_built_once(monkeypatch, tmp_path):
+    # The loop lays out one history and builds one phi table for norm_phi, and its
+    # trace keeps it: the audit and the standalone checks of that trace build none.
+    # A reloaded trace has no table; its audit builds one, which every check reads.
     calls = Counter()
     for owner, name in [(harness, "history"), (controller.History, "phi")]:
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
@@ -1043,7 +1045,51 @@ def test_regressors_are_built_once(monkeypatch):
     trace = run_closed_loop(config_from_dict(README_CONFIG))
     assert calls == {"history": 1, "phi": 1}
     assert audit(trace).passed
+    gt = ground_truth(trace.cfg)
+    assert check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0).passed
+    assert check_identities(trace, gt.theta_star, gt.wbar, gt.wbar_t0).passed
+    assert np.max(np.abs(predictor_residuals(trace, trace.cfg))) < 1e-9
+    assert calls == {"history": 1, "phi": 1}
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    assert audit(trace_from_csv(tmp_path / "trace.csv", trace.cfg)).passed
     assert calls == {"history": 2, "phi": 2}
+
+
+def _verdict(trace) -> dict:
+    """audit(trace).to_dict() with every float as its .hex()."""
+    rep = audit(trace).to_dict()
+    rep["checks"] = [{**c, "margin": c["margin"].hex()} for c in rep["checks"]]
+    rep["fitted"] = {k: v.hex() if isinstance(v, float) else v for k, v in rep["fitted"].items()}
+    return rep
+
+
+@pytest.mark.parametrize("col, row", product(("y", "u"), (0, 150)))
+def test_the_kept_table_never_changes_a_verdict(col, row):
+    # Each trace audits as a trace of copies of its cells, which holds no table. A
+    # table kept on object identity alone would miss the in-place edit and count
+    # a different number of differing rows.
+    cfg = config_from_dict(README_CONFIG)
+
+    def fresh(trace):
+        return Trace(**{name: np.array(getattr(trace, name)) for name in TRACE_COLUMNS}, cfg=trace.cfg)
+
+    tr = run_closed_loop(cfg)
+    assert _verdict(tr)["passed"]  # the table's lazy parts are taken before the edit
+    cells = getattr(tr, col)
+    cells[row] = np.nextafter(cells[row], np.inf)  # in place, on the loop's own trace
+    want = _verdict(fresh(tr))
+    assert not want["passed"] and _verdict(tr) == want
+
+    tr = run_closed_loop(cfg)
+    cells = np.array(getattr(tr, col))
+    cells[row] = np.nextafter(cells[row], np.inf)
+    copy = Trace(**{**tr.__dict__, col: cells})
+    assert _verdict(copy) == _verdict(fresh(copy)) == want
+
+    for other in (config_from_dict(README_CONFIG), replace(cfg, x0=(0.0,) * len(cfg.x0))):
+        swapped = replace(run_closed_loop(cfg), cfg=other)
+        assert _verdict(swapped) == _verdict(fresh(swapped))
+        assert _verdict(swapped)["passed"] == (other == cfg)
 
 
 class TestGroundTruth:
@@ -1279,6 +1325,22 @@ class TestChecks:
         gate = [c for c in rep.checks if c.name == "consistency_deadzone_gate"][0]
         assert not gate.passed
 
+    def test_gate_open_on_a_zero_regressor_fails_its_two_owners(self):
+        # Default x0 = 0: phi(t0-d+1) = 0, so the loop's rho(t0) is 0. rho(t0) = 1 claims an
+        # update on a zero regressor; its replay divides by ||phi||^2 = 0 without a warning.
+        doc = json.loads(json.dumps(README_CONFIG))
+        del doc["sim"]["x0"]
+        tr = run_closed_loop(config_from_dict(doc))
+        assert tr.rho[0] == 0.0 and not tr.regressors().phi[0].any()
+        rho = np.array(tr.rho)
+        rho[0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = audit(Trace(**{**tr.__dict__, "rho": rho}))
+        failed = [(c.name, c.margin) for c in rep.checks if not c.passed]
+        assert failed == [("consistency_deadzone_gate", -1.0), ("consistency_estimator_recursion", -1.0)]
+        assert [c.margin >= 0.0 for c in rep.checks if c.name == "estimate_move_bounded"] == [True]
+
 
 CONSISTENCY_CHECKS = [
     "consistency_plant_recursion",
@@ -1335,7 +1397,7 @@ class TestAudit:
 
 class TestHorizonFromConfig:
     """The audit takes t0, T and its check list from trace.cfg; the recorded t column is
-    consistency_time_index's alone, and w's cells decide no check."""
+    consistency_time_index's alone, w's cells decide no check, and r's and w's no gain."""
 
     @pytest.mark.parametrize("doc", [README_CONFIG, D1_CONFIG], ids=["readme", "d1"])
     @pytest.mark.parametrize(
@@ -1370,6 +1432,13 @@ class TestHorizonFromConfig:
         got = audit(Trace(**{**tr.__dict__, "w": w}))
         assert [c.name for c in got.checks] == names
         assert [c.name for c in got.checks if not c.passed] == ["consistency_exogenous_signals"]
+
+    def test_edited_r_column_moves_no_gain(self):
+        # The envelope is driven by the config's r and w, not by the recorded columns.
+        tr = run_closed_loop(config_from_dict(README_CONFIG))
+        rep = audit(Trace(**{**tr.__dict__, "r": tr.r * 10.0}))
+        assert [c.name for c in rep.checks if not c.passed] == ["consistency_exogenous_signals"]
+        assert rep.fitted["envelope_gain_c"] == 0.47869579963764824 == audit(tr).fitted["envelope_gain_c"]
 
     def test_w_at_t0_alone_keeps_the_monotone_check(self):
         # w(t0) enters no update: wbar is zero on every contraction row.
@@ -1472,7 +1541,7 @@ def test_audit_recomputes_loop_columns_exactly(make):
     rep = check_trace_consistency(trace)
     exact = [(c.name, c.margin.hex()) for c in rep.checks]
     assert exact == [(name, (0.0).hex()) for name, _ in exact]
-    # audit hands its one regressor table to the checks; called alone, each builds its own.
+    # Called alone, each check reads the same trace.regressors() table that audit's checks read.
     if cfg.schedule.is_constant():
         gt = ground_truth(cfg)
         rep.checks += check_prop1(trace, gt.theta_star, gt.wbar, gt.wbar_t0).checks
@@ -1499,11 +1568,14 @@ class TestPredictorResiduals:
 
 
 def forged_trace(norm_phi, r, w, x0_norm, d=1):
-    """Columns as given, on a (2, 1, d) config whose x0 has norm x0_norm."""
+    """Columns as given, on a (2, 1, d) config whose x0 has norm x0_norm and whose r and w
+    signals are the r and w columns from t = 0."""
     rows = len(norm_phi)
     zeros = np.zeros(rows)
     x0 = [0.0] * x0_length(2, 1, d)
     x0[0] = x0_norm
+    r, w = np.asarray(r, dtype=float), np.asarray(w, dtype=float)
+    signals = {"r": table_signal(r.tolist(), t_start=0), "w": table_signal(w.tolist(), t_start=0)}
     return Trace(
         t=np.arange(rows),
         y=zeros,
@@ -1515,9 +1587,9 @@ def forged_trace(norm_phi, r, w, x0_norm, d=1):
         rho=np.zeros(rows, dtype=int),
         norm_phi=np.asarray(norm_phi, dtype=float),
         theta_hat=np.zeros((rows, 1)),
-        r=np.asarray(r, dtype=float),
-        w=np.asarray(w, dtype=float),
-        cfg=make_config(d=d, x0=x0),
+        r=r,
+        w=w,
+        cfg=make_config(d=d, x0=x0, **signals),
     )
 
 
@@ -1578,7 +1650,7 @@ class TestDecayFit:
         x0_norm = math.sqrt(sq)
         assert x0_norm == 0.6126996449012786
         tr = forged_trace([x0_norm, 0.0, 0.0], np.zeros(3), np.zeros(3), x0_norm=0.0, d=2)
-        tr = replace(tr, cfg=make_config(d=2, x0=tuple(x0)))
+        tr = replace(tr, cfg=make_config(d=2, x0=tuple(x0), r=zero_signal(), w=zero_signal()))
         assert fit_decay_bound(tr, 0.5) == 1.0  # the gain is attained at t0
 
     def test_monotone_in_rate(self):

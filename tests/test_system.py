@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mraclab.poly import PolyZ, max_root_modulus, poly_mul, predictor_split
+from mraclab.poly import PolyZ, convolve, max_root_modulus, predictor_split
 from mraclab.system import (
     AdmissibilityError,
     ParamBox,
@@ -134,9 +134,9 @@ class TestToPredictorParams:
                 d=d,
             )
             pp = to_predictor_params(plant, ref)
-            lhs = list(poly_mul(L, PolyZ(plant.b)).coeffs)
-            rhs = list(poly_mul(PolyZ(pp.beta), plant.a_poly()).coeffs)
-            shifted = poly_mul(PolyZ(pp.alpha or (0.0,)), PolyZ(plant.b)).coeffs
+            lhs = convolve(L.coeffs, plant.b)
+            rhs = convolve(pp.beta, plant.a_poly().coeffs)
+            shifted = convolve(pp.alpha or (0.0,), plant.b)
             width = max(len(lhs), len(rhs), d + len(shifted))
             lhs += [0.0] * (width - len(lhs))
             rhs += [0.0] * (width - len(rhs))
