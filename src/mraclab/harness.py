@@ -71,19 +71,8 @@ from .plant_sim import (
     windowed_sinusoid,
     zero_signal,
 )
-from .poly import PolyZ, max_root_modulus, max_root_moduli
-from .system import (
-    AdmissibilityError,
-    ParamBox,
-    ReferenceModel,
-    box_norm,
-    build_param_box,
-    integer,
-    number,
-    numbers,
-    predictor_map,
-    text,
-)
+from .poly import PolyZ, integer, max_root_modulus, max_root_moduli, number, numbers, text
+from .system import AdmissibilityError, ParamBox, ReferenceModel, box_norm, build_param_box, predictor_map
 
 __all__ = [
     "ConfigError",
@@ -270,9 +259,8 @@ class ExperimentConfig:
             raise ConfigError("sim.t0", f"must lie within +-2^53, got {self.t0}")
         if self.t0 + self.steps > MAX_TIME:
             raise ConfigError("sim.steps", f"t0 + steps = {self.t0 + self.steps} passes 2^53")
-        t_end = self.t0 + self.steps  # sampled times; ground truth's wbar reads w past t_end
-        sampled = [("signals.r", self.r, self.t0, t_end),
-                   ("signals.w", self.w, self.t0 - d + 1, t_end + d + 1)]
+        t_end = self.t0 + self.steps  # r and w are sampled on t0 .. t_end, coefficients to t_end - 1
+        sampled = [(f"signals.{key}", getattr(self, key), self.t0, t_end) for key in "rw"]
         sampled += [(f"plant.schedule.{key}[{i}]", spec, self.t0, t_end - 1)
                     for key in "ab" for i, spec in enumerate(getattr(self.schedule, key))]
         for fieldpath, spec, first, last in sampled:
@@ -285,6 +273,16 @@ class ExperimentConfig:
         except MemoryError:
             raise _too_long(self.steps) from None
         object.__setattr__(self, "plant_rows", rows)
+
+    @cached_property
+    def inputs(self) -> tuple[np.ndarray, np.ndarray]:
+        """r and w on t0 .. t0 + steps, read-only like plant_rows: the one copy that the loop and
+        every audit read, sampled on first use (so a horizon no memory holds fails at the loop's
+        allocation); no field, so ==, hash, repr and the document skip it."""
+        columns = tuple(signal_rows(spec, self.t0, self.steps + 1) for spec in (self.r, self.w))
+        for column in columns:
+            column.flags.writeable = False
+        return columns
 
     # -- serialization ------------------------------------------------------
 
@@ -445,14 +443,15 @@ CONVENTIONS = {
 # Trace
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
     """Row-per-time-step record of one closed-loop run (t = t0 .. t0+steps).
 
     cfg is the run's configuration (for a reloaded file, the one it is audited against).
     regressors() returns _table, the loop's, while cfg is its object and y/u are bitwise its
-    own, else builds one and keeps it there; _table is no column (file, == and repr skip it).
+    own, else builds one and keeps it there; _table is no column (file and repr skip it).
     Every array is float64, t and rho too; TRACE_COLUMNS orders them as the file does.
+    == is identity; compare columns with np.array_equal.
     """
 
     t: np.ndarray
@@ -468,7 +467,7 @@ class Trace:
     r: np.ndarray
     w: np.ndarray
     cfg: ExperimentConfig
-    _table: Regressors | None = field(default=None, repr=False, compare=False)
+    _table: Regressors | None = field(default=None, repr=False)
 
     @property
     def rows(self) -> int:
@@ -484,8 +483,7 @@ class Regressors:
     """The regressor table of a run of cfg with these y/u columns, from one history and one
     phi build: phi's row k is phi(t0-d+1+k), k = 0 .. T+d-1, and sq its ||phi||^2 in the
     loop's order, taken on first use. Both are row-wise, so a slice has the
-    bits of a build of its rows alone. signals are cfg's r and w over the table's rows,
-    sampled on first use: the audit's one copy, never the trace's columns."""
+    bits of a build of its rows alone."""
 
     def __init__(self, cfg: ExperimentConfig, y: np.ndarray, u: np.ndarray):
         self.cfg = cfg
@@ -500,11 +498,6 @@ class Regressors:
     @cached_property
     def sq(self) -> np.ndarray:
         return _weighted(self.phi, self.phi)
-
-    @cached_property
-    def signals(self) -> tuple[np.ndarray, np.ndarray]:
-        cfg, rows = self.cfg, len(self.hist.y) - self.hist.lead
-        return signal_rows(cfg.r, cfg.t0, rows), signal_rows(cfg.w, cfg.t0, rows)
 
 
 # The one trace layout, read by the header, writer, reader, plot.gp and the loop's finite check.
@@ -525,9 +518,9 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     sample w(t+1), then run one estimator update on the d-step-lagged
     regressor. The estimate used to compute u(t) is always theta_hat(t),
     i.e. the one produced after the previous step's update. The open-loop
-    columns (r, w and the reference outputs) are computed once, before the
-    loop; the coefficient rows are the ones the config validated. theta_hat
-    and rho are written to their arrays once, after the loop.
+    columns (the config's inputs r and w, and the reference outputs) are read
+    once, before the loop; the coefficient rows are the ones the config
+    validated. theta_hat and rho are written to their arrays once, after the loop.
 
     Each step calls its kernels (control_input, plant_step, ybar,
     estimator_update) through this module's names, so a wrapper installed
@@ -542,7 +535,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         theta_hat, rho = np.zeros((T + 1, p)), np.zeros(T + 1)
     except (MemoryError, ValueError):  # a horizon no memory holds, or past numpy's address space
         raise _too_long(T) from None
-    r, w = signal_rows(cfg.r, cfg.t0, T + 1), signal_rows(cfg.w, cfg.t0, T + 1)
+    r, w = cfg.inputs
     y_star, ybar_star, target = reference_outputs(cfg.ref, r)
     coeffs = list(zip(*(rows.tolist() for rows in cfg.plant_rows)))  # (a, b) per emission time
     if len(coeffs) == 1:  # a constant plant has one row
@@ -590,8 +583,8 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         rho=rho,
         norm_phi=np.sqrt(table.sq[d - 1 :]),
         theta_hat=theta_hat,
-        r=r,
-        w=w,
+        r=r.copy(),
+        w=w.copy(),
         cfg=cfg,
         _table=table,
     )
@@ -610,21 +603,22 @@ class GroundTruth:
     """theta* and filtered noise wbar of a constant-plant run, both from its one plant row."""
 
     theta_star: np.ndarray  # (p,)
-    wbar: np.ndarray  # wbar(t) for t = wbar_t0 ..
-    wbar_t0: int
+    wbar: np.ndarray  # wbar(t) for t = wbar_t0 .. t0 + T - d, the rows the checks read
+    wbar_t0: int  # the run's t0
 
 
 def ground_truth(cfg: ExperimentConfig) -> GroundTruth:
     """GroundTruth of cfg.plant_rows' one row, checked by the config; one long division gives
-    both F (for wbar) and theta* = (alpha, beta). ValueError for a time-varying plant."""
+    both F (for wbar) and theta* = (alpha, beta). wbar covers t = t0 .. t0 + T - d, the rows
+    that check_prop1, check_identities and predictor_residuals read, so it reads w on
+    t0 + 1 .. t0 + T, inside the config's sampled times. ValueError for a time-varying plant."""
     if not cfg.schedule.is_constant():
         raise ValueError("ground truth needs a constant plant")
     F, theta_star = predictor_map(*(rows[0] for rows in cfg.plant_rows), cfg.ref)
-    wbar_t0 = cfg.t0 - cfg.d + 1
     return GroundTruth(
         theta_star=np.array(theta_star),
-        wbar=wbar_sequence(F, cfg.w, wbar_t0, cfg.steps + cfg.d),
-        wbar_t0=wbar_t0,
+        wbar=wbar_sequence(F, cfg.w, cfg.t0, cfg.steps - cfg.d),
+        wbar_t0=cfg.t0,
     )
 
 
@@ -825,7 +819,7 @@ def check_trace_consistency(trace: Trace) -> VerificationReport:
     README lists which check owns which column) and compared with ==; the
     margin is minus the rows that differ; theta_hat is the projection update
     replayed from theta0. A trace must span the config's horizon, whose
-    coefficient rows it reads.
+    coefficient rows and inputs it reads.
     """
     rep = VerificationReport()
     cfg = trace.cfg
@@ -834,7 +828,7 @@ def check_trace_consistency(trace: Trace) -> VerificationReport:
     h, l_coeffs = cfg.ref.H.coeffs, cfg.ref.L.coeffs
     table = trace.regressors()
     hist, phi, sq = table.hist, table.phi, table.sq  # phi(t0-d+1 .. t0+T)
-    r_cfg, w_cfg = table.signals
+    r_cfg, w_cfg = cfg.inputs
     r_ext = hist.at_rest(r_cfg)
 
     def equal(name: str, recorded, derived) -> None:
@@ -917,13 +911,14 @@ def fit_decay_bound(trace: Trace, lam: float) -> float:
 
         ||phi(t)|| <= c [ lam^(t-t0) ||x0|| + sum_{j=t0..t} lam^(t-j) (|r(j)| + |w(j)|) ].
 
-    r and w are trace.cfg's signals from the regressor table, never the recorded columns.
+    r and w are trace.cfg's inputs, never the recorded columns; t0 and T are trace.cfg's.
     The envelope is one pass of itertools.accumulate (a loop's float operations, in order);
     lam must lie in (0, 1), and audit also holds it above the configuration's spectral floor.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"decay rate must lie in (0, 1), got {lam}")
-    r, w = trace.regressors().signals
+    t0, _ = _horizon(trace)
+    r, w = trace.cfg.inputs
     drive = (np.abs(r) + np.abs(w)).tolist()
     x0 = np.array([trace.cfg.x0], dtype=float)  # one row: ||x0|| in _weighted's order
     start = math.sqrt(_weighted(x0, x0, np.zeros(1))[0]) + drive[0]
@@ -934,7 +929,7 @@ def fit_decay_bound(trace: Trace, lam: float) -> float:
     bad = np.flatnonzero(~live & (norm_phi > 0.0))
     if len(bad):
         raise ValueError(
-            f"degenerate fit at t = {trace.cfg.t0 + int(bad[0])}: zero envelope, nonzero signal"
+            f"degenerate fit at t = {t0 + int(bad[0])}: zero envelope, nonzero signal"
         )
     # max(0.0, .) turns a -0.0 maximum into +0.0, as a running max from 0.0 gives
     return max(0.0, float(np.max(norm_phi[live] / env[live], initial=0.0)))

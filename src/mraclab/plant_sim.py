@@ -36,16 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .system import (
-    AdmissibilityError,
-    PlantParams,
-    first_inadmissible,
-    integer,
-    integers,
-    number,
-    numbers,
-    text,
-)
+from .poly import integer, integers, number, numbers, text
+from .system import AdmissibilityError, PlantParams, first_inadmissible
 
 __all__ = [
     "SIGNAL_KINDS",

@@ -5,7 +5,7 @@ multiplies z^-i. This is the natural indexing for difference equations,
 where a polynomial acts on a signal as sum_i c_i x(t - i). Trailing zero
 coefficients are legal; trimmed() drops them where the degree matters.
 PolyZ reads its coefficients by a document's number rule; the readers
-(integer, number, text, numbers, integers) live here and system re-exports them.
+(integer, number, text, numbers, integers) live here.
 """
 
 from __future__ import annotations

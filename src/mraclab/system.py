@@ -12,10 +12,8 @@ beta = F B, under which the weighted output ybar(t) = y(t) + sum l_j y(t-j)
 satisfies ybar(t+d) = phi(t)^T theta* + wbar(t) with the regressor
 phi(t) = (y(t)..y(t-n+1), u(t)..u(t-m-d+1)).
 
-This module re-exports poly's number readers (integer, number, numbers,
-integers: specs, configs, ParamBox and each delay d are read by them). It
-holds the parameter containers, the one admissibility test of plant
-coefficient rows (first_inadmissible), the plant-to-predictor map
+This module holds the parameter containers, the one admissibility test of
+plant coefficient rows (first_inadmissible), the plant-to-predictor map
 predictor_map (F and theta* from one long division, with no checks: a
 config maps the rows it has tested, PlantParams checks a hand-built plant),
 and the hyperrectangle machinery the projected estimator needs: building
@@ -30,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import PolyZ, convolve, predictor_split, schur_stable, schur_stable_rows
-from .poly import integer, integers, number, numbers, text  # re-exported: the document readers
+from .poly import PolyZ, convolve, integer, numbers, predictor_split, schur_stable, schur_stable_rows
 
 __all__ = [
     "AdmissibilityError",
@@ -44,11 +41,6 @@ __all__ = [
     "predictor_map",
     "build_param_box",
     "box_norm",
-    "integer",
-    "number",
-    "numbers",
-    "integers",
-    "text",
 ]
 
 
@@ -104,9 +96,6 @@ class PlantParams:
     @property
     def m(self) -> int:
         return len(self.b) - 1
-
-    def a_poly(self) -> PolyZ:
-        return PolyZ((1.0,) + self.a)
 
 
 @dataclass(frozen=True)

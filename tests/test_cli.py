@@ -523,3 +523,28 @@ def test_schedule_is_evaluated_once_per_command(tmp_path, monkeypatch):
         calls[name].clear()
     assert main(["verify", "--trace", str(out / "trace.csv")]) == 0
     assert calls == want
+
+
+@pytest.mark.parametrize("doc, w_samplings", [(demo_config().to_config_dict(), 1), (README_CONFIG, 2)],
+                         ids=["showcase", "readme"])
+def test_inputs_are_sampled_once_per_command(tmp_path, monkeypatch, doc, w_samplings):
+    # r and w are sampled once, on t0 .. t0 + steps, into the config's inputs, which the
+    # loop and every audit read; a constant plant's wbar samples w once more, on the same times.
+    cfg = harness.config_from_dict(doc)
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    calls = []
+
+    def counted(spec, t0, count, _signal_rows=plant_sim.signal_rows):
+        calls.append((spec, t0, count))
+        return _signal_rows(spec, t0, count)
+
+    for module in (harness, plant_sim):
+        monkeypatch.setattr(module, "signal_rows", counted)
+    horizon = (cfg.t0, cfg.steps + 1)
+    want = [(cfg.r, *horizon)] + [(cfg.w, *horizon)] * w_samplings
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out), "--verify"]) == 0
+    assert calls == want
+    calls.clear()
+    assert main(["verify", "--trace", str(out / "trace.csv")]) == 0
+    assert calls == want

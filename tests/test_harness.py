@@ -136,6 +136,19 @@ class TestConfigValidation:
     def test_demo_config_is_valid(self):
         demo_config()
 
+    @pytest.mark.parametrize("doc", [demo_config().to_config_dict(), README_CONFIG],
+                             ids=["showcase", "readme"])
+    def test_inputs_are_validated_on_the_runs_times(self, doc):
+        # r and w are checked on t0 .. t0 + steps, the times the run samples: this w's
+        # angle is finite up to t = 1000 and infinite from t = 1001 on, and wbar reads
+        # no time past the horizon.
+        w = {"kind": "sinusoid", "amplitude": 0.1, "rate": 1.7976931348623157e308 / 1000.5}
+        doc = {**doc, "signals": {**doc["signals"], "w": w}}
+        assert audit(run_closed_loop(config_from_dict(doc))).passed
+        msg = r"^signals\.w: field 'rate': rate \* t \+ phase is not finite at t = 1001$"
+        with pytest.raises(ConfigError, match=msg):
+            config_from_dict({**doc, "sim": {**doc["sim"], "steps": 1001}})
+
     @pytest.mark.parametrize("d", [2.0, True], ids=["float", "bool"])
     def test_python_built_delay_is_an_integer(self, d):
         # A document's plant.d must be an integer; so must a delay built in Python.
@@ -1092,6 +1105,27 @@ def test_the_kept_table_never_changes_a_verdict(col, row):
         assert _verdict(swapped)["passed"] == (other == cfg)
 
 
+def test_inputs_are_the_configs_one_copy():
+    # The loop and the audit read cfg.inputs, r and w on t0 .. t0 + steps, read-only. The
+    # trace holds writable copies: an in-place edit of one fails its check alone.
+    cfg = config_from_dict(README_CONFIG)
+    r, w = cfg.inputs
+    assert len(r) == len(w) == cfg.steps + 1 and not (r.flags.writeable or w.flags.writeable)
+    for col in ("r", "w"):
+        tr = run_closed_loop(cfg)
+        getattr(tr, col)[100] += 1.0
+        assert [c.name for c in audit(tr).checks if not c.passed] == ["consistency_exogenous_signals"]
+    assert cfg.inputs[0] is r and not np.array_equal(w, tr.w)  # the edits left the config's copy
+
+
+def test_traces_compare_by_identity():
+    # Columns are arrays, so == on a Trace is identity, and never raises; the golden
+    # pins cover that two runs of one config are bitwise the same.
+    tr = run_closed_loop(demo_config(60))
+    assert tr == tr
+    assert (run_closed_loop(demo_config(60)) == tr) is False
+
+
 class TestGroundTruth:
     def test_constant_plant_values(self):
         cfg = make_config()
@@ -1101,13 +1135,15 @@ class TestGroundTruth:
         assert np.array_equal(gt.theta_star, theta)
 
     def test_wbar_matches_direct_filter(self):
+        # wbar covers the rows the checks read, t0 .. t0 + T - d.
         cfg = make_config(w=white_noise(0.2, seed=9))
         gt = ground_truth(cfg)
+        assert gt.wbar_t0 == cfg.t0 and len(gt.wbar) == cfg.steps - cfg.d + 1
         f = predictor_split(cfg.ref.L, PolyZ((1.0, -0.6, 0.08)), cfg.d)[0].coeffs
         assert len(f) == cfg.d and f[0] == 1.0
         from mraclab.plant_sim import signal_eval
 
-        for t in (-1, 0, 3, word := 57):
+        for t in (0, 3, 57, cfg.t0 + cfg.steps - cfg.d):
             want = sum(
                 f[i] * signal_eval(cfg.w, t + cfg.d - i) for i in range(len(f))
             )
@@ -1271,6 +1307,8 @@ class TestChecks:
             pytest.param(constant_60, _with_ground_truth(check_identities), id="constant-check_identities"),
             pytest.param(constant_60, lambda trace: predictor_residuals(trace, trace.cfg),
                          id="constant-predictor_residuals"),
+            pytest.param(showcase_60, lambda trace: fit_decay_bound(trace, 0.9),
+                         id="time_varying-fit_decay_bound"),
         ],
     )
     def test_consistency_needs_the_configs_horizon(self, make, check):
@@ -1568,8 +1606,9 @@ class TestPredictorResiduals:
 
 
 def forged_trace(norm_phi, r, w, x0_norm, d=1):
-    """Columns as given, on a (2, 1, d) config whose x0 has norm x0_norm and whose r and w
-    signals are the r and w columns from t = 0."""
+    """Columns as given, on a (2, 1, d) config with L = 1 and a horizon of the given rows
+    (at least 2d + 1), whose x0 has norm x0_norm and whose r and w signals are the r and w
+    columns from t = 0."""
     rows = len(norm_phi)
     zeros = np.zeros(rows)
     x0 = [0.0] * x0_length(2, 1, d)
@@ -1589,7 +1628,7 @@ def forged_trace(norm_phi, r, w, x0_norm, d=1):
         theta_hat=np.zeros((rows, 1)),
         r=r,
         w=w,
-        cfg=make_config(d=d, x0=x0, **signals),
+        cfg=make_config(d=d, L=(1.0,), steps=rows - 1, x0=x0, **signals),
     )
 
 
@@ -1649,8 +1688,8 @@ class TestDecayFit:
             sq += v * v
         x0_norm = math.sqrt(sq)
         assert x0_norm == 0.6126996449012786
-        tr = forged_trace([x0_norm, 0.0, 0.0], np.zeros(3), np.zeros(3), x0_norm=0.0, d=2)
-        tr = replace(tr, cfg=make_config(d=2, x0=tuple(x0), r=zero_signal(), w=zero_signal()))
+        tr = forged_trace([x0_norm, 0.0, 0.0, 0.0, 0.0], np.zeros(5), np.zeros(5), x0_norm=0.0, d=2)
+        tr = replace(tr, cfg=replace(tr.cfg, x0=tuple(x0)))
         assert fit_decay_bound(tr, 0.5) == 1.0  # the gain is attained at t0
 
     def test_monotone_in_rate(self):

@@ -494,5 +494,5 @@ class TestPredictorForm:
 
 
 def predictor_F(ref, plant):
-    F, _ = predictor_split(ref.L, plant.a_poly(), plant.d)
+    F, _ = predictor_split(ref.L, PolyZ((1.0, *plant.a)), plant.d)
     return F

@@ -29,7 +29,6 @@ class TestPlantParams:
     def test_valid(self):
         p = PlantParams(a=(0.3, -0.1), b=(2.0, 1.0), d=1)
         assert p.n == 2 and p.m == 1
-        assert p.a_poly().coeffs == (1.0, 0.3, -0.1)
 
     def test_rejects_zero_b0(self):
         with pytest.raises(AdmissibilityError):
@@ -135,7 +134,7 @@ class TestToPredictorParams:
             )
             pp = to_predictor_params(plant, ref)
             lhs = convolve(L.coeffs, plant.b)
-            rhs = convolve(pp.beta, plant.a_poly().coeffs)
+            rhs = convolve(pp.beta, PolyZ((1.0, *plant.a)).coeffs)
             shifted = convolve(pp.alpha or (0.0,), plant.b)
             width = max(len(lhs), len(rhs), d + len(shifted))
             lhs += [0.0] * (width - len(lhs))
