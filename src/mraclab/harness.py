@@ -995,24 +995,94 @@ def _csv_header(p: int) -> list[str]:
     return [cell for name in TRACE_COLUMNS for cell in _cells(name, p)]
 
 
-CSV_BLOCK = 512  # rows formatted per pass of write_trace_csv
+CSV_BLOCK = 256  # rows formatted per pass of write_trace_csv
+
+# _cell_bytes's tables. A cell is laid out in a slot of _SLOT bytes around a point at
+# column 20: integer digits end at column 19, fraction digits start at column 21.
+_SLOT = 42
+_POW10 = np.array([float(10**i) for i in range(21)])  # 10^0 .. 10^20, each an exact double
+_POW10_HI = _POW10 * (2.0**27 + 1) - (_POW10 * (2.0**27 + 1) - _POW10)  # Dekker's split
+_POW10_LO = _POW10 - _POW10_HI
+_PAIRS = np.frombuffer("".join([f"{i:02d}" for i in range(100)]).encode(), np.uint8).reshape(100, 2)
+_QUADS = np.concatenate(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), axis=2).view(np.uint32).ravel()
+_SPANS = (np.arange(_SLOT) >= np.arange(20)[:, None, None]) & (np.arange(_SLOT) <= np.arange(_SLOT)[:, None])
+_SPANS = _SPANS.reshape(-1, _SLOT)  # row start * _SLOT + end keeps slot columns start .. end
+
+
+def _cell_bytes(x: np.ndarray, seps: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The bytes of CSV_FMT % cell for each cell of x, each followed by its seps byte.
+
+    A cell whose decimal exponent k is -4 .. 16, where %.17g prints fixed notation, is
+    printed from its 17 significant digits D = round(|x| 10^(16 - k)): Dekker's product
+    gives hi + lo = |x| 10^(16 - k) exactly, with hi an even integer from 2^53 on and
+    |lo| <= 8, so hi + rint(lo) is D rounded half-even, as %.17g rounds. D's digits come
+    from _QUADS, four to a word, and k places them in the cell's slot. Zeros, cells out
+    of that range, non-finite cells and a k from log10 that is off by one (D outside
+    [10^16, 10^17)) take CSV_FMT % cell.
+    """
+    rows = np.arange(0, x.size * _SLOT, _SLOT)  # each slot's first byte in flat
+    ax = np.abs(x)
+    with np.errstate(divide="ignore"):  # zeros: log10 is -inf, outside the range below
+        k = np.floor(np.log10(ax))
+    fast = (k >= -4) & (k <= 16)
+    k = np.where(fast, k, 0.0).astype(np.intp)
+    ax[~fast] = 1.0
+    hi = ax * _POW10[16 - k]
+    ah = ax * (2.0**27 + 1)
+    ah -= ah - ax  # Dekker's split: ah keeps ax's top 26 bits
+    al = ax - ah
+    ph, pl = _POW10_HI[16 - k], _POW10_LO[16 - k]
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # k is right iff 10^16 <= D < 10^17: the largest double below each 10^j, j = -4 .. 17,
+    # is more than 10^j * 5e-17 below it, so no D rounds up to a power of ten.
+    fast &= (d >= 10**16) & (d < 10**17)
+    d[~fast] = 10**16
+    quads = np.empty((x.size, 5), np.int64)  # D as 20 digits ("000" and its 17), four a column
+    for i in (4, 3, 2, 1):
+        np.divmod(d, 10**4, out=(d, quads[:, i]))
+    quads[:, 0] = d
+    digits = _QUADS[quads]
+    del ax, hi, ah, al, ph, pl, lo, quads  # the byte matrix's work below peaks without them
+    flat = slots.reshape(-1)
+    runs = np.ndarray((flat.size - 19,), "V20", flat, strides=(1,))  # runs[i] is flat[i : i + 20]
+    slots[:, 19] = ord("0")  # the integer 0 of 0.000d...
+    runs[rows + 16 - k] = digits.view("V20")[:, 0]  # the leading digit at column 19 - k
+    slots[:, 21:41] = slots[:, 20:40]
+    slots[:, 20] = ord(".")
+    last = 35 - k - np.argmax(digits.view(np.uint8)[:, :2:-1] != ord("0"), axis=1)
+    end = np.where(last >= 20, last + 2, 20)  # after the last nonzero fraction digit, or the point
+    neg = x < 0  # a % cell's text, placed below, covers its sign
+    start = 19 - np.maximum(k, 0) - neg
+    flat[rows[neg] + start[neg]] = ord("-")
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # one Python float per cell here only
+        raw = np.frombuffer((CSV_FMT + "\0").encode() * slow.size % tuple(x[slow].tolist()), np.uint8)
+        stops = np.flatnonzero(raw == 0)
+        lens = np.diff(stops, prepend=-1) - 1
+        flat[np.repeat(rows[slow] - stops + lens, lens + 1) + np.arange(raw.size)] = raw
+        start[slow], end[slow] = 0, lens
+    flat[rows + end] = seps
+    return slots[np.take(_SPANS, start * _SLOT + end, axis=0)]
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Exact decimal dump, one row per time step, reloadable bit-for-bit.
 
-    The bytes np.savetxt(fmt=CSV_FMT, delimiter=",") writes, header first. Each
-    block of CSV_BLOCK rows is one % over the row template repeated per row,
-    applied to the block's cells as Python floats; a block at a time keeps the
-    boxed cells few.
+    The bytes np.savetxt(fmt=CSV_FMT, delimiter=",") writes, header first. Each block
+    of CSV_BLOCK rows goes through _cell_bytes, which prints a cell whose decimal
+    exponent is -4 .. 16 from numpy digit arithmetic, with no Python float, and every
+    other cell (zeros, exponent notation, non-finite) by CSV_FMT %; it is laid out in
+    one byte matrix, compacted by cell length and written at once.
     """
-    table = np.column_stack([getattr(trace, name) for name in TRACE_COLUMNS])
-    row = ",".join([CSV_FMT] * table.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(_csv_header(trace.theta_hat.shape[1])) + "\n")
-        for start in range(0, len(table), CSV_BLOCK):
-            block = table[start : start + CSV_BLOCK]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    header = _csv_header(trace.theta_hat.shape[1])
+    slots = np.empty((min(trace.rows, CSV_BLOCK) * len(header), _SLOT), np.uint8)  # reused by each block
+    seps = np.resize(np.r_[np.full(len(header) - 1, ord(","), np.uint8), ord("\n")], len(slots))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for i in range(0, trace.rows, CSV_BLOCK):
+            cells = np.column_stack([getattr(trace, n)[i : i + CSV_BLOCK] for n in TRACE_COLUMNS]).ravel()
+            fh.write(_cell_bytes(cells, seps[: cells.size], slots[: cells.size]))
 
 
 def trace_from_csv(path, cfg: ExperimentConfig) -> Trace:

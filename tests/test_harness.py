@@ -1298,6 +1298,53 @@ class TestChecks:
         assert failed == [("consistency_exogenous_signals", -1.0, "1 of 401 rows differ, first at t = 100")]
 
     @pytest.mark.parametrize(
+        "col, row, check",
+        [
+            # y, u, y_star and theta_hat feed the re-derivation of later rows: edited at the
+            # last row, only that row differs in their owner's comparison.
+            ("y", 400, "consistency_plant_recursion"),
+            ("u", 400, "consistency_control_closure"),
+            ("eps", 100, "consistency_tracking_error"),
+            ("eps_bar", 100, "consistency_weighted_error"),
+            ("e", 100, "consistency_prediction_error"),
+            ("norm_phi", 100, "consistency_regressor_norm"),
+            ("rho", 100, "consistency_deadzone_gate"),
+            ("theta_hat", 400, "consistency_estimator_recursion"),
+            ("t", 100, "consistency_time_index"),
+            ("r", 100, "consistency_exogenous_signals"),
+            ("y_star", 400, "consistency_reference_recursion"),
+        ],
+    )
+    def test_consistency_detail_of_each_check(self, col, row, check):
+        cfg = make_config(steps=400, t0=-7)
+        tr = run_closed_loop(cfg)
+        column = np.array(getattr(tr, col))
+        if col == "rho":
+            column[row] = 1.0 - column[row]
+        else:
+            column[row] = np.nextafter(column[row], np.inf)  # theta_hat: every coordinate
+        rep = check_trace_consistency(Trace(**{**tr.__dict__, col: column}))
+        owner = next(c for c in rep.checks if c.name == check)
+        assert (owner.margin, owner.detail) == (-1.0, f"1 of 401 rows differ, first at t = {row - 7}")
+
+    @pytest.mark.parametrize("below, rho, passed", [(False, 0.0, True), (False, 1.0, False), (True, 1.0, True)])
+    def test_deadzone_gate_replay_is_strict_at_the_threshold(self, below, rho, passed):
+        # |e(t+1)| = (2 ||S|| + delta) ||phi(t-d+1)|| exactly: the gate is a strict <, so
+        # the replay expects rho(t) = 0 there, and rho(t) = 1 one ulp below it.
+        cfg = make_config(steps=400, delta=0.5)
+        tr = run_closed_loop(cfg)
+        k = 100
+        threshold = (2.0 * system.box_norm(cfg.box) + cfg.delta) * np.sqrt(tr.regressors().sq[k])
+        assert threshold > 0.0
+        e, rhos = np.array(tr.e), np.array(tr.rho)
+        e[k + 1], rhos[k] = -np.nextafter(threshold, 0.0) if below else -threshold, rho
+        rep = check_trace_consistency(Trace(**{**tr.__dict__, "e": e, "rho": rhos}))
+        gate = next(c for c in rep.checks if c.name == "consistency_deadzone_gate")
+        assert gate.passed is passed
+        if not passed:
+            assert gate.detail == f"1 of 401 rows differ, first at t = {k}"
+
+    @pytest.mark.parametrize(
         "make, check",
         [
             pytest.param(constant_60, check_trace_consistency, id="constant"),
@@ -1746,7 +1793,15 @@ class TestTraceFiles:
         width = len(_csv_header(3))
         table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
         cells = table.reshape(-1)
-        cells[::5] = np.resize([-0.0, 5e-324, 2.0**53, 1e16, -(2.0**53), 0.1], cells[::5].size)
+        # The fast path's edges: powers of ten and their neighbours, 2^53 and its, an exact
+        # 18th-digit tie (1 + 2^-17 = 1.00000762939453125 prints 1.0000076293945312) and
+        # the ends of the float range.
+        tens = [v for k in range(-6, 19) for v in (np.nextafter(float(f"1e{k}"), 0.0), float(f"1e{k}"),
+                                                   np.nextafter(float(f"1e{k}"), np.inf))]
+        edges = [*tens, np.nextafter(2.0**53, 0.0), np.nextafter(2.0**53, np.inf), 1 + 2.0**-17,
+                 2.2250738585072014e-308, 1.7976931348623157e308, 0.0]
+        special = [-0.0, 5e-324, 2.0**53, 1e16, -(2.0**53), 0.1, *edges, *np.negative(edges)]
+        cells[::5] = np.resize(special, cells[::5].size)
         stops = np.cumsum([3 if name == "theta_hat" else 1 for name in TRACE_COLUMNS[:-1]])
         cols = dict(zip(TRACE_COLUMNS, np.split(table, stops, axis=1)))
         cols = {n: c if n == "theta_hat" else c[:, 0] for n, c in cols.items()}

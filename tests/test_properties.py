@@ -7,7 +7,8 @@ survive their document form, the admissibility test agrees with the root
 moduli, the predictor split is exact, signals and coefficients are their
 definitions, the loop's step kernels, the audits' row sum _weighted, box_norm
 and the convolution compute the products and sums of their plain index formulas
-bit for bit, and the root moduli are their companion matrices' eigenvalues."""
+bit for bit, the root moduli are their companion matrices' eigenvalues, and the
+trace writer prints every finite cell as CSV_FMT % cell does."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from mraclab import estimator
 from mraclab.controller import control_input, reference_outputs, ybar
 from mraclab.estimator import EstimatorState, estimator_update
 from mraclab.harness import (
+    CSV_FMT,
     ExperimentConfig,
     Trace,
     audit,
@@ -122,6 +124,31 @@ def test_admissible_constant_plants_pass_and_round_trip(cfg):
     rep = audit(trace)  # consistency, prop1 against ground truth, identities
     assert [c.line() for c in rep.checks if not c.passed] == []
     assert {"parameter_error_contraction_total", "identity_prediction_error"} <= {c.name for c in rep.checks}
+
+
+FIXED_BITS = (1009 << 52, 1080 << 52)  # exponent fields from 2^-14 to 2^57, around 10^-4 .. 10^17
+
+
+def finite_floats():
+    """A finite float64 from its bit pattern: any pattern, or one whose exponent lies in
+    the range where %.17g prints fixed notation, with either sign."""
+    fixed = st.integers(*FIXED_BITS) | st.integers(*((1 << 63) + b for b in FIXED_BITS))
+    bits = st.integers(0, 2**64 - 1) | fixed
+    return bits.map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(math.isfinite)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda rows: st.lists(finite_floats(), min_size=14 * rows, max_size=14 * rows)))
+def test_writer_prints_every_cell_as_csv_fmt(cells):
+    table = np.array(cells).reshape(-1, 14)  # theta_hat has 3 coordinates
+    stops = np.cumsum([3 if name == "theta_hat" else 1 for name in COLUMNS[:-1]])
+    cols = {n: c if n == "theta_hat" else c[:, 0] for n, c in zip(COLUMNS, np.split(table, stops, axis=1))}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace_csv(Trace(**cols, cfg=demo_config(10)), path)
+        written = path.read_bytes()
+    rows = "".join(",".join([CSV_FMT % v for v in row]) + "\n" for row in table.tolist())
+    assert written.split(b"\n", 1)[1] == rows.encode()
 
 
 def transformed(cfg: ExperimentConfig, gain: float = 1.0, scale: float = 1.0) -> ExperimentConfig:
