@@ -17,7 +17,6 @@ from .harness import (
     demo_config,
     fit_decay_bound,
     ground_truth,
-    reproduce_example,
     run_closed_loop,
 )
 from .poly import PolyZ, max_root_modulus, predictor_split, schur_stable
@@ -44,6 +43,5 @@ __all__ = [
     "check_trace_consistency",
     "fit_decay_bound",
     "demo_config",
-    "reproduce_example",
     "__version__",
 ]

@@ -5,7 +5,7 @@ Three subcommands:
   run        execute a configured experiment and write its artifacts
   verify     re-derive and check every claimed property, either by re-running
              a configuration or by auditing a previously written trace file
-  reproduce  run the packaged showcase experiment, audit it and write its artifacts
+  reproduce  run --verify of the packaged showcase experiment (demo_config)
 
 Exit codes: 0 success, 1 a verification check failed, 2 configuration or
 file problem, 3 the simulation diverged numerically.
@@ -19,13 +19,12 @@ import sys
 from pathlib import Path
 
 from .harness import (
-    CheckResult,
     ConfigError,
     NumericAbort,
     VerificationReport,
     audit,
     config_from_dict,
-    reproduce_example,
+    demo_config,
     run_closed_loop,
     trace_from_csv,
     write_outputs,
@@ -73,6 +72,8 @@ def _finish(trace, out, rep: VerificationReport | None) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.decay is not None and not args.verify:
+        raise ConfigError("lambda", "only read with --verify")
     doc = _apply_overrides(_load_json(args.config), args)
     cfg = config_from_dict(doc)
     trace = run_closed_loop(cfg)
@@ -114,18 +115,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    trace, summary = reproduce_example(args.out)
-    print(f"rows: {summary['rows']}  config: {summary['config_hash']}")
-    for key, val in summary["tracking"].items():
-        if key.startswith("rms"):
-            print(f"{key} = {val:.6f}")
-    print(f"estimates within box: {summary['estimates']['within_box']}")
-    out = Path(args.out)
-    for name in ("trace.csv", "summary.json", "plot.gp"):
-        print(f"wrote {out / name}")
-    audited = summary["checks"]  # the report, as run --verify prints it
-    rep = VerificationReport([CheckResult(**c) for c in audited["checks"]], audited["fitted"])
-    return _finish(trace, None, rep)  # reproduce_example has written the artifacts
+    trace = run_closed_loop(demo_config())
+    return _finish(trace, args.out, audit(trace))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -94,7 +94,6 @@ __all__ = [
     "audit",
     "config_spectral_floor",
     "demo_config",
-    "reproduce_example",
     "write_trace_csv",
     "trace_from_csv",
     "write_outputs",
@@ -911,7 +910,8 @@ def fit_decay_bound(trace: Trace, lam: float) -> float:
 
         ||phi(t)|| <= c [ lam^(t-t0) ||x0|| + sum_{j=t0..t} lam^(t-j) (|r(j)| + |w(j)|) ].
 
-    r and w are trace.cfg's inputs, never the recorded columns; t0 and T are trace.cfg's.
+    ||phi|| is trace.regressors()'s and r and w are trace.cfg's inputs, never the recorded
+    columns; t0 and T are trace.cfg's.
     The envelope is one pass of itertools.accumulate (a loop's float operations, in order);
     lam must lie in (0, 1), and audit also holds it above the configuration's spectral floor.
     """
@@ -924,15 +924,14 @@ def fit_decay_bound(trace: Trace, lam: float) -> float:
     start = math.sqrt(_weighted(x0, x0, np.zeros(1))[0]) + drive[0]
     env = np.fromiter(accumulate(drive[1:], lambda e, dk: lam * e + dk, initial=start),
                       float, len(drive))
-    norm_phi = trace.norm_phi
+    norm_phi = np.sqrt(trace.regressors().sq[trace.cfg.d - 1 :])
     live = env > 0.0
     bad = np.flatnonzero(~live & (norm_phi > 0.0))
     if len(bad):
         raise ValueError(
             f"degenerate fit at t = {t0 + int(bad[0])}: zero envelope, nonzero signal"
         )
-    # max(0.0, .) turns a -0.0 maximum into +0.0, as a running max from 0.0 gives
-    return max(0.0, float(np.max(norm_phi[live] / env[live], initial=0.0)))
+    return float(np.max(norm_phi[live] / env[live], initial=0.0))
 
 
 def tracking_energy(trace: Trace) -> tuple[float, np.ndarray]:
@@ -973,7 +972,7 @@ def audit(trace: Trace, decay: float | None = None) -> VerificationReport:
         rep.checks += check_prop1(trace).checks
     try:
         gain = fit_decay_bound(trace, decay)
-    except ValueError:  # a zero envelope under a nonzero norm_phi: a consistency check has failed
+    except ValueError:  # a zero envelope under a nonzero ||phi||: a consistency check has failed
         gain = None
     rep.fitted = {"lambda": decay, "spectral_floor": floor, "envelope_gain_c": gain}
     return rep
@@ -1188,10 +1187,7 @@ def build_summary(trace: Trace, report: VerificationReport | None = None) -> dic
 
 def write_outputs(trace: Trace, out_dir, report: VerificationReport | None = None) -> dict:
     """Write trace.csv, summary.json, and plot.gp into out_dir; return the paths."""
-    return _write_artifacts(trace, out_dir, build_summary(trace, report))
-
-
-def _write_artifacts(trace: Trace, out_dir, summary: dict) -> dict:
+    summary = build_summary(trace, report)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"trace": out / "trace.csv", "summary": out / "summary.json", "plot": out / "plot.gp"}
@@ -1239,16 +1235,3 @@ def demo_config(steps: int = 1000) -> ExperimentConfig:
         label="showcase",
     )
 
-
-def reproduce_example(out_dir=None) -> tuple[Trace, dict]:
-    """Run the packaged showcase experiment, audit it and build its summary.
-
-    When out_dir is given, also writes trace.csv, summary.json, and plot.gp
-    there. Returns (trace, summary). The run is fully deterministic: two
-    invocations produce byte-identical artifacts.
-    """
-    trace = run_closed_loop(demo_config())
-    summary = build_summary(trace, audit(trace))
-    if out_dir is not None:
-        _write_artifacts(trace, out_dir, summary)
-    return trace, summary

@@ -9,6 +9,7 @@ b1 in [-1,1]) unless the criterion needs other shapes.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 
@@ -19,14 +20,16 @@ from mraclab.cli import main as cli_main
 from mraclab.harness import (
     TOL,
     ExperimentConfig,
+    audit,
     check_identities,
     check_prop1,
+    demo_config,
     fit_decay_bound,
     ground_truth,
     predictor_residuals,
-    reproduce_example,
     run_closed_loop,
     tracking_energy,
+    write_outputs,
 )
 from mraclab.plant_sim import CoefficientSchedule, square_wave, white_noise, zero_signal
 from mraclab.poly import PolyZ, convolve, predictor_split
@@ -358,7 +361,9 @@ def test_criterion_09_showcase_reproduction(tmp_path, capsys):
     rc = cli_main(["reproduce", "--out", str(tmp_path / "a")])
     assert rc == 0
     capsys.readouterr()
-    trace, summary = reproduce_example(tmp_path / "b")
+    trace = run_closed_loop(demo_config())  # the library recipe of reproduce
+    write_outputs(trace, tmp_path / "b", audit(trace))
+    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
     lo = np.array(BOX_SHOWCASE.lo)
     hi = np.array(BOX_SHOWCASE.hi)
     assert np.all(trace.theta_hat >= lo - 1e-12) and np.all(trace.theta_hat <= hi + 1e-12)

@@ -56,6 +56,13 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["checks"]["passed"] is True
 
+    def test_lambda_without_verify_is_a_config_error(self, config_path, tmp_path, capsys):
+        # The rate is read only by the audit: without --verify it is refused before the run.
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out), "--lambda", "0.95"]) == 2
+        assert capsys.readouterr().err == "error: lambda: only read with --verify\n"
+        assert not out.exists()
+
     def test_steps_override(self, config_path, tmp_path):
         out = tmp_path / "out"
         assert main(
@@ -404,20 +411,24 @@ class TestVerify:
         assert fails == ["consistency_time_index"] and text.err == ""
 
     def test_degenerate_envelope_fit_is_recorded_as_null(self, tmp_path, capsys):
-        # x0 = 0 and r = w = 0: every column is zero. A nonzero norm_phi cell under the zero
-        # envelope leaves the fit undefined; the audit reports the edit and records no gain.
+        # x0 = 0 and r = w = 0: every column is zero. A nonzero y cell gives phi a nonzero norm
+        # under the zero envelope, which leaves the fit undefined; the audit reports the edit
+        # and records no gain.
         doc = json.loads(json.dumps(README_CONFIG))
         doc["sim"]["x0"] = [0.0] * 6
         del doc["signals"]
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         out = tmp_path / "out"
         main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
-        edit_cell(out / "trace.csv", "norm_phi", 10, "1e-300")
+        edit_cell(out / "trace.csv", "y", 10, "1e-100")
         capsys.readouterr()
         assert main(["verify", "--trace", str(out / "trace.csv"), "--out", str(tmp_path / "v")]) == 1
         text = capsys.readouterr()
         fails = [line.split()[1] for line in text.out.splitlines() if line.startswith("FAIL")]
-        assert fails == ["consistency_regressor_norm"] and text.err == ""
+        assert fails == [
+            "consistency_plant_recursion", "consistency_tracking_error", "consistency_weighted_error",
+            "consistency_prediction_error", "consistency_regressor_norm", "consistency_deadzone_gate",
+        ] and text.err == ""
         summary = json.loads((tmp_path / "v" / "summary.json").read_text())
         assert summary["checks"]["fitted"]["envelope_gain_c"] is None
 
@@ -438,11 +449,25 @@ class TestReproduce:
     def test_writes_and_reports(self, tmp_path, capsys):
         out = tmp_path / "show"
         assert main(["reproduce", "--out", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "rows: 1001" in text
-        assert "within box: True" in text
+        assert capsys.readouterr().out.endswith("VERIFY PASS\n")
         for name in ("trace.csv", "summary.json", "plot.gp"):
             assert (out / name).is_file()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rows"] == 1001
+        assert summary["estimates"]["within_box"] is True
+
+    def test_is_run_verify_of_its_config(self, tmp_path, capsys):
+        # reproduce prints and writes what run --verify does for reproduce's own config
+        # document, the out directory aside.
+        out, again = tmp_path / "show", tmp_path / "again"
+        assert main(["reproduce", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        config = tmp_path / "showcase.json"
+        config.write_text(json.dumps(json.loads((out / "summary.json").read_text())["config"]))
+        assert main(["run", "--config", str(config), "--out", str(again), "--verify"]) == 0
+        assert capsys.readouterr().out.replace(str(again), str(out)) == text
+        for name in ("trace.csv", "summary.json", "plot.gp"):
+            assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_prints_its_audit(self, tmp_path, capsys):
         out = tmp_path / "show"

@@ -31,7 +31,6 @@ from mraclab.harness import (
     fit_decay_bound,
     ground_truth,
     predictor_residuals,
-    reproduce_example,
     run_closed_loop,
     tracking_energy,
     trace_from_csv,
@@ -1525,6 +1524,14 @@ class TestHorizonFromConfig:
         assert [c.name for c in rep.checks if not c.passed] == ["consistency_exogenous_signals"]
         assert rep.fitted["envelope_gain_c"] == 0.47869579963764824 == audit(tr).fitted["envelope_gain_c"]
 
+    def test_edited_norm_phi_column_moves_no_gain(self):
+        # The fit reads ||phi|| from the regressor table, not from the recorded column.
+        tr = run_closed_loop(config_from_dict(README_CONFIG))
+        rep = audit(Trace(**{**tr.__dict__, "norm_phi": tr.norm_phi * 10.0}))
+        assert [c.name for c in rep.checks if not c.passed] == ["consistency_regressor_norm"]
+        gain = audit(tr).fitted["envelope_gain_c"]
+        assert rep.fitted["envelope_gain_c"].hex() == gain.hex() == (0.47869579963764824).hex()
+
     def test_w_at_t0_alone_keeps_the_monotone_check(self):
         # w(t0) enters no update: wbar is zero on every contraction row.
         cfg = replace(config_from_dict(README_CONFIG), w=table_signal([0.3], t_start=0))
@@ -1534,16 +1541,19 @@ class TestHorizonFromConfig:
         assert [c.passed for c in monotone] == [True]
         assert monotone[0].margin == pytest.approx(harness.TOL, rel=1e-6)  # no estimate moved away
 
-    def test_zero_input_run_with_an_edited_norm_survives_the_fit(self):
+    def test_zero_input_run_with_an_edited_y_survives_the_fit(self):
         # x0 = 0, r = w = 0: every column is zero, so the envelope is zero too; a nonzero
-        # norm_phi cell makes the fit degenerate, which the audit records as None.
+        # y cell gives phi(10) a nonzero norm, which makes the fit degenerate, and the audit
+        # records the gain as None.
         cfg = replace(config_from_dict(README_CONFIG), x0=(0.0,) * 6, r=zero_signal(), w=zero_signal())
         tr = run_closed_loop(cfg)
-        norm_phi = np.array(tr.norm_phi)
-        norm_phi[10] = 1e-300
-        bad = Trace(**{**tr.__dict__, "norm_phi": norm_phi})
+        y = np.array(tr.y)
+        y[10] = 1e-100
+        bad = Trace(**{**tr.__dict__, "y": y})
         rep = audit(bad)
-        assert [c.name for c in rep.checks if not c.passed] == ["consistency_regressor_norm"]
+        assert [c.name for c in rep.checks if not c.passed] == [
+            "consistency_plant_recursion", "consistency_tracking_error", "consistency_weighted_error",
+            "consistency_prediction_error", "consistency_regressor_norm", "consistency_deadzone_gate"]
         assert rep.fitted["envelope_gain_c"] is None and audit(tr).fitted["envelope_gain_c"] == 0.0
         with pytest.raises(ValueError, match="^degenerate fit at t = 10: zero envelope, nonzero signal$"):
             fit_decay_bound(bad, 0.9)
@@ -1652,30 +1662,31 @@ class TestPredictorResiduals:
             predictor_residuals(tr, cfg)
 
 
-def forged_trace(norm_phi, r, w, x0_norm, d=1):
-    """Columns as given, on a (2, 1, d) config with L = 1 and a horizon of the given rows
+def forged_trace(y, r, w, x0_norm, d=1, n=1):
+    """Columns as given, on an (n, 0, d) config with L = 1 and a horizon of the given rows
     (at least 2d + 1), whose x0 has norm x0_norm and whose r and w signals are the r and w
-    columns from t = 0."""
-    rows = len(norm_phi)
+    columns from t = 0. Every u is 0, in the column and in x0, so for n = 1 phi(t) is
+    y(t) and zeros, and ||phi(t)|| = |y(t)|."""
+    rows = len(y)
     zeros = np.zeros(rows)
-    x0 = [0.0] * x0_length(2, 1, d)
+    x0 = [0.0] * x0_length(n, 0, d)
     x0[0] = x0_norm
     r, w = np.asarray(r, dtype=float), np.asarray(w, dtype=float)
     signals = {"r": table_signal(r.tolist(), t_start=0), "w": table_signal(w.tolist(), t_start=0)}
     return Trace(
         t=np.arange(rows),
-        y=zeros,
+        y=np.asarray(y, dtype=float),
         y_star=zeros,
         u=zeros,
         eps=zeros,
         eps_bar=zeros,
         e=zeros,
         rho=np.zeros(rows, dtype=int),
-        norm_phi=np.asarray(norm_phi, dtype=float),
+        norm_phi=zeros,
         theta_hat=np.zeros((rows, 1)),
         r=r,
         w=w,
-        cfg=make_config(d=d, L=(1.0,), steps=rows - 1, x0=x0, **signals),
+        cfg=make_config(a=(-0.5,) * n, b=(2.0,), d=d, L=(1.0,), steps=rows - 1, x0=x0, **signals),
     )
 
 
@@ -1699,8 +1710,8 @@ class TestDecayFit:
             fit_decay_bound(tr, 0.9)
 
     def test_degenerate_fit_names_its_first_time(self):
-        norm_phi = [0.0, 0.0, 0.0, 2.0, 3.0, 1.0]  # nonzero under a zero envelope at t = 3, 4
-        tr = forged_trace(norm_phi, np.zeros(6), [0.0, 0.0, 0.0, 0.0, 0.0, 1.0], x0_norm=0.0)
+        y = [0.0, 0.0, 0.0, 2.0, 3.0, 1.0]  # nonzero under a zero envelope at t = 3, 4
+        tr = forged_trace(y, np.zeros(6), [0.0, 0.0, 0.0, 0.0, 0.0, 1.0], x0_norm=0.0)
         with pytest.raises(ValueError, match="^degenerate fit at t = 3: "):
             fit_decay_bound(tr, 0.9)
 
@@ -1735,9 +1746,13 @@ class TestDecayFit:
             sq += v * v
         x0_norm = math.sqrt(sq)
         assert x0_norm == 0.6126996449012786
-        tr = forged_trace([x0_norm, 0.0, 0.0, 0.0, 0.0], np.zeros(5), np.zeros(5), x0_norm=0.0, d=2)
+        # On a (6, 0, 1) config x0 is y(t0) .. y(t0-5): with the y column's y(t0) = x0[0],
+        # phi(t0) is x0 and a zero u(t0), whose norm the envelope starts at. The rate keeps
+        # every later row's ||phi|| (x0 less its oldest entries) below the envelope.
+        tr = forged_trace([x0[0], 0.0, 0.0, 0.0, 0.0], np.zeros(5), np.zeros(5), x0_norm=0.0, n=6)
         tr = replace(tr, cfg=replace(tr.cfg, x0=tuple(x0)))
-        assert fit_decay_bound(tr, 0.5) == 1.0  # the gain is attained at t0
+        assert np.sqrt(tr.regressors().sq[0]) == x0_norm
+        assert fit_decay_bound(tr, 0.9999) == 1.0  # the gain is attained at t0
 
     def test_monotone_in_rate(self):
         cfg = make_config(steps=300)
@@ -1872,9 +1887,8 @@ class TestShowcase:
         assert tr.y[1] == 2.0
 
     def test_artifacts_byte_identical(self, tmp_path):
-        _, s1 = reproduce_example(tmp_path / "a")
-        _, s2 = reproduce_example(tmp_path / "b")
-        assert s1 == s2
+        assert cli.main(["reproduce", "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["reproduce", "--out", str(tmp_path / "b")]) == 0
         for name in ("trace.csv", "summary.json", "plot.gp"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
@@ -1885,11 +1899,12 @@ class TestShowcase:
         calls, to_doc = [], ExperimentConfig.to_config_dict
         counted = lambda cfg: calls.append(cfg) or to_doc(cfg)
         monkeypatch.setattr(ExperimentConfig, "to_config_dict", counted)
-        reproduce_example(tmp_path)
+        assert cli.main(["reproduce", "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
 
-    def test_disturbance_window_visible_in_rms(self, tmp_path):
-        _, summary = reproduce_example()
+    def test_disturbance_window_visible_in_rms(self):
+        trace = run_closed_loop(demo_config())
+        summary = harness.build_summary(trace, audit(trace))
         rms = summary["tracking"]
         assert rms["rms_eps(200,500]"] > rms["rms_eps[600,1000]"]
         assert summary["estimates"]["within_box"] is True
