@@ -39,14 +39,13 @@ __all__ = [
 def deadzone_flag(e_next: float, sq: float, box_norm_value: float, delta: float) -> int:
     """Relative-deadzone gate: 1 iff |e| < (2 ||S|| + delta) ||phi||, from sq = ||phi||^2.
 
-    A zero regressor always gates the update off. delta = inf disables the
-    deadzone: the gate is ||phi|| != 0 alone and no threshold is formed.
-    Otherwise the threshold is (2 ||S|| + delta) * ||phi||, and a NaN error
-    or regressor closes the gate. Returns the int 1 or 0.
+    One formula for every delta. A zero regressor gates the update off before
+    the threshold is formed, so delta = inf never meets 0 * inf and opens the
+    gate on every nonzero regressor with a finite error: that disables the
+    deadzone. A NaN error or regressor closes the gate at every delta.
+    Returns the int 1 or 0.
     """
     norm = math.sqrt(sq)
-    if math.isinf(delta):
-        return 1 if norm != 0.0 else 0
     return 1 if norm != 0.0 and abs(e_next) < (2.0 * box_norm_value + delta) * norm else 0
 
 

@@ -40,10 +40,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import warnings
 from array import array
 from dataclasses import InitVar, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 from pathlib import Path
 
@@ -496,7 +497,8 @@ class Regressors:
 
     @cached_property
     def sq(self) -> np.ndarray:
-        return _weighted(self.phi, self.phi)
+        with np.errstate(over="ignore"):  # |phi| past 1e154 squares to inf, which the loop refuses
+            return _weighted(self.phi, self.phi)
 
 
 # The one trace layout, read by the header, writer, reader, plot.gp and the loop's finite check.
@@ -708,11 +710,11 @@ def _horizon(trace: Trace) -> tuple[int, int]:
 def _margin(slack, *mags) -> float:
     """A check's margin: the smallest TOL + slack / (1 + sum mags) over its rows, TOL with none.
 
-    slack is how far each row is from failing (negative when it fails), the
-    mags are the magnitudes of its terms, added left to right, so the verdict
-    is the same in any unit of the signals.
+    slack is how far each row is from failing (negative when it fails), the mags are the
+    magnitudes of its terms, added left to right (builtin sum() compensates from Python 3.12
+    on), so the verdict is the same in any unit of the signals.
     """
-    rel = np.asarray(slack / (1.0 + sum(mags[1:], mags[0])))
+    rel = np.asarray(slack / (1.0 + reduce(operator.add, mags)))
     return TOL + float(rel.min()) if rel.size else TOL
 
 
@@ -864,9 +866,8 @@ def check_trace_consistency(trace: Trace) -> VerificationReport:
     # Regressor norms and deadzone gates, both from the table's ||phi||^2.
     equal("consistency_regressor_norm", trace.norm_phi, np.sqrt(sq[d - 1 :]))
     lag_norm = np.sqrt(sq[:T])
-    gate = lag_norm > 0.0
-    if not math.isinf(cfg.delta):
-        gate &= np.abs(trace.e[1:]) < (2.0 * box_norm(cfg.box) + cfg.delta) * lag_norm
+    with np.errstate(invalid="ignore"):  # 0 * inf is NaN at delta = inf: a zero norm closes that row
+        gate = (lag_norm > 0.0) & (np.abs(trace.e[1:]) < (2.0 * box_norm(cfg.box) + cfg.delta) * lag_norm)
     equal("consistency_deadzone_gate", trace.rho, np.r_[gate, False])
 
     # Projection update: theta_hat(t0) = theta0; where rho(t) != 0, theta_hat(t+1) is
@@ -1104,8 +1105,8 @@ def trace_from_csv(path, cfg: ExperimentConfig) -> Trace:
     if data.shape != (cfg.steps + 1, len(header)) or not np.all(np.isfinite(data)):
         raise ConfigError("trace", f"expected {cfg.steps + 1} rows of {len(header)} finite numbers")
     stops = np.cumsum([len(_cells(name, cfg.dim_theta)) for name in TRACE_COLUMNS[:-1]])
-    parts = zip(TRACE_COLUMNS, np.split(data, stops, axis=1))  # float64 as written, no casts
-    return Trace(**{n: c if n == "theta_hat" else c[:, 0] for n, c in parts}, cfg=cfg)
+    parts = zip(TRACE_COLUMNS, np.split(np.ascontiguousarray(data.T), stops))  # a contiguous row per cell
+    return Trace(**{n: c.T if n == "theta_hat" else c[0] for n, c in parts}, cfg=cfg)  # float64 as written
 
 
 PLOT_SCRIPT = """\

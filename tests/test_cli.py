@@ -520,6 +520,37 @@ def test_output_path_that_is_a_file_is_a_file_error(config_path, tmp_path, capsy
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def steps_over_a_sim_array(tmp_path):
+    # --steps sets nothing in a sim that is no object; the document's reader names it.
+    (tmp_path / "cfg.json").write_text(json.dumps({**README_CONFIG, "sim": [400]}))
+    run = ["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
+    return [*run, "--steps", "120"], "sim: expected an object"
+
+
+def trace_that_is_missing(tmp_path):
+    missing = str(tmp_path / "o" / "trace.csv")
+    return ["verify", "--trace", missing], f"trace: no such file: {missing}"
+
+
+def sidecar_without_config(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps(README_CONFIG))
+    assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]) == 0
+    sidecar = tmp_path / "o" / "summary.json"
+    summary = json.loads(sidecar.read_text())
+    del summary["config"]
+    sidecar.write_text(json.dumps(summary))
+    verify = ["verify", "--trace", str(tmp_path / "o" / "trace.csv")]
+    return verify, f"config: {sidecar} carries no config document"
+
+
+@pytest.mark.parametrize("case", [steps_over_a_sim_array, trace_that_is_missing, sidecar_without_config])
+def test_refusal_is_its_one_line(tmp_path, capsys, case):
+    argv, message = case(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_schedule_is_evaluated_once_per_command(tmp_path, monkeypatch):
     # A time-varying run evaluates its schedule once, over every emission time,
     # when the config is validated: one coeff_rows call, one coef_column per

@@ -96,6 +96,13 @@ class TestDeadzone:
         phi = np.array([1e-9, 0.0])
         assert deadzone_flag(1e6, _dot(phi, phi), 1.0, math.inf) == 1
 
+    @pytest.mark.parametrize("delta", [math.inf, 1.0])
+    @pytest.mark.parametrize("e_next, sq", [(math.nan, 1.0), (0.5, math.nan)],
+                             ids=["nan_error", "nan_regressor"])
+    def test_nan_closes_the_gate_at_every_delta(self, e_next, sq, delta):
+        # One formula for every delta: |e| < NaN and NaN < threshold are both false.
+        assert deadzone_flag(e_next, sq, 1.0, delta) == 0
+
     def test_strict_inequality_at_threshold(self):
         # Exactly on the boundary counts as outside the update region.
         phi = np.array([1.0])

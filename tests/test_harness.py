@@ -373,8 +373,9 @@ class TestConfigRoundTrip:
                            "strictly inside the unit circle"),
          ("b", [0.0, 0.5], "plant: schedule inadmissible at t = 0: b0 must be nonzero"),
          ("a", [math.nan, 0.08], "plant: field 'value': must be finite"),
-         ("b", [math.inf, 0.5], "plant: field 'value': must be finite")],
-        ids=["non_minimum_phase", "zero_b0", "nan_a", "inf_b"],
+         ("b", [math.inf, 0.5], "plant: field 'value': must be finite"),
+         ("b", [], "plant: schedule needs at least the b0 coefficient")],
+        ids=["non_minimum_phase", "zero_b0", "nan_a", "inf_b", "empty_b"],
     )
     def test_bad_constant_plant_is_a_plant_error(self, key, row, message):
         # The constant plant's row is tested once, by the horizon check, and
@@ -459,9 +460,29 @@ class TestConfigRoundTrip:
              "signals.r: field 'values': expected an array of numbers"),
             ("plant", {"schedule": {"a": [True, 0.08], "b": [2.0, 0.5]}, "d": 2},
              "plant.schedule.a[0]: expected a number or an object with a 'kind' field"),
+            # Refused as they always were; each pins its field path and message.
+            ("sim.x0", [math.nan, 0.0, 0.0, 0.0, 0.0, 0.0], "sim.x0: entries must be finite"),
+            ("sim.theta0", [0.0, 0.0, 2.0, 0.0], "sim.theta0: needs 5 entries, got 4"),
+            ("plant.d", 0, "plant: input delay d must be at least 1"),
+            ("plant", {"a": [-0.6, 0.08], "b": [2.0, 0.5]}, "plant.d: missing field"),
+            ("plant", {"a": [-0.6, 0.08], "d": 2}, "plant.b: missing section"),
+            ("plant", {"schedule": {"a": 0.08, "b": [2.0, 0.5]}, "d": 2},
+             "plant.schedule.a: expected an array"),
+            ("plant", {"schedule": {"a": [{"kind": "sinusoid", "amplitude": 0.1, "rate": 0.01,
+                                           "trig": "tan"}, 0.08], "b": [2.0, 0.5]}, "d": 2},
+             "plant.schedule.a[0]: sinusoid coefficient needs trig in {'cos', 'sin'}"),
+            ("plant", {"schedule": {"a": [{"kind": "piecewise", "times": [0, 10], "values": [-0.6]},
+                                          0.08], "b": [2.0, 0.5]}, "d": 2},
+             "plant.schedule.a[0]: piecewise coefficient needs matching times/values"),
+            ("plant", {"schedule": {"a": [{"kind": "table", "values": []}, 0.08], "b": [2.0, 0.5]},
+                       "d": 2},
+             "plant.schedule.a[0]: table coefficient needs at least one value"),
+            ("reference", {"L": [1.0, -0.4]}, "reference: missing field 'H'"),
         ],
         ids=["steps_string", "steps_fraction", "t0_bool", "delta_bool", "seed_fraction",
-             "table_values_string", "coefficient_bool"],
+             "table_values_string", "coefficient_bool", "x0_nan", "theta0_length", "d_zero",
+             "no_d", "no_b", "schedule_a_number", "trig_tan", "piecewise_lengths", "empty_table",
+             "no_H"],
     )
     def test_scalar_field_takes_a_json_number(self, where, value, message):
         # Each was accepted through int() or float(): 400 steps twice, t0 = 1, delta = 1.0,
@@ -1159,6 +1180,47 @@ def noisy_run():
     return cfg, run_closed_loop(cfg), ground_truth(cfg)
 
 
+def big_input_doc(steps: int) -> dict:
+    """y(t+1) = 1.5 y(t) + 1e-300 u(t) under a point box whose beta0 is 1e-300."""
+    return {"plant": {"a": [-1.5], "b": [1e-300], "d": 1}, "reference": {"L": [1.0], "H": [1.0]},
+            "estimator": {"box": {"lo": [-1.0, 1e-300], "hi": [-1.0, 1e-300]}},
+            "sim": {"steps": steps, "x0": [1.0], "theta0": "midpoint"}, "signals": {}}
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda cfg, tr, gt: replace(cfg, ref=replace(cfg.ref, d=3)),
+         ConfigError, "reference: reference delay 3 != plant delay 2"),
+        # The showcase's coefficient rows for 10^15 steps are 32 PB: refused at validation.
+        (lambda cfg, tr, gt: demo_config(10**15),
+         ConfigError, "sim.steps: 1000000000000000 steps cannot be allocated"),
+        (lambda cfg, tr, gt: config_from_dict([]), ConfigError, "config: top level must be an object"),
+        (lambda cfg, tr, gt: check_prop1(tr, gt.theta_star, gt.wbar[:-1], gt.wbar_t0),
+         ValueError, "wbar covers t = 0 .. 597, the check reads t = 0 .. 598"),
+        (lambda cfg, tr, gt: check_identities(tr, gt.theta_star, gt.wbar, gt.wbar_t0 + 1),
+         ValueError, "wbar covers t = 1 .. 599, the check reads t = 0 .. 598"),
+        (lambda cfg, tr, gt: check_prop1(tr, gt.theta_star),
+         ValueError, "contraction checks need the filtered noise sequence"),
+        # The loop runs u = 1e300 y and y(t+1) = 2.5 y(t), both finite, but ||phi||^2 overflows
+        # from the first rows on; at 21 steps the final u(t0 + T), which no y reads, is inf too.
+        (lambda cfg, tr, gt: run_closed_loop(config_from_dict(big_input_doc(3))),
+         NumericAbort, "non-finite values in column norm_phi"),
+        (lambda cfg, tr, gt: run_closed_loop(config_from_dict(big_input_doc(21))),
+         NumericAbort, "non-finite values in column u"),
+    ],
+    ids=["reference_delay", "showcase_10^15_steps", "top_level_array", "wbar_short", "wbar_late",
+         "theta_star_without_wbar", "norm_phi_overflows", "final_u_overflows"],
+)
+def test_call_is_refused_with_its_message(noisy_run, call, error, message):
+    # Refusals no document of the other tables reaches: a config built in Python, a top
+    # level that is no object, a horizon refused before any row is sampled, checks called
+    # with too little ground truth, and a finished loop whose regressors leave the floats.
+    with pytest.raises(error) as info:
+        call(*noisy_run)
+    assert str(info.value) == message
+
+
 class TestChecks:
     def test_prop1_passes(self, noisy_run):
         cfg, tr, gt = noisy_run
@@ -1557,6 +1619,13 @@ class TestHorizonFromConfig:
         assert rep.fitted["envelope_gain_c"] is None and audit(tr).fitted["envelope_gain_c"] == 0.0
         with pytest.raises(ValueError, match="^degenerate fit at t = 10: zero envelope, nonzero signal$"):
             fit_decay_bound(bad, 0.9)
+
+
+def test_margin_adds_its_terms_left_to_right():
+    # Python floats, where builtin sum() compensates from Python 3.12 on: there the
+    # denominator was 1 + 1.0000000000000007 rather than 1 + 1.0000000000000004.
+    want = harness.TOL + -1.0 / (1.0 + ((1.0 + 3e-16) + 3e-16))
+    assert harness._margin(-1.0, 1.0, 3e-16, 3e-16).hex() == want.hex()
 
 
 def loop_margins(tr, cfg, gt):

@@ -524,10 +524,10 @@ def update_by_offsets(theta, box, delta, phi, ybar_next):
         pred += f * c
         sq += f * f
     e_next = float(ybar_next) - pred
-    # The gate as stated: open iff ||phi|| != 0 and (delta = inf or |e| < (2 ||S|| + delta) ||phi||).
-    # A NaN regressor opens it at delta = inf and closes it at a finite delta.
+    # The gate as stated: open iff ||phi|| != 0 and |e| < (2 ||S|| + delta) ||phi||, at every delta.
+    # A NaN error or regressor closes it.
     norm = math.sqrt(sq)
-    rho = int(norm != 0.0 and (math.isinf(delta) or abs(e_next) < (2.0 * box_norm(box) + delta) * norm))
+    rho = int(norm != 0.0 and abs(e_next) < (2.0 * box_norm(box) + delta) * norm)
     if rho:
         g = e_next / sq
         for i, (f, lo, hi) in enumerate(zip(phi, box.lo, box.hi)):
