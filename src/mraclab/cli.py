@@ -3,8 +3,8 @@
 Three subcommands:
 
   run        execute a configured experiment and write its artifacts
-  verify     re-derive and check every claimed property, either by re-running
-             a configuration or by auditing a previously written trace file
+  verify     re-derive and check every claimed property, either as run --verify
+             of a configuration or by auditing a previously written trace file
   reproduce  run --verify of the packaged showcase experiment (demo_config)
 
 Exit codes: 0 success, 1 a verification check failed, 2 configuration or
@@ -46,17 +46,6 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
-    sim = doc.setdefault("sim", {})
-    if not isinstance(sim, dict):
-        return doc  # config_from_dict reports the malformed section
-    if getattr(args, "steps", None) is not None:
-        sim["steps"] = args.steps
-    if getattr(args, "label", None) is not None:
-        doc["label"] = args.label
-    return doc
-
-
 def _finish(trace, out, rep: VerificationReport | None) -> int:
     """Write the artifacts when out is given, then print the report if any; the exit code."""
     if out:
@@ -74,9 +63,7 @@ def _finish(trace, out, rep: VerificationReport | None) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.decay is not None and not args.verify:
         raise ConfigError("lambda", "only read with --verify")
-    doc = _apply_overrides(_load_json(args.config), args)
-    cfg = config_from_dict(doc)
-    trace = run_closed_loop(cfg)
+    trace = run_closed_loop(config_from_dict(_load_json(args.config)))
     return _finish(trace, args.out, audit(trace, args.decay) if args.verify else None)
 
 
@@ -106,12 +93,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     f"{cfg.config_hash()!r}",
                 )
         trace = trace_from_csv(csv_path, cfg)
-    else:
-        if not args.config:
-            raise ConfigError("config", "verify needs --config or --trace")
-        cfg = config_from_dict(_load_json(args.config))
-        trace = run_closed_loop(cfg)
-    return _finish(trace, args.out, audit(trace, args.decay))
+        return _finish(trace, args.out, audit(trace, args.decay))
+    if not args.config:
+        raise ConfigError("config", "verify needs --config or --trace")
+    return cmd_run(args)
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
@@ -129,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a configured experiment")
     run_p.add_argument("--config", required=True, help="experiment JSON file")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--steps", type=int, help="override sim.steps")
-    run_p.add_argument("--label", help="override the run label")
     run_p.add_argument("--verify", action="store_true", help="also run every check")
     run_p.add_argument(
         "--lambda", dest="decay", type=float, help="decay rate for the envelope fit"
@@ -144,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument(
         "--lambda", dest="decay", type=float, help="decay rate for the envelope fit"
     )
-    ver_p.set_defaults(func=cmd_verify)
+    ver_p.set_defaults(func=cmd_verify, verify=True)
 
     rep_p = sub.add_parser("reproduce", help="run the packaged showcase experiment")
     rep_p.add_argument("--out", required=True, help="output directory")

@@ -168,12 +168,12 @@ def reference_outputs(ref: ReferenceModel, r) -> tuple[np.ndarray, np.ndarray, n
     """
     h, l, d = ref.H.coeffs, ref.L.coeffs, ref.d
     rows = len(r)
-    lead = len(h) - 1 + d
+    lead = len(h) - 1
     r_ext = np.concatenate((np.zeros(lead), np.asarray(r, dtype=float)))
-    now = ahead = 0.0
+    ahead = 0.0
     for i, c in enumerate(h):
-        now = now + c * r_ext[lead - d - i : lead - d - i + rows]
         ahead = ahead + c * r_ext[lead - i : lead - i + rows]
+    now = np.concatenate((np.zeros(d), ahead))[:rows]  # ybar*(t) is ybar*(t+d) d rows down
     y_star, tail = [0.0] * ref.order, l[1:]
     for s in now.tolist():
         acc = 0.0

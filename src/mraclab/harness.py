@@ -855,7 +855,7 @@ def check_trace_consistency(trace: Trace) -> VerificationReport:
 
     # Error columns from y, y*, and the weighted sums.
     ybar_t = _weighted(hist.lags(hist.y, len(l_coeffs), 0, T + 1), l_coeffs)
-    ybar_star = _weighted(hist.lags(r_ext, len(h), -d, T + 1), h)
+    ybar_star = np.r_[np.zeros(d), target][: T + 1]  # ybar*(t) is ybar*(t+d) d rows down
     equal("consistency_tracking_error", trace.eps, trace.y - trace.y_star)
     equal("consistency_weighted_error", trace.eps_bar, ybar_t - ybar_star)
 

@@ -63,24 +63,22 @@ class TestRun:
         assert capsys.readouterr().err == "error: lambda: only read with --verify\n"
         assert not out.exists()
 
-    def test_steps_override(self, config_path, tmp_path):
+    @pytest.mark.parametrize("flag, value", [("--seed", "9"), ("--steps", "120"), ("--label", "x")])
+    def test_setting_flag_is_a_usage_error(self, config_path, tmp_path, flag, value):
+        # Every setting comes from the document: run has no flag that overrides one.
         out = tmp_path / "out"
-        assert main(
-            ["run", "--config", str(config_path), "--out", str(out), "--steps", "120"]
-        ) == 0
-        rows = (out / "trace.csv").read_text().strip().splitlines()
-        assert len(rows) == 1 + 121
         with pytest.raises(SystemExit) as info:
-            main(["run", "--config", str(config_path), "--out", str(out), "--seed", "9"])
+            main(["run", "--config", str(config_path), "--out", str(out), flag, value])
         assert info.value.code == 2
+        assert not out.exists()
 
-    def test_empty_label_override_clears_the_label(self, config_path, tmp_path):
-        # An empty --label was taken for no override, so the document's label stayed.
+    def test_empty_document_label_is_left_out(self, config_path, tmp_path):
+        # An empty label is no label: summary.json records none, at its top or in its config.
         doc = json.loads(config_path.read_text())
-        doc["label"] = "old"
+        doc["label"] = ""
         config_path.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        assert main(["run", "--config", str(config_path), "--out", str(out), "--label", ""]) == 0
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert "label" not in summary and "label" not in summary["config"]
 
@@ -140,12 +138,12 @@ class TestRun:
 
     def test_unallocatable_horizon_is_a_config_error(self, tmp_path, capsys):
         # numpy can address 10^15 rows of a constant plant, but no memory holds them.
+        doc = json.loads(json.dumps(README_CONFIG))
+        doc["sim"]["steps"] = 10**15
         path = tmp_path / "readme.json"
-        path.write_text(json.dumps(README_CONFIG))
-        steps = str(10**15)
-        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--steps", steps])
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: sim.steps: {steps} steps cannot be allocated\n"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: sim.steps: 1000000000000000 steps cannot be allocated\n"
 
     @pytest.mark.parametrize(
         "t0, steps, fieldpath",
@@ -229,16 +227,16 @@ class TestVerify:
         assert "VERIFY PASS" in capsys.readouterr().out
 
     def test_out_writes_then_reports_as_run_verify(self, config_path, tmp_path, capsys):
-        # verify --out printed its report first and its wrote lines after it.
-        run = ["run", "--config", str(config_path), "--out", str(tmp_path / "r"), "--verify"]
-        assert main(run) == 0
-        run_lines = capsys.readouterr().out.splitlines()
-        assert main(["verify", "--config", str(config_path), "--out", str(tmp_path / "v")]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert all(line.startswith("wrote ") for line in lines[:3])
-        assert lines[3:] == run_lines[3:] and lines[-1] == "VERIFY PASS"
-        for name in ("trace.csv", "summary.json"):
-            assert (tmp_path / "v" / name).read_bytes() == (tmp_path / "r" / name).read_bytes()
+        # verify --config is run --verify: the same lines and the same files, the out
+        # directory aside. verify --out once printed its report before its wrote lines.
+        out, again = tmp_path / "v", tmp_path / "r"
+        assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert main(["run", "--config", str(config_path), "--out", str(again), "--verify"]) == 0
+        assert capsys.readouterr().out.replace(str(again), str(out)) == text
+        assert text.startswith(f"wrote {out}") and text.endswith("VERIFY PASS\n")
+        for name in ("trace.csv", "summary.json", "plot.gp"):
+            assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_from_trace_with_sidecar(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -520,11 +518,10 @@ def test_output_path_that_is_a_file_is_a_file_error(config_path, tmp_path, capsy
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-def steps_over_a_sim_array(tmp_path):
-    # --steps sets nothing in a sim that is no object; the document's reader names it.
+def sim_that_is_an_array(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps({**README_CONFIG, "sim": [400]}))
     run = ["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
-    return [*run, "--steps", "120"], "sim: expected an object"
+    return run, "sim: expected an object"
 
 
 def trace_that_is_missing(tmp_path):
@@ -543,7 +540,7 @@ def sidecar_without_config(tmp_path):
     return verify, f"config: {sidecar} carries no config document"
 
 
-@pytest.mark.parametrize("case", [steps_over_a_sim_array, trace_that_is_missing, sidecar_without_config])
+@pytest.mark.parametrize("case", [sim_that_is_an_array, trace_that_is_missing, sidecar_without_config])
 def test_refusal_is_its_one_line(tmp_path, capsys, case):
     argv, message = case(tmp_path)
     capsys.readouterr()

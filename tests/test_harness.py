@@ -576,13 +576,7 @@ class TestConfigRoundTrip:
         cfg = config_from_dict(doc)
         assert np.all(np.isfinite(run_closed_loop(cfg).w))
 
-    @pytest.mark.parametrize(
-        "where, value, fieldpath",
-        [pytest.param(*c, id=c[0]) for c in MALFORMED]
-        # Horizons no array holds: past numpy's size limit, and more bytes
-        # than an address space has (the allocation fails at once).
-        + [pytest.param("sim.steps", v, "sim.steps", id=f"sim.steps={v:g}") for v in (1e20, 1e15)],
-    )
+    @pytest.mark.parametrize("where, value, fieldpath", [pytest.param(*c, id=c[0]) for c in MALFORMED])
     def test_malformed_document_is_a_config_error(self, where, value, fieldpath):
         doc = demo_config().to_config_dict()
         *parents, key = where.split(".")
@@ -592,6 +586,22 @@ class TestConfigRoundTrip:
         node[key] = value
         with pytest.raises(ConfigError, match="^" + re.escape(fieldpath) + ":"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "steps, reason",
+        [(10**20, "t0 + steps = 100000000000000000000 passes 2^53"),
+         (10**15, "1000000000000000 steps cannot be allocated")],
+        ids=["10^20", "10^15"],
+    )
+    def test_horizon_no_array_holds_is_a_config_error(self, steps, reason):
+        # Integer horizons no trace holds: a t column past float64's exact integers, and
+        # more rows than memory holds (the allocation fails at once). A sim.steps that is
+        # no integer is refused before either, as MALFORMED's math.inf case shows.
+        doc = demo_config().to_config_dict()
+        doc["sim"]["steps"] = steps
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == f"sim.steps: {reason}"
 
     @pytest.mark.parametrize("key, name, value", [("samples", "s_ab_samples", 10),
                                                  ("margin", "s_ab_margin", 0.25)])
