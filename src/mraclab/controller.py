@@ -5,12 +5,15 @@ predicts perfect reference following d steps ahead:
 
     phi(t)^T theta_hat(t) = ybar*(t+d),
 
-which is solvable for u(t) because beta0_hat is bounded away from zero by
-the box. history() is the one layout of a run's past y/u samples: the
-closed loop starts from it and appends to its two columns, and the
-offline audits read regressor rows from it. The reference-model outputs
-are whole-horizon columns of r; the control law and the weighted-output
-sum ybar are pure functions of coefficients and oldest-first lists.
+which is solvable for u(t) because the projection keeps beta0_hat in the
+box, whose beta0 interval ExperimentConfig refuses if it contains 0.
+history() is the one layout of a run's past y/u samples: the closed loop
+starts from it and appends to its two columns, and the offline audits read
+regressor rows from it. The reference-model outputs are whole-horizon
+columns of r; the control law and the weighted-output sum ybar are pure
+functions of coefficients and oldest-first lists. history, ybar and
+control_input take a validated config's data (its x0 length, box and
+theta0 are checked once, by ExperimentConfig) and do not re-check it.
 
 The golden traces pin each kernel's products and the order of its sums.
 Each walks its lags with a running negative index, newest sample first:
@@ -27,7 +30,6 @@ treated as 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +46,6 @@ __all__ = [
     "reference_outputs",
     "control_input",
 ]
-
-
-class ControlError(RuntimeError):
-    """The control law hit a corrupted or unsolvable state."""
 
 
 def x0_length(n: int, m: int, d: int) -> int:
@@ -122,14 +120,8 @@ def history(x0, y, u, n: int, m: int, d: int) -> History:
     sum or plant recursion of the run reads.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
-    need = x0_length(n, m, d)
-    if len(x0) != need:
-        raise ValueError(
-            f"x0 has {len(x0)} entries; dims (n={n}, m={m}, d={d}) need "
-            f"{need} = (n+d-1) outputs + (m+2d-2) inputs"
-        )
     ny = n + d - 1
-    lead = need + 1
+    lead = x0_length(n, m, d) + 1
     y_old = x0[1:ny][::-1]  # y(t0-n-d+2) .. y(t0-1); x0[0] is the recorded y(t0)
     u_old = x0[ny:][::-1]  # u(t0-m-2d+2) .. u(t0-1)
     y_ext = np.concatenate((np.zeros(lead - len(y_old)), y_old, y))
@@ -147,12 +139,9 @@ def loop_start(x0, n: int, m: int, d: int) -> History:
 
 def ybar(y, L: PolyZ) -> float:
     """Weighted output ybar(t) = y(t) + sum_j l_j y(t-j); y is oldest first, y(t) last."""
-    coeffs = L.coeffs
-    if len(y) < len(coeffs):
-        raise ValueError(f"history of depth {len(y)} cannot evaluate deg-{L.degree} L")
     acc = 0.0  # term by term from +0.0: the trace pins depend on this order
     i = -1
-    for c in coeffs:
+    for c in L.coeffs:
         acc += c * y[i]
         i -= 1
     return acc
@@ -185,20 +174,12 @@ def reference_outputs(ref: ReferenceModel, r) -> tuple[np.ndarray, np.ndarray, n
     return np.array(y_star[ref.order :]), now, ahead
 
 
-def control_input(theta_hat, target: float, y, u, n: int, p: int, gain_sign: float = 1.0) -> float:
+def control_input(theta_hat, target: float, y, u, n: int) -> float:
     """Certainty-equivalence input u(t) solving phi(t)^T theta_hat = target = ybar*(t+d).
 
-    theta_hat is a sequence of p = n+m+d floats; y ends with y(t) and u
+    theta_hat is a sequence of n+m+d floats; y ends with y(t) and u
     with u(t-1), both oldest first; n is the plant order.
     """
-    if len(theta_hat) != p:
-        raise ControlError(f"theta has {len(theta_hat)} entries, expected {p}")
-    b0_hat = theta_hat[n]
-    if b0_hat == 0.0 or math.copysign(1.0, b0_hat) != gain_sign:
-        raise ControlError(
-            f"estimated leading gain {b0_hat} left its admissible sign; "
-            "the box must pin the sign of beta0"
-        )
     acc = target
     i = -1
     for c in theta_hat[:n]:
@@ -208,4 +189,4 @@ def control_input(theta_hat, target: float, y, u, n: int, p: int, gain_sign: flo
     for c in theta_hat[n + 1 :]:
         acc -= c * u[i]
         i -= 1
-    return acc / b0_hat
+    return acc / theta_hat[n]

@@ -19,6 +19,10 @@ gated-on step then sets each coordinate i, in index order, to
 v = theta_hat_i + phi_i (e / ||phi||^2) clamped to the box: lo_i if v < lo_i,
 else hi_i if v > hi_i, else v, so a NaN passes through and a signed zero
 keeps its sign. The golden traces pin these products and this order.
+
+The estimator takes a validated config's data: ExperimentConfig checks the
+box, theta0 (exactly inside it) and delta > 0 once, and nothing here checks
+them again. The projection then keeps every estimate inside the box.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ def deadzone_flag(e_next: float, sq: float, box_norm_value: float, delta: float)
 
 @dataclass
 class EstimatorState:
-    """Current estimate (a list of floats) plus the fixed box and deadzone width."""
+    """Current estimate (a list of floats) plus the fixed box and deadzone width, unchecked."""
 
     theta_hat: list[float]
     box: ParamBox
@@ -60,10 +64,6 @@ class EstimatorState:
 
     def __post_init__(self) -> None:
         self.theta_hat = [float(v) for v in self.theta_hat]
-        if not self.delta > 0.0:
-            raise ValueError("delta must be positive (math.inf disables the deadzone)")
-        if not self.box.contains(self.theta_hat):  # exactly; also checks the dimension
-            raise ValueError("initial estimate must lie inside the box")
         self.box_norm_cached = box_norm(self.box)
 
 
@@ -78,13 +78,11 @@ class StepRecord:
 def estimator_update(state: EstimatorState, phi_lag, ybar_next: float) -> StepRecord:
     """One projection-algorithm step; mutates the list state.theta_hat in place.
 
-    ValueError if phi_lag and theta_hat differ in length. Gated off (rho = 0)
-    the estimate is untouched. Gated on, it moves by phi e / ||phi||^2 and
-    each coordinate is clamped back into the box.
+    phi_lag has the length of theta_hat. Gated off (rho = 0) the estimate is
+    untouched. Gated on, it moves by phi e / ||phi||^2 and each coordinate is
+    clamped back into the box.
     """
     theta = state.theta_hat
-    if len(phi_lag) != len(theta):
-        raise ValueError(f"regressor length {len(phi_lag)} != parameter length {len(theta)}")
     pred = sq = 0.0
     i = 0
     for f in phi_lag:

@@ -541,7 +541,6 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     coeffs = list(zip(*(rows.tolist() for rows in cfg.plant_rows)))  # (a, b) per emission time
     if len(coeffs) == 1:  # a constant plant has one row
         coeffs *= T
-    gain_sign = math.copysign(1.0, cfg.box.lo[n])
     est = EstimatorState(theta_hat=cfg.theta0, box=cfg.box, delta=cfg.delta)
 
     start = loop_start(cfg.x0, n, m, d)
@@ -552,7 +551,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     ybars, e, thetas, gates = [ybar(y, L)], [0.0], array("d"), []  # thetas: T+1 rows of p
     for k, (a, b) in enumerate(coeffs):
         thetas.fromlist(theta)
-        u.append(control_input(theta, target[k], y, u, n, p, gain_sign))
+        u.append(control_input(theta, target[k], y, u, n))
         phi_lag = y[ys] + u[us]
         y_next = plant_step(a, b, d, y, u, w_next[k])
         if not -OVERFLOW_LIMIT <= y_next <= OVERFLOW_LIMIT:  # NaN compares false: aborts too
@@ -567,7 +566,7 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         e.append(rec.e_next)
         gates.append(rec.rho)
     thetas.fromlist(theta)  # the final time: u(t0 + T) and theta_hat(t0 + T), no emission
-    u.append(control_input(theta, target[T], y, u, n, p, gain_sign))
+    u.append(control_input(theta, target[T], y, u, n))
     theta_hat[:] = np.frombuffer(thetas).reshape(T + 1, p)
     rho[:T] = gates
 

@@ -309,9 +309,8 @@ def signal_rows(spec: SignalSpec, t0: int, count: int) -> np.ndarray:
         if lo < hi:
             out[lo - t0 : hi - t0] = _sinusoid_column(math.cos, spec.rate, phase, lo, hi, spec.amplitude)
         return out
-    if spec.kind == "square_wave":
-        return np.array([signal_eval(spec, t) for t in range(t0, t0 + count)], dtype=float)
-    raise ValueError(f"unknown signal kind {spec.kind!r}")
+    # square_wave, the last kind: a spec's kind is checked when it is built
+    return np.array([signal_eval(spec, t) for t in range(t0, t0 + count)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -387,16 +386,15 @@ def coef_column(spec: CoefSpec, t0: int, count: int) -> np.ndarray:
         for lo, hi, val in zip(starts, starts[1:] + [count], spec.values):
             out[lo:hi] = val
         return out
-    if kind == "table":  # values[t - t_start], clamped to the table ends
-        values, start = spec.values, spec.t_start
-        lo = min(max(start - t0, 0), count)  # first sample inside the table
-        hi = min(max(start + len(values) - t0, 0), count)  # first sample past its end
-        out = np.empty(count)
-        out[:lo], out[hi:] = values[0], values[-1]
-        if lo < hi:
-            out[lo:hi] = values[t0 + lo - start : t0 + hi - start]
-        return out
-    raise ValueError(f"unknown coefficient kind {kind!r}")
+    # table, the last kind: values[t - t_start], clamped to the table ends
+    values, start = spec.values, spec.t_start
+    lo = min(max(start - t0, 0), count)  # first sample inside the table
+    hi = min(max(start + len(values) - t0, 0), count)  # first sample past its end
+    out = np.empty(count)
+    out[:lo], out[hi:] = values[0], values[-1]
+    if lo < hi:
+        out[lo:hi] = values[t0 + lo - start : t0 + hi - start]
+    return out
 
 
 def coef_eval(spec: CoefSpec, t: int) -> float:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mraclab.controller import (
-    ControlError,
     control_input,
     history,
     loop_start,
@@ -43,10 +42,6 @@ class TestX0Layout:
         start = loop_start([], n=0, m=0, d=1)
         assert start.y.tolist() == [0.0, 0.0] and start.u.tolist() == [0.0]
 
-    def test_wrong_length_raises(self):
-        with pytest.raises(ValueError, match=r"x0 has 2 entries; dims \(n=2, m=1, d=1\) need 3"):
-            history([1.0, 2.0], [], [], n=2, m=1, d=1)
-
     def test_prestart_regressors(self):
         # d = 2, n = 1, m = 0: phi(t0-1) = (y(t0-1), u(t0-1), u(t0-2)).
         x0 = [1.0, 2.0, 3.0, 4.0]  # y(0), y(-1), u(-1), u(-2)
@@ -55,8 +50,6 @@ class TestX0Layout:
         # history older than x0 is zero; from t0 on the recorded columns follow
         np.testing.assert_array_equal(hist.phi(-2, 1), [[0.0, 4.0, 0.0]])
         np.testing.assert_array_equal(hist.phi(0, 2), [[1.0, 6.0, 3.0], [5.0, 7.0, 6.0]])
-        with pytest.raises(ValueError, match="x0 has 1 entries"):
-            history([0.0], [0.0], [0.0], n=1, m=0, d=2)
 
 
 class TestRegressor:
@@ -149,10 +142,6 @@ class TestYbar:
     def test_zero_history(self):
         assert ybar([0.0, 0.0, 0.0], PolyZ((1.0, 0.2, 0.1))) == 0.0
 
-    def test_short_history_raises(self):
-        with pytest.raises(ValueError):
-            ybar([1.0, 2.0], PolyZ((1.0, 0.0, -0.5)))
-
 
 class TestReferenceOutputs:
     def test_future_target_is_filtered_r(self):
@@ -185,14 +174,14 @@ class TestReferenceOutputs:
 
 class TestControlInput:
     def test_known_value(self):
-        u = control_input(np.array([0.5, 2.0]), 1.0, [1.0], [], n=1, p=2)
+        u = control_input(np.array([0.5, 2.0]), 1.0, [1.0], [], n=1)
         assert u == pytest.approx(0.25, abs=1e-15)
 
     def test_demo_first_input_is_zero(self):
         start = loop_start([-1.0, -1.0, 0.0], n=2, m=1, d=1)
         _, _, ahead = reference_outputs(REF_2, signal_rows(square_wave(period=200), 0, 1))
         theta = np.array([0.0, -0.5, 3.25, 0.0])
-        u = control_input(theta, ahead[0], start.y.tolist(), start.u.tolist(), n=2, p=4)
+        u = control_input(theta, ahead[0], start.y.tolist(), start.u.tolist(), n=2)
         assert u == 0.0
 
     def test_closure_identity(self):
@@ -208,22 +197,8 @@ class TestControlInput:
             _, _, ahead = reference_outputs(ref, signal_rows(white_noise(1.0, seed=71), 0, 40))
             theta = np.array([0.4, -0.2, 2.5, 0.3, 0.1])[: n + m + d]
             for t in range(40):
-                u.append(control_input(theta, ahead[t], y, u, n, n + m + d))
+                u.append(control_input(theta, ahead[t], y, u, n))
                 phi = history(x0, y[start.lead :], u[start.lead :], n, m, d).phi(t, 1)[0]
                 scale = 1.0 + abs(ahead[t]) + np.linalg.norm(phi) * np.linalg.norm(theta)
                 assert abs(float(phi @ theta) - ahead[t]) <= 1e-12 * scale
                 y.append(float(rng.uniform(-3, 3)))
-
-    def test_rejects_wrong_gain_sign(self):
-        with pytest.raises(ControlError):
-            control_input(np.array([0.5, -2.0]), 1.0, [1.0], [], n=1, p=2, gain_sign=1.0)
-        with pytest.raises(ControlError):
-            control_input(np.array([0.5, 2.0]), 1.0, [1.0], [], n=1, p=2, gain_sign=-1.0)
-
-    def test_rejects_zero_gain(self):
-        with pytest.raises(ControlError):
-            control_input(np.array([0.5, 0.0]), 1.0, [1.0], [], n=1, p=2)
-
-    def test_rejects_wrong_theta_shape(self):
-        with pytest.raises(ControlError):
-            control_input(np.array([0.5, 2.0, 0.0]), 1.0, [1.0], [], n=1, p=2)

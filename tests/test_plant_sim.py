@@ -218,7 +218,7 @@ class TestSchedule:
         with pytest.raises(AdmissibilityError, match="t = "):
             sched.validate_horizon(0, 200)
 
-    def test_flags_gain_sign_flip(self):
+    def test_flags_b0_sign_flip(self):
         sched = CoefficientSchedule(
             a=(), b=(CoefSpec(kind="piecewise", times=(0, 50), values=(1.0, -1.0)),), d=1
         )

@@ -124,6 +124,9 @@ def test_admissible_constant_plants_pass_and_round_trip(cfg):
     rep = audit(trace)  # consistency, prop1 against ground truth, identities
     assert [c.line() for c in rep.checks if not c.passed] == []
     assert {"parameter_error_contraction_total", "identity_prediction_error"} <= {c.name for c in rep.checks}
+    # The projection keeps every recorded estimate in the box, so beta0_hat keeps the sign of lo[n].
+    theta, lo, hi = trace.theta_hat, np.asarray(cfg.box.lo), np.asarray(cfg.box.hi)
+    assert np.all((lo <= theta) & (theta <= hi)) and np.all(np.sign(theta[:, cfg.n]) == np.sign(lo[cfg.n]))
 
 
 FIXED_BITS = (1009 << 52, 1080 << 52)  # exponent fields from 2^-14 to 2^57, around 10^-4 .. 10^17
@@ -594,8 +597,7 @@ def test_loop_kernels_keep_their_products_and_order(case):
     n, p, d, y, u = case["n"], case["p"], case["d"], case["y"], case["u"]
     L, theta, box = case["ref"].L, case["theta"], case["box"]
     assert bits([ybar(y, L)]) == bits([ybar_by_offsets(y, L.coeffs)])
-    gain_sign = math.copysign(1.0, theta[n])
-    got = control_input(theta, case["target"], y, u, n, p, gain_sign)
+    got = control_input(theta, case["target"], y, u, n)
     assert bits([got]) == bits([control_by_offsets(theta, case["target"], y, u, n, p)])
     got = plant_step(case["a"], case["b"], d, y, u, case["w"])
     assert bits([got]) == bits([plant_step_by_offsets(case["a"], case["b"], d, y, u, case["w"])])
