@@ -1146,12 +1146,13 @@ def write_plot_script(trace: Trace, path) -> None:
 def _regime_rms(trace: Trace, t0: int, T: int) -> dict:
     """RMS tracking error over three windows of t0 .. t0 + T, by row index k = t - t0: the
     first fifth [0, k0 = T // 5], the rest of the first half up to k1 = T // 2, and the
-    second half without its first fifth, [k1 + (T - k1) // 5, T]."""
+    second half without its first fifth, [k1 + (T - k1) // 5, T]. Each window's squares are
+    summed left to right (np.cumsum, as tracking_energy) and divided by their count."""
     k0, k1 = T // 5, T // 2
     k2 = k1 + (T - k1) // 5
     windows = {f"rms_eps[{t0},{t0 + k0}]": (0, k0), f"rms_eps({t0 + k0},{t0 + k1}]": (k0 + 1, k1),
                f"rms_eps[{t0 + k2},{t0 + T}]": (k2, T)}
-    return {key: float(np.sqrt(np.mean(trace.eps[first : last + 1] ** 2)))
+    return {key: float(np.sqrt(np.cumsum(trace.eps[first : last + 1] ** 2)[-1] / (last + 1 - first)))
             for key, (first, last) in windows.items()}
 
 

@@ -19,7 +19,7 @@ from mraclab.harness import config_from_dict, demo_config, run_closed_loop, writ
 
 SHOWCASE_SHA256 = {
     "trace.csv": "d3186d34fb19995a22413fc7d243dc20a990eb97553078c13d5aa37cc27dbd3d",
-    "summary.json": "22543a065af7b2f3d16c3d8cf4b5d0de82c28103d3d0f8ddd42df97abb9c9156",
+    "summary.json": "b497070fa9917773c59486186263b14f0ba3e159d1e62daa1d50692036820b51",
 }
 
 # The config from the README's "Config format" section.
@@ -148,12 +148,12 @@ def test_trace_pinned(tmp_path, doc, digest):
 @pytest.mark.parametrize(
     "doc, digest",
     [
-        (README_CONFIG, "0102d1c9ed78d561d1685e829aff505f6696ab984732c52f27d5bacbafb275b7"),
-        (D1_CONFIG, "50c62376dc3dde3aa58f8e713ba0b22854266a38d99070c808741d14ee682c12"),
-        (STATIC_D3_CONFIG, "fa17d9c66fa7e76b09156f570bcd1688a2cc9374dbcb559dcd7c46d148b0552b"),
-        (D1_GATED_CONFIG, "423fed05f5d08280f4d8f5c9ee74ec965de7fe2fa126fd789f94882fc8d6f8be"),
-        (P8_CONFIG, "0e1e939101d548f183984d4e8e5176a2b10fd3cfad021b9dfc8979ee809b4942"),
-        (README_W0_CONFIG, "bc416e1973bb1614b89984c0c41b29c19499c3e9c6c56d314394390d5c8ffa89"),
+        (README_CONFIG, "c619d602b02d999c1d2aa8253fa966318c224cd18d9db5b880f65847f4363553"),
+        (D1_CONFIG, "f0d2d0dbbd8ba988b0362f6f472bb1b5ce9cc26ef98bea96055db7a12c1b4eb5"),
+        (STATIC_D3_CONFIG, "d9bc9ab1a5f818748fd70376afd28fe4cbb8d65abee5a96ea1148ec3ffbc9e8c"),
+        (D1_GATED_CONFIG, "68cc554a45e05aa89365ddb3a5708abc140d10293cdcddf0a53f30cb4a59c682"),
+        (P8_CONFIG, "a913109afb89797ffeecf76adb7327e179a6efd3e405f140f79209431e7c3181"),
+        (README_W0_CONFIG, "67aed6ce07aed786588912b81d6cc6f3fccedcb540ed6a81c77f57fbe0efd4f3"),
     ],
     ids=["readme", "d1", "static_d3", "d1_gated", "p8", "readme_w0"],
 )

@@ -1968,6 +1968,24 @@ class TestTraceFiles:
         summary = harness.build_summary(replace(tr, theta_hat=theta))
         assert summary["estimates"]["within_box"] is False
 
+    @pytest.mark.parametrize("make", [demo_config, lambda: config_from_dict(P8_CONFIG),
+                                      lambda: config_from_dict(STATIC_D3_CONFIG)],
+                             ids=["showcase", "p8", "static_d3"])
+    def test_rms_eps_sums_left_to_right(self, make):
+        # Each rms_eps is its window's eps(t)^2 added left to right from +0.0 over its count,
+        # the one summation order; numpy's pairwise mean gave other bits here.
+        tr = run_closed_loop(make())
+        tracking = harness.build_summary(tr)["tracking"]
+        keys = [key for key in tracking if key.startswith("rms_eps")]
+        assert len(keys) == 3
+        for key in keys:
+            open_, first, last = re.fullmatch(r"rms_eps([\[(])(-?\d+),(-?\d+)\]", key).groups()
+            rows = tr.eps[int(first) - tr.cfg.t0 + (open_ == "(") : int(last) - tr.cfg.t0 + 1].tolist()
+            acc = 0.0
+            for v in rows:
+                acc += v * v
+            assert tracking[key].hex() == math.sqrt(acc / len(rows)).hex(), key
+
 
 class TestShowcase:
     def test_known_first_steps(self):
