@@ -20,9 +20,9 @@ v = theta_hat_i + phi_i (e / ||phi||^2) clamped to the box: lo_i if v < lo_i,
 else hi_i if v > hi_i, else v, so a NaN passes through and a signed zero
 keeps its sign. The golden traces pin these products and this order.
 
-The estimator takes a validated config's data: ExperimentConfig checks the
-box, theta0 (exactly inside it) and delta > 0 once, and nothing here checks
-them again. The projection then keeps every estimate inside the box.
+EstimatorState and estimator_update take a validated config's data and do
+not re-check it: ExperimentConfig checks the box, theta0 (exactly inside
+it) and delta > 0 once, and the projection keeps every estimate inside.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def deadzone_flag(e_next: float, sq: float, box_norm_value: float, delta: float)
 
 @dataclass
 class EstimatorState:
-    """Current estimate (a list of floats) plus the fixed box and deadzone width, unchecked."""
+    """Current estimate (a list of floats) plus the fixed box and deadzone width."""
 
     theta_hat: list[float]
     box: ParamBox

@@ -233,17 +233,14 @@ class TestConfigValidation:
             doc["sim"]["theta0"] = [0.0, 0.0, beta0, 0.0, 0.0]
             with pytest.raises(ConfigError, match="sim.theta0"):
                 config_from_dict(doc)
-
-    @pytest.mark.parametrize("side, outward", [("lo", -math.inf), ("hi", math.inf)])
-    def test_theta0_one_ulp_outside_box(self, side, outward):
         # Exactly inside, as in the audit's replay of the update: a bound is in, one ulp past it is out.
-        cfg = make_config()
-        theta0 = list(cfg.box.midpoint())
-        theta0[1] = getattr(cfg.box, side)[1]
-        make_config(theta0=theta0)
-        theta0[1] = float(np.nextafter(theta0[1], outward))
-        with pytest.raises(ConfigError, match="^sim.theta0: initial estimate must lie inside the box$"):
+        for bound, outward in ((cfg.box.lo[1], -math.inf), (cfg.box.hi[1], math.inf)):
+            theta0 = list(cfg.box.midpoint())
+            theta0[1] = bound
             make_config(theta0=theta0)
+            theta0[1] = float(np.nextafter(bound, outward))
+            with pytest.raises(ConfigError, match="^sim.theta0: initial estimate must lie inside the box$"):
+                make_config(theta0=theta0)
 
     def test_x0_wrong_length(self):
         with pytest.raises(ConfigError, match="sim.x0"):
