@@ -113,6 +113,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == "error: sim.theta0: initial estimate must lie inside the box\n"
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["estimator"]["box"]["lo"].__setitem__(2, -1.0),
+             "error: estimator.box: beta0 interval [-1.0, 3.0] contains 0; the control law divides by beta0\n"),
+            (lambda d: d["sim"].__setitem__("x0", d["sim"]["x0"][:5]),
+             "error: sim.x0: needs 6 entries for (n=2, m=1, d=2), got 5\n"),
+        ],
+        ids=["beta0_interval", "x0_length"],
+    )
+    def test_config_is_the_one_gate(self, edit, message, tmp_path, capsys):
+        # The README config made invalid is refused at the entry point with its field error
+        # and nothing written; the loop does not check these facts again.
+        doc = json.loads(json.dumps(README_CONFIG))
+        edit(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "o").exists()
+
     def test_divergent_run_aborts(self, tmp_path, capsys):
         doc = {
             "plant": {"a": [-1.5], "b": [1.0], "d": 1},

@@ -233,22 +233,55 @@ class TestConfigValidation:
             doc["sim"]["theta0"] = [0.0, 0.0, beta0, 0.0, 0.0]
             with pytest.raises(ConfigError, match="sim.theta0"):
                 config_from_dict(doc)
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_theta0_one_ulp_outside_box(self, side):
         # Exactly inside, as in the audit's replay of the update: a bound is in, one ulp past it is out.
-        for bound, outward in ((cfg.box.lo[1], -math.inf), (cfg.box.hi[1], math.inf)):
-            theta0 = list(cfg.box.midpoint())
-            theta0[1] = bound
+        cfg = make_config()
+        bound = getattr(cfg.box, side)[1]
+        theta0 = list(cfg.box.midpoint())
+        theta0[1] = bound
+        make_config(theta0=theta0)
+        theta0[1] = float(np.nextafter(bound, -math.inf if side == "lo" else math.inf))
+        with pytest.raises(ConfigError, match=r"^sim\.theta0: initial estimate must lie inside the box$"):
             make_config(theta0=theta0)
-            theta0[1] = float(np.nextafter(bound, outward))
-            with pytest.raises(ConfigError, match="^sim.theta0: initial estimate must lie inside the box$"):
-                make_config(theta0=theta0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 3.0), (-0.0, 3.0), (-3.0, 0.0)], ids=["lo_zero", "lo_minus_zero", "hi_zero"])
+    def test_gain_interval_with_zero_at_an_end(self, lo, hi):
+        # A closed interval that ends at 0 holds beta0_hat = 0, which the control law would divide by.
+        doc = json.loads(json.dumps(README_CONFIG))
+        doc["estimator"]["box"]["lo"][2], doc["estimator"]["box"]["hi"][2] = lo, hi
+        msg = rf"^estimator\.box: beta0 interval \[{lo!r}, {hi!r}\] contains 0; the control law divides by beta0$"
+        with pytest.raises(ConfigError, match=msg):
+            config_from_dict(doc)
 
     def test_x0_wrong_length(self):
         with pytest.raises(ConfigError, match="sim.x0"):
             make_config(x0=(1.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "field, length, message",
+        [
+            ("x0", 5, r"^sim\.x0: needs 6 entries for \(n=2, m=1, d=2\), got 5$"),
+            ("x0", 7, r"^sim\.x0: needs 6 entries for \(n=2, m=1, d=2\), got 7$"),
+            ("theta0", 4, r"^sim\.theta0: needs 5 entries, got 4$"),
+            ("theta0", 6, r"^sim\.theta0: needs 5 entries, got 6$"),
+        ],
+        ids=["x0_short", "x0_long", "theta0_short", "theta0_long"],
+    )
+    def test_lengths_are_exact(self, field, length, message):
+        # One entry off either way is refused: the loop's history and estimate take these lengths as given.
+        with pytest.raises(ConfigError, match=message):
+            make_config(**{field: (0.0,) * length})
+
     def test_delta_zero_rejected(self):
         with pytest.raises(ConfigError, match="estimator.delta"):
             make_config(delta=0.0)
+
+    @pytest.mark.parametrize("delta", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_delta_not_positive_rejected(self, delta):
+        with pytest.raises(ConfigError, match=r"^estimator\.delta: deadzone width must be positive \(or inf\)$"):
+            make_config(delta=delta)
 
     def test_horizon_too_short(self):
         with pytest.raises(ConfigError, match="sim.steps"):
