@@ -61,10 +61,8 @@ def _finish(trace, out, rep: VerificationReport | None) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.decay is not None and not args.verify:
-        raise ConfigError("lambda", "only read with --verify")
     trace = run_closed_loop(config_from_dict(_load_json(args.config)))
-    return _finish(trace, args.out, audit(trace, args.decay) if args.verify else None)
+    return _finish(trace, args.out, audit(trace) if args.verify else None)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -93,7 +91,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     f"{cfg.config_hash()!r}",
                 )
         trace = trace_from_csv(csv_path, cfg)
-        return _finish(trace, args.out, audit(trace, args.decay))
+        return _finish(trace, args.out, audit(trace))
     if not args.config:
         raise ConfigError("config", "verify needs --config or --trace")
     return cmd_run(args)
@@ -115,18 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="experiment JSON file")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--verify", action="store_true", help="also run every check")
-    run_p.add_argument(
-        "--lambda", dest="decay", type=float, help="decay rate for the envelope fit"
-    )
     run_p.set_defaults(func=cmd_run)
 
     ver_p = sub.add_parser("verify", help="check the recorded properties")
     ver_p.add_argument("--config", help="experiment JSON file (re-runs the loop)")
     ver_p.add_argument("--trace", help="audit an existing trace.csv instead")
     ver_p.add_argument("--out", help="also write artifacts here")
-    ver_p.add_argument(
-        "--lambda", dest="decay", type=float, help="decay rate for the envelope fit"
-    )
     ver_p.set_defaults(func=cmd_verify, verify=True)
 
     rep_p = sub.add_parser("reproduce", help="run the packaged showcase experiment")

@@ -913,7 +913,7 @@ def fit_decay_bound(trace: Trace, lam: float) -> float:
     ||phi|| is trace.regressors()'s and r and w are trace.cfg's inputs, never the recorded
     columns; t0 and T are trace.cfg's.
     The envelope is one pass of itertools.accumulate (a loop's float operations, in order);
-    lam must lie in (0, 1), and audit also holds it above the configuration's spectral floor.
+    lam must lie in (0, 1); audit fits at its own rate, above the configuration's spectral floor.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"decay rate must lie in (0, 1), got {lam}")
@@ -949,20 +949,16 @@ def config_spectral_floor(cfg: ExperimentConfig) -> float:
     return max(max_root_modulus(cfg.ref.L), float(np.max(max_root_moduli(cfg.plant_rows[1]))))
 
 
-def audit(trace: Trace, decay: float | None = None) -> VerificationReport:
+def audit(trace: Trace) -> VerificationReport:
     """A run's audit, as run --verify, verify and reproduce make it: every column against its
     recursion, then a constant plant against its ground truth (check_prop1 in full and
     check_identities), any other plant by check_prop1's move bound; then the envelope fit.
 
-    The decay rate is decay, which must lie in (floor, 1), else 0.9, or halfway
-    from the spectral floor to 1 when the floor is 0.9 or more."""
+    The fit's decay rate is 0.9, or halfway from the spectral floor to 1 when the floor is
+    0.9 or more; fit_decay_bound fits any other rate."""
     cfg = trace.cfg
     floor = config_spectral_floor(cfg)
-    if decay is None:
-        decay = 0.9 if floor < 0.9 else 0.5 * (1.0 + floor)
-    elif not floor < decay < 1.0:
-        msg = f"decay rate must lie in ({floor:.6f}, 1) for this configuration, got {decay}"
-        raise ConfigError("lambda", msg)
+    decay = 0.9 if floor < 0.9 else 0.5 * (1.0 + floor)
     rep = check_trace_consistency(trace)  # every check reads the one trace.regressors() table
     if cfg.schedule.is_constant():
         gt = ground_truth(cfg)

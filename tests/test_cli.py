@@ -56,16 +56,12 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["checks"]["passed"] is True
 
-    def test_lambda_without_verify_is_a_config_error(self, config_path, tmp_path, capsys):
-        # The rate is read only by the audit: without --verify it is refused before the run.
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(config_path), "--out", str(out), "--lambda", "0.95"]) == 2
-        assert capsys.readouterr().err == "error: lambda: only read with --verify\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag, value", [("--seed", "9"), ("--steps", "120"), ("--label", "x")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--seed", "9"), ("--steps", "120"), ("--label", "x"), ("--lambda", "0.92")]
+    )
     def test_setting_flag_is_a_usage_error(self, config_path, tmp_path, flag, value):
-        # Every setting comes from the document: run has no flag that overrides one.
+        # Every setting comes from the document: run has no flag that overrides one, and the
+        # audit's decay rate is its own rule.
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as info:
             main(["run", "--config", str(config_path), "--out", str(out), flag, value])
@@ -452,13 +448,17 @@ class TestVerify:
         summary = json.loads((tmp_path / "v" / "summary.json").read_text())
         assert summary["checks"]["fitted"]["envelope_gain_c"] is None
 
-    def test_lambda_below_floor(self, config_path, capsys):
-        rc = main(["verify", "--config", str(config_path), "--lambda", "0.2"])
-        assert rc == 2
-        assert "decay rate" in capsys.readouterr().err
-
-    def test_lambda_accepted_above_floor(self, config_path):
-        assert main(["verify", "--config", str(config_path), "--lambda", "0.95"]) == 0
+    @pytest.mark.parametrize("source", ["--config", "--trace"])
+    def test_lambda_is_a_usage_error(self, config_path, tmp_path, source):
+        # The audit fits at its own rate: verify takes no --lambda, from a config or a trace.
+        ran = tmp_path / "ran"
+        main(["run", "--config", str(config_path), "--out", str(ran)])
+        path = config_path if source == "--config" else ran / "trace.csv"
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["verify", source, str(path), "--out", str(out), "--lambda", "0.92"])
+        assert info.value.code == 2
+        assert not out.exists()
 
     def test_needs_config_or_trace(self, capsys):
         assert main(["verify"]) == 2

@@ -1578,18 +1578,18 @@ class TestAudit:
         assert list(rep.fitted) == FITTED and rep.fitted["lambda"] == 0.9
         assert rep.passed
 
-    def test_decay_rate(self):
-        # With a floor of 0.9 or more the default is halfway to 1; a given
-        # rate must lie strictly between the floor and 1.
-        trace = run_closed_loop(make_config(L=(1.0, -0.95)))
-        fitted = audit(trace).fitted
-        floor = fitted["spectral_floor"]
-        assert floor == pytest.approx(0.95, abs=1e-12) and fitted["lambda"] == 0.5 * (1.0 + floor)
-        assert audit(trace, 0.99).fitted["lambda"] == 0.99
-        for decay in (floor, 0.5, 1.0):
-            msg = f"lambda: decay rate must lie in ({floor:.6f}, 1) for this configuration, got {decay}"
-            with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
-                audit(trace, decay)
+    @pytest.mark.parametrize(
+        "l1, floor, lam",
+        [(-0.95, "0x1.e666666666666p-1", 0.975),
+         (-0.9, "0x1.ccccccccccccdp-1", 0.95),
+         (-math.nextafter(0.9, 0.0), "0x1.cccccccccccccp-1", 0.9)],
+        ids=["above", "at", "below"],
+    )
+    def test_decay_rate(self, l1, floor, lam):
+        # The rate is 0.9 below a floor of 0.9 and halfway to 1 from it on: a floor of exactly
+        # 0.9 takes 0.95, and the float just below it takes 0.9.
+        fitted = audit(run_closed_loop(make_config(L=(1.0, l1)))).fitted
+        assert fitted["spectral_floor"] == float.fromhex(floor) and fitted["lambda"] == lam
 
 
 class TestHorizonFromConfig:
