@@ -5,6 +5,7 @@ Three subcommands:
   run        execute a configured experiment and write its artifacts
   verify     re-derive and check every claimed property, either as run --verify
              of a configuration or by auditing a previously written trace file
+             against the config its summary.json records
   reproduce  run --verify of the packaged showcase experiment (demo_config)
 
 Exit codes: 0 success, 1 a verification check failed, 2 configuration or
@@ -66,35 +67,26 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.trace:
-        csv_path = Path(args.trace)
-        if not csv_path.is_file():
-            raise ConfigError("trace", f"no such file: {args.trace}")
-        if args.config:
-            cfg = config_from_dict(_load_json(args.config))
-        else:
-            sidecar = csv_path.parent / "summary.json"
-            if not sidecar.is_file():
-                raise ConfigError(
-                    "config",
-                    f"no --config given and no summary.json beside {csv_path}",
-                )
-            summary = _load_json(str(sidecar))
-            if summary.get("config") is None:
-                raise ConfigError("config", f"{sidecar} carries no config document")
-            cfg = config_from_dict(summary["config"])
-            recorded = summary.get("config_hash")
-            if recorded != cfg.config_hash():
-                raise ConfigError(
-                    "config_hash",
-                    f"{sidecar} records {recorded!r}, but its config hashes to "
-                    f"{cfg.config_hash()!r}",
-                )
-        trace = trace_from_csv(csv_path, cfg)
-        return _finish(trace, args.out, audit(trace))
-    if not args.config:
-        raise ConfigError("config", "verify needs --config or --trace")
-    return cmd_run(args)
+    if args.trace is None:  # --config: run --verify
+        return cmd_run(args)
+    csv_path = Path(args.trace)
+    if not csv_path.is_file():
+        raise ConfigError("trace", f"no such file: {args.trace}")
+    sidecar = csv_path.parent / "summary.json"
+    if not sidecar.is_file():
+        raise ConfigError("config", f"no summary.json beside {csv_path}")
+    summary = _load_json(str(sidecar))
+    if summary.get("config") is None:
+        raise ConfigError("config", f"{sidecar} carries no config document")
+    cfg = config_from_dict(summary["config"])
+    recorded = summary.get("config_hash")
+    if recorded != cfg.config_hash():
+        raise ConfigError(
+            "config_hash",
+            f"{sidecar} records {recorded!r}, but its config hashes to {cfg.config_hash()!r}",
+        )
+    trace = trace_from_csv(csv_path, cfg)
+    return _finish(trace, args.out, audit(trace))
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
@@ -116,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=cmd_run)
 
     ver_p = sub.add_parser("verify", help="check the recorded properties")
-    ver_p.add_argument("--config", help="experiment JSON file (re-runs the loop)")
-    ver_p.add_argument("--trace", help="audit an existing trace.csv instead")
+    source = ver_p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="experiment JSON file (re-runs the loop)")
+    source.add_argument("--trace", help="audit a trace.csv against the summary.json beside it")
     ver_p.add_argument("--out", help="also write artifacts here")
     ver_p.set_defaults(func=cmd_verify, verify=True)
 

@@ -200,16 +200,24 @@ class ExperimentConfig:
             raise ConfigError("estimator.margin", "must be finite")
         if given.get("samples", 0) < 0:
             raise ConfigError("estimator.samples", f"must not be negative, got {given['samples']}")
-        for fieldpath, box in (("estimator.box", self.box), ("estimator.s_ab_box", s_ab)):
-            if box is not None and not isinstance(box, ParamBox):
-                raise ConfigError(fieldpath, f"expected a ParamBox, got {type(box).__name__}")
+        typed = (("plant", self.schedule, CoefficientSchedule), ("reference", self.ref, ReferenceModel),
+                 ("signals.r", self.r, SignalSpec), ("signals.w", self.w, SignalSpec),
+                 ("estimator.box", self.box, ParamBox), ("estimator.s_ab_box", s_ab, ParamBox))
+        for fieldpath, value, kind in typed:  # a box may be left out
+            if not isinstance(value, kind) and not (kind is ParamBox and value is None):
+                raise ConfigError(fieldpath, f"expected a {kind.__name__}, got {type(value).__name__}")
+        n, m, d = self.n, self.m, self.d
+        if self.ref.d != d:  # before the box recipe, which reads the reference
+            raise ConfigError("reference", f"reference delay {self.ref.d} != plant delay {d}")
+        if self.ref.order > n:
+            raise ConfigError("reference.L", f"order {self.ref.order} exceeds plant order {n}")
         if s_ab is not None:
             if self.box is not None:
                 raise ConfigError("estimator", "takes a 'box' or an 's_ab_box', not both")
             try:  # the image's long division has d terms
-                box = _at("estimator.s_ab_box", build_param_box, s_ab, self.ref, n_a=self.n, **given)
+                box = _at("estimator.s_ab_box", build_param_box, s_ab, self.ref, n_a=n, **given)
             except MemoryError:
-                raise ConfigError("plant.d", f"{self.d} is too long a delay to allocate") from None
+                raise ConfigError("plant.d", f"{d} is too long a delay to allocate") from None
             object.__setattr__(self, "box", box)
         elif given:
             raise ConfigError(f"estimator.{next(iter(given))}", "only read with an s_ab_box")
@@ -226,11 +234,6 @@ class ExperimentConfig:
             object.__setattr__(self, name, _at(fieldpath, read, value))
         if isinstance(self.theta0, str):  # "midpoint"
             object.__setattr__(self, "theta0", tuple(self.box.midpoint().tolist()))
-        n, m, d = self.n, self.m, self.d
-        if self.ref.d != d:
-            raise ConfigError("reference", f"reference delay {self.ref.d} != plant delay {d}")
-        if self.ref.order > n:
-            raise ConfigError("reference.L", f"order {self.ref.order} exceeds plant order {n}")
         lo, hi = self.box.lo[n], self.box.hi[n]
         if lo <= 0.0 <= hi:
             raise ConfigError(

@@ -31,6 +31,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -188,8 +189,8 @@ class SignalSpec(KindSpec):
 
     def __post_init__(self) -> None:
         self._read_fields()
-        if self.kind == "square_wave" and self.period < 1:
-            raise ValueError("square_wave needs period >= 1")
+        if self.kind == "square_wave" and not 1 <= self.period <= sys.float_info.max:
+            raise ValueError(f"field 'period': must lie in 1 .. {sys.float_info.max!r}, the largest float")
         if self.kind == "windowed_sinusoid" and self.t_end < self.t_start:
             raise ValueError("windowed_sinusoid needs t_start <= t_end")
         if self.kind == "table" and not self.values:

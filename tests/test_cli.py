@@ -263,21 +263,15 @@ class TestVerify:
         assert main(["verify", "--trace", str(out / "trace.csv")]) == 0
         assert "VERIFY PASS" in capsys.readouterr().out
 
-    def test_from_trace_with_explicit_config(self, config_path, tmp_path):
-        out = tmp_path / "out"
-        main(["run", "--config", str(config_path), "--out", str(out)])
-        (out / "summary.json").unlink()
-        assert main(
-            ["verify", "--trace", str(out / "trace.csv"), "--config", str(config_path)]
-        ) == 0
-
     def test_missing_sidecar(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", "--config", str(config_path), "--out", str(out)])
         (out / "summary.json").unlink()
+        capsys.readouterr()
         rc = main(["verify", "--trace", str(out / "trace.csv")])
         assert rc == 2
-        assert "summary.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "summary.json" in err and len(err.splitlines()) == 1
 
     def test_sidecar_that_is_not_an_object(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -460,9 +454,17 @@ class TestVerify:
         assert info.value.code == 2
         assert not out.exists()
 
-    def test_needs_config_or_trace(self, capsys):
-        assert main(["verify"]) == 2
-        assert "config" in capsys.readouterr().err
+    @pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+    def test_needs_config_or_trace(self, config_path, tmp_path, both):
+        # A trace is audited against the config its summary.json records, never one handed in.
+        ran = tmp_path / "ran"
+        main(["run", "--config", str(config_path), "--out", str(ran)])
+        sources = ["--trace", str(ran / "trace.csv"), "--config", str(config_path)] if both else []
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["verify", *sources, "--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
 
 
 class TestReproduce:

@@ -97,7 +97,7 @@ def make_config(
     )
 
 
-# (where in the showcase document, malformed value, field path of the error);
+# (where in the showcase document, malformed value, start of the error[, test id if not where]);
 # math.inf is what json reads for 1e400, and int() cannot convert it. A key the
 # document does not have is one no parser reads, such as a misspelled field.
 MALFORMED = [
@@ -105,6 +105,7 @@ MALFORMED = [
     ("sim.t0", math.inf, "sim.t0"),
     ("plant.d", math.inf, "plant.d"),
     ("signals.r.period", math.inf, "signals.r: field 'period'"),
+    ("signals.r.period", 10**400, "signals.r: field 'period'", "signals.r.period_10^400"),  # no float holds it
     ("sim", [], "sim"),
     ("estimator", [], "estimator"),
     ("plant.schedule", [], "plant.schedule"),
@@ -159,14 +160,17 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="expected an integer"):
             PlantParams(a=(-0.6,), b=(2.0,), d=d)
 
-    def test_reference_order_exceeds_plant(self):
+    @pytest.mark.parametrize("key", ["box", "s_ab"])
+    def test_reference_order_exceeds_plant(self, key):
+        # One fault, one field path: with an s_ab_box it was once
+        # "estimator.s_ab_box: reference order 2 exceeds plant order 1".
         params = PlantParams(a=(-0.5,), b=(1.0,), d=1)
-        ref = ReferenceModel(L=PolyZ((1.0, 0.0, -0.25)), H=PolyZ((0.5,)), d=1)
-        with pytest.raises(ConfigError, match="reference.L"):
+        ref = ReferenceModel(L=PolyZ((1.0, -0.4, 0.04)), H=PolyZ((0.5,)), d=1)
+        with pytest.raises(ConfigError, match=r"^reference\.L: order 2 exceeds plant order 1$"):
             ExperimentConfig(
                 schedule=CoefficientSchedule.constant(params),
                 ref=ref,
-                box=ParamBox(lo=(-1.0, 0.5), hi=(1.0, 2.0)),
+                **{key: ParamBox(lo=(-1.0, 0.5), hi=(1.0, 2.0))},  # theta = (a1, b0), as is (alpha1, beta0)
                 delta=math.inf,
                 t0=0,
                 steps=100,
@@ -617,7 +621,8 @@ class TestConfigRoundTrip:
         cfg = config_from_dict(doc)
         assert np.all(np.isfinite(run_closed_loop(cfg).w))
 
-    @pytest.mark.parametrize("where, value, fieldpath", [pytest.param(*c, id=c[0]) for c in MALFORMED])
+    @pytest.mark.parametrize("where, value, fieldpath", [pytest.param(*c[:3], id=c[3] if len(c) > 3 else c[0])
+                                                         for c in MALFORMED])
     def test_malformed_document_is_a_config_error(self, where, value, fieldpath):
         doc = demo_config().to_config_dict()
         *parents, key = where.split(".")
@@ -762,12 +767,20 @@ class TestPythonAndDocumentParity:
             minimal_config(s_ab=S_AB, s_ab_samples=-5, steps=400)
         assert minimal_config(s_ab=S_AB, s_ab_samples=0, steps=400).box.dim == 5
 
-    @pytest.mark.parametrize("key, fieldpath", [("s_ab", "estimator.s_ab_box"), ("box", "estimator.box")])
+    @pytest.mark.parametrize("key, fieldpath", [("s_ab", "estimator.s_ab_box"), ("box", "estimator.box"),
+                                                 ("schedule", "plant"), ("ref", "reference"),
+                                                 ("r", "signals.r"), ("w", "signals.w")])
     def test_a_box_that_is_not_a_param_box_is_refused(self, key, fieldpath):
-        # A (lo, hi) tuple escaped as AttributeError: 'tuple' object has no attribute 'dim'.
+        # A (lo, hi) tuple escaped as AttributeError: 'tuple' object has no attribute 'dim';
+        # one in the plant, the reference or a signal as its own AttributeError.
+        kind = {"schedule": "CoefficientSchedule", "ref": "ReferenceModel", "r": "SignalSpec",
+                "w": "SignalSpec"}.get(key, "ParamBox")
+        cfg = minimal_config(box=self.BOX, steps=400)
         box = S_AB if key == "s_ab" else self.BOX
-        with pytest.raises(ConfigError, match=rf"^{re.escape(fieldpath)}: expected a ParamBox, got tuple$"):
-            minimal_config(steps=400, **{key: (box.lo, box.hi)})
+        given = {"schedule": cfg.schedule, "ref": cfg.ref, "box": None if key == "s_ab" else self.BOX,
+                 "steps": 400, key: (box.lo, box.hi)}
+        with pytest.raises(ConfigError, match=rf"^{re.escape(fieldpath)}: expected a {kind}, got tuple$"):
+            ExperimentConfig(**given)
 
 
 # Every kind of the document form, one example each, with the fields a
