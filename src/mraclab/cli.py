@@ -94,6 +94,13 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return _finish(trace, args.out, audit(trace))
 
 
+def _path(value: str) -> str:
+    """A path option's value; an empty one names no file, so argparse refuses it (exit 2)."""
+    if not value:
+        raise argparse.ArgumentTypeError("empty path")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mraclab",
@@ -102,20 +109,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a configured experiment")
-    run_p.add_argument("--config", required=True, help="experiment JSON file")
-    run_p.add_argument("--out", required=True, help="output directory")
+    run_p.add_argument("--config", type=_path, required=True, help="experiment JSON file")
+    run_p.add_argument("--out", type=_path, required=True, help="output directory")
     run_p.add_argument("--verify", action="store_true", help="also run every check")
     run_p.set_defaults(func=cmd_run)
 
     ver_p = sub.add_parser("verify", help="check the recorded properties")
     source = ver_p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--config", help="experiment JSON file (re-runs the loop)")
-    source.add_argument("--trace", help="audit a trace.csv against the summary.json beside it")
-    ver_p.add_argument("--out", help="also write artifacts here")
+    source.add_argument("--config", type=_path, help="experiment JSON file (re-runs the loop)")
+    source.add_argument("--trace", type=_path, help="audit a trace.csv against the summary.json beside it")
+    ver_p.add_argument("--out", type=_path, help="also write artifacts here")
     ver_p.set_defaults(func=cmd_verify, verify=True)
 
     rep_p = sub.add_parser("reproduce", help="run the packaged showcase experiment")
-    rep_p.add_argument("--out", required=True, help="output directory")
+    rep_p.add_argument("--out", type=_path, required=True, help="output directory")
     rep_p.set_defaults(func=cmd_reproduce)
 
     return parser

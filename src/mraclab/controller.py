@@ -138,7 +138,8 @@ def loop_start(x0, n: int, m: int, d: int) -> History:
 
 
 def ybar(y, L: PolyZ) -> float:
-    """Weighted output ybar(t) = y(t) + sum_j l_j y(t-j); y is oldest first, y(t) last."""
+    """Weighted output ybar(t) = y(t) + sum_j l_j y(t-j); y is oldest first, y(t) last.
+    run_closed_loop's in-place copy is pinned to these bits by test_loop_is_its_kernels_composed."""
     acc = 0.0  # term by term from +0.0: the trace pins depend on this order
     i = -1
     for c in L.coeffs:

@@ -10,15 +10,15 @@ additive regularizing constant; the deadzone itself is what keeps the
 division safe - and is then clamped back into the box coordinate-wise.
 Projection onto a convex set never increases the distance to any point of
 the set, which is what makes the parameter-error arguments go through.
-The step runs on plain floats in one indexed pass over phi (pred += f *
-theta[i]; sq += f * f): phi^T theta_hat and ||phi||^2 are summed left to
-right, each from +0.0, with no BLAS dot and no sum(), math.fsum or
-math.sumprod, whose bits differ on newer Pythons. The audits' column sums
-take that order, so they recompute e, ||phi|| and the gate bit for bit. A
-gated-on step then sets each coordinate i, in index order, to
-v = theta_hat_i + phi_i (e / ||phi||^2) clamped to the box: lo_i if v < lo_i,
-else hi_i if v > hi_i, else v, so a NaN passes through and a signed zero
-keeps its sign. The golden traces pin these products and this order.
+The step runs on plain floats in one indexed pass over phi (pred += f * theta[i];
+sq += f * f): phi^T theta_hat and ||phi||^2 are summed left to right, each from +0.0,
+with no BLAS dot and no sum(), math.fsum or math.sumprod, whose bits differ on newer
+Pythons. The audits' column sums take that order, so they recompute e, ||phi|| and
+the gate (deadzone_flag's expression, which estimator_update carries in place) bit
+for bit. A gated-on step then sets each coordinate i, in index order, to
+v = theta_hat_i + phi_i (e / ||phi||^2) clamped to the box: lo_i if v < lo_i, else
+hi_i if v > hi_i, else v, so a NaN passes through and a signed zero keeps its sign.
+The golden traces pin these products and this order.
 
 EstimatorState and estimator_update take a validated config's data and do
 not re-check it: ExperimentConfig checks the box, theta0 (exactly inside
@@ -43,11 +43,11 @@ __all__ = [
 def deadzone_flag(e_next: float, sq: float, box_norm_value: float, delta: float) -> int:
     """Relative-deadzone gate: 1 iff |e| < (2 ||S|| + delta) ||phi||, from sq = ||phi||^2.
 
-    One formula for every delta. A zero regressor gates the update off before
-    the threshold is formed, so delta = inf never meets 0 * inf and opens the
-    gate on every nonzero regressor with a finite error: that disables the
-    deadzone. A NaN error or regressor closes the gate at every delta.
-    Returns the int 1 or 0.
+    One formula for every delta. A zero regressor gates the update off before the
+    threshold is formed, so delta = inf never meets 0 * inf and opens the gate on every
+    nonzero regressor with a finite error: that disables the deadzone. A NaN error or
+    regressor closes the gate at every delta. Returns the int 1 or 0. Its homes: here, in
+    place in estimator_update, and over a trace in harness.check_trace_consistency.
     """
     norm = math.sqrt(sq)
     return 1 if norm != 0.0 and abs(e_next) < (2.0 * box_norm_value + delta) * norm else 0
@@ -61,10 +61,12 @@ class EstimatorState:
     box: ParamBox
     delta: float = math.inf
     box_norm_cached: float = field(init=False)
+    lo: tuple[float, ...] = field(init=False)  # the box's bounds, read on every gated step
+    hi: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         self.theta_hat = [float(v) for v in self.theta_hat]
-        self.box_norm_cached = box_norm(self.box)
+        self.box_norm_cached, self.lo, self.hi = box_norm(self.box), self.box.lo, self.box.hi
 
 
 @dataclass(slots=True)
@@ -90,10 +92,11 @@ def estimator_update(state: EstimatorState, phi_lag, ybar_next: float) -> StepRe
         sq += f * f
         i += 1
     e_next = float(ybar_next) - pred
-    rho = deadzone_flag(e_next, sq, state.box_norm_cached, state.delta)
+    norm = math.sqrt(sq)  # deadzone_flag in place
+    rho = 1 if norm != 0.0 and abs(e_next) < (2.0 * state.box_norm_cached + state.delta) * norm else 0
     if rho:
         g = e_next / sq
-        lo, hi = state.box.lo, state.box.hi
+        lo, hi = state.lo, state.hi
         i = 0
         for f in phi_lag:
             v = theta[i] + f * g

@@ -65,7 +65,6 @@ from .plant_sim import (
     CoefficientSchedule,
     CoefSpec,
     SignalSpec,
-    plant_step,
     signal_rows,
     square_wave,
     wbar_sequence,
@@ -526,15 +525,15 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     once, before the loop; the coefficient rows are the ones the config
     validated. theta_hat and rho are written to their arrays once, after the loop.
 
-    Each step calls its kernels (control_input, plant_step, ybar,
-    estimator_update) through this module's names, so a wrapper installed
-    on a name sees every call. Their term orders, which the golden traces
-    pin, are stated in the controller, plant_sim and estimator module
-    docstrings. The last time t0 + T only records theta_hat and solves for
-    u; it emits nothing and runs no update.
+    Each step calls control_input and estimator_update through this module's
+    names, so a wrapper on a name sees every call, and computes y(t+1) and
+    ybar(t+1) in place in plant_step's and ybar's products and order (ybar runs
+    for the t0 row alone). Those orders, which the golden traces pin, are stated
+    in the controller, plant_sim and estimator module docstrings. The last time
+    t0 + T only records theta_hat and solves for u; it emits nothing and runs no update.
     """
     n, m, d = cfg.n, cfg.m, cfg.d
-    p, T, L = cfg.dim_theta, cfg.steps, cfg.ref.L
+    p, T, L = cfg.dim_theta, cfg.steps, cfg.ref.L.coeffs
     try:
         theta_hat, rho = np.zeros((T + 1, p)), np.zeros(T + 1)
     except (MemoryError, ValueError):  # a horizon no memory holds, or past numpy's address space
@@ -551,19 +550,29 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     target, w_next = target.tolist(), w[1:].tolist()
     ys, us = slice(-d, -d - n, -1), slice(-d, -m - 2 * d, -1)  # phi(t-d+1) = y[ys] + u[us]
     theta = est.theta_hat  # updated in place by every update
-    ybars, e, thetas, gates = [ybar(y, L)], [0.0], array("d"), []  # thetas: T+1 rows of p
+    ybars, e, thetas, gates = [ybar(y, cfg.ref.L)], [0.0], array("d"), []  # thetas: T+1 rows of p
     for k, (a, b) in enumerate(coeffs):
         thetas.fromlist(theta)
         u.append(control_input(theta, target[k], y, u, n))
         phi_lag = y[ys] + u[us]
-        y_next = plant_step(a, b, d, y, u, w_next[k])
+        y_next, i = w_next[k], -1  # plant_step in place: w(t+1) - a_i y(t-i) .. + b_i u(t-d+1-i) ..
+        for c in a:
+            y_next -= c * y[i]
+            i -= 1
+        i = -d
+        for c in b:
+            y_next += c * u[i]
+            i -= 1
         if not -OVERFLOW_LIMIT <= y_next <= OVERFLOW_LIMIT:  # NaN compares false: aborts too
             raise NumericAbort(
                 f"output diverged at t = {cfg.t0 + k + 1} (y = {y_next!r}); "
                 "check the admissible box and plant schedule"
             )
         y.append(y_next)
-        yb = ybar(y, L)
+        yb, i = 0.0, -1  # ybar in place: l_j y(t+1-j) from +0.0
+        for c in L:
+            yb += c * y[i]
+            i -= 1
         ybars.append(yb)
         rec = estimator_update(est, phi_lag, yb)
         e.append(rec.e_next)

@@ -477,7 +477,8 @@ def plant_step(a, b, d: int, y, u, w_next: float) -> float:
     """One plant recursion: y(t+1) from the coefficients a, b sampled at time t.
 
     y ends with y(t) and u with u(t), both oldest first:
-    y(t+1) = w(t+1) - sum_i a_i y(t-i) + sum_i b_i u(t-d+1-i).
+    y(t+1) = w(t+1) - sum_i a_i y(t-i) + sum_i b_i u(t-d+1-i). run_closed_loop carries
+    an in-place copy, which test_loop_is_its_kernels_composed pins to these bits.
     """
     y_next = float(w_next)
     i = -1

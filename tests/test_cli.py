@@ -625,3 +625,33 @@ def test_inputs_are_sampled_once_per_command(tmp_path, monkeypatch, doc, w_sampl
     calls.clear()
     assert main(["verify", "--trace", str(out / "trace.csv")]) == 0
     assert calls == want
+
+
+RUN_USAGE = "usage: mraclab run [-h] --config CONFIG --out OUT [--verify]\n"
+VERIFY_USAGE = "usage: mraclab verify [-h] (--config CONFIG | --trace TRACE) [--out OUT]\n"
+REPRODUCE_USAGE = "usage: mraclab reproduce [-h] --out OUT\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["run", "--config", "cfg.json", "--out", ""], RUN_USAGE + "mraclab run: error: argument --out: empty path\n"),
+        (["run", "--config", "", "--out", "out"], RUN_USAGE + "mraclab run: error: argument --config: empty path\n"),
+        (["verify", "--config", ""], VERIFY_USAGE + "mraclab verify: error: argument --config: empty path\n"),
+        (["verify", "--trace", ""], VERIFY_USAGE + "mraclab verify: error: argument --trace: empty path\n"),
+        (["verify", "--config", "cfg.json", "--out", ""],
+         VERIFY_USAGE + "mraclab verify: error: argument --out: empty path\n"),
+        (["reproduce", "--out", ""], REPRODUCE_USAGE + "mraclab reproduce: error: argument --out: empty path\n"),
+    ],
+    ids=["run-out", "run-config", "verify-config", "verify-trace", "verify-out", "reproduce-out"],
+)
+def test_empty_path_is_a_usage_error(argv, err, config_path, monkeypatch, capsys):
+    # An empty path names no file: argparse refuses it, names the option and nothing runs.
+    monkeypatch.chdir(config_path.parent)
+    monkeypatch.setenv("COLUMNS", "120")  # the usage line unwrapped
+    before = sorted(config_path.parent.iterdir())
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr() == ("", err)
+    assert sorted(config_path.parent.iterdir()) == before

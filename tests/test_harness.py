@@ -1073,29 +1073,47 @@ class TestRunClosedLoop:
         with pytest.raises(NumericAbort, match="diverged at t"):
             run_closed_loop(cfg)
 
-    @pytest.mark.parametrize("y_next", [math.nan, math.inf, -math.inf])
-    def test_non_finite_output_aborts(self, monkeypatch, y_next):
-        monkeypatch.setattr(harness, "plant_step", lambda *args: y_next)
-        with pytest.raises(NumericAbort, match=r"diverged at t = 1 \(y = "):
-            run_closed_loop(make_config(steps=50))
+    @pytest.mark.parametrize("w_next", [math.nan, math.inf, -math.inf])
+    def test_non_finite_output_aborts(self, w_next):
+        # A non-finite sample in the w column the loop reads makes y(t0 + 1) that value.
+        cfg = make_config(steps=50)
+        r, w = cfg.inputs
+        w = w.copy()
+        w[1] = w_next
+        cfg.__dict__["inputs"] = (r, w)  # the cached columns, as the loop reads them
+        with pytest.raises(NumericAbort, match=r"diverged at t = 1 \(y = ") as info:
+            run_closed_loop(cfg)
+        assert str(info.value) == (
+            f"output diverged at t = 1 (y = {w_next!r}); check the admissible box and plant schedule"
+        )
 
     def test_per_step_call_contract(self, monkeypatch):
-        # The benchmark's tracer wraps these module attributes: each layer is
-        # called through its name once per step (control law and ybar once more
-        # at the final time), so inlining one would hide it from the trace.
+        # The benchmark's tracer wraps control_input and estimator_update by module attribute
+        # and counts their calls: the loop calls both through harness's names, once per step
+        # (control_input once more at the final time). It computes y(t+1), ybar(t+1) and the
+        # deadzone gate in place, so plant_step and deadzone_flag are never called and ybar at
+        # most once per run, for the t0 row, wherever a module holds them.
         calls = Counter()
-        for module, name in [(harness, "control_input"), (harness, "ybar"), (harness, "plant_step"),
-                             (harness, "estimator_update"), (estimator, "deadzone_flag")]:
-            def counted(*args, _fn=getattr(module, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
 
-            monkeypatch.setattr(module, name, counted)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("control_input", "estimator_update"):
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        for name, fn in [("plant_step", plant_sim.plant_step), ("ybar", controller.ybar),
+                         ("deadzone_flag", estimator.deadzone_flag)]:
+            for module in (plant_sim, controller, estimator, harness):
+                for attr in [a for a, value in vars(module).items() if value is fn]:
+                    monkeypatch.setattr(module, attr, counted(name, fn))
         cfg = make_config(steps=50)
         run_closed_loop(cfg)
         T = cfg.steps
-        assert calls == {"control_input": T + 1, "ybar": T + 1, "plant_step": T,
-                         "estimator_update": T, "deadzone_flag": T}
+        assert (calls["control_input"], calls["estimator_update"]) == (T + 1, T)
+        assert (calls["plant_step"], calls["deadzone_flag"]) == (0, 0) and calls["ybar"] <= 1
 
 
 def test_plant_is_checked_and_split_once(monkeypatch):

@@ -2,7 +2,8 @@
 passes it too with u in any unit, keeps its bits but u's and beta's signs when u
 changes sign, and scales exactly with a power-of-two scale of r, w and x0; a
 one-ulp edit of any trace cell fails the check README names for its column, the
-estimator's scalar sums match the audits' column sums bit for bit, configs
+estimator's scalar sums and update match the audits' columns bit for bit, the
+loop's columns are its step kernels composed step by step, configs
 survive their document form, the admissibility test agrees with the root
 moduli, the predictor split is exact, signals and coefficients are their
 definitions, the loop's step kernels, the audits' row sum _weighted, box_norm
@@ -25,11 +26,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mraclab import estimator
-from mraclab.controller import control_input, reference_outputs, ybar
+from mraclab.controller import control_input, loop_start, reference_outputs, ybar
 from mraclab.estimator import EstimatorState, estimator_update
 from mraclab.harness import (
     CSV_FMT,
+    TRACE_COLUMNS,
     ExperimentConfig,
     Trace,
     audit,
@@ -68,7 +69,8 @@ from mraclab.system import (
     first_inadmissible,
     to_predictor_params,
 )
-from test_golden import README_CONFIG
+from test_golden import (D1_CONFIG, D1_GATED_CONFIG, M0_D2_CONFIG, P8_CONFIG, README_CONFIG,
+                         README_W0_CONFIG, STATIC_D3_CONFIG)
 
 SHAPES = [(n, m, d) for n in range(3) for m in range(2) for d in range(1, 4)]
 COLUMNS = ("t", "y", "y_star", "u", "eps", "eps_bar", "e", "rho", "norm_phi", "theta_hat", "r", "w")
@@ -271,28 +273,27 @@ def regressor_rows(draw):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(regressor_rows())
 def test_loop_sums_match_audit_columns(case):
-    """estimator_update's e, ||phi||^2 and gate equal the audit's column sums bit for bit."""
+    """estimator_update's e, gate and updated estimate equal the audit's column formulas bit for
+    bit: e = ybar - phi^T theta, the gate from ||phi||, and the replay theta + phi g with
+    g = e / ||phi||^2, clamped to the box, where the gate opens."""
     phi, theta, ybar, margin, delta = case
     boxes = [ParamBox(lo=tuple(row - margin), hi=tuple(row + margin)) for row in theta]
     e = ybar - _weighted(phi, theta)
-    norm = np.sqrt(_weighted(phi, phi))
+    sq = _weighted(phi, phi)
+    norm = np.sqrt(sq)
     gate = norm > 0.0
     if not math.isinf(delta):
         gate &= np.abs(e) < (2.0 * np.array([box_norm(b) for b in boxes]) + delta) * norm
-    sq, flag = [], estimator.deadzone_flag
-
-    def recording_flag(e_next, sq_norm, *rest):
-        sq.append(sq_norm)
-        return flag(e_next, sq_norm, *rest)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimator, "deadzone_flag", recording_flag)
-        for k in range(len(phi)):
-            state = EstimatorState(theta_hat=theta[k].tolist(), box=boxes[k], delta=delta)
-            rec = estimator_update(state, phi[k].tolist(), float(ybar[k]))
-            assert np.float64(rec.e_next).tobytes() == e[k].tobytes()
-            assert np.float64(math.sqrt(sq[k])).tobytes() == norm[k].tobytes()
-            assert rec.rho == int(gate[k])
+    with np.errstate(all="ignore"):  # a zero regressor divides by 0; its gate is closed
+        v = theta + phi * (e / sq)[:, None]
+    for k in range(len(phi)):
+        lo, hi = np.array(boxes[k].lo), np.array(boxes[k].hi)
+        want = np.where(v[k] < lo, lo, np.where(v[k] > hi, hi, v[k])) if gate[k] else theta[k]
+        state = EstimatorState(theta_hat=theta[k].tolist(), box=boxes[k], delta=delta)
+        rec = estimator_update(state, phi[k].tolist(), float(ybar[k]))
+        assert np.float64(rec.e_next).tobytes() == e[k].tobytes()
+        assert rec.rho == int(gate[k])
+        assert np.array(state.theta_hat).tobytes() == want.tobytes()
 
 
 def assert_round_trips(cfg: ExperimentConfig) -> None:
@@ -610,6 +611,65 @@ def test_loop_kernels_keep_their_products_and_order(case):
 
     y_star, now, _ = reference_outputs(case["ref"], case["r"])
     assert bits(y_star.tolist()) == bits(y_star_by_offsets(now.tolist(), L.coeffs, L.degree))
+
+
+def composed_loop(cfg: ExperimentConfig) -> dict:
+    """run_closed_loop's columns from its step kernels called one by one on oldest-first
+    lists: control_input, plant_step and ybar, and an update whose estimate, error and
+    gate are estimator_update's and update_by_offsets's alike. ||phi(t)|| is summed left
+    to right from +0.0."""
+    n, m, d, T, L = cfg.n, cfg.m, cfg.d, cfg.steps, cfg.ref.L
+    r, w = cfg.inputs
+    y_star, ybar_star, target = reference_outputs(cfg.ref, r)
+    a_rows, b_rows = (rows.tolist() for rows in cfg.plant_rows)
+    start = loop_start(cfg.x0, n, m, d)
+    y, u = start.y.tolist(), start.u.tolist()
+    state = EstimatorState(theta_hat=cfg.theta0, box=cfg.box, delta=cfg.delta)
+    theta = list(state.theta_hat)
+    ybars, e, rho, thetas, norms = [ybar(y, L)], [0.0], [], [], []
+    for k in range(T + 1):
+        thetas.append(list(theta))
+        u.append(control_input(theta, float(target[k]), y, u, n))
+        sq = 0.0
+        for f in [y[-1 - i] for i in range(n)] + [u[-1 - i] for i in range(m + d)]:
+            sq += f * f
+        norms.append(math.sqrt(sq))
+        if k == T:
+            break
+        phi_lag = [y[-d - i] for i in range(n)] + [u[-d - i] for i in range(m + d)]
+        row = k if len(a_rows) > 1 else 0
+        y.append(plant_step(a_rows[row], b_rows[row], d, y, u, w[k + 1]))
+        ybars.append(ybar(y, L))
+        rec = estimator_update(state, phi_lag, ybars[-1])
+        e_next, gate = update_by_offsets(theta, cfg.box, cfg.delta, phi_lag, ybars[-1])
+        assert bits([rec.e_next] + state.theta_hat) == bits([e_next] + theta) and rec.rho == gate
+        e.append(e_next)
+        rho.append(gate)
+    y, u = np.array(y[start.lead :]), np.array(u[start.lead :])
+    return dict(t=np.arange(cfg.t0, cfg.t0 + T + 1, dtype=float), y=y, y_star=y_star, u=u,
+                eps=y - y_star, eps_bar=np.array(ybars) - ybar_star, e=np.array(e),
+                rho=np.array(rho + [0], dtype=float), norm_phi=np.array(norms),
+                theta_hat=np.array(thetas), r=r, w=w)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [None, README_CONFIG, README_W0_CONFIG, D1_CONFIG, D1_GATED_CONFIG, STATIC_D3_CONFIG, M0_D2_CONFIG,
+     P8_CONFIG],
+    ids=["showcase", "readme", "readme_w0", "d1", "d1_gated", "static_d3", "m0_d2", "p8"],
+)
+def test_loop_is_its_kernels_composed(doc):
+    """The loop computes y(t+1), ybar(t+1) and the gate in place: every column it records
+    has the bits of its kernels composed step by step, for d = 1, 2 and 3, m = 0, the
+    drifting showcase and gates that close."""
+    cfg = demo_config(300) if doc is None else config_from_dict(doc)
+    trace, want = run_closed_loop(cfg), composed_loop(cfg)
+    assert sorted(want) == sorted(TRACE_COLUMNS)
+    for name in TRACE_COLUMNS:
+        got = getattr(trace, name)
+        assert got.shape == want[name].shape and got.tobytes() == want[name].tobytes(), name
+    if doc is D1_GATED_CONFIG:  # the case must keep covering a closed gate
+        assert not trace.rho[:-1].all()
 
 
 def weighted_by_index(lags, coef, acc):
