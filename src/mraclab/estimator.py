@@ -14,15 +14,16 @@ The step runs on plain floats in one indexed pass over phi (pred += f * theta[i]
 sq += f * f): phi^T theta_hat and ||phi||^2 are summed left to right, each from +0.0,
 with no BLAS dot and no sum(), math.fsum or math.sumprod, whose bits differ on newer
 Pythons. The audits' column sums take that order, so they recompute e, ||phi|| and
-the gate (deadzone_flag's expression, which estimator_update carries in place) bit
-for bit. A gated-on step then sets each coordinate i, in index order, to
-v = theta_hat_i + phi_i (e / ||phi||^2) clamped to the box: lo_i if v < lo_i, else
-hi_i if v > hi_i, else v, so a NaN passes through and a signed zero keeps its sign.
-The golden traces pin these products and this order.
+the gate (deadzone_flag's expression, which estimator_update carries in place with
+2 ||S|| + delta formed once per state) bit for bit. A gated-on step then sets each
+coordinate i, in index order, to v = theta_hat_i + phi_i (e / ||phi||^2) clamped to
+the box: lo_i if v < lo_i, else hi_i if v > hi_i, else v, so a NaN passes through and
+a signed zero keeps its sign. The golden traces pin these products and this order.
 
 EstimatorState and estimator_update take a validated config's data and do
 not re-check it: ExperimentConfig checks the box, theta0 (exactly inside
-it) and delta > 0 once, and the projection keeps every estimate inside.
+it) and delta > 0 once, and the projection keeps every estimate inside. The
+update returns its own state, whose e_next and rho the next update overwrites.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .system import ParamBox, box_norm
 __all__ = [
     "deadzone_flag",
     "EstimatorState",
-    "StepRecord",
     "estimator_update",
 ]
 
@@ -55,7 +55,7 @@ def deadzone_flag(e_next: float, sq: float, box_norm_value: float, delta: float)
 
 @dataclass
 class EstimatorState:
-    """Current estimate (a list of floats) plus the fixed box and deadzone width."""
+    """Estimate (a list of floats), fixed box and deadzone width, last update's e_next and rho."""
 
     theta_hat: list[float]
     box: ParamBox
@@ -63,26 +63,23 @@ class EstimatorState:
     box_norm_cached: float = field(init=False)
     lo: tuple[float, ...] = field(init=False)  # the box's bounds, read on every gated step
     hi: tuple[float, ...] = field(init=False)
+    gate_scale: float = field(init=False)  # 2 ||S|| + delta, the gate's factor on ||phi||
+    e_next: float = field(init=False, default=0.0)
+    rho: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         self.theta_hat = [float(v) for v in self.theta_hat]
         self.box_norm_cached, self.lo, self.hi = box_norm(self.box), self.box.lo, self.box.hi
+        self.gate_scale = 2.0 * self.box_norm_cached + self.delta
 
 
-@dataclass(slots=True)
-class StepRecord:
-    """What one update did: the prediction error and the gate."""
-
-    e_next: float
-    rho: int
-
-
-def estimator_update(state: EstimatorState, phi_lag, ybar_next: float) -> StepRecord:
-    """One projection-algorithm step; mutates the list state.theta_hat in place.
+def estimator_update(state: EstimatorState, phi_lag, ybar_next: float) -> EstimatorState:
+    """One projection-algorithm step; mutates state in place and returns it.
 
     phi_lag has the length of theta_hat. Gated off (rho = 0) the estimate is
     untouched. Gated on, it moves by phi e / ||phi||^2 and each coordinate is
-    clamped back into the box.
+    clamped back into the box. The returned state's e_next and rho are this
+    update's until the next update overwrites them.
     """
     theta = state.theta_hat
     pred = sq = 0.0
@@ -93,7 +90,7 @@ def estimator_update(state: EstimatorState, phi_lag, ybar_next: float) -> StepRe
         i += 1
     e_next = float(ybar_next) - pred
     norm = math.sqrt(sq)  # deadzone_flag in place
-    rho = 1 if norm != 0.0 and abs(e_next) < (2.0 * state.box_norm_cached + state.delta) * norm else 0
+    rho = 1 if norm != 0.0 and abs(e_next) < state.gate_scale * norm else 0
     if rho:
         g = e_next / sq
         lo, hi = state.lo, state.hi
@@ -102,4 +99,5 @@ def estimator_update(state: EstimatorState, phi_lag, ybar_next: float) -> StepRe
             v = theta[i] + f * g
             theta[i] = lo[i] if v < lo[i] else hi[i] if v > hi[i] else v  # min(max(v, lo), hi)
             i += 1
-    return StepRecord(e_next, rho)
+    state.e_next, state.rho = e_next, rho
+    return state

@@ -877,7 +877,9 @@ def check_trace_consistency(trace: Trace) -> VerificationReport:
     # Regressor norms and deadzone gates, both from the table's ||phi||^2.
     equal("consistency_regressor_norm", trace.norm_phi, np.sqrt(sq[d - 1 :]))
     lag_norm = np.sqrt(sq[:T])
-    with np.errstate(invalid="ignore"):  # 0 * inf is NaN at delta = inf: a zero norm closes that row
+    # 0 * inf is NaN at delta = inf: a zero norm closes that row. An overflowing
+    # threshold is +inf, as the loop's float product (2 ||S|| + delta) ||phi|| is.
+    with np.errstate(invalid="ignore", over="ignore"):
         gate = (lag_norm > 0.0) & (np.abs(trace.e[1:]) < (2.0 * box_norm(cfg.box) + cfg.delta) * lag_norm)
     equal("consistency_deadzone_gate", trace.rho, np.r_[gate, False])
 

@@ -109,8 +109,29 @@ class TestEstimatorState:
         st = EstimatorState(theta_hat=np.zeros(2), box=UNIT_BOX)
         assert st.box_norm_cached == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
+    @pytest.mark.parametrize("delta", [math.inf, 0.5, 1e308])
+    def test_gate_scale_is_the_per_step_factor(self, delta):
+        # The gate's factor is formed once, to the bits the per-step product gave;
+        # at delta = 1e308 it is finite and its product with ||phi|| may overflow.
+        box = ParamBox(lo=(-1.5, -1.0, 0.5), hi=(1.0, 2.0, 3.0))
+        st = EstimatorState(theta_hat=box.midpoint(), box=box, delta=delta)
+        assert st.gate_scale.hex() == (2.0 * box_norm(box) + delta).hex()
+
+    def test_no_update_yet(self):
+        st = EstimatorState(theta_hat=np.zeros(2), box=UNIT_BOX)
+        assert (st.e_next, st.rho) == (0.0, 0)
+
 
 class TestEstimatorUpdate:
+    def test_returns_its_state_with_the_last_step(self):
+        # Gated on, then gated off (theta_hat untouched): the returned object is the
+        # state itself, and its e_next and rho are those of the latest update.
+        st = EstimatorState(theta_hat=np.zeros(2), box=UNIT_BOX, delta=0.5)
+        assert estimator_update(st, [1.0, 0.0], ybar_next=0.5) is st
+        assert (st.e_next, st.rho, st.theta_hat) == (0.5, 1, [0.5, 0.0])
+        assert estimator_update(st, [0.1, 0.0], ybar_next=1.0) is st
+        assert (st.e_next, st.rho, st.theta_hat) == (1.0 - 0.1 * 0.5, 0, [0.5, 0.0])
+
     def test_plain_gradient_move(self):
         st = EstimatorState(theta_hat=np.zeros(2), box=UNIT_BOX)
         rec = estimator_update(st, np.array([1.0, 0.0]), ybar_next=0.5)

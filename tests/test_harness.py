@@ -1609,6 +1609,16 @@ class TestAudit:
         assert list(rep.fitted) == FITTED and rep.fitted["lambda"] == 0.9
         assert rep.passed
 
+    def test_largest_finite_delta_audits_without_a_warning(self):
+        # At delta = 1e308 the gate's threshold (2 ||S|| + delta) ||phi|| overflows to
+        # +inf, in the loop's float product and in the audit's replay alike.
+        trace = run_closed_loop(replace(demo_config(), delta=1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = audit(trace)
+        assert rep.passed
+        assert [c.margin for c in rep.checks if c.name == "consistency_deadzone_gate"] == [0.0]
+
     @pytest.mark.parametrize(
         "l1, floor, lam",
         [(-0.95, "0x1.e666666666666p-1", 0.975),
