@@ -16,12 +16,11 @@ control_input take a validated config's data (its x0 length, box and
 theta0 are checked once, by ExperimentConfig) and do not re-check it.
 
 The golden traces pin each kernel's products and the order of its sums.
-Each walks its lags with a running negative index, newest sample first:
-ybar adds l_j y(t-j) for j = 0, 1, .. to an accumulator from +0.0;
-control_input starts from ybar*(t+d), subtracts theta_i y(t-i) for
-i = 0 .. n-1 and then theta_{n+i} u(t-i) for i = 1 .. m+d-1, and divides
-by beta0_hat last; the y* recursion adds l_j y*(t-j) for j = 1, .. from
-+0.0 and subtracts that sum from ybar*(t).
+ybar and control_input are one straight line per shape each, compiled once
+(poly._straight), newest sample first: ybar is 0.0 + l_0 y(t) + l_1 y(t-1) + ..;
+control_input is ybar*(t+d) - theta_0 y(t) - .. - theta_{n-1} y(t-n+1)
+- theta_{n+1} u(t-1) - .. - theta_{n+m+d-1} u(t-m-d+1), over beta0_hat last. The
+y* recursion subtracts ybar's line over l_1, l_2, .. on y*(t-1), .. from ybar*(t).
 
 Conventions: the reference input r(t) is taken as 0 before the start time
 t0, and output history older than the supplied initial condition is
@@ -31,10 +30,11 @@ treated as 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .poly import PolyZ
+from .poly import PolyZ, _compiled, _straight
 from .system import ReferenceModel
 
 __all__ = [
@@ -137,15 +137,21 @@ def loop_start(x0, n: int, m: int, d: int) -> History:
     return history(x0, list(x0[:1]) if n + d > 1 else [0.0], [], n, m, d)
 
 
+def ybar_terms(k: int) -> tuple[str, str]:
+    """ybar's source for k weights, which run_closed_loop's step uses too: [l0, ..], 0.0 + l0 * y[-1] + .."""
+    l = [f"l{j}" for j in range(k)]
+    return f"[{', '.join(l)}]", _straight("0.0", "+", zip(l, (f"y[{-1 - j}]" for j in range(k))))
+
+
+@lru_cache(maxsize=None)
+def _ybar_kernel(k: int):
+    src = "def ybar_kernel(L, y):\n    {} = L\n    return {}\n".format(*ybar_terms(k))
+    return _compiled(src, "ybar_kernel")
+
+
 def ybar(y, L: PolyZ) -> float:
-    """Weighted output ybar(t) = y(t) + sum_j l_j y(t-j); y is oldest first, y(t) last.
-    run_closed_loop's in-place copy is pinned to these bits by test_loop_is_its_kernels_composed."""
-    acc = 0.0  # term by term from +0.0: the trace pins depend on this order
-    i = -1
-    for c in L.coeffs:
-        acc += c * y[i]
-        i -= 1
-    return acc
+    """Weighted output ybar(t) = y(t) + sum_j l_j y(t-j); y is oldest first, y(t) last."""
+    return _ybar_kernel(len(L.coeffs))(L.coeffs, y)
 
 
 def reference_outputs(ref: ReferenceModel, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,13 +171,9 @@ def reference_outputs(ref: ReferenceModel, r) -> tuple[np.ndarray, np.ndarray, n
         ahead = ahead + c * r_ext[lead - i : lead - i + rows]
     now = np.concatenate((np.zeros(d), ahead))[:rows]  # ybar*(t) is ybar*(t+d) d rows down
     y_star, tail = [0.0] * ref.order, l[1:]
+    past = _ybar_kernel(len(tail))  # sum_{j>=1} l_j y*(t-j) is ybar's line over l_1, l_2, ..
     for s in now.tolist():
-        acc = 0.0
-        i = -1
-        for c in tail:
-            acc += c * y_star[i]
-            i -= 1
-        y_star.append(s - acc)
+        y_star.append(s - past(tail, y_star))
     return np.array(y_star[ref.order :]), now, ahead
 
 
@@ -181,13 +183,13 @@ def control_input(theta_hat, target: float, y, u, n: int) -> float:
     theta_hat is a sequence of n+m+d floats; y ends with y(t) and u
     with u(t-1), both oldest first; n is the plant order.
     """
-    acc = target
-    i = -1
-    for c in theta_hat[:n]:
-        acc -= c * y[i]
-        i -= 1
-    i = -1
-    for c in theta_hat[n + 1 :]:
-        acc -= c * u[i]
-        i -= 1
-    return acc / theta_hat[n]
+    return _control_kernel(n, len(theta_hat))(theta_hat, target, y, u)
+
+
+@lru_cache(maxsize=None)
+def _control_kernel(n: int, p: int):
+    t = [f"t{i}" for i in range(p)]
+    lags = [f"y[{-1 - i}]" for i in range(n)] + [f"u[{-i}]" for i in range(1, p - n)]
+    expr = _straight("target", "-", zip(t[:n] + t[n + 1 :], lags))
+    src = f"def control_kernel(theta_hat, target, y, u):\n    [{', '.join(t)}] = theta_hat\n"
+    return _compiled(f"{src}    return ({expr}) / t{n}\n", "control_kernel")

@@ -10,15 +10,15 @@ additive regularizing constant; the deadzone itself is what keeps the
 division safe - and is then clamped back into the box coordinate-wise.
 Projection onto a convex set never increases the distance to any point of
 the set, which is what makes the parameter-error arguments go through.
-The step runs on plain floats in one indexed pass over phi (pred += f * theta[i];
-sq += f * f): phi^T theta_hat and ||phi||^2 are summed left to right, each from +0.0,
-with no BLAS dot and no sum(), math.fsum or math.sumprod, whose bits differ on newer
-Pythons. The audits' column sums take that order, so they recompute e, ||phi|| and
-the gate (deadzone_flag's expression, which estimator_update carries in place with
-2 ||S|| + delta formed once per state) bit for bit. A gated-on step then sets each
-coordinate i, in index order, to v = theta_hat_i + phi_i (e / ||phi||^2) clamped to
-the box: lo_i if v < lo_i, else hi_i if v > hi_i, else v, so a NaN passes through and
-a signed zero keeps its sign. The golden traces pin these products and this order.
+The step is one straight line per formula, compiled once per length of theta_hat
+(poly._straight): phi^T theta_hat = 0.0 + f0 t0 + f1 t1 + .. and ||phi||^2 = 0.0 + f0 f0
++ f1 f1 + .., left to right from +0.0 in plain floats, with no BLAS dot and no sum(),
+math.fsum or math.sumprod, whose bits differ on newer Pythons. The audits' column sums
+take that order, so they recompute e, ||phi|| and the gate (deadzone_flag's expression,
+in place with 2 ||S|| + delta formed once per state) bit for bit. A gated-on step then
+sets each coordinate i, in index order, to v = theta_hat_i + phi_i (e / ||phi||^2)
+clamped to the box: lo_i if v < lo_i, else hi_i if v > hi_i, else v, so a NaN passes
+through and a signed zero keeps its sign. The golden traces pin these products and order.
 
 EstimatorState and estimator_update take a validated config's data and do
 not re-check it: ExperimentConfig checks the box, theta0 (exactly inside
@@ -30,7 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable
 
+from .poly import _compiled, _straight
 from .system import ParamBox, box_norm
 
 __all__ = [
@@ -53,6 +56,28 @@ def deadzone_flag(e_next: float, sq: float, box_norm_value: float, delta: float)
     return 1 if norm != 0.0 and abs(e_next) < (2.0 * box_norm_value + delta) * norm else 0
 
 
+@lru_cache(maxsize=None)
+def _update_kernel(p: int):
+    """estimator_update's step for a theta_hat of length p, one straight line per formula."""
+    f, t, lo, hi = ([f"{s}{i}" for i in range(p)] for s in ("f", "t", "lo", "hi"))
+    clamps = "".join(f"        v = {t[i]} + {f[i]} * g\n        theta[{i}] = {lo[i]} if v < {lo[i]} else "
+                     f"{hi[i]} if v > {hi[i]} else v\n" for i in range(p))
+    src = f"""def update_kernel(state, phi, ybar_next):
+    [{', '.join(f)}] = phi
+    [{', '.join(t)}] = theta = state.theta_hat
+    e_next = float(ybar_next) - ({_straight("0.0", "+", zip(f, t))})
+    sq = {_straight("0.0", "+", zip(f, f))}
+    norm = sqrt(sq)
+    rho = 1 if norm != 0.0 and abs(e_next) < state.gate_scale * norm else 0
+    if rho:
+        g = e_next / sq
+        [{', '.join(lo)}], [{', '.join(hi)}] = state.box.lo, state.box.hi
+{clamps}    state.e_next, state.rho = e_next, rho
+    return state
+"""
+    return _compiled(src, "update_kernel", sqrt=math.sqrt)
+
+
 @dataclass
 class EstimatorState:
     """Estimate (a list of floats), fixed box and deadzone width, last update's e_next and rho."""
@@ -60,17 +85,15 @@ class EstimatorState:
     theta_hat: list[float]
     box: ParamBox
     delta: float = math.inf
-    box_norm_cached: float = field(init=False)
-    lo: tuple[float, ...] = field(init=False)  # the box's bounds, read on every gated step
-    hi: tuple[float, ...] = field(init=False)
     gate_scale: float = field(init=False)  # 2 ||S|| + delta, the gate's factor on ||phi||
+    kernel: Callable = field(init=False, repr=False, compare=False)  # the step estimator_update runs
     e_next: float = field(init=False, default=0.0)
     rho: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         self.theta_hat = [float(v) for v in self.theta_hat]
-        self.box_norm_cached, self.lo, self.hi = box_norm(self.box), self.box.lo, self.box.hi
-        self.gate_scale = 2.0 * self.box_norm_cached + self.delta
+        self.gate_scale = 2.0 * box_norm(self.box) + self.delta
+        self.kernel = _update_kernel(len(self.theta_hat))
 
 
 def estimator_update(state: EstimatorState, phi_lag, ybar_next: float) -> EstimatorState:
@@ -81,23 +104,4 @@ def estimator_update(state: EstimatorState, phi_lag, ybar_next: float) -> Estima
     clamped back into the box. The returned state's e_next and rho are this
     update's until the next update overwrites them.
     """
-    theta = state.theta_hat
-    pred = sq = 0.0
-    i = 0
-    for f in phi_lag:
-        pred += f * theta[i]
-        sq += f * f
-        i += 1
-    e_next = float(ybar_next) - pred
-    norm = math.sqrt(sq)  # deadzone_flag in place
-    rho = 1 if norm != 0.0 and abs(e_next) < state.gate_scale * norm else 0
-    if rho:
-        g = e_next / sq
-        lo, hi = state.lo, state.hi
-        i = 0
-        for f in phi_lag:
-            v = theta[i] + f * g
-            theta[i] = lo[i] if v < lo[i] else hi[i] if v > hi[i] else v  # min(max(v, lo), hi)
-            i += 1
-    state.e_next, state.rho = e_next, rho
-    return state
+    return state.kernel(state, phi_lag, ybar_next)

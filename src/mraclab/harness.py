@@ -44,7 +44,7 @@ import operator
 import warnings
 from array import array
 from dataclasses import InitVar, dataclass, field, fields
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from pathlib import Path
 
@@ -57,6 +57,7 @@ from .controller import (
     reference_outputs,
     x0_length,
     ybar,
+    ybar_terms,
 )
 from .estimator import EstimatorState, estimator_update
 from .plant_sim import (
@@ -65,13 +66,14 @@ from .plant_sim import (
     CoefficientSchedule,
     CoefSpec,
     SignalSpec,
+    plant_terms,
     signal_rows,
     square_wave,
     wbar_sequence,
     windowed_sinusoid,
     zero_signal,
 )
-from .poly import PolyZ, integer, max_root_modulus, max_root_moduli, number, numbers, text
+from .poly import PolyZ, _compiled, integer, max_root_modulus, max_root_moduli, number, numbers, text
 from .system import AdmissibilityError, ParamBox, ReferenceModel, box_norm, build_param_box, predictor_map
 
 __all__ = [
@@ -525,12 +527,11 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
     once, before the loop; the coefficient rows are the ones the config
     validated. theta_hat and rho are written to their arrays once, after the loop.
 
-    Each step calls control_input and estimator_update through this module's
-    names, so a wrapper on a name sees every call, and computes y(t+1) and
-    ybar(t+1) in place in plant_step's and ybar's products and order (ybar runs
-    for the t0 row alone). Those orders, which the golden traces pin, are stated
-    in the controller, plant_sim and estimator module docstrings. The last time
-    t0 + T only records theta_hat and solves for u; it emits nothing and runs no update.
+    The steps run in _loop_kernel, compiled once per shape: y(t+1) and ybar(t+1) are the
+    straight lines plant_step and ybar compile (plant_terms, ybar_terms; ybar itself runs
+    for the t0 row alone). control_input and estimator_update are this module's names, read
+    when the run starts, so a wrapper on a name sees every call. The last time t0 + T only
+    records theta_hat and solves for u; it emits nothing and runs no update.
     """
     n, m, d = cfg.n, cfg.m, cfg.d
     p, T, L = cfg.dim_theta, cfg.steps, cfg.ref.L.coeffs
@@ -540,45 +541,21 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         raise _too_long(T) from None
     r, w = cfg.inputs
     y_star, ybar_star, target = reference_outputs(cfg.ref, r)
-    coeffs = list(zip(*(rows.tolist() for rows in cfg.plant_rows)))  # (a, b) per emission time
-    if len(coeffs) == 1:  # a constant plant has one row
-        coeffs *= T
+    # One (a, b) per emission time; a constant plant has one row.
+    a_rows, b_rows = (rows.tolist() * (T if len(rows) == 1 else 1) for rows in cfg.plant_rows)
     est = EstimatorState(theta_hat=cfg.theta0, box=cfg.box, delta=cfg.delta)
 
     start = loop_start(cfg.x0, n, m, d)
     y, u = start.y.tolist(), start.u.tolist()  # y ends with y(t), u with u(t-1)
-    target, w_next = target.tolist(), w[1:].tolist()
-    ys, us = slice(-d, -d - n, -1), slice(-d, -m - 2 * d, -1)  # phi(t-d+1) = y[ys] + u[us]
-    theta = est.theta_hat  # updated in place by every update
+    target = target.tolist()
     ybars, e, thetas, gates = [ybar(y, cfg.ref.L)], [0.0], array("d"), []  # thetas: T+1 rows of p
-    for k, (a, b) in enumerate(coeffs):
-        thetas.fromlist(theta)
-        u.append(control_input(theta, target[k], y, u, n))
-        phi_lag = y[ys] + u[us]
-        y_next, i = w_next[k], -1  # plant_step in place: w(t+1) - a_i y(t-i) .. + b_i u(t-d+1-i) ..
-        for c in a:
-            y_next -= c * y[i]
-            i -= 1
-        i = -d
-        for c in b:
-            y_next += c * u[i]
-            i -= 1
-        if not -OVERFLOW_LIMIT <= y_next <= OVERFLOW_LIMIT:  # NaN compares false: aborts too
-            raise NumericAbort(
-                f"output diverged at t = {cfg.t0 + k + 1} (y = {y_next!r}); "
-                "check the admissible box and plant schedule"
-            )
-        y.append(y_next)
-        yb, i = 0.0, -1  # ybar in place: l_j y(t+1-j) from +0.0
-        for c in L:
-            yb += c * y[i]
-            i -= 1
-        ybars.append(yb)
-        rec = estimator_update(est, phi_lag, yb)
-        e.append(rec.e_next)
-        gates.append(rec.rho)
-    thetas.fromlist(theta)  # the final time: u(t0 + T) and theta_hat(t0 + T), no emission
-    u.append(control_input(theta, target[T], y, u, n))
+    diverged = _loop_kernel(n, m, d, len(L))(zip(a_rows, b_rows, target, w[1:].tolist()), L, y, u,
+                                             est, thetas, ybars, e, gates, control_input, estimator_update)
+    if diverged:
+        raise NumericAbort(f"output diverged at t = {cfg.t0 + diverged[0] + 1} (y = {diverged[1]!r}); "
+                           "check the admissible box and plant schedule")
+    thetas.fromlist(est.theta_hat)  # the final time: u(t0 + T) and theta_hat(t0 + T), no emission
+    u.append(control_input(est.theta_hat, target[T], y, u, n))
     theta_hat[:] = np.frombuffer(thetas).reshape(T + 1, p)
     rho[:T] = gates
 
@@ -604,6 +581,32 @@ def run_closed_loop(cfg: ExperimentConfig) -> Trace:
         if not np.all(np.isfinite(getattr(trace, name))):
             raise NumericAbort(f"non-finite values in column {name}")
     return trace
+
+
+@lru_cache(maxsize=None)
+def _loop_kernel(n: int, m: int, d: int, k: int):
+    """run_closed_loop's steps; at the first y(t+1) outside +-OVERFLOW_LIMIT, or NaN, returns (k, y(t+1))."""
+    ab, y_next = plant_terms(n, m, d)
+    l, yb = ybar_terms(k)
+    phi = [f"y[{-d - i}]" for i in range(n)] + [f"u[{-d - i}]" for i in range(m + d)]  # phi(t-d+1)
+    src = f"""def loop_kernel(steps, L, y, u, est, thetas, ybars, e, gates, control_input, estimator_update):
+    {l} = L
+    theta = est.theta_hat
+    for k, ({ab}, target, w) in enumerate(steps):
+        thetas.fromlist(theta)
+        u.append(control_input(theta, target, y, u, {n}))
+        phi_lag = [{', '.join(phi)}]
+        y_next = {y_next}
+        if not -LIMIT <= y_next <= LIMIT:
+            return k, y_next
+        y.append(y_next)
+        yb = {yb}
+        ybars.append(yb)
+        rec = estimator_update(est, phi_lag, yb)
+        e.append(rec.e_next)
+        gates.append(rec.rho)
+"""
+    return _compiled(src, "loop_kernel", LIMIT=OVERFLOW_LIMIT)
 
 
 # ---------------------------------------------------------------------------

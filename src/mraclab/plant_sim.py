@@ -2,10 +2,10 @@
 
 plant_step is a pure function of the coefficients at emission time and the
 run's past outputs and inputs, read from the end of the oldest-first lists
-that the closed loop grows from controller.history's layout. Its order of
-terms is pinned by the golden traces: from w(t+1) it subtracts a_i y(t-i)
-for i = 0 .. n-1, then adds b_i u(t-d+1-i) for i = 0 .. m, walking each
-list with a running negative index.
+that the closed loop grows from controller.history's layout. It is one
+straight line per shape, compiled once (poly._straight), whose order of
+terms the golden traces pin: from w(t+1) it subtracts a_i y(t-i) for
+i = 0 .. n-1, then adds b_i u(t-d+1-i) for i = 0 .. m.
 
 Conventions used throughout the package:
 
@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly import integer, integers, number, numbers, text
+from .poly import _compiled, _straight, integer, integers, number, numbers, text
 from .system import AdmissibilityError, PlantParams, first_inadmissible
 
 __all__ = [
@@ -473,23 +473,27 @@ class CoefficientSchedule:
         return a, b
 
 
+def plant_terms(n: int, m: int, d: int) -> tuple[str, str]:
+    """Plant source for (n, m, d), the loop's too: [a0, ..], [b0, ..], w - a0 * y[-1] .. + b0 * u[-d] .."""
+    a, b = [f"a{i}" for i in range(n)], [f"b{i}" for i in range(m + 1)]
+    y_lags, u_lags = (f"y[{-1 - i}]" for i in range(n)), (f"u[{-d - i}]" for i in range(m + 1))
+    expr = _straight(_straight("w", "-", zip(a, y_lags)), "+", zip(b, u_lags))
+    return f"[{', '.join(a)}], [{', '.join(b)}]", expr
+
+
+@lru_cache(maxsize=None)
+def _plant_kernel(n: int, m: int, d: int):
+    src = "def plant_kernel(a, b, y, u, w):\n    {} = a, b\n    return {}\n".format(*plant_terms(n, m, d))
+    return _compiled(src, "plant_kernel")
+
+
 def plant_step(a, b, d: int, y, u, w_next: float) -> float:
     """One plant recursion: y(t+1) from the coefficients a, b sampled at time t.
 
     y ends with y(t) and u with u(t), both oldest first:
-    y(t+1) = w(t+1) - sum_i a_i y(t-i) + sum_i b_i u(t-d+1-i). run_closed_loop carries
-    an in-place copy, which test_loop_is_its_kernels_composed pins to these bits.
+    y(t+1) = w(t+1) - sum_i a_i y(t-i) + sum_i b_i u(t-d+1-i).
     """
-    y_next = float(w_next)
-    i = -1
-    for c in a:
-        y_next -= c * y[i]
-        i -= 1
-    i = -d
-    for c in b:
-        y_next += c * u[i]
-        i -= 1
-    return y_next
+    return _plant_kernel(len(a), len(b) - 1, d)(a, b, y, u, float(w_next))
 
 
 def wbar_sequence(F, w: SignalSpec, t0: int, T: int) -> np.ndarray:

@@ -102,6 +102,18 @@ class PolyZ:
         return PolyZ(self.coeffs[: last + 1])
 
 
+def _straight(acc: str, op: str, pairs) -> str:
+    """Source text acc op c0 * x0 op c1 * x1 ..: evaluated left to right, as acc op= c * x would be."""
+    return acc + "".join(f" {op} {c} * {x}" for c, x in pairs)
+
+
+def _compiled(src: str, name: str, **env):
+    """The function name that src (shape ints and fixed names only) defines, src kept as .source."""
+    exec(compile(src, f"<{name}>", "exec"), env)
+    env[name].source = src
+    return env[name]
+
+
 def convolve(f, g) -> list[float]:
     """Coefficients c_k = sum_i f_i g_(k-i) of the product of f and g.
 

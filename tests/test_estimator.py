@@ -105,9 +105,14 @@ class TestDeadzone:
 
 
 class TestEstimatorState:
-    def test_caches_box_norm(self):
-        st = EstimatorState(theta_hat=np.zeros(2), box=UNIT_BOX)
-        assert st.box_norm_cached == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    def test_binds_its_gate_scale_and_kernel(self):
+        # ||S|| is read once, into the gate's factor; the kernel is the one step compiled
+        # for the estimate's length, shared by every state of that length and kept out of repr.
+        st = EstimatorState(theta_hat=np.zeros(2), box=UNIT_BOX, delta=0.5)
+        assert st.gate_scale == pytest.approx(2.0 * math.sqrt(2.0) + 0.5, abs=1e-15)
+        assert st.kernel is EstimatorState(theta_hat=[0.5, 0.0], box=UNIT_BOX).kernel
+        assert st.kernel is not EstimatorState(theta_hat=[0.0], box=ParamBox(lo=(1.0,), hi=(2.0,))).kernel
+        assert "kernel" not in repr(st)
 
     @pytest.mark.parametrize("delta", [math.inf, 0.5, 1e308])
     def test_gate_scale_is_the_per_step_factor(self, delta):

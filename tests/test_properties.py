@@ -8,11 +8,14 @@ survive their document form, the admissibility test agrees with the root
 moduli, the predictor split is exact, signals and coefficients are their
 definitions, the loop's step kernels, the audits' row sum _weighted, box_norm
 and the convolution compute the products and sums of their plain index formulas
-bit for bit, the root moduli are their companion matrices' eigenvalues, and the
-trace writer prints every finite cell as CSV_FMT % cell does."""
+bit for bit, the root moduli are their companion matrices' eigenvalues, the
+trace writer prints every finite cell as CSV_FMT % cell does, a diverging run
+aborts at its pinned time and value, and the compiled step kernels' sources keep
+the package's summation rules."""
 
 from __future__ import annotations
 
+import ast
 import bisect
 import functools
 import json
@@ -26,12 +29,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from mraclab import controller, estimator, harness, plant_sim
 from mraclab.controller import control_input, loop_start, reference_outputs, ybar
 from mraclab.estimator import EstimatorState, estimator_update
 from mraclab.harness import (
     CSV_FMT,
     TRACE_COLUMNS,
     ExperimentConfig,
+    NumericAbort,
     Trace,
     audit,
     config_from_dict,
@@ -652,11 +657,42 @@ def composed_loop(cfg: ExperimentConfig) -> dict:
                 theta_hat=np.array(thetas), r=r, w=w)
 
 
+# Shapes whose kernel sources are special cases: no a (an empty target), b0 alone, L = (1,)
+# and d = 3, at delta = 0.5 on a constant plant and on a drifting one.
+STATIC_M0_D3_CONFIG = {
+    "plant": {"a": [], "b": [1.2], "d": 3},
+    "reference": {"L": [1.0], "H": [0.8]},
+    "estimator": {"box": {"lo": [0.5, -0.5, -0.5], "hi": [2.0, 0.5, 0.5]}, "delta": 0.5},
+    "sim": {"t0": 2, "steps": 250, "x0": [0.3, -0.2, 0.1, 0.4, -0.3, 0.2], "theta0": "midpoint"},
+    "signals": {
+        "r": {"kind": "square_wave", "period": 30, "amplitude": 1.0},
+        "w": {"kind": "white_noise", "amplitude": 0.05, "seed": 4},
+    },
+}
+DRIFTING_M0_D3_CONFIG = {
+    "plant": {
+        "schedule": {
+            "a": [{"kind": "sinusoid", "offset": -0.5, "amplitude": 0.3, "rate": 0.02}],
+            "b": [{"kind": "sinusoid", "offset": 1.5, "amplitude": 0.4, "rate": 0.01, "trig": "sin"}],
+        },
+        "d": 3,
+    },
+    "reference": {"L": [1.0], "H": [0.6]},
+    "estimator": {"box": {"lo": [-1.5, 0.8, -1.0, -1.0], "hi": [1.5, 2.5, 1.0, 1.0]}, "delta": 0.5},
+    "sim": {"t0": 0, "steps": 300, "x0": [0.2, 0.1, -0.1, 0.3, -0.2, 0.1, 0.0], "theta0": "midpoint"},
+    "signals": {
+        "r": {"kind": "sinusoid", "amplitude": 1.0, "rate": 0.07},
+        "w": {"kind": "white_noise", "amplitude": 0.02, "seed": 6},
+    },
+}
+
+
 @pytest.mark.parametrize(
     "doc",
     [None, README_CONFIG, README_W0_CONFIG, D1_CONFIG, D1_GATED_CONFIG, STATIC_D3_CONFIG, M0_D2_CONFIG,
-     P8_CONFIG],
-    ids=["showcase", "readme", "readme_w0", "d1", "d1_gated", "static_d3", "m0_d2", "p8"],
+     P8_CONFIG, STATIC_M0_D3_CONFIG, DRIFTING_M0_D3_CONFIG],
+    ids=["showcase", "readme", "readme_w0", "d1", "d1_gated", "static_d3", "m0_d2", "p8", "static_m0_d3",
+         "drifting_m0_d3"],
 )
 def test_loop_is_its_kernels_composed(doc):
     """The loop computes y(t+1), ybar(t+1) and the gate in place: every column it records
@@ -670,6 +706,76 @@ def test_loop_is_its_kernels_composed(doc):
         assert got.shape == want[name].shape and got.tobytes() == want[name].tobytes(), name
     if doc is D1_GATED_CONFIG:  # the case must keep covering a closed gate
         assert not trace.rho[:-1].all()
+
+
+# Closed loops that diverge: an unstable plant under a pinned (gate-free in effect) estimate,
+# a static plant whose control law doubles u every step, and a drifting plant.
+DIVERGING = {
+    "unstable_d2": ({
+        "plant": {"a": [-2.2, 1.2], "b": [1.0, 0.2], "d": 2},
+        "reference": {"L": [1.0], "H": [1.0]},
+        "estimator": {"box": {"lo": [-0.5, 0.2, 0.5, 0.0, 0.0], "hi": [-0.5, 0.2, 0.5, 0.0, 0.0]},
+                      "delta": 0.5},
+        "sim": {"steps": 3000, "x0": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
+    }, "output diverged at t = 322 (y = 1.243826326927716e+100)"),
+    "static_d3": ({
+        "plant": {"a": [], "b": [1.0], "d": 3},
+        "reference": {"L": [1.0], "H": [1.0]},
+        "estimator": {"box": {"lo": [0.5, -2.0, 0.0], "hi": [0.5, -2.0, 0.0]}},
+        "sim": {"steps": 3000, "x0": [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]},
+    }, "output diverged at t = 169 (y = 3.499601159652819e+100)"),
+    "drifting_d1": ({
+        "plant": {
+            "schedule": {
+                "a": [{"kind": "sinusoid", "offset": -1.5, "amplitude": 0.2, "rate": 0.01}],
+                "b": [{"kind": "constant", "value": 1.0},
+                      {"kind": "sinusoid", "amplitude": 0.1, "rate": 0.03}],
+            },
+            "d": 1,
+        },
+        "reference": {"L": [1.0, -0.5], "H": [1.0]},
+        "estimator": {"box": {"lo": [0.0, 1.0, 0.0], "hi": [0.0, 1.0, 0.0]}, "delta": 0.5},
+        "sim": {"steps": 3000, "x0": [1.0, 0.0]},
+    }, "output diverged at t = 551 (y = 1.2826756724935383e+100)"),
+}
+
+
+@pytest.mark.parametrize("doc, diverged", DIVERGING.values(), ids=list(DIVERGING))
+def test_a_diverging_run_aborts_at_its_pinned_time_and_value(doc, diverged):
+    """The first y(t+1) past 1e100 ends the run with its time and exact value."""
+    with pytest.raises(NumericAbort) as info:
+        run_closed_loop(config_from_dict(doc))
+    assert str(info.value) == f"{diverged}; check the admissible box and plant schedule"
+
+
+# Every name a generated kernel source may read or bind.
+KERNEL_NAMES = {
+    "L", "y", "u", "a", "b", "w", "theta_hat", "target", "state", "phi", "ybar_next", "theta", "e_next",
+    "sq", "norm", "sqrt", "float", "abs", "rho", "g", "v", "steps", "est", "thetas", "ybars", "e",
+    "gates", "control_input", "estimator_update", "k", "phi_lag", "y_next", "LIMIT", "yb", "rec",
+    "enumerate",
+} | {f"{s}{i}" for s in ("a", "b", "f", "l", "t", "lo", "hi") for i in range(8)}
+
+
+def test_generated_sources_are_linted_like_src():
+    """Each step kernel's source, over a grid of shapes, sums term by term as src/ must: no
+    sum, fsum or sumprod, no float literal but the 0.0 a sum starts from, no foreign name."""
+    sources = []
+    for n, m, d in [(n, m, d) for n in range(4) for m in range(3) for d in range(1, 4)]:
+        p = n + m + d
+        sources += [controller._control_kernel(n, p).source, estimator._update_kernel(p).source,
+                    plant_sim._plant_kernel(n, m, d).source]
+        sources += [harness._loop_kernel(n, m, d, k).source for k in range(1, n + d + 1)]
+    sources += [controller._ybar_kernel(k).source for k in range(5)]
+    for src in sources:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                assert getattr(f, "id", getattr(f, "attr", None)) not in ("sum", "fsum", "sumprod"), src
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                assert node.value == 0.0, src
+            if isinstance(node, ast.Name):
+                assert node.id in KERNEL_NAMES, (node.id, src)
 
 
 def weighted_by_index(lags, coef, acc):
