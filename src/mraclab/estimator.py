@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 from .poly import _compiled, _straight
 from .system import ParamBox, box_norm
@@ -86,14 +85,12 @@ class EstimatorState:
     box: ParamBox
     delta: float = math.inf
     gate_scale: float = field(init=False)  # 2 ||S|| + delta, the gate's factor on ||phi||
-    kernel: Callable = field(init=False, repr=False, compare=False)  # the step estimator_update runs
     e_next: float = field(init=False, default=0.0)
     rho: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         self.theta_hat = [float(v) for v in self.theta_hat]
         self.gate_scale = 2.0 * box_norm(self.box) + self.delta
-        self.kernel = _update_kernel(len(self.theta_hat))
 
 
 def estimator_update(state: EstimatorState, phi_lag, ybar_next: float) -> EstimatorState:
@@ -104,4 +101,4 @@ def estimator_update(state: EstimatorState, phi_lag, ybar_next: float) -> Estima
     clamped back into the box. The returned state's e_next and rho are this
     update's until the next update overwrites them.
     """
-    return state.kernel(state, phi_lag, ybar_next)
+    return _update_kernel(len(state.theta_hat))(state, phi_lag, ybar_next)

@@ -236,11 +236,9 @@ class ExperimentConfig:
         if isinstance(self.theta0, str):  # "midpoint"
             object.__setattr__(self, "theta0", tuple(self.box.midpoint().tolist()))
         lo, hi = self.box.lo[n], self.box.hi[n]
-        if lo <= 0.0 <= hi:
-            raise ConfigError(
-                "estimator.box",
-                f"beta0 interval [{lo}, {hi}] contains 0; the control law divides by beta0",
-            )
+        if lo <= 0.0 <= hi:  # the one refusal of the sign, for a given box or s_ab's hull
+            raise ConfigError(f"estimator.{'box' if s_ab is None else 's_ab_box'}",
+                              f"beta0 interval [{lo}, {hi}] contains 0; the control law divides by beta0")
         if not self.delta > 0.0:
             raise ConfigError("estimator.delta", "deadzone width must be positive (or inf)")
         if len(self.x0) != x0_length(n, m, d):
@@ -625,14 +623,14 @@ class GroundTruth:
 def ground_truth(cfg: ExperimentConfig) -> GroundTruth:
     """GroundTruth of cfg.plant_rows' one row, checked by the config; one long division gives
     both F (for wbar) and theta* = (alpha, beta). wbar covers t = t0 .. t0 + T - d, the rows
-    that check_prop1, check_identities and predictor_residuals read, so it reads w on
-    t0 + 1 .. t0 + T, inside the config's sampled times. ValueError for a time-varying plant."""
+    that check_prop1, check_identities and predictor_residuals read, from cfg.inputs' w column
+    on t0 .. t0 + T, the config's one sampling. ValueError for a time-varying plant."""
     if not cfg.schedule.is_constant():
         raise ValueError("ground truth needs a constant plant")
     F, theta_star = predictor_map(*(rows[0] for rows in cfg.plant_rows), cfg.ref)
     return GroundTruth(
         theta_star=np.array(theta_star),
-        wbar=wbar_sequence(F, cfg.w, cfg.t0, cfg.steps - cfg.d),
+        wbar=wbar_sequence(F, cfg.inputs[1], cfg.t0, cfg.steps - cfg.d),
         wbar_t0=cfg.t0,
     )
 
@@ -1190,7 +1188,7 @@ def build_summary(trace: Trace, report: VerificationReport | None = None) -> dic
             "min": [float(v) for v in trace.theta_hat.min(axis=0)],
             "max": [float(v) for v in trace.theta_hat.max(axis=0)],
             "within_box": in_box,
-            "updates_gated_on": int(np.sum(trace.rho)),
+            "updates_gated_on": int(np.count_nonzero(trace.rho)),
         },
         "conventions": dict(CONVENTIONS),
     }

@@ -496,18 +496,20 @@ def plant_step(a, b, d: int, y, u, w_next: float) -> float:
     return _plant_kernel(len(a), len(b) - 1, d)(a, b, y, u, float(w_next))
 
 
-def wbar_sequence(F, w: SignalSpec, t0: int, T: int) -> np.ndarray:
+def wbar_sequence(F, w, t0: int, T: int) -> np.ndarray:
     """Forward-filtered disturbance wbar(t) = sum_i f_i w(t + d - i), d = len(F).
 
     F is the quotient from the predictor split (a PolyZ or plain coefficient
-    sequence of exactly d entries). Returns samples for t = t0 .. t0 + T
-    inclusive. This is the noise term of the d-step-ahead predictor: the
-    weighted output satisfies ybar(t + d) = phi(t)^T theta* + wbar(t).
+    sequence of exactly d entries); w is the array w(t0), w(t0 + 1), .. that
+    signal_rows samples, at least up to w(t0 + T + d). Returns samples for
+    t = t0 .. t0 + T inclusive. This is the noise term of the d-step-ahead
+    predictor: the weighted output satisfies ybar(t + d) = phi(t)^T theta* + wbar(t).
     """
     f = tuple(float(c) for c in getattr(F, "coeffs", F))
     d = len(f)
-    w_rows = signal_rows(w, t0, T + d + 1)  # w(t0) .. w(t0 + T + d)
+    if len(w) < T + d + 1:
+        raise ValueError(f"wbar on t = {t0} .. {t0 + T} needs w on {t0} .. {t0 + T + d}, got {len(w)} samples")
     out = np.zeros(T + 1)  # term by term from +0.0, as a per-row sum adds them
     for i, c in enumerate(f):
-        out = out + c * w_rows[d - i : d - i + T + 1]
+        out = out + c * w[d - i : d - i + T + 1]
     return out

@@ -235,8 +235,8 @@ def build_param_box(
     coordinate is affine in (a, b), so the corner sweep alone is exact and
     samples only confirm it. For d >= 2 the result is a sampled outer
     estimate; use margin > 0 for slack. Every evaluated plant must be
-    admissible (all points are tested at once), and the resulting beta0
-    interval must exclude zero.
+    admissible (all points are tested at once). The hull's beta0 interval
+    may contain 0: ExperimentConfig refuses that sign, for any box, once.
     """
     if not 0 <= n_a <= s_ab.dim - 1:
         raise AdmissibilityError(
@@ -257,11 +257,6 @@ def build_param_box(
     stacked = np.array([predictor_map(pt[:n_a], pt[n_a:], ref)[1] for pt in points])
     lo = stacked.min(axis=0) - margin
     hi = stacked.max(axis=0) + margin
-    if lo[n_a] <= 0.0 <= hi[n_a]:
-        raise AdmissibilityError(
-            "beta0 interval of the predictor box contains 0; the control law "
-            "divides by beta0, so its sign must be fixed over the box"
-        )
     return ParamBox(tuple(lo), tuple(hi))
 
 

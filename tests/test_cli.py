@@ -10,7 +10,7 @@ from mraclab import harness, plant_sim
 from mraclab.cli import main
 from mraclab.harness import demo_config
 from test_golden import README_CONFIG
-from test_harness import README_S_AB
+from test_harness import README_S_AB, STRADDLING_S_AB
 
 
 @pytest.fixture()
@@ -114,10 +114,12 @@ class TestRun:
         [
             (lambda d: d["estimator"]["box"]["lo"].__setitem__(2, -1.0),
              "error: estimator.box: beta0 interval [-1.0, 3.0] contains 0; the control law divides by beta0\n"),
+            (lambda d: d.__setitem__("estimator", {"s_ab_box": STRADDLING_S_AB}),
+             "error: estimator.s_ab_box: beta0 interval [-1.5, 2.5] contains 0; the control law divides by beta0\n"),
             (lambda d: d["sim"].__setitem__("x0", d["sim"]["x0"][:5]),
              "error: sim.x0: needs 6 entries for (n=2, m=1, d=2), got 5\n"),
         ],
-        ids=["beta0_interval", "x0_length"],
+        ids=["beta0_interval", "s_ab_beta0_interval", "x0_length"],
     )
     def test_config_is_the_one_gate(self, edit, message, tmp_path, capsys):
         # The README config made invalid is refused at the entry point with its field error
@@ -602,11 +604,10 @@ def test_schedule_is_evaluated_once_per_command(tmp_path, monkeypatch):
     assert calls == want
 
 
-@pytest.mark.parametrize("doc, w_samplings", [(demo_config().to_config_dict(), 1), (README_CONFIG, 2)],
-                         ids=["showcase", "readme"])
-def test_inputs_are_sampled_once_per_command(tmp_path, monkeypatch, doc, w_samplings):
+@pytest.mark.parametrize("doc", [demo_config().to_config_dict(), README_CONFIG], ids=["showcase", "readme"])
+def test_inputs_are_sampled_once_per_command(tmp_path, monkeypatch, doc):
     # r and w are sampled once, on t0 .. t0 + steps, into the config's inputs, which the
-    # loop and every audit read; a constant plant's wbar samples w once more, on the same times.
+    # loop and every audit read, a constant plant's wbar (its ground truth) too.
     cfg = harness.config_from_dict(doc)
     (tmp_path / "cfg.json").write_text(json.dumps(doc))
     calls = []
@@ -618,7 +619,7 @@ def test_inputs_are_sampled_once_per_command(tmp_path, monkeypatch, doc, w_sampl
     for module in (harness, plant_sim):
         monkeypatch.setattr(module, "signal_rows", counted)
     horizon = (cfg.t0, cfg.steps + 1)
-    want = [(cfg.r, *horizon)] + [(cfg.w, *horizon)] * w_samplings
+    want = [(cfg.r, *horizon), (cfg.w, *horizon)]
     out = tmp_path / "out"
     assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out), "--verify"]) == 0
     assert calls == want

@@ -1,6 +1,9 @@
 """Tests for the deadzone-gated projection estimator."""
 
+import copy
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,14 +108,19 @@ class TestDeadzone:
 
 
 class TestEstimatorState:
-    def test_binds_its_gate_scale_and_kernel(self):
-        # ||S|| is read once, into the gate's factor; the kernel is the one step compiled
-        # for the estimate's length, shared by every state of that length and kept out of repr.
-        st = EstimatorState(theta_hat=np.zeros(2), box=UNIT_BOX, delta=0.5)
+    def test_is_plain_data_that_pickles_copies_and_compares(self):
+        # ||S|| is read once, into the gate's factor. The state holds data only (the step it
+        # runs is estimator_update's, compiled per length), so it survives pickle, deepcopy
+        # and replace equal, and each copy's next update gives the original's bits.
+        st = EstimatorState(theta_hat=[0.25, -0.5], box=UNIT_BOX, delta=0.5)
         assert st.gate_scale == pytest.approx(2.0 * math.sqrt(2.0) + 0.5, abs=1e-15)
-        assert st.kernel is EstimatorState(theta_hat=[0.5, 0.0], box=UNIT_BOX).kernel
-        assert st.kernel is not EstimatorState(theta_hat=[0.0], box=ParamBox(lo=(1.0,), hi=(2.0,))).kernel
-        assert "kernel" not in repr(st)
+        copies = [pickle.loads(pickle.dumps(st)), copy.deepcopy(st), replace(st)]
+        assert all(other == st and other.gate_scale.hex() == st.gate_scale.hex() for other in copies)
+        for state in [st, *copies]:
+            estimator_update(state, [0.9, 0.2], ybar_next=-0.4)
+        bits = [([v.hex() for v in s.theta_hat], s.e_next.hex(), s.rho) for s in [st, *copies]]
+        assert bits[0][2] == 1 and bits == [bits[0]] * 4
+        assert pickle.loads(pickle.dumps(st)) == st == copy.deepcopy(st)  # after an update too
 
     @pytest.mark.parametrize("delta", [math.inf, 0.5, 1e308])
     def test_gate_scale_is_the_per_step_factor(self, delta):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import re
 import warnings
 from collections import Counter
@@ -224,6 +225,18 @@ class TestConfigValidation:
                 r=cfg.r,
                 w=cfg.w,
             )
+
+    def test_straddling_s_ab_image_is_refused_once_under_its_field(self):
+        # build_param_box returns the hull; the config's one beta0 check names the recipe's field.
+        # It runs after the SCALAR_FIELDS fields are read, so a refused one of those comes first.
+        doc = json.loads(json.dumps(README_CONFIG))
+        doc["estimator"] = {"s_ab_box": STRADDLING_S_AB}
+        msg = "estimator.s_ab_box: beta0 interval [-1.5, 2.5] contains 0; the control law divides by beta0"
+        with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+            config_from_dict(doc)
+        doc["sim"]["steps"] = 400.5
+        with pytest.raises(ConfigError, match=r"^sim\.steps: expected an integer, got 400\.5$"):
+            config_from_dict(doc)
 
     def test_theta0_outside_box(self):
         cfg = make_config()
@@ -667,6 +680,9 @@ class TestConfigRoundTrip:
 MINIMAL_DOC = {key: README_CONFIG[key] for key in ("plant", "reference")}
 MINIMAL_DOC.update(estimator={"box": README_CONFIG["estimator"]["box"]}, sim={"steps": 400})
 README_S_AB = {"lo": [-0.8, 0.0, 1.5, 0.3], "hi": [-0.4, 0.16, 2.5, 0.7]}
+# README_S_AB with b0 in [-1.5, 2.5] and b1 = 0: every evaluated plant is admissible (b0 != 0),
+# and the beta0 image, b0's interval, straddles 0.
+STRADDLING_S_AB = {"lo": [-0.8, 0.0, -1.5, 0.0], "hi": [-0.4, 0.16, 2.5, 0.0]}
 S_AB = ParamBox(**{k: tuple(v) for k, v in README_S_AB.items()})
 
 
@@ -1226,6 +1242,27 @@ def test_traces_compare_by_identity():
     tr = run_closed_loop(demo_config(60))
     assert tr == tr
     assert (run_closed_loop(demo_config(60)) == tr) is False
+
+
+def test_every_public_data_type_pickles():
+    # Each holds plain data (no compiled function), so each comes back from pickle equal,
+    # an array bit for bit, and a config with its config_hash.
+    cfg, showcase = config_from_dict(README_CONFIG), demo_config(60)
+    trace = run_closed_loop(cfg)
+    report, gt = audit(trace), ground_truth(cfg)
+    state = estimator.EstimatorState(theta_hat=cfg.theta0, box=cfg.box, delta=cfg.delta)
+
+    def again(obj):
+        return pickle.loads(pickle.dumps(obj))
+
+    assert again(cfg) == cfg and again(cfg).config_hash() == cfg.config_hash()
+    kept = again(trace)
+    assert kept.cfg == cfg and all(getattr(kept, c).tobytes() == getattr(trace, c).tobytes() for c in TRACE_COLUMNS)
+    kept = again(gt)
+    assert (kept.theta_star.tobytes(), kept.wbar.tobytes(), kept.wbar_t0) == (
+        gt.theta_star.tobytes(), gt.wbar.tobytes(), gt.wbar_t0)
+    data = (report, cfg.box, cfg.ref, cfg.schedule, showcase.schedule, showcase.schedule.a[0], cfg.w, state)
+    assert report.passed and all(again(obj) == obj for obj in data)
 
 
 class TestGroundTruth:

@@ -26,6 +26,7 @@ from mraclab.plant_sim import (
     constant_signal,
     plant_step,
     signal_eval,
+    signal_rows,
     SignalSpec,
     sinusoid,
     square_wave,
@@ -405,24 +406,35 @@ class TestPlantStep:
             np.testing.assert_allclose(y_list[-(T + 1) :], y_ref, rtol=0, atol=1e-12)
 
 
+def wbar_of_spec(F, w, t0, T):
+    """wbar_sequence on the column of w it reads, w(t0) .. w(t0 + T + d), as signal_rows samples it."""
+    return wbar_sequence(F, signal_rows(w, t0, T + len(getattr(F, "coeffs", F)) + 1), t0, T)
+
+
 class TestWbar:
     def test_unit_delay_shifts_by_one(self):
         w = table_signal([1.0], t_start=5)  # impulse at t = 5
-        out = wbar_sequence(PolyZ((1.0,)), w, t0=0, T=10)
+        out = wbar_of_spec(PolyZ((1.0,)), w, t0=0, T=10)
         expected = np.zeros(11)
         expected[4] = 1.0
         np.testing.assert_allclose(out, expected, rtol=0, atol=0)
 
     def test_zero_disturbance(self):
-        out = wbar_sequence(PolyZ((1.0, 0.5)), zero_signal(), t0=-3, T=6)
+        out = wbar_of_spec(PolyZ((1.0, 0.5)), zero_signal(), t0=-3, T=6)
         np.testing.assert_allclose(out, np.zeros(7), rtol=0, atol=0)
 
     def test_two_step_filter(self):
         w = table_signal([2.0, -1.0, 4.0], t_start=0)
-        out = wbar_sequence((1.0, 0.5), w, t0=-2, T=6)
+        out = wbar_of_spec((1.0, 0.5), w, t0=-2, T=6)
         # wbar(t) = w(t+2) + 0.5 w(t+1)
         expected = [2.0, -1.0 + 1.0, 4.0 - 0.5, 2.0, 0.0, 0.0, 0.0]
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
+
+    def test_a_short_column_is_refused_with_its_times(self):
+        # d = 2, T = 6 from t0 = -2 reads w on -2 .. 6, nine samples; eight name the gap.
+        w = signal_rows(table_signal([2.0, -1.0, 4.0], t_start=0), -2, 8)
+        with pytest.raises(ValueError, match=r"^wbar on t = -2 \.\. 4 needs w on -2 \.\. 6, got 8 samples$"):
+            wbar_sequence((1.0, 0.5), w, t0=-2, T=6)
 
 
 def wbar_by_rows(F, w, t0, T):
@@ -445,7 +457,7 @@ class TestWbarMatchesRowLoop:
         a, _ = cfg.schedule.coeff_rows(cfg.t0, 1)
         F, _ = predictor_split(cfg.ref.L, PolyZ((1.0, *a[0])), cfg.d)
         args = (F, cfg.w, cfg.t0 - cfg.d + 1, cfg.steps + cfg.d)
-        assert np.array_equal(wbar_sequence(*args), wbar_by_rows(*args))
+        assert np.array_equal(wbar_of_spec(*args), wbar_by_rows(*args))
 
     def test_random_filters(self):
         rng = np.random.default_rng(83)
@@ -455,7 +467,7 @@ class TestWbarMatchesRowLoop:
             w = [white_noise(float(rng.uniform(0.01, 5.0)), seed=k), sinusoid(1e3, 0.37, 0.2),
                  table_signal(rng.uniform(-1.0, 1.0, 9).tolist(), t_start=-4)][k % 3]
             t0, T = int(rng.integers(-700, 700)), int(rng.integers(0, 600))
-            assert np.array_equal(wbar_sequence(f, w, t0, T), wbar_by_rows(f, w, t0, T))
+            assert np.array_equal(wbar_of_spec(f, w, t0, T), wbar_by_rows(f, w, t0, T))
 
 
 class TestPredictorForm:
@@ -483,7 +495,7 @@ class TestPredictorForm:
             u_list.append(u[t])
             y_list.append(plant_step(plant.a, plant.b, d, y_list, u_list, signal_eval(w_sig, t + 1)))
         y = y_list[-(T + 1) :]
-        wbar = wbar_sequence(predictor_F(ref, plant), w_sig, t0=0, T=T)
+        wbar = wbar_of_spec(predictor_F(ref, plant), w_sig, t0=0, T=T)
         l_coeffs = ref.L.coeffs
         worst = 0.0
         for t in range(max(n, m + d) + len(l_coeffs), T - d):

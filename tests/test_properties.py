@@ -757,9 +757,33 @@ KERNEL_NAMES = {
 } | {f"{s}{i}" for s in ("a", "b", "f", "l", "t", "lo", "hi") for i in range(8)}
 
 
-def test_generated_sources_are_linted_like_src():
-    """Each step kernel's source, over a grid of shapes, sums term by term as src/ must: no
-    sum, fsum or sumprod, no float literal but the 0.0 a sum starts from, no foreign name."""
+def arithmetic_faults(tree: ast.AST, allowed: str | None = None) -> list[str]:
+    """The calls in tree that no source of the package may make: sum, fsum or sumprod (builtin
+    sum() is compensated from Python 3.12 on, and fsum and sumprod round differently from a
+    left-to-right sum), and exec, compile or eval outside the top-level function named allowed,
+    so that no source escapes this lint."""
+    kept = {id(node) for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == allowed
+            for node in ast.walk(top)}
+    faults = []
+    for node in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        f = node.func
+        name = getattr(f, "id", getattr(f, "attr", None))
+        if name in ("sum", "fsum", "sumprod"):
+            faults.append(f"{node.lineno}: {ast.unparse(f)}()")
+        if id(node) not in kept and (name in ("exec", "eval") or ast.unparse(f) in ("compile", "builtins.compile")):
+            faults.append(f"{node.lineno}: {ast.unparse(f)}() outside poly._compiled")
+    return faults
+
+
+def test_package_and_kernel_sources_are_linted():
+    """Every module of the package, and each step kernel's source over a grid of shapes, makes no
+    call that arithmetic_faults refuses (poly._compiled alone compiles); a kernel source also holds
+    no float literal but the 0.0 a sum starts from and no foreign name."""
+    faults = []
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        allowed = "_compiled" if path.name == "poly.py" else None
+        faults += [f"{path.name}:{fault}" for fault in arithmetic_faults(tree, allowed)]
     sources = []
     for n, m, d in [(n, m, d) for n in range(4) for m in range(3) for d in range(1, 4)]:
         p = n + m + d
@@ -768,14 +792,14 @@ def test_generated_sources_are_linted_like_src():
         sources += [harness._loop_kernel(n, m, d, k).source for k in range(1, n + d + 1)]
     sources += [controller._ybar_kernel(k).source for k in range(5)]
     for src in sources:
-        for node in ast.walk(ast.parse(src)):
-            if isinstance(node, ast.Call):
-                f = node.func
-                assert getattr(f, "id", getattr(f, "attr", None)) not in ("sum", "fsum", "sumprod"), src
+        tree = ast.parse(src)
+        faults += [f"{fault}\n{src}" for fault in arithmetic_faults(tree)]
+        for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, float):
                 assert node.value == 0.0, src
             if isinstance(node, ast.Name):
                 assert node.id in KERNEL_NAMES, (node.id, src)
+    assert not faults, "\n".join(faults)
 
 
 def weighted_by_index(lags, coef, acc):

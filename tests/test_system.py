@@ -266,18 +266,21 @@ PURE_DELAY = ReferenceModel(L=PolyZ((1.0,)), H=PolyZ((1.0,)), d=1)
         (lambda: ParamBox(lo=(0.0, -math.inf), hi=(1.0, 1.0)), "box bounds must be finite"),
         (lambda: build_param_box(ParamBox(lo=(0.5,), hi=(1.0,)), PURE_DELAY, n_a=1),
          "n_a = 1 incompatible with a box of dimension 1"),
-        # m = 0 and b0 in [-1, 1]: every sampled b0 is nonzero, but the image straddles 0.
-        (lambda: build_param_box(ParamBox(lo=(-1.0,), hi=(1.0,)), PURE_DELAY, n_a=0),
-         "beta0 interval of the predictor box contains 0; the control law divides by beta0, "
-         "so its sign must be fixed over the box"),
     ],
     ids=["plant_empty_b", "reference_d_zero", "predictor_empty_beta", "box_lengths",
-         "box_infinite", "s_ab_too_short", "beta0_straddles_zero"],
+         "box_infinite", "s_ab_too_short"],
 )
 def test_constructor_refuses_with_its_message(make, message):
     with pytest.raises(AdmissibilityError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_hull_may_straddle_beta0_zero():
+    # m = 0 and b0 in [-1, 1]: every sampled b0 is nonzero, and the image straddles 0. The
+    # hull is returned; ExperimentConfig refuses that beta0 sign, for any box, once.
+    box = build_param_box(ParamBox(lo=(-1.0,), hi=(1.0,)), PURE_DELAY, n_a=0)
+    assert (box.lo, box.hi) == ((-1.0,), (1.0,))
 
 
 def box_by_points(s_ab, ref, n_a, samples=256, margin=0.0, seed=0):
