@@ -276,6 +276,12 @@ class ExperimentConfig:
             raise _too_long(self.steps) from None
         object.__setattr__(self, "plant_rows", rows)
 
+    def __setstate__(self, state: dict) -> None:
+        """pickle and deepcopy give back writable arrays; keep them read-only as built."""
+        self.__dict__.update(state)
+        for column in (*self.plant_rows, *state.get("inputs", ())):
+            column.flags.writeable = False
+
     @cached_property
     def inputs(self) -> tuple[np.ndarray, np.ndarray]:
         """r and w on t0 .. t0 + steps, read-only like plant_rows: the one copy that the loop and

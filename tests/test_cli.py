@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import json
+import shlex
 
+import numpy as np
 import pytest
 
 from mraclab import harness, plant_sim
 from mraclab.cli import main
 from mraclab.harness import demo_config
-from test_golden import README_CONFIG
-from test_harness import README_S_AB, STRADDLING_S_AB
+from test_golden import README_CONFIG, readme_block
+from test_harness import MINIMAL_DOC, README_S_AB, STRADDLING_S_AB
+
+# The README config with an s_ab_box in place of its box.
+README_S_AB_DOC = {**README_CONFIG, "estimator": {"delta": README_CONFIG["estimator"]["delta"],
+                                                  "s_ab_box": README_S_AB, "samples": 64, "margin": 0.05}}
 
 
 @pytest.fixture()
@@ -57,14 +63,17 @@ class TestRun:
         assert summary["checks"]["passed"] is True
 
     @pytest.mark.parametrize(
-        "flag, value", [("--seed", "9"), ("--steps", "120"), ("--label", "x"), ("--lambda", "0.92")]
+        "flags",
+        [["--seed", "9"], ["--steps", "120"], ["--label", "x"], ["--lambda", "0.92"],
+         ["--verify", "--lambda", "0.92"]],
+        ids=["--seed-9", "--steps-120", "--label-x", "--lambda-0.92", "--verify--lambda-0.92"],
     )
-    def test_setting_flag_is_a_usage_error(self, config_path, tmp_path, flag, value):
+    def test_setting_flag_is_a_usage_error(self, config_path, tmp_path, flags):
         # Every setting comes from the document: run has no flag that overrides one, and the
         # audit's decay rate is its own rule.
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as info:
-            main(["run", "--config", str(config_path), "--out", str(out), flag, value])
+            main(["run", "--config", str(config_path), "--out", str(out), *flags])
         assert info.value.code == 2
         assert not out.exists()
 
@@ -118,8 +127,14 @@ class TestRun:
              "error: estimator.s_ab_box: beta0 interval [-1.5, 2.5] contains 0; the control law divides by beta0\n"),
             (lambda d: d["sim"].__setitem__("x0", d["sim"]["x0"][:5]),
              "error: sim.x0: needs 6 entries for (n=2, m=1, d=2), got 5\n"),
+            (lambda d: d["sim"].__setitem__("steps", 400.9), "error: sim.steps: expected an integer, got 400.9\n"),
+            (lambda d: d["sim"].__setitem__("seed", 0), "error: sim.seed: unknown field\n"),
+            (lambda d: d["plant"].__setitem__("d", 0), "error: plant: input delay d must be at least 1\n"),
+            (lambda d: d["signals"].__setitem__("r", {"kind": "square_wave", "period": 10**400}),
+             "error: signals.r: field 'period': must lie in 1 .. 1.7976931348623157e+308, the largest float\n"),
         ],
-        ids=["beta0_interval", "s_ab_beta0_interval", "x0_length"],
+        ids=["beta0_interval", "s_ab_beta0_interval", "x0_length", "steps_fraction", "sim_seed", "d_zero",
+             "period_10^400"],
     )
     def test_config_is_the_one_gate(self, edit, message, tmp_path, capsys):
         # The README config made invalid is refused at the entry point with its field error
@@ -231,12 +246,14 @@ class TestRun:
         assert err.startswith(f"error: {fieldpath}: ") and len(err.splitlines()) == 1
 
 
-def edit_cell(trace, column: str, row: int, cell: str) -> None:
-    """Set one cell of a trace.csv; row counts data rows from 0, and -1 is the last."""
+def edit_cell(trace, column: str, row: int, cell) -> None:
+    """Set one cell of a trace.csv to the text cell, or to cell(its value) printed as the
+    writer does when cell is callable; row counts data rows from 0, and -1 is the last."""
     lines = trace.read_text().splitlines()
     k = row + 1 if row >= 0 else row  # line 0 is the header
     cells = lines[k].split(",")
-    cells[lines[0].split(",").index(column)] = cell
+    j = lines[0].split(",").index(column)
+    cells[j] = "%.17g" % cell(float(cells[j])) if callable(cell) else cell
     lines[k] = ",".join(cells)
     trace.write_text("\n".join(lines) + "\n")
 
@@ -246,9 +263,14 @@ class TestVerify:
         assert main(["verify", "--config", str(config_path)]) == 0
         assert "VERIFY PASS" in capsys.readouterr().out
 
-    def test_out_writes_then_reports_as_run_verify(self, config_path, tmp_path, capsys):
+    @pytest.mark.parametrize("doc", [None, README_CONFIG, MINIMAL_DOC, README_S_AB_DOC],
+                             ids=["cfg", "readme", "minimal", "s_ab"])
+    def test_out_writes_then_reports_as_run_verify(self, config_path, tmp_path, capsys, doc):
         # verify --config is run --verify: the same lines and the same files, the out
         # directory aside. verify --out once printed its report before its wrote lines.
+        # A minimal document takes every other field's default, and an s_ab_box builds its box.
+        if doc is not None:
+            config_path.write_text(json.dumps(doc))
         out, again = tmp_path / "v", tmp_path / "r"
         assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 0
         text = capsys.readouterr().out
@@ -283,18 +305,31 @@ class TestVerify:
         assert main(["verify", "--trace", str(out / "trace.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: config:")
 
-    def test_tampered_trace_fails(self, config_path, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "plant, column, row, edit, owner",
+        [
+            ("cfg", "y", 49, lambda v: v + 1e-4, "consistency_plant_recursion"),
+            ("showcase", "y", 100, lambda v: v * (1 + 1e-6), "consistency_plant_recursion"),
+            ("showcase", "y", 100, lambda v: np.nextafter(v, np.inf), "consistency_plant_recursion"),
+            ("showcase", "theta_hat_1", 100, lambda v: np.nextafter(v, np.inf),
+             "consistency_estimator_recursion"),
+        ],
+        ids=["y_plus_1e-4", "showcase-y_times_1+1e-6", "showcase-y_ulp", "showcase-theta_hat_1_ulp"],
+    )
+    def test_tampered_trace_fails(self, config_path, tmp_path, capsys, plant, column, row, edit, owner):
+        # The audit compares each re-derived column with ==: a cell moved by as little as one
+        # ulp fails the check that owns its column (y: the plant recursion; theta_hat_1: the
+        # replayed estimator update).
         out = tmp_path / "out"
-        main(["run", "--config", str(config_path), "--out", str(out)])
-        trace = out / "trace.csv"
-        lines = trace.read_text().splitlines()
-        cells = lines[50].split(",")
-        cells[1] = "%.17g" % (float(cells[1]) + 1e-4)
-        lines[50] = ",".join(cells)
-        trace.write_text("\n".join(lines) + "\n")
+        if plant == "showcase":
+            main(["reproduce", "--out", str(out)])
+        else:
+            main(["run", "--config", str(config_path), "--out", str(out)])
+        edit_cell(out / "trace.csv", column, row, edit)
         capsys.readouterr()
-        assert main(["verify", "--trace", str(trace)]) == 1
-        assert "VERIFY FAIL" in capsys.readouterr().out
+        assert main(["verify", "--trace", str(out / "trace.csv")]) == 1
+        text = capsys.readouterr().out
+        assert f"FAIL {owner} " in text and "VERIFY FAIL" in text
 
     @pytest.mark.parametrize(
         "edit",
@@ -604,7 +639,8 @@ def test_schedule_is_evaluated_once_per_command(tmp_path, monkeypatch):
     assert calls == want
 
 
-@pytest.mark.parametrize("doc", [demo_config().to_config_dict(), README_CONFIG], ids=["showcase", "readme"])
+@pytest.mark.parametrize("doc", [demo_config().to_config_dict(), README_CONFIG, MINIMAL_DOC, README_S_AB_DOC],
+                         ids=["showcase", "readme", "minimal", "s_ab"])
 def test_inputs_are_sampled_once_per_command(tmp_path, monkeypatch, doc):
     # r and w are sampled once, on t0 .. t0 + steps, into the config's inputs, which the
     # loop and every audit read, a constant plant's wbar (its ground truth) too.
@@ -656,3 +692,15 @@ def test_empty_path_is_a_usage_error(argv, err, config_path, monkeypatch, capsys
     assert info.value.code == 2
     assert capsys.readouterr() == ("", err)
     assert sorted(config_path.parent.iterdir()) == before
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # Each command of README's "CLI" block, run as written in a directory whose experiment.json
+    # is README's config, exits 0: the documented commands cannot drift from the parser.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "experiment.json").write_text(readme_block("Config format", "json"))
+    commands = [line for line in readme_block("CLI", "sh").splitlines() if line and not line.startswith("#")]
+    assert commands and all(line.startswith("mraclab ") for line in commands)
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == 0, line
+    assert capsys.readouterr().err == ""

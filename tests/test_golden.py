@@ -169,8 +169,12 @@ def test_summary_pinned(tmp_path, capsys, doc, digest):
         assert "parameter_error_monotone" in [c["name"] for c in checks]
 
 
+def readme_block(section: str, lang: str) -> str:
+    """The first ```lang block under README.md's "## section" heading."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(f"## {section}", 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_config_block_is_pinned():
     # The README's example config is the one whose hash and trace are pinned here.
-    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Config format", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
-    assert json.loads(block) == README_CONFIG
+    assert json.loads(readme_block("Config format", "json")) == README_CONFIG

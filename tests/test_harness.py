@@ -6,8 +6,10 @@ import json
 import math
 import pickle
 import re
+import runpy
 import warnings
 from collections import Counter
+from copy import deepcopy
 from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
@@ -58,7 +60,7 @@ from mraclab.plant_sim import (
 from mraclab.poly import PolyZ, max_root_modulus, predictor_split
 from mraclab.system import ParamBox, PlantParams, ReferenceModel, build_param_box, to_predictor_params
 from test_golden import (D1_CONFIG, D1_GATED_CONFIG, P8_CONFIG, README_CONFIG, README_W0_CONFIG,
-                         STATIC_D3_CONFIG)
+                         STATIC_D3_CONFIG, readme_block)
 
 
 def make_config(
@@ -1256,6 +1258,9 @@ def test_every_public_data_type_pickles():
         return pickle.loads(pickle.dumps(obj))
 
     assert again(cfg) == cfg and again(cfg).config_hash() == cfg.config_hash()
+    # The config's arrays come back read-only, its cached inputs too, from pickle and deepcopy.
+    for kept in (again(cfg), deepcopy(cfg)):
+        assert not any(column.flags.writeable for column in (*kept.plant_rows, *kept.__dict__["inputs"]))
     kept = again(trace)
     assert kept.cfg == cfg and all(getattr(kept, c).tobytes() == getattr(trace, c).tobytes() for c in TRACE_COLUMNS)
     kept = again(gt)
@@ -1338,6 +1343,13 @@ def test_call_is_refused_with_its_message(noisy_run, call, error, message):
     with pytest.raises(error) as info:
         call(*noisy_run)
     assert str(info.value) == message
+
+
+def in_units(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
+    """cfg with r, w and x0 times scale: the system is linear, so every signal scales alike."""
+    return replace(cfg, x0=tuple(v * scale for v in cfg.x0),
+                   r=replace(cfg.r, amplitude=cfg.r.amplitude * scale),
+                   w=replace(cfg.w, amplitude=cfg.w.amplitude * scale))
 
 
 class TestChecks:
@@ -1555,14 +1567,23 @@ class TestChecks:
             return [(c.name, c.passed) for c in audit(run_closed_loop(cfg)).checks]
 
         for base, scale in ((demo_config(3000), 1e6), (config_from_dict(README_CONFIG), 1e8)):
-            scaled = replace(
-                base,
-                x0=tuple(v * scale for v in base.x0),
-                r=replace(base.r, amplitude=base.r.amplitude * scale),
-                w=replace(base.w, amplitude=base.w.amplitude * scale),
-            )
-            assert verdicts(base) == verdicts(scaled)
+            assert verdicts(base) == verdicts(in_units(base, scale))
             assert all(passed for _, passed in verdicts(base))
+
+    @pytest.mark.parametrize("scale", [
+        pytest.param(1e-12, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 16")),
+        pytest.param(1e-9, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 16")),
+        1e-6, 1.0, 1e6, 1e12,
+    ])
+    def test_a_wrong_theta_star_fails_at_every_scale(self, scale):
+        # The correct run passes at every scale; a theta* 1% off must fail the identity that
+        # reads it. Below unit scale the 1 in the margin's 1 + sum|terms| makes the rule
+        # absolute, so at 1e-9 and under it passes.
+        cfg = in_units(config_from_dict(README_CONFIG), scale)
+        tr, gt = run_closed_loop(cfg), ground_truth(cfg)
+        assert audit(tr).passed
+        rep = check_identities(tr, gt.theta_star * 1.01, gt.wbar, gt.wbar_t0)
+        assert [c.passed for c in rep.checks if c.name == "identity_prediction_error"] == [False]
 
     @pytest.mark.parametrize(
         "a, b, d, L",
@@ -1648,13 +1669,14 @@ class TestAudit:
 
     def test_largest_finite_delta_audits_without_a_warning(self):
         # At delta = 1e308 the gate's threshold (2 ||S|| + delta) ||phi|| overflows to
-        # +inf, in the loop's float product and in the audit's replay alike.
-        trace = run_closed_loop(replace(demo_config(), delta=1e308))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rep = audit(trace)
-        assert rep.passed
-        assert [c.margin for c in rep.checks if c.name == "consistency_deadzone_gate"] == [0.0]
+        # +inf, in the loop's float product and in the audit's replay alike, on the showcase
+        # and on README's constant plant, which the contraction and identities also audit.
+        for cfg in (demo_config(), config_from_dict(README_CONFIG)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = audit(run_closed_loop(replace(cfg, delta=1e308)))
+            assert rep.passed
+            assert [c.margin for c in rep.checks if c.name == "consistency_deadzone_gate"] == [0.0]
 
     @pytest.mark.parametrize(
         "l1, floor, lam",
@@ -2125,3 +2147,10 @@ class TestShowcase:
         assert rms["rms_eps(200,500]"] > rms["rms_eps[600,1000]"]
         assert summary["estimates"]["within_box"] is True
         assert summary["rows"] == 1001
+
+
+def test_readme_library_block_runs(tmp_path):
+    # README's "Library use" example runs as written, so it cannot drift from the API.
+    script = tmp_path / "library.py"
+    script.write_text(readme_block("Library use", "python"), encoding="utf-8")
+    runpy.run_path(str(script), run_name="__main__")

@@ -191,6 +191,7 @@ def margins(rep, drop: str | None = None) -> list[tuple[str, str]]:
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(constant_plants(), unit(-8.0, 8.0))
+@example(config_from_dict(README_CONFIG), 6.0)  # README's plant with u in units 1e6 times smaller
 def test_every_check_passes_in_any_unit_of_u(cfg, log_gain):
     # A check against an absolute tolerance failed the contraction step by one ulp
     # of ||theta_hat - theta*||^2 once u was measured in units 1e4 times smaller.
